@@ -1,9 +1,9 @@
 // Shared helpers for the figure/table bench binaries.
 //
 // Every binary prints the series of one figure or table from the paper's
-// evaluation (DESIGN.md §5 maps ids to binaries). Run counts are modest by
-// default so `for b in build/bench/*; do $b; done` finishes in minutes;
-// export PMCAST_RUNS to tighten the confidence intervals.
+// evaluation (docs/BENCHMARKS.md maps ids to binaries). Run counts are
+// modest by default so `for b in build/bench/*; do $b; done` finishes in
+// minutes; export PMCAST_RUNS to tighten the confidence intervals.
 //
 // Machine-readable results: every table_* binary (and micro_benchmarks)
 // accepts `--json <file>` and writes the pmcast-bench-v1 schema —

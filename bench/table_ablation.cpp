@@ -1,4 +1,5 @@
-// TAB-ABLATION — ablations of the design choices DESIGN.md §6 calls out.
+// TAB-ABLATION — ablations of the design choices listed in
+// docs/ARCHITECTURE.md ("Deviations from the paper").
 // No single table in the paper corresponds to this; it quantifies the
 // knobs the paper discusses qualitatively:
 //   A. local-interest shortcut (Sec. 3.2 note) — message savings for

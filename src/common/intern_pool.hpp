@@ -43,6 +43,12 @@ class InternPool {
       return std::make_shared<const T>(std::move(value));
     });
   }
+  /// Same for a value already behind a handle: a handle the pool handed out
+  /// is found by identity, without a deep compare; on first sight the
+  /// handle itself becomes the pooled instance (no copy).
+  std::shared_ptr<const T> intern(const std::shared_ptr<const T>& handle) {
+    return intern_impl(*handle, [&] { return handle; });
+  }
 
   /// Distinct values interned so far.
   std::size_t size() const noexcept { return count_; }
@@ -52,7 +58,7 @@ class InternPool {
   std::shared_ptr<const T> intern_impl(const T& value, MakeFn make) {
     auto& chain = buckets_[value.hash()];
     for (const auto& entry : chain)
-      if (*entry == value) return entry;
+      if (entry.get() == &value || *entry == value) return entry;
     chain.push_back(make());
     ++count_;
     return chain.back();

@@ -1,6 +1,7 @@
 // Experiment runner: repeated single-event dissemination runs over a fixed
 // group, with per-run metrics aggregated into Summaries. This is the
-// machinery behind every figure bench (DESIGN.md §5).
+// machinery behind every figure bench (docs/BENCHMARKS.md maps each figure
+// to its binary).
 #pragma once
 
 #include <cstdint>

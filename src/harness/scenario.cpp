@@ -662,7 +662,6 @@ ChurnSim::ChurnSim(ChurnConfig config)
       return wire::decode_message(wire::encode_message(*msg));
     });
   }
-  apply_loss_ = [this](double eps) { rt_->network().set_loss(eps); };
   init_population();
 }
 
@@ -675,10 +674,7 @@ ChurnSim::ChurnSim(Runtime& runtime, ChurnConfig config, ProcessId pid_base,
       pid_base_(pid_base),
       stream_salt_(stream_salt) {
   // Runtime-wide knobs (latency, wire transcoding, base ε) belong to the
-  // runtime's owner in shard mode; a LossBurst without a hook would leak
-  // across every co-hosted group, so default to the scalar ε anyway and
-  // expect the owner to install a scoped hook.
-  apply_loss_ = [this](double eps) { rt_->network().set_loss(eps); };
+  // runtime's owner in shard mode.
   init_population();
 }
 
@@ -743,11 +739,6 @@ Rng ChurnSim::stream(std::uint64_t tag) const {
   // keep their historical streams; a shard's well-mixed salt moves every
   // label into its own namespace.
   return rt_->make_stream(stream_salt_ ^ tag);
-}
-
-void ChurnSim::set_loss_hook(std::function<void(double)> hook) {
-  PMC_EXPECTS(hook != nullptr);
-  apply_loss_ = std::move(hook);
 }
 
 std::size_t ChurnSim::slot_for(AddrId id) const noexcept {
@@ -1023,15 +1014,7 @@ void ChurnSim::publish_one(Rng& rng) {
   }
   const std::size_t slot =
       live[rng.next_below(live.size())];
-  Event e = make_uniform_event(pm_pid(slot), publish_seq_++, rng);
-  // Deliveries owed: every live matching process at publish time (pure
-  // predicate evaluation, no draws — see ChurnCounters).
-  for (const auto& s : slots_)
-    if (s.live && s.subscription.match(e)) ++counters_.expected_deliveries;
-  // Record before pmcast: the publisher may deliver to itself inline.
-  publish_times_.emplace(e.id(), rt_->now());
-  ++counters_.published;
-  slots_[slot].pm->pmcast(std::move(e));
+  publish_from(slot, make_uniform_event(pm_pid(slot), publish_seq_++, rng));
 }
 
 bool ChurnSim::publish_external(const EventId& id, double u, Rng& rng) {
@@ -1041,13 +1024,19 @@ bool ChurnSim::publish_external(const EventId& id, double u, Rng& rng) {
     return false;
   }
   const std::size_t slot = live[rng.next_below(live.size())];
-  Event e = make_event_at(id.publisher, id.sequence, u);
+  publish_from(slot, make_event_at(id.publisher, id.sequence, u));
+  return true;
+}
+
+void ChurnSim::publish_from(std::size_t slot, Event e) {
+  // Deliveries owed: every live matching process at publish time (pure
+  // predicate evaluation, no draws — see ChurnCounters).
   for (const auto& s : slots_)
     if (s.live && s.subscription.match(e)) ++counters_.expected_deliveries;
+  // Record before pmcast: the publisher may deliver to itself inline.
   publish_times_.emplace(e.id(), rt_->now());
   ++counters_.published;
   slots_[slot].pm->pmcast(std::move(e));
-  return true;
 }
 
 void ChurnSim::apply(const ScenarioAction& action,
@@ -1159,11 +1148,11 @@ void ChurnSim::apply(const ScenarioAction& action,
             // an unconditional restore would clobber the new ε for its
             // whole window. A stale epoch makes the restore a no-op.
             const std::uint64_t epoch = ++loss_epoch_;
-            apply_loss_(op.eps);
+            rt_->network().set_loss(op.eps);
             ++counters_.loss_bursts;
             rt_->scheduler().schedule_after(op.duration, [this, epoch] {
               if (epoch != loss_epoch_) return;  // a newer burst took over
-              apply_loss_(config_.loss);
+              rt_->network().set_loss(config_.loss);
               ++counters_.loss_restores;
             });
           },

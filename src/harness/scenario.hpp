@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -398,11 +397,11 @@ struct ChurnSummary {
 /// quiescence.
 ///
 /// A ChurnSim either owns its Runtime (the classic single-group mode) or
-/// borrows one shared with other groups (topic shards; see
-/// harness/shard.hpp). In shard mode every labeled RNG stream is salted
-/// with the shard's tag, pids are offset by pid_base, and runtime-wide
-/// effects (loss bursts) are routed through hooks the owner scopes to this
-/// shard — so co-hosted groups never perturb each other.
+/// is hosted on one owned elsewhere (topic shards; see harness/shard.hpp,
+/// which gives every shard its own Runtime). In shard mode every labeled
+/// RNG stream is salted with the shard's tag and pids are offset by
+/// pid_base, so the draws — and the fingerprints that hash them — do not
+/// depend on which other groups exist.
 class ChurnSim {
  public:
   explicit ChurnSim(ChurnConfig config);
@@ -410,9 +409,7 @@ class ChurnSim {
   /// Shard mode: hosts the group on `runtime` (owned elsewhere), with pids
   /// offset by `pid_base` and every labeled stream salted by `stream_salt`.
   /// The owner is responsible for runtime-wide settings (wire transcoding,
-  /// base latency), for scoping loss via set_loss_hook, and provides the
-  /// shared intern state (shards use the same address space, so one table
-  /// serves them all).
+  /// base latency) and provides the intern state.
   ChurnSim(Runtime& runtime, ChurnConfig config, ProcessId pid_base,
            std::uint64_t stream_salt, Interns& interns);
 
@@ -437,12 +434,6 @@ class ChurnSim {
   /// First pid of this group's range; the group occupies
   /// [pid_base(), pid_base() + 2 * capacity).
   ProcessId pid_base() const noexcept { return pid_base_; }
-
-  /// Overrides what a LossBurst action does: `hook(eps)` is called to raise
-  /// the loss and later `hook(config().loss)` to restore it. A sharded
-  /// runtime points this at the shard's entry in a per-shard loss model
-  /// instead of the network-wide scalar ε.
-  void set_loss_hook(std::function<void(double)> hook);
 
   /// Router entry point for cross-shard publishers: publishes the event
   /// (id, u) from a live member picked with `rng` (the caller's stream, so
@@ -518,6 +509,8 @@ class ChurnSim {
   /// JoinStorm); counts a skip when no vacancy or contact exists.
   void do_join(Rng& rng);
   void publish_one(Rng& rng);
+  /// Publishes `e` from `slot`, first counting the deliveries it is owed.
+  void publish_from(std::size_t slot, Event e);
 
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
@@ -530,7 +523,6 @@ class ChurnSim {
   ProcessId pid_base_ = 0;
   std::uint64_t stream_salt_ = 0;  ///< 0 in single-group mode (tags as-is)
   SimTime adaptive_interval_ = 0;  ///< resolved sampling window (adaptive)
-  std::function<void(double)> apply_loss_;  ///< see set_loss_hook
   std::unique_ptr<GroupTree> oracle_;  ///< intended membership bookkeeping
   std::vector<Slot> slots_;
   /// Dense AddrId -> slot directory (every slot address is interned up

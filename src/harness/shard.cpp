@@ -194,8 +194,8 @@ ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
     shards_.push_back(std::make_unique<ChurnSim>(
         rt, cfg, static_cast<ProcessId>(s * 2 * capacity),
         shard_tag(kShardStreamSalt, s), *interns_.back()));
-    // No loss hook: a LossBurst's default set_loss lands on the shard's
-    // own network, which is exactly the scope the hook used to enforce.
+    // A LossBurst's set_loss lands on the shard's own network, so loss is
+    // scoped to the shard by construction.
     picks.push_back(rt.make_stream(shard_tag(kRouterPickSalt, s)));
   }
 

@@ -282,7 +282,8 @@ void SyncNode::handle_join(ProcessId from, const JoinRequestMsg& m) {
   row.infix = m.joiner.component(
       std::min(shared, config_.tree.depth - 1));
   row.delegates = {m.joiner};
-  row.interests = InterestSummary::from(m.subscription);
+  row.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(m.subscription));
   row.process_count = 1;
   row.version = next_version();
   apply_row(static_cast<std::uint32_t>(
@@ -308,7 +309,8 @@ void SyncNode::handle_view_transfer(const ViewTransferMsg& m) {
     ViewRow self_row;
     self_row.infix = view_.self().component(config_.tree.depth - 1);
     self_row.delegates = {view_.self()};
-    self_row.interests = InterestSummary::from(subscription_);
+    self_row.interests = std::make_shared<const InterestSummary>(
+        InterestSummary::from(subscription_));
     self_row.process_count = 1;
     self_row.version = next_version();
     view_.view(config_.tree.depth).upsert(self_row);

@@ -192,10 +192,11 @@ void GroupTree::rebuild_leaf(const Prefix& leaf_prefix) {
     ViewRow row;
     row.infix = m.address.component(config_.depth - 1);
     row.delegates = {m.address};
-    row.interests = InterestSummary::from(m.subscription);
+    row.interests = std::make_shared<const InterestSummary>(
+        InterestSummary::from(m.subscription));
     row.process_count = 1;
     row.version = version_counter_++;
-    summary.merge(row.interests);
+    summary.merge(*row.interests);
     view.upsert(row);
     addrs.push_back(m.address);
   }
@@ -216,10 +217,11 @@ void GroupTree::push_row_to_parent(const Prefix& child) {
   ViewRow row;
   row.infix = child.infix();
   row.delegates = c.delegates;
-  row.interests = c.summary;
+  InterestSummary interests = c.summary;
   // The row lives in the depth-(parent length + 1) tables; near the root it
   // may be coarsened (Sec. 6) — sound (only over-approximates) but cheaper.
-  if (child.length() <= options_.coarsen_depth_leq) row.interests.coarsen();
+  if (child.length() <= options_.coarsen_depth_leq) interests.coarsen();
+  row.interests = std::make_shared<const InterestSummary>(std::move(interests));
   row.process_count = c.process_count;
   row.version = version_counter_++;
   parent.child_view.upsert(row);

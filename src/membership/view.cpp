@@ -6,21 +6,31 @@
 
 namespace pmc {
 
-std::size_t DepthView::find_index(AddrComponent infix) const noexcept {
+std::pair<std::size_t, bool> DepthView::locate(
+    AddrComponent infix) const noexcept {
   const auto it = std::lower_bound(infix_.begin(), infix_.end(), infix);
-  if (it != infix_.end() && *it == infix)
-    return static_cast<std::size_t>(it - infix_.begin());
-  return npos;
+  return {static_cast<std::size_t>(it - infix_.begin()),
+          it != infix_.end() && *it == infix};
+}
+
+std::size_t DepthView::find_index(AddrComponent infix) const noexcept {
+  const auto [i, found] = locate(infix);
+  return found ? i : npos;
 }
 
 bool DepthView::upsert(const ViewRow& row) {
+  PMC_EXPECTS(row.interests != nullptr);
+  // Version first: anti-entropy re-sends rows the receiver already holds
+  // far more often than it sends news, and the version alone rejects them.
+  const auto [i, found] = locate(row.infix);
+  if (found && row.version <= version_[i]) return false;
   auto& in = interns();
   id_scratch_.clear();
   id_scratch_.reserve(row.delegates.size());
   for (const auto& d : row.delegates) id_scratch_.push_back(in.addrs.intern(d));
-  return upsert_pooled(row.infix, id_scratch_,
-                       in.summaries.intern(row.interests), row.process_count,
-                       row.version, row.alive);
+  place(i, found, row.infix, id_scratch_, in.summaries.intern(row.interests),
+        row.process_count, row.version, row.alive);
+  return true;
 }
 
 bool DepthView::upsert_pooled(AddrComponent infix,
@@ -28,37 +38,36 @@ bool DepthView::upsert_pooled(AddrComponent infix,
                               std::shared_ptr<const InterestSummary> interests,
                               std::uint64_t process_count,
                               std::uint64_t version, bool alive) {
-  const auto it = std::lower_bound(infix_.begin(), infix_.end(), infix);
-  const auto i = static_cast<std::size_t>(it - infix_.begin());
-  if (it != infix_.end() && *it == infix) {
-    if (version <= version_[i]) return false;
-    live_delegates_ -= del_len_[i];
-    return store(i, delegates, std::move(interests), process_count, version,
-                 alive);
-  }
-  infix_.insert(it, infix);
-  version_.insert(version_.begin() + static_cast<std::ptrdiff_t>(i), 0);
-  count_.insert(count_.begin() + static_cast<std::ptrdiff_t>(i), 0);
-  alive_.insert(alive_.begin() + static_cast<std::ptrdiff_t>(i), 1);
-  interests_.insert(interests_.begin() + static_cast<std::ptrdiff_t>(i),
-                    nullptr);
-  del_begin_.insert(del_begin_.begin() + static_cast<std::ptrdiff_t>(i), 0);
-  del_len_.insert(del_len_.begin() + static_cast<std::ptrdiff_t>(i), 0);
-  return store(i, delegates, std::move(interests), process_count, version,
-               alive);
+  const auto [i, found] = locate(infix);
+  if (found && version <= version_[i]) return false;
+  place(i, found, infix, delegates, std::move(interests), process_count,
+        version, alive);
+  return true;
 }
 
-bool DepthView::store(std::size_t i, std::span<const AddrId> delegates,
+void DepthView::place(std::size_t i, bool found, AddrComponent infix,
+                      std::span<const AddrId> delegates,
                       std::shared_ptr<const InterestSummary> interests,
                       std::uint64_t process_count, std::uint64_t version,
                       bool alive) {
+  if (found) {
+    live_delegates_ -= del_len_[i];
+  } else {
+    const auto at = static_cast<std::ptrdiff_t>(i);
+    infix_.insert(infix_.begin() + at, infix);
+    version_.insert(version_.begin() + at, 0);
+    count_.insert(count_.begin() + at, 0);
+    alive_.insert(alive_.begin() + at, 1);
+    interests_.insert(interests_.begin() + at, nullptr);
+    del_begin_.insert(del_begin_.begin() + at, 0);
+    del_len_.insert(del_len_.begin() + at, 0);
+  }
   set_delegates(i, delegates);
   interests_[i] = std::move(interests);
   count_[i] = process_count;
   version_[i] = version;
   alive_[i] = alive ? 1 : 0;
   ++mutations_;
-  return true;
 }
 
 void DepthView::set_delegates(std::size_t i, std::span<const AddrId> ids) {
@@ -133,7 +142,7 @@ ViewRow DepthView::materialize(std::size_t i) const {
   row.delegates.reserve(ids.size());
   for (const AddrId id : ids)
     row.delegates.push_back(interns().addrs.resolve(id));
-  row.interests = *interests_[i];
+  row.interests = interests_[i];
   row.process_count = count_[i];
   row.version = version_[i];
   row.alive = alive_[i] != 0;

@@ -15,7 +15,10 @@
 // few dozen bytes instead of a ViewRow's several heap blocks. The ViewRow
 // struct remains as the *exchange* format — the unit the wire codec encodes
 // and anti-entropy ships — materialized from / interned into the arrays at
-// the network boundary only.
+// the network boundary only. It carries the interest summary by handle:
+// materializing a row copies the pooled pointer, never the summary, and
+// upsert() decides on the version before it interns anything, so the stale
+// rows anti-entropy keeps re-sending cost one binary search each.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "addr/address.hpp"
@@ -53,7 +57,9 @@ struct Interns {
 struct ViewRow {
   AddrComponent infix = 0;          ///< subgroup's component at this depth
   std::vector<Address> delegates;   ///< R delegates; the process itself at depth d
-  InterestSummary interests;        ///< regrouped interests of the subgroup
+  /// Regrouped interests of the subgroup, shared and immutable. Never null
+  /// once the row is stored or encoded; it need not be pooled yet.
+  std::shared_ptr<const InterestSummary> interests;
   std::uint64_t process_count = 0;  ///< processes represented by the row
   std::uint64_t version = 0;        ///< anti-entropy logical timestamp
   bool alive = true;                ///< false: tombstone (left or crashed)
@@ -108,9 +114,10 @@ class DepthView {
     return del_pool_[del_begin_[i]];
   }
 
-  /// Inserts or replaces from the exchange format (interning delegates and
-  /// pooling the summary); on replace the higher version wins (ties keep the
-  /// incumbent). Returns true if the table changed.
+  /// Inserts or replaces from the exchange format; on replace the higher
+  /// version wins (ties keep the incumbent). Only a row that wins is
+  /// interned (delegates and pooled summary), so a rejected row leaves the
+  /// intern state untouched. Returns true if the table changed.
   bool upsert(const ViewRow& row);
 
   /// Same merge rule, already-interned inputs (the recompaction hot path:
@@ -135,13 +142,19 @@ class DepthView {
   std::uint64_t total_processes() const noexcept;
 
   /// Rebuilds the exchange-format row byte-for-byte (delegates in published
-  /// order) for wire encodes and anti-entropy replies.
+  /// order) for wire encodes and anti-entropy replies; `interests` is the
+  /// pooled handle itself.
   ViewRow materialize(std::size_t i) const;
 
   std::string to_string() const;
 
  private:
-  bool store(std::size_t i, std::span<const AddrId> delegates,
+  /// Where `infix` lives or would be inserted, and whether a row is there.
+  std::pair<std::size_t, bool> locate(AddrComponent infix) const noexcept;
+  /// Stores at `i`: replaces the row there when `found`, else inserts a new
+  /// row at `i`. The caller has already checked the version.
+  void place(std::size_t i, bool found, AddrComponent infix,
+             std::span<const AddrId> delegates,
              std::shared_ptr<const InterestSummary> interests,
              std::uint64_t process_count, std::uint64_t version, bool alive);
   void set_delegates(std::size_t i, std::span<const AddrId> delegates);

@@ -10,13 +10,8 @@
 //     off depth d — the paper's "passive garbage collection".
 // Receivers deliver the event iff their own subscription matches.
 //
-// Deviations from the paper's pseudocode, argued in DESIGN.md §2:
-//   * PMCAST inserts at depth 1 (the root), per the paper's prose;
-//   * the leaf-depth view size is not multiplied by R;
-//   * a per-node `seen` set deduplicates events across their whole lifetime
-//     (Fig. 3 line 20 only checks the live buffers), so HPDELIVER fires at
-//     most once per event;
-//   * a node never gossips to itself.
+// Where this departs from the paper's pseudocode, and why, is listed in
+// docs/ARCHITECTURE.md ("Deviations from the paper").
 #pragma once
 
 #include <functional>

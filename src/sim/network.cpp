@@ -171,9 +171,8 @@ void Network::schedule_delivery(ProcessId from, ProcessId to, SimTime latency,
 
 void Network::deliver_after_draw(ProcessId from, ProcessId to,
                                  MessagePtr msg) {
-  const double eps =
-      loss_model_ ? loss_model_(from, to) : config_.loss_probability;
-  PMC_EXPECTS(eps >= 0.0 && eps <= 1.0);
+  // ε is validated where it is set (constructor, set_loss).
+  const double eps = config_.loss_probability;
   const std::uint64_t msg_seed = next_draw_seed(from);
   Rng draw(msg_seed);
   if (eps > 0.0 && draw.bernoulli(eps)) {

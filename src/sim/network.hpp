@@ -160,14 +160,6 @@ class Network {
   /// are unaffected; only subsequent send() calls draw against the new ε.
   void set_loss(double eps);
 
-  /// When set, ε is asked per message instead of read from the config:
-  /// model(from, to) must return a probability in [0, 1]. A sharded
-  /// runtime installs a model that maps the sender's pid range to its
-  /// shard's current ε, so one shard's loss burst never leaks into
-  /// another. Pass nullptr to fall back to the scalar set_loss ε.
-  using LossModel = std::function<double(ProcessId from, ProcessId to)>;
-  void set_loss_model(LossModel model) { loss_model_ = std::move(model); }
-
   /// When set, replaces the uniform [latency_min, latency_max] draw: the
   /// model returns the delivery latency for (from, to), drawing whatever it
   /// needs from `rng` — a per-message stream labeled
@@ -277,7 +269,6 @@ class Network {
   std::vector<std::pair<FilterToken, LinkFilter>> filters_;
   FilterToken next_filter_token_ = 1;
   Transcoder transcoder_;
-  LossModel loss_model_;
   LatencyModel latency_model_;
   double duplicate_probability_ = 0.0;
   double reorder_probability_ = 0.0;

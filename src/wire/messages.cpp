@@ -286,7 +286,8 @@ void encode(Writer& w, const ViewRow& row) {
   w.varint(row.infix);
   w.varint(row.delegates.size());
   for (const auto& d : row.delegates) encode(w, d);
-  encode(w, row.interests);
+  PMC_EXPECTS(row.interests != nullptr);
+  encode(w, *row.interests);
   w.varint(row.process_count);
   w.varint(row.version);
   w.boolean(row.alive);
@@ -301,7 +302,7 @@ ViewRow decode_view_row(Reader& r) {
   const auto delegates = checked_count(r);
   for (std::uint64_t i = 0; i < delegates; ++i)
     row.delegates.push_back(decode_address(r));
-  row.interests = decode_summary(r);
+  row.interests = std::make_shared<const InterestSummary>(decode_summary(r));
   row.process_count = r.varint();
   row.version = r.varint();
   row.alive = r.boolean();

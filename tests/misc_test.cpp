@@ -52,7 +52,8 @@ TEST(Rendering, DepthViewToStringShowsTombstones) {
   ViewRow row;
   row.infix = 7;
   row.delegates = {Address::parse("7.0")};
-  row.interests = InterestSummary::from(Subscription());
+  row.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(Subscription()));
   row.alive = false;
   v.upsert(row);
   EXPECT_NE(v.to_string().find("(gone)"), std::string::npos);

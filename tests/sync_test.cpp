@@ -185,6 +185,35 @@ TEST(SyncNode, DelegateRecompactionRefreshesCounts) {
   EXPECT_GE(updated, 3u);
 }
 
+TEST(SyncNode, StaleSelfTombstoneIsRebutted) {
+  // A tombstone of a node's own leaf row is rebutted however old it is:
+  // the rebuttal check runs ahead of the version comparison that drops
+  // every other stale row.
+  auto c = make_sync_cluster(3, 2, 2, /*seed=*/17);
+  const SyncNode& target = *c.nodes[4];  // 1.1
+  const auto& leaf = target.view().view(2);
+  const std::size_t i =
+      SyncCluster::row_of(target, 2, target.address().component(1));
+  ASSERT_NE(i, DepthView::npos);
+  const std::uint64_t held = leaf.version(i);
+  ASSERT_GT(held, 0u);
+  ViewRow tomb = leaf.materialize(i);
+  tomb.alive = false;
+  tomb.version = held - 1;
+  auto update = std::make_shared<MembershipUpdateMsg>();
+  update->sender = c.nodes[3]->address();  // 1.0, same leaf subgroup
+  update->rows.push_back(DepthRow{2, tomb});
+  c.runtime->network().send(3, 4, update);
+  c.runtime->run_for(sim_ms(1));
+
+  EXPECT_EQ(target.stats().rebuttals, 1u);
+  const std::size_t j =
+      SyncCluster::row_of(target, 2, target.address().component(1));
+  ASSERT_NE(j, DepthView::npos);
+  EXPECT_TRUE(leaf.alive(j));
+  EXPECT_GT(leaf.version(j), held);
+}
+
 TEST(SyncNode, MessagesCarryNoUpdatesWhenConverged) {
   auto c = make_sync_cluster(3, 2, 2, /*seed=*/21);
   c.runtime->run_for(sim_ms(400));

@@ -15,7 +15,8 @@ ViewRow row(AddrComponent infix, std::uint64_t version,
   r.process_count = count;
   r.alive = alive;
   r.delegates = {Address::parse(std::to_string(infix) + ".0.0")};
-  r.interests = InterestSummary::from(Subscription());
+  r.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(Subscription()));
   return r;
 }
 
@@ -46,11 +47,58 @@ TEST(DepthView, NewerVersionWins) {
 }
 
 TEST(DepthView, OlderOrEqualVersionIgnored) {
+  // The version decides before any interning: a stale or equal-version row
+  // with never-seen delegates and a never-seen summary leaves the row, the
+  // intern state and the mutation counter exactly as they were.
   BoundView b;
   b.v.upsert(row(1, 5, 10));
-  EXPECT_FALSE(b.v.upsert(row(1, 5, 99)));
-  EXPECT_FALSE(b.v.upsert(row(1, 3, 99)));
+  const auto addrs = b.interns.addrs.size();
+  const auto summaries = b.interns.summaries.size();
+  const auto mutations = b.v.mutations();
+  for (const std::uint64_t version : {std::uint64_t{3}, std::uint64_t{5}}) {
+    ViewRow fresh = row(1, version, 99);
+    fresh.delegates = {Address::parse("1.7.7"), Address::parse("1.8.8")};
+    fresh.interests = std::make_shared<const InterestSummary>(
+        InterestSummary::from(Subscription::parse("b > 4")));
+    EXPECT_FALSE(b.v.upsert(fresh)) << version;
+    EXPECT_EQ(b.interns.addrs.size(), addrs) << version;
+    EXPECT_EQ(b.interns.summaries.size(), summaries) << version;
+    EXPECT_EQ(b.v.mutations(), mutations) << version;
+  }
   EXPECT_EQ(b.v.process_count(b.v.find_index(1)), 10u);
+}
+
+TEST(DepthView, FirstSightAdoptsTheRowHandle) {
+  // A summary the pool has not seen is stored without a copy: the row's
+  // own allocation becomes the pooled instance.
+  BoundView b;
+  ViewRow r = row(1, 1);
+  r.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(Subscription::parse("b > 4")));
+  ASSERT_TRUE(b.v.upsert(r));
+  EXPECT_EQ(b.v.interests_ptr(0).get(), r.interests.get());
+  EXPECT_EQ(b.interns.summaries.size(), 1u);
+}
+
+TEST(DepthView, MaterializeSharesThePooledHandle) {
+  BoundView b;
+  b.v.upsert(row(3, 1));
+  const ViewRow back = b.v.materialize(0);
+  EXPECT_EQ(back.interests.get(), &b.v.interests(0));
+  // Re-ingesting the handle (another view of the same runtime) finds the
+  // pooled entry by identity and adds nothing to the pool.
+  DepthView other;
+  other.bind(b.interns);
+  ASSERT_TRUE(other.upsert(back));
+  EXPECT_EQ(other.interests_ptr(0).get(), back.interests.get());
+  EXPECT_EQ(b.interns.summaries.size(), 1u);
+}
+
+TEST(DepthView, NullInterestsRejected) {
+  BoundView b;
+  ViewRow r = row(1, 1);
+  r.interests = nullptr;
+  EXPECT_THROW(b.v.upsert(r), std::logic_error);
 }
 
 TEST(DepthView, FindMissingReturnsNpos) {
@@ -101,7 +149,7 @@ TEST(DepthView, MaterializeReproducesRowBytes) {
   EXPECT_EQ(back.alive, r.alive);
   // Delegate order is preserved exactly as published (no id reordering).
   EXPECT_EQ(back.delegates, r.delegates);
-  EXPECT_EQ(back.interests, r.interests);
+  EXPECT_EQ(*back.interests, *r.interests);
 }
 
 TEST(DepthView, DelegatesAreInternedIds) {

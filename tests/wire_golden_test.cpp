@@ -44,7 +44,8 @@ ViewRow canonical_row() {
   ViewRow row;
   row.infix = 1;
   row.delegates = {Address::parse("1.2")};
-  row.interests = InterestSummary::from(interval_subscription(0.25, 0.5));
+  row.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(interval_subscription(0.25, 0.5)));
   row.process_count = 3;
   row.version = 9;
   row.alive = true;
@@ -243,8 +244,8 @@ ViewRow random_row(Rng& rng) {
   const std::size_t delegates = 1 + rng.next_below(3);
   for (std::size_t i = 0; i < delegates; ++i)
     row.delegates.push_back(random_address(rng));
-  row.interests =
-      InterestSummary::from(interval_subscription(rng.next_double(), 0.3));
+  row.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(interval_subscription(rng.next_double(), 0.3)));
   row.process_count = rng.next_below(1000);
   row.version = rng.next_below(100000);
   row.alive = rng.bernoulli(0.8);

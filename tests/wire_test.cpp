@@ -220,7 +220,8 @@ TEST(WireViewRow, RoundTrip) {
   row.infix = 73;
   row.delegates = {Address::parse("128.178.73.3"),
                    Address::parse("128.178.73.17")};
-  row.interests = InterestSummary::from(Subscription::parse("b > 0"));
+  row.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(Subscription::parse("b > 0")));
   row.process_count = 21;
   row.version = 99;
   row.alive = false;
@@ -232,7 +233,7 @@ TEST(WireViewRow, RoundTrip) {
   EXPECT_EQ(out.process_count, row.process_count);
   EXPECT_EQ(out.version, row.version);
   EXPECT_EQ(out.alive, row.alive);
-  EXPECT_EQ(out.interests.numeric_unions(), row.interests.numeric_unions());
+  EXPECT_EQ(*out.interests, *row.interests);
 }
 
 TEST(WireMessage, GossipEnvelope) {
@@ -274,7 +275,8 @@ TEST(WireMessage, AllEnvelopesRoundTrip) {
     ViewRow row;
     row.infix = 1;
     row.delegates = {Address::parse("0.1")};
-    row.interests = InterestSummary::from(Subscription());
+    row.interests = std::make_shared<const InterestSummary>(
+        InterestSummary::from(Subscription()));
     row.process_count = 1;
     row.version = 5;
     m->rows.push_back(DepthRow{2, row});
@@ -353,7 +355,8 @@ TEST(WireMessage, FuzzTruncationsOfValidMessage) {
   ViewRow row;
   row.infix = 2;
   row.delegates = {Address::parse("1.2.3")};
-  row.interests = InterestSummary::from(Subscription::parse("b > 0"));
+  row.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(Subscription::parse("b > 0")));
   row.process_count = 3;
   row.version = 8;
   msg.rows.push_back(DepthRow{1, row});
