@@ -9,11 +9,8 @@
 //  * one full simulated dissemination at a mid-size scale.
 #include <benchmark/benchmark.h>
 
-#include <functional>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/markov.hpp"
@@ -195,65 +192,7 @@ void BM_DigestBuildSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestBuildSoA)->Arg(1024)->Arg(16384);
 
-// --- Scheduler: calendar queue vs indexed heap vs tombstone queue ----------
-
-/// Replica of the scheduler this repo shipped with before the indexed-heap
-/// rewrite: std::priority_queue + two side hash-sets, lazy tombstones for
-/// cancel, one std::function allocation per event. Kept here verbatim (minus
-/// contracts) as the baseline BM_SchedulerIndexedHeap* is measured against.
-class LegacyScheduler {
- public:
-  using Token = std::uint64_t;
-
-  Token schedule_at(SimTime at, std::function<void()> fn) {
-    const Token token = next_token_++;
-    queue_.push(Item{at, token, std::move(fn)});
-    live_.insert(token);
-    return token;
-  }
-  void cancel(Token token) {
-    if (live_.erase(token) != 0) cancelled_.insert(token);
-  }
-  bool step() {
-    while (!queue_.empty()) {
-      Item item = std::move(const_cast<Item&>(queue_.top()));
-      queue_.pop();
-      const auto it = cancelled_.find(item.token);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      live_.erase(item.token);
-      now_ = item.at;
-      item.fn();
-      return true;
-    }
-    return false;
-  }
-  void run() {
-    while (step()) {
-    }
-  }
-  SimTime now() const noexcept { return now_; }
-
- private:
-  struct Item {
-    SimTime at;
-    Token token;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.token > b.token;
-    }
-  };
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
-  std::unordered_set<Token> live_;
-  std::unordered_set<Token> cancelled_;
-  SimTime now_ = 0;
-  Token next_token_ = 1;
-};
+// --- Scheduler: calendar queue vs indexed heap ----------------------------
 
 /// The simulator's dominant scheduler workload: every in-flight message is
 /// one schedule+run, and every periodic timer is a schedule/cancel/reschedule
@@ -279,21 +218,10 @@ void scheduler_churn(SchedulerT& sched, std::size_t n,
   sched.run();
 }
 
-void BM_SchedulerLegacyTombstones(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    LegacyScheduler sched;
-    scheduler_churn(sched, n, sink);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n + n / 2));
-}
-BENCHMARK(BM_SchedulerLegacyTombstones)->Arg(1024)->Arg(16384)->Arg(131072);
-
 void BM_SchedulerReferenceHeap(benchmark::State& state) {
-  // PR 1's indexed binary heap, now the behavioral oracle
-  // (sim/reference_scheduler.hpp).
+  // The indexed binary heap the simulator first shipped with, now the
+  // behavioral oracle (sim/reference_scheduler.hpp) and the scheduler
+  // gate's yardstick.
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t sink = 0;
   for (auto _ : state) {

@@ -8,7 +8,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
-#include <string_view>
+#include <type_traits>
 
 #include "common/contract.hpp"
 #include "common/hash.hpp"
@@ -17,27 +17,21 @@
 
 namespace pmc {
 
-namespace {
+template <class Op>
+struct ScenarioVerb;  // one block per verb, below
 
-template <class... Ts>
-struct Overload : Ts... {
-  using Ts::operator()...;
-};
-template <class... Ts>
-Overload(Ts...) -> Overload<Ts...>;
+template <class Op>
+using VerbOf = ScenarioVerb<std::remove_cvref_t<Op>>;
+
+namespace {
 
 // Labeled RNG stream tags (arbitrary distinct salts).
 constexpr std::uint64_t kFounderStream = 0xf0bdde55;
 constexpr std::uint64_t kActionStreamSalt = 0xac710095;
 
-SimTime parse_time_token(const std::string& token, std::size_t line) {
-  try {
-    return parse_sim_time(token);
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument("scenario line " + std::to_string(line) +
-                                ": " + e.what());
-  }
-}
+constexpr SimTime kMaxTime = std::numeric_limits<SimTime>::max();
+
+using RngPtr = std::shared_ptr<Rng>;
 
 std::string format_time(SimTime t) {
   if (t != 0 && t % sim_sec(1) == 0)
@@ -47,7 +41,15 @@ std::string format_time(SimTime t) {
   return std::to_string(t) + "us";
 }
 
-std::size_t parse_count(const std::string& token, std::size_t line) {
+/// Shortest representation that parses back to the same double, keeping
+/// parse(to_string()) exact.
+std::string format_double(double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  return std::string(buf, res.ptr);
+}
+
+std::size_t parse_count(const std::string& token) {
   // Strict: every character must be a digit ("3ms" is a typo, not a 3).
   const bool all_digits =
       !token.empty() &&
@@ -60,34 +62,681 @@ std::size_t parse_count(const std::string& token, std::size_t line) {
     } catch (const std::exception&) {  // out_of_range
     }
   }
-  throw std::invalid_argument("scenario line " + std::to_string(line) +
-                              ": expected a count, got '" + token + "'");
+  throw std::invalid_argument("expected a count, got '" + token + "'");
 }
 
-double parse_double_token(const std::string& token, std::size_t line,
-                          const char* what) {
+double parse_number(const std::string& token, const char* what) {
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
   if (token.empty() || end != token.c_str() + token.size())
-    throw std::invalid_argument("scenario line " + std::to_string(line) +
-                                ": expected a " + what + ", got '" + token +
-                                "'");
+    throw std::invalid_argument(std::string("expected a ") + what +
+                                ", got '" + token + "'");
   return value;
 }
 
-std::vector<AddrComponent> parse_components(const std::string& token,
-                                            std::size_t line) {
+std::vector<AddrComponent> parse_components(const std::string& token) {
   std::vector<AddrComponent> out;
   std::istringstream parts(token);
   for (std::string part; std::getline(parts, part, ',');) {
-    const std::size_t c = parse_count(part, line);
+    const std::size_t c = parse_count(part);
     if (c > std::numeric_limits<AddrComponent>::max())
-      throw std::invalid_argument("scenario line " + std::to_string(line) +
-                                  ": address component out of range: '" +
+      throw std::invalid_argument("address component out of range: '" +
                                   part + "'");
     out.push_back(static_cast<AddrComponent>(c));
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Fields. A verb lists its fields in text order, each as the grammar term
+// it is written as (docs/SCENARIOS.md); the visitors below derive parsing,
+// printing and range checks from that list, and trace replay its shift.
+// ---------------------------------------------------------------------------
+
+enum class Term {
+  kCount,        ///< digits, >= 1
+  kDuration,     ///< a time > 0
+  kSpan,         ///< optional last time >= 0, left out of the text at 0
+  kDeadline,     ///< absolute time after the action's; replay shifts it
+  kProbability,  ///< float in [0, 1]
+  kFraction,     ///< float in (0, 1)
+  kSide,         ///< top-level components: non-empty, within the arity
+  kPrefix,       ///< address prefix: non-empty, within the space
+  kPath,         ///< a file name without whitespace or '#'
+};
+
+/// Visits `op`'s fields; a verb with its own text form declares none.
+template <class F, class Op>
+void visit_fields(F&& f, Op& op) {
+  if constexpr (requires { VerbOf<Op>::fields(f, op); })
+    VerbOf<Op>::fields(f, op);
+}
+
+/// Parses an action's fields from its line's tokens, left to right.
+struct FieldReader {
+  const std::vector<std::string>& tok;  ///< "at" <time> <verb> <fields>...
+  std::size_t pos = 3;
+
+  const std::string& next() {
+    if (pos == tok.size())
+      throw std::invalid_argument("missing argument for '" + tok[2] + "'");
+    return tok[pos++];
+  }
+
+  template <class T>
+  void operator()(Term term, T& value, const char* keyword = nullptr) {
+    if (term == Term::kSpan && pos == tok.size()) return;  // left out
+    if (keyword != nullptr && next() != keyword)
+      throw std::invalid_argument(std::string("expected '") + keyword +
+                                  "', got '" + tok[pos - 1] + "'");
+    const std::string& token = next();
+    if constexpr (std::is_same_v<T, std::size_t>) {
+      value = parse_count(token);
+    } else if constexpr (std::is_same_v<T, SimTime>) {
+      value = parse_sim_time(token);
+    } else if constexpr (std::is_same_v<T, double>) {
+      value = parse_number(
+          token, term == Term::kFraction ? "fraction" : "probability");
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      value = token;
+    } else {
+      value = parse_components(token);
+    }
+  }
+};
+
+/// Appends each field, after its keyword, to a line of the text format.
+struct FieldPrinter {
+  std::ostream& out;
+
+  template <class T>
+  void operator()(Term term, const T& value,
+                  const char* keyword = nullptr) const {
+    if constexpr (std::is_same_v<T, SimTime>) {
+      if (term == Term::kSpan && value <= 0) return;  // left out
+    }
+    out << ' ';
+    if (keyword != nullptr) out << keyword << ' ';
+    if constexpr (std::is_same_v<T, SimTime>) {
+      out << format_time(value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      out << format_double(value);
+    } else if constexpr (std::is_same_v<T, std::vector<AddrComponent>>) {
+      for (std::size_t i = 0; i < value.size(); ++i)
+        out << (i ? "," : "") << value[i];
+    } else {
+      out << value;
+    }
+  }
+};
+
+/// The range check each term carries, given the action's time and, inside
+/// an engine, its address space.
+struct FieldCheck {
+  SimTime at;
+  const AddressSpace* space;
+
+  void operator()(Term, std::size_t count, const char* = nullptr) const {
+    PMC_EXPECTS(count >= 1);
+  }
+  void operator()(Term term, SimTime t, const char* = nullptr) const {
+    if (term == Term::kDuration) PMC_EXPECTS(t > 0);
+    if (term == Term::kSpan) PMC_EXPECTS(t >= 0);
+    if (term == Term::kDeadline) PMC_EXPECTS(t > at);
+  }
+  void operator()(Term term, double p, const char* = nullptr) const {
+    if (term == Term::kFraction) PMC_EXPECTS(p > 0.0 && p < 1.0);
+    if (term == Term::kProbability) PMC_EXPECTS(p >= 0.0 && p <= 1.0);
+  }
+  void operator()(Term term, const std::vector<AddrComponent>& zone,
+                  const char* = nullptr) const {
+    PMC_EXPECTS(!zone.empty());
+    // Inside an engine, a zone outside its address space would make the
+    // fault a silent no-op; reject it instead.
+    if (space == nullptr) return;
+    if (term == Term::kPrefix) PMC_EXPECTS(zone.size() <= space->depth());
+    for (std::size_t i = 0; i < zone.size(); ++i)
+      PMC_EXPECTS(zone[i] < space->arity(term == Term::kSide ? 0 : i));
+  }
+  void operator()(Term, const std::string& path,
+                  const char* = nullptr) const {
+    // Only what the text format can round-trip; play() opens the file.
+    PMC_EXPECTS(!path.empty());
+    PMC_EXPECTS(path.find_first_of("# \t\n\v\f\r") == std::string::npos);
+  }
+};
+
+/// A burst occupies [at, at + duration): it must end inside sim-time and
+/// start no earlier than the previous burst of its kind ended (otherwise
+/// that burst's restore would silently cut it short).
+void claim_window(SimTime at, SimTime duration, SimTime& busy_until) {
+  PMC_EXPECTS(duration <= kMaxTime - at);
+  PMC_EXPECTS(at >= busy_until);
+  busy_until = at + duration;
+}
+
+bool on_side(const std::vector<AddrComponent>& side, AddrComponent c) {
+  return std::find(side.begin(), side.end(), c) != side.end();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Verbs: one block per ScenarioOp alternative. A block names the verb's
+// keyword, lists its fields in text order (`fields`), adds the checks its
+// field terms do not carry (`check`, optional), and applies the verb to a
+// ChurnSim (`apply`). Effects several verbs share sit in ScenarioEffects.
+// ---------------------------------------------------------------------------
+
+struct ScenarioEffects {
+  /// Validation state a verb's check() reads and updates.
+  using Ledger = ScenarioScript::Ledger;
+
+  /// Picks up to `count` distinct live slots uniformly; fewer if the group
+  /// is smaller (the shortfall counts as skipped).
+  static std::vector<std::size_t> pick_live(ChurnSim& sim, std::size_t count,
+                                            Rng& rng) {
+    const auto live = sim.live_slots();
+    const std::size_t n = std::min(count, live.size());
+    sim.counters_.skipped += count - n;
+    std::vector<std::size_t> out;
+    out.reserve(n);
+    for (const auto i : rng.sample_without_replacement(live.size(), n))
+      out.push_back(live[i]);
+    return out;
+  }
+
+  /// Join-contact candidates: joined live slots (a real joiner would be
+  /// pointed at an established member), else any live slot.
+  static std::vector<std::size_t> contact_slots(const ChurnSim& sim) {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < sim.slots_.size(); ++i)
+      if (sim.slots_[i].live && sim.slots_[i].sync->joined()) out.push_back(i);
+    return out.empty() ? sim.live_slots() : out;
+  }
+
+  /// A contact that crashed or left strands its pending joiners (they
+  /// would retry a dead pid until their budget runs out): points every
+  /// live, unjoined process at a fresh contact.
+  static void retarget_pending_joiners(ChurnSim& sim, Rng& rng) {
+    const auto contacts = contact_slots(sim);
+    for (std::size_t i = 0; i < sim.slots_.size(); ++i) {
+      if (!sim.slots_[i].live || sim.slots_[i].sync->joined()) continue;
+      if (contacts.empty()) break;
+      const std::size_t pick = contacts[rng.next_below(contacts.size())];
+      if (pick == i) continue;  // nobody else to ask
+      sim.slots_[i].sync->retarget_join(sim.sync_pid(pick));
+    }
+  }
+
+  /// Fail-stops `victims`, who queue for recovery.
+  static void crash(ChurnSim& sim, const std::vector<std::size_t>& victims,
+                    Rng& rng) {
+    for (const auto idx : victims) {
+      auto& slot = sim.slots_[idx];
+      slot.sync->crash();
+      slot.pm->crash();
+      slot.live = false;
+      sim.oracle_->remove_member(slot.address);
+      sim.crashed_pool_.push_back(idx);
+      ++sim.counters_.crashes;
+    }
+    retarget_pending_joiners(sim, rng);
+  }
+
+  /// Spawns `slot` as a joiner through a random contact; counts a skip
+  /// and returns false when there is none.
+  static bool admit(ChurnSim& sim, std::size_t slot, Rng& rng) {
+    const auto contacts = contact_slots(sim);
+    if (contacts.empty()) {
+      ++sim.counters_.skipped;
+      return false;
+    }
+    const std::size_t contact = contacts[rng.next_below(contacts.size())];
+    sim.spawn(slot, /*founder=*/false, sim.sync_pid(contact));
+    sim.oracle_->add_member(sim.slots_[slot].address,
+                            sim.slots_[slot].subscription);
+    ++sim.counters_.joins_requested;
+    return true;
+  }
+
+  /// Runs `step` `count` times, `spacing` apart from now (the first one
+  /// inline); the steps share the action's stream.
+  static void repeat(ChurnSim& sim, std::size_t count, SimTime spacing,
+                     const RngPtr& rng, void (*step)(ChurnSim&, Rng&)) {
+    const SimTime start = sim.now();
+    for (std::size_t k = 0; k < count; ++k) {
+      const SimTime when = start + static_cast<SimTime>(k) * spacing;
+      if (when <= start) {
+        step(sim, *rng);
+      } else {
+        sim.rt_.scheduler().schedule_at(
+            when, [&sim, rng, step] { step(sim, *rng); });
+      }
+    }
+  }
+
+  /// Drops this group's messages for which cut(top, from, to) holds, with
+  /// top(pid) a process's top-level address component, until `heal_at`.
+  /// Traffic of co-hosted groups (other shards) passes untouched.
+  template <class Cut>
+  static void cut_links(ChurnSim& sim, SimTime heal_at, Cut cut) {
+    const ProcessId base = sim.pid_base_;
+    const std::size_t capacity = sim.slots_.size();
+    const auto top = [&sim, base, capacity](ProcessId pid) {
+      const std::size_t offset = pid - base;
+      const std::size_t slot = offset < capacity ? offset : offset - capacity;
+      return sim.slots_[slot].address.component(0);
+    };
+    const auto in_range = [base, capacity](ProcessId pid) {
+      return pid >= base && pid < base + 2 * capacity;
+    };
+    const auto token = sim.rt_.network().add_link_filter(
+        [top, in_range, cut](ProcessId from, ProcessId to) {
+          if (!in_range(from) || !in_range(to)) return true;
+          return !cut(top, from, to);
+        });
+    sim.rt_.scheduler().schedule_at(heal_at, [&sim, token] {
+      sim.rt_.network().remove_link_filter(token);
+      ++sim.counters_.heals;
+    });
+  }
+
+  /// Schedules a burst's `restore` after `duration`, unless a later burst
+  /// has bumped `epoch` by then: for back-to-back bursts the scheduler runs
+  /// the next burst's start (scheduled early, in play()) before this
+  /// burst's same-time restore (FIFO tie-break), which must then not
+  /// clobber the new value for its whole window.
+  template <class Restore>
+  static void restore_after(ChurnSim& sim, std::uint64_t& epoch,
+                            SimTime duration, Restore restore) {
+    sim.rt_.scheduler().schedule_after(
+        duration, [&epoch, mine = ++epoch, restore] {
+          if (mine == epoch) restore();
+        });
+  }
+};
+
+/// crash <count>: fail-stop crash of uniformly chosen live processes.
+template <>
+struct ScenarioVerb<CrashNodes> : ScenarioEffects {
+  static constexpr const char* kKeyword = "crash";
+  static void fields(auto&& f, auto& op) { f(Term::kCount, op.count); }
+  static void check(const CrashNodes& op, SimTime, Ledger& l) {
+    l.crash_credit += op.count;
+  }
+  static void apply(ChurnSim& sim, const CrashNodes& op, const RngPtr& rng) {
+    crash(sim, pick_live(sim, op.count, *rng), *rng);
+  }
+};
+
+/// recover <count>: the oldest crashed processes rejoin at their addresses.
+template <>
+struct ScenarioVerb<RecoverNodes> : ScenarioEffects {
+  static constexpr const char* kKeyword = "recover";
+  static void fields(auto&& f, auto& op) { f(Term::kCount, op.count); }
+  static void check(const RecoverNodes& op, SimTime, Ledger& l) {
+    PMC_EXPECTS(op.count <= l.crash_credit);  // recover-before-crash
+    l.crash_credit -= op.count;
+  }
+  static void apply(ChurnSim& sim, const RecoverNodes& op, const RngPtr& rng) {
+    auto& pool = sim.crashed_pool_;
+    const std::size_t n = std::min(op.count, pool.size());
+    sim.counters_.skipped += op.count - n;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t idx = pool.front();
+      pool.erase(pool.begin());
+      if (sim.slots_[idx].live) {
+        ++sim.counters_.skipped;  // a join re-occupied the address
+      } else if (admit(sim, idx, *rng)) {
+        ++sim.counters_.recoveries;
+      }
+    }
+  }
+};
+
+/// join <count>: fresh processes join at uniformly chosen vacant addresses.
+template <>
+struct ScenarioVerb<Join> : ScenarioEffects {
+  static constexpr const char* kKeyword = "join";
+  static void fields(auto&& f, auto& op) { f(Term::kCount, op.count); }
+  static void apply(ChurnSim& sim, const Join& op, const RngPtr& rng) {
+    auto vacant = sim.oracle_->vacancies(sim.space_);
+    const std::size_t n = std::min(op.count, vacant.size());
+    sim.counters_.skipped += op.count - n;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t pick = rng->next_below(vacant.size());
+      const AddrId id = sim.interns_.addrs.intern(vacant[pick]);
+      vacant.erase(vacant.begin() + static_cast<std::ptrdiff_t>(pick));
+      admit(sim, sim.slot_for(id), *rng);
+    }
+  }
+};
+
+/// leave <count>: graceful departure of uniformly chosen live processes.
+template <>
+struct ScenarioVerb<Leave> : ScenarioEffects {
+  static constexpr const char* kKeyword = "leave";
+  static void fields(auto&& f, auto& op) { f(Term::kCount, op.count); }
+  static void apply(ChurnSim& sim, const Leave& op, const RngPtr& rng) {
+    for (const auto idx : pick_live(sim, op.count, *rng)) {
+      auto& slot = sim.slots_[idx];
+      slot.sync->leave();
+      slot.pm->crash();
+      slot.live = false;
+      sim.oracle_->remove_member(slot.address);
+      ++sim.counters_.leaves;
+    }
+    retarget_pending_joiners(sim, *rng);
+  }
+};
+
+/// partition <side> heal <deadline>: the side and the rest cannot talk.
+template <>
+struct ScenarioVerb<Partition> : ScenarioEffects {
+  static constexpr const char* kKeyword = "partition";
+  static void fields(auto&& f, auto& op) {
+    f(Term::kSide, op.side);
+    f(Term::kDeadline, op.heal_at, "heal");
+  }
+  static void apply(ChurnSim& sim, const Partition& op, const RngPtr&) {
+    cut_links(sim, op.heal_at,
+              [side = op.side](const auto& top, ProcessId from, ProcessId to) {
+                return on_side(side, top(from)) != on_side(side, top(to));
+              });
+    ++sim.counters_.partitions;
+  }
+};
+
+/// loss <probability> for <duration>: raises ε, then restores the base ε.
+template <>
+struct ScenarioVerb<LossBurst> : ScenarioEffects {
+  static constexpr const char* kKeyword = "loss";
+  static void fields(auto&& f, auto& op) {
+    f(Term::kProbability, op.eps);
+    f(Term::kDuration, op.duration, "for");
+  }
+  static void check(const LossBurst& op, SimTime at, Ledger& l) {
+    claim_window(at, op.duration, l.loss_busy_until);
+  }
+  static void apply(ChurnSim& sim, const LossBurst& op, const RngPtr&) {
+    sim.rt_.network().set_loss(op.eps);
+    ++sim.counters_.loss_bursts;
+    restore_after(sim, sim.loss_epoch_, op.duration, [&sim] {
+      sim.rt_.network().set_loss(sim.config_.loss);
+      ++sim.counters_.loss_restores;
+    });
+  }
+};
+
+/// publish <count> [every <span>]: events from random live publishers.
+template <>
+struct ScenarioVerb<PublishBurst> : ScenarioEffects {
+  static constexpr const char* kKeyword = "publish";
+  static void fields(auto&& f, auto& op) {
+    f(Term::kCount, op.count);
+    f(Term::kSpan, op.spacing, "every");
+  }
+  static void check(const PublishBurst& op, SimTime at, Ledger&) {
+    // The k-th publish fires at at + k * spacing: the whole spread must
+    // stay representable.
+    if (op.spacing == 0) return;
+    const auto last = static_cast<std::uint64_t>(op.count - 1);
+    PMC_EXPECTS(last <= static_cast<std::uint64_t>(kMaxTime / op.spacing));
+    PMC_EXPECTS(at <= kMaxTime - static_cast<SimTime>(last) * op.spacing);
+  }
+  static void apply(ChurnSim& sim, const PublishBurst& op, const RngPtr& rng) {
+    repeat(sim, op.count, op.spacing, rng, [](ChurnSim& s, Rng& r) {
+      const auto live = s.live_slots();
+      if (live.empty()) {
+        ++s.counters_.skipped;
+        return;
+      }
+      const std::size_t slot = live[r.next_below(live.size())];
+      s.publish_from(slot,
+                     make_uniform_event(s.pm_pid(slot), s.publish_seq_++, r));
+    });
+  }
+};
+
+/// latency lognormal <median> <sigma> | latency uniform: installs a WAN
+/// latency model clamped to [0, 16 * median], or removes it. Two text
+/// forms, so this block parses and prints itself.
+template <>
+struct ScenarioVerb<LatencyProfile> : ScenarioEffects {
+  static constexpr const char* kKeyword = "latency";
+  static void parse(FieldReader& in, LatencyProfile& op) {
+    const std::string& form = in.next();
+    if (form == "lognormal") {
+      op.median = parse_sim_time(in.next());
+      op.sigma = parse_number(in.next(), "sigma");
+    } else if (form != "uniform") {
+      throw std::invalid_argument(
+          "expected 'lognormal <median> <sigma>' or 'uniform'");
+    }
+  }
+  static void print(std::ostream& out, const LatencyProfile& op) {
+    if (op.median == 0) {
+      out << " uniform";
+    } else {
+      out << " lognormal " << format_time(op.median) << ' '
+          << format_double(op.sigma);
+    }
+  }
+  static void check(const LatencyProfile& op, SimTime, Ledger&) {
+    // The clamp window [0, 16 * median] must stay representable.
+    PMC_EXPECTS(op.median >= 0 && op.median <= kMaxTime / 16);
+    // Median 0 restores the uniform draw; sigma must be 0 there so every
+    // script has exactly one canonical text form.
+    PMC_EXPECTS(op.median == 0 ? op.sigma == 0.0
+                               : op.sigma > 0.0 && op.sigma <= 4.0);
+  }
+  static void apply(ChurnSim& sim, const LatencyProfile& op, const RngPtr&) {
+    sim.rt_.network().set_latency_model(
+        op.median > 0 ? make_lognormal_latency(
+                            LogNormalParams{op.median, op.sigma}, 0,
+                            16 * op.median)
+                      : nullptr);
+    ++sim.counters_.latency_profiles;
+  }
+};
+
+/// asym <side> to <side> heal <deadline>: one-way cut, first side to second.
+template <>
+struct ScenarioVerb<AsymPartition> : ScenarioEffects {
+  static constexpr const char* kKeyword = "asym";
+  static void fields(auto&& f, auto& op) {
+    f(Term::kSide, op.from_side);
+    f(Term::kSide, op.to_side, "to");
+    f(Term::kDeadline, op.heal_at, "heal");
+  }
+  static void apply(ChurnSim& sim, const AsymPartition& op, const RngPtr&) {
+    cut_links(sim, op.heal_at,
+              [from_side = op.from_side, to_side = op.to_side](
+                  const auto& top, ProcessId from, ProcessId to) {
+                return on_side(from_side, top(from)) &&
+                       on_side(to_side, top(to));
+              });
+    ++sim.counters_.asym_partitions;
+  }
+};
+
+/// flap <side> period <duration> duty <fraction> until <deadline>: the
+/// side is cut off for the first duty share of every period.
+template <>
+struct ScenarioVerb<Flap> : ScenarioEffects {
+  static constexpr const char* kKeyword = "flap";
+  static void fields(auto&& f, auto& op) {
+    f(Term::kSide, op.side);
+    f(Term::kDuration, op.period, "period");
+    f(Term::kFraction, op.duty, "duty");
+    f(Term::kDeadline, op.until, "until");
+  }
+  static void apply(ChurnSim& sim, const Flap& op, const RngPtr&) {
+    // The down window is a precomputed integer span (at least one tick),
+    // so the filter runs pure integer arithmetic on the send time — no
+    // float drift across the flap's lifetime.
+    const SimTime down = std::max<SimTime>(
+        1, static_cast<SimTime>(
+               std::llround(op.duty * static_cast<double>(op.period))));
+    cut_links(sim, op.until,
+              [side = op.side, rt = &sim.rt_, start = sim.now(),
+               period = op.period, down](const auto& top, ProcessId from,
+                                         ProcessId to) {
+                return on_side(side, top(from)) != on_side(side, top(to)) &&
+                       (rt->now() - start) % period < down;
+              });
+    ++sim.counters_.flaps;
+  }
+};
+
+/// rack <prefix>: every live process under the prefix fail-stops at once.
+template <>
+struct ScenarioVerb<RackFailure> : ScenarioEffects {
+  static constexpr const char* kKeyword = "rack";
+  static void fields(auto&& f, auto& op) { f(Term::kPrefix, op.prefix); }
+  static void check(const RackFailure& op, SimTime, Ledger& l) {
+    // The victim count is only known at fire time: credit the zone's whole
+    // capacity, so a later recover can target it.
+    if (l.space == nullptr) return;
+    std::uint64_t zone = 1;
+    for (std::size_t i = op.prefix.size(); i < l.space->depth(); ++i)
+      zone *= l.space->arity(i);
+    l.crash_credit += zone;
+  }
+  static void apply(ChurnSim& sim, const RackFailure& op, const RngPtr& rng) {
+    // Correlated: the whole zone at once, no sampling, no draws.
+    ++sim.counters_.rack_failures;
+    std::vector<std::size_t> zone;
+    for (std::size_t idx = 0; idx < sim.slots_.size(); ++idx) {
+      const auto& slot = sim.slots_[idx];
+      if (slot.live && std::equal(op.prefix.begin(), op.prefix.end(),
+                                  slot.address.components().begin()))
+        zone.push_back(idx);
+    }
+    crash(sim, zone, *rng);
+  }
+};
+
+/// joinstorm <count> [over <span>]: joins spread evenly over the span.
+template <>
+struct ScenarioVerb<JoinStorm> : ScenarioEffects {
+  static constexpr const char* kKeyword = "joinstorm";
+  static void fields(auto&& f, auto& op) {
+    f(Term::kCount, op.count);
+    f(Term::kSpan, op.over, "over");
+  }
+  static void check(const JoinStorm& op, SimTime at, Ledger&) {
+    PMC_EXPECTS(op.over <= kMaxTime - at);  // the last join's time
+  }
+  static void apply(ChurnSim& sim, const JoinStorm& op, const RngPtr& rng) {
+    ++sim.counters_.join_storms;
+    const SimTime spacing =
+        op.count > 1 ? op.over / static_cast<SimTime>(op.count - 1) : 0;
+    // Unlike the batched join, every arrival re-queries the vacancies: the
+    // storm is spread over time, and earlier arrivals shrink the pool.
+    repeat(sim, op.count, spacing, rng, [](ChurnSim& s, Rng& r) {
+      const auto vacant = s.oracle_->vacancies(s.space_);
+      if (vacant.empty()) {
+        ++s.counters_.skipped;
+        return;
+      }
+      const Address& address = vacant[r.next_below(vacant.size())];
+      admit(s, s.slot_for(s.interns_.addrs.intern(address)), r);
+    });
+  }
+};
+
+/// duplicate <probability> for <duration>: raises duplication, restores 0.
+template <>
+struct ScenarioVerb<DuplicateBurst> : ScenarioEffects {
+  static constexpr const char* kKeyword = "duplicate";
+  static void fields(auto&& f, auto& op) {
+    f(Term::kProbability, op.prob);
+    f(Term::kDuration, op.duration, "for");
+  }
+  static void check(const DuplicateBurst& op, SimTime at, Ledger& l) {
+    claim_window(at, op.duration, l.dup_busy_until);
+  }
+  static void apply(ChurnSim& sim, const DuplicateBurst& op, const RngPtr&) {
+    sim.rt_.network().set_duplication(op.prob);
+    ++sim.counters_.dup_bursts;
+    restore_after(sim, sim.dup_epoch_, op.duration, [&sim] {
+      sim.rt_.network().set_duplication(0.0);
+      ++sim.counters_.dup_restores;
+    });
+  }
+};
+
+/// replay <path>: splices a scenario file in, offset by the action's time.
+/// It takes effect in play(), before validation: the file's actions join
+/// the timeline as if written inline at their offset times.
+template <>
+struct ScenarioVerb<TraceReplay> : ScenarioEffects {
+  static constexpr const char* kKeyword = "replay";
+  static void fields(auto&& f, auto& op) { f(Term::kPath, op.path); }
+  static void splice(const TraceReplay& op, SimTime at,
+                     std::vector<ScenarioAction>& out) {
+    const auto fail = [&](const std::string& why) {
+      return std::invalid_argument("scenario trace '" + op.path + "': " +
+                                   why);
+    };
+    const auto shifted = [&](SimTime t) {
+      if (t > kMaxTime - at) throw fail("offset time out of range");
+      return t + at;
+    };
+    std::ifstream in(op.path);
+    if (!in) throw fail("cannot open");
+    std::ostringstream text;
+    text << in.rdbuf();
+    ScenarioScript child;
+    try {
+      child = ScenarioScript::parse(text.str());
+    } catch (const std::invalid_argument& e) {
+      throw fail(e.what());
+    }
+    // The deadlines the child's ops carry are absolute times: they move
+    // with the replay too.
+    const auto shift = [&](Term term, auto& value, const char* = nullptr) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>, SimTime>) {
+        if (term == Term::kDeadline) value = shifted(value);
+      }
+    };
+    for (const auto& sub : child.actions()) {
+      if (std::holds_alternative<TraceReplay>(sub.op))
+        throw fail("nested replay is not supported");
+      ScenarioOp op = sub.op;
+      std::visit([&](auto& o) { visit_fields(shift, o); }, op);
+      out.push_back(ScenarioAction{shifted(sub.at), std::move(op)});
+    }
+  }
+  static void apply(ChurnSim&, const TraceReplay&, const RngPtr&) {
+    PMC_EXPECTS(false && "play() splices replays before scheduling");
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Generic code over the verb blocks
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Parses the fields of the op whose keyword is `verb`.
+template <std::size_t I = 0>
+ScenarioOp parse_op(const std::string& verb, FieldReader& in) {
+  if constexpr (I == std::variant_size_v<ScenarioOp>) {
+    throw std::invalid_argument("unknown action '" + verb + "'");
+  } else {
+    using Op = std::variant_alternative_t<I, ScenarioOp>;
+    if (verb != ScenarioVerb<Op>::kKeyword) return parse_op<I + 1>(verb, in);
+    Op op;
+    if constexpr (requires { ScenarioVerb<Op>::parse(in, op); }) {
+      ScenarioVerb<Op>::parse(in, op);
+    } else {
+      visit_fields(in, op);
+    }
+    return op;
+  }
 }
 
 AddressSpace make_space(const ChurnConfig& config) {
@@ -96,55 +745,26 @@ AddressSpace make_space(const ChurnConfig& config) {
                                config.d);
 }
 
-/// Splices every TraceReplay's parsed child timeline into the script,
-/// offsetting the child's times (including the absolute heal/until times
-/// carried inside Partition/AsymPartition/Flap ops) by the replay action's
-/// time. Nested replays are rejected; the result is re-sorted (stable, so
-/// same-time actions keep script order) and still must pass validate().
-ScenarioScript expand_traces(const ScenarioScript& script) {
-  const auto checked_add = [](SimTime base, SimTime offset,
-                              const std::string& path) {
-    if (base > std::numeric_limits<SimTime>::max() - offset)
-      throw std::invalid_argument("scenario trace '" + path +
-                                  "': offset time out of range");
-    return base + offset;
-  };
+/// Splices in the timelines of actions that expand at play time (replay),
+/// re-sorted stably so same-time actions keep script order. A script with
+/// none comes back as it is; either way the result must pass validate().
+ScenarioScript expand(const ScenarioScript& script) {
   std::vector<ScenarioAction> out;
+  bool spliced = false;
   for (const auto& action : script.actions()) {
-    const auto* replay = std::get_if<TraceReplay>(&action.op);
-    if (replay == nullptr) {
-      out.push_back(action);
-      continue;
-    }
-    std::ifstream in(replay->path);
-    if (!in)
-      throw std::invalid_argument("scenario trace '" + replay->path +
-                                  "': cannot open");
-    std::ostringstream text;
-    text << in.rdbuf();
-    ScenarioScript child;
-    try {
-      child = ScenarioScript::parse(text.str());
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("scenario trace '" + replay->path +
-                                  "': " + e.what());
-    }
-    for (const auto& sub : child.actions()) {
-      if (std::holds_alternative<TraceReplay>(sub.op))
-        throw std::invalid_argument("scenario trace '" + replay->path +
-                                    "': nested replay is not supported");
-      ScenarioOp op = sub.op;
-      if (auto* part = std::get_if<Partition>(&op)) {
-        part->heal_at = checked_add(part->heal_at, action.at, replay->path);
-      } else if (auto* asym = std::get_if<AsymPartition>(&op)) {
-        asym->heal_at = checked_add(asym->heal_at, action.at, replay->path);
-      } else if (auto* flap = std::get_if<Flap>(&op)) {
-        flap->until = checked_add(flap->until, action.at, replay->path);
-      }
-      out.push_back(ScenarioAction{
-          checked_add(sub.at, action.at, replay->path), std::move(op)});
-    }
+    std::visit(
+        [&](const auto& op) {
+          using Verb = VerbOf<decltype(op)>;
+          if constexpr (requires { Verb::splice(op, action.at, out); }) {
+            Verb::splice(op, action.at, out);
+            spliced = true;
+          } else {
+            out.push_back(action);
+          }
+        },
+        action.op);
   }
+  if (!spliced) return script;
   std::stable_sort(
       out.begin(), out.end(),
       [](const ScenarioAction& a, const ScenarioAction& b) {
@@ -191,252 +811,49 @@ ScenarioScript& ScenarioScript::add(SimTime at, ScenarioOp op) {
   return *this;
 }
 
-void ScenarioScript::validate(std::uint64_t prior_crashes) const {
-  SimTime prev = 0;
-  std::uint64_t crashes = prior_crashes;
-  std::uint64_t recovers = 0;
-  SimTime loss_busy_until = 0;
-  SimTime dup_busy_until = 0;
+void ScenarioScript::validate() const { validate_from({}); }
+
+ScenarioScript::Ledger ScenarioScript::validate_from(Ledger ledger) const {
   for (const auto& action : actions_) {
-    PMC_EXPECTS(action.at >= 0);
-    PMC_EXPECTS(action.at >= prev);  // timeline must be sorted
-    prev = action.at;
+    PMC_EXPECTS(action.at >= ledger.not_before);  // sorted, none in the past
+    ledger.not_before = action.at;
     std::visit(
-        Overload{
-            [&](const CrashNodes& op) {
-              PMC_EXPECTS(op.count >= 1);
-              crashes += op.count;
-            },
-            [&](const RecoverNodes& op) {
-              PMC_EXPECTS(op.count >= 1);
-              recovers += op.count;
-              PMC_EXPECTS(recovers <= crashes);  // recover-before-crash
-            },
-            [&](const Join& op) { PMC_EXPECTS(op.count >= 1); },
-            [&](const Leave& op) { PMC_EXPECTS(op.count >= 1); },
-            [&](const Partition& op) {
-              PMC_EXPECTS(!op.side.empty());
-              PMC_EXPECTS(op.heal_at > action.at);
-            },
-            [&](const LossBurst& op) {
-              PMC_EXPECTS(op.eps >= 0.0 && op.eps <= 1.0);
-              PMC_EXPECTS(op.duration > 0);
-              PMC_EXPECTS(op.duration <=
-                          std::numeric_limits<SimTime>::max() - action.at);
-              // Overlapping bursts would silently truncate each other when
-              // the earlier one's restore fires; reject them instead.
-              PMC_EXPECTS(action.at >= loss_busy_until);
-              loss_busy_until = action.at + op.duration;
-            },
-            [&](const PublishBurst& op) {
-              PMC_EXPECTS(op.count >= 1);
-              PMC_EXPECTS(op.spacing >= 0);
-              if (op.spacing > 0) {
-                // The whole spread must stay representable: the k-th
-                // publish fires at action.at + k * spacing.
-                const auto last = static_cast<std::uint64_t>(op.count - 1);
-                PMC_EXPECTS(
-                    last <= static_cast<std::uint64_t>(
-                                std::numeric_limits<SimTime>::max() /
-                                op.spacing));
-                const SimTime spread =
-                    static_cast<SimTime>(last) * op.spacing;
-                PMC_EXPECTS(action.at <=
-                            std::numeric_limits<SimTime>::max() - spread);
-              }
-            },
-            [&](const LatencyProfile& op) {
-              PMC_EXPECTS(op.median >= 0);
-              // median == 0 restores the uniform default; sigma must be 0
-              // there so every script has exactly one canonical text form.
-              if (op.median > 0) {
-                PMC_EXPECTS(op.sigma > 0.0 && op.sigma <= 4.0);
-                // The clamp window is [0, 16 * median].
-                PMC_EXPECTS(op.median <=
-                            std::numeric_limits<SimTime>::max() / 16);
-              } else {
-                PMC_EXPECTS(op.sigma == 0.0);
-              }
-            },
-            [&](const AsymPartition& op) {
-              PMC_EXPECTS(!op.from_side.empty());
-              PMC_EXPECTS(!op.to_side.empty());
-              PMC_EXPECTS(op.heal_at > action.at);
-            },
-            [&](const Flap& op) {
-              PMC_EXPECTS(!op.side.empty());
-              PMC_EXPECTS(op.period > 0);
-              PMC_EXPECTS(op.duty > 0.0 && op.duty < 1.0);
-              PMC_EXPECTS(op.until > action.at);
-            },
-            [&](const RackFailure& op) {
-              PMC_EXPECTS(!op.prefix.empty());
-            },
-            [&](const JoinStorm& op) {
-              PMC_EXPECTS(op.count >= 1);
-              PMC_EXPECTS(op.over >= 0);
-              // The last join of the storm fires at action.at + over.
-              PMC_EXPECTS(op.over <=
-                          std::numeric_limits<SimTime>::max() - action.at);
-            },
-            [&](const DuplicateBurst& op) {
-              PMC_EXPECTS(op.prob >= 0.0 && op.prob <= 1.0);
-              PMC_EXPECTS(op.duration > 0);
-              PMC_EXPECTS(op.duration <=
-                          std::numeric_limits<SimTime>::max() - action.at);
-              // Same non-overlap rule as loss bursts: a burst starting
-              // inside another's window would truncate its restore.
-              PMC_EXPECTS(action.at >= dup_busy_until);
-              dup_busy_until = action.at + op.duration;
-            },
-            [&](const TraceReplay& op) {
-              // Leaf check only: ChurnSim::play expands the trace (and
-              // re-validates the spliced timeline); here we just need a
-              // path the text format can round-trip.
-              PMC_EXPECTS(!op.path.empty());
-              PMC_EXPECTS(op.path.find('#') == std::string::npos);
-              PMC_EXPECTS(std::none_of(
-                  op.path.begin(), op.path.end(), [](unsigned char ch) {
-                    return std::isspace(ch) != 0;
-                  }));
-            },
+        [&](const auto& op) {
+          using Verb = VerbOf<decltype(op)>;
+          visit_fields(FieldCheck{action.at, ledger.space}, op);
+          if constexpr (requires { Verb::check(op, action.at, ledger); })
+            Verb::check(op, action.at, ledger);
         },
         action.op);
   }
+  return ledger;
 }
 
 ScenarioScript ScenarioScript::parse(const std::string& text) {
   ScenarioScript script;
   std::istringstream stream(text);
   std::string raw_line;
-  std::size_t line_no = 0;
-  while (std::getline(stream, raw_line)) {
-    ++line_no;
-    const auto hash = raw_line.find('#');
-    if (hash != std::string::npos) raw_line.resize(hash);
+  for (std::size_t line_no = 1; std::getline(stream, raw_line); ++line_no) {
+    raw_line.resize(std::min(raw_line.size(), raw_line.find('#')));
     std::istringstream line(raw_line);
     std::vector<std::string> tok;
     for (std::string t; line >> t;) tok.push_back(std::move(t));
     if (tok.empty()) continue;
-
-    const auto fail = [&](const std::string& why) -> std::invalid_argument {
-      return std::invalid_argument("scenario line " +
-                                   std::to_string(line_no) + ": " + why);
-    };
-    if (tok[0] != "at" || tok.size() < 3) {
-      throw fail("expected 'at <time> <action> ...'");
+    try {
+      if (tok[0] != "at" || tok.size() < 3)
+        throw std::invalid_argument("expected 'at <time> <action> ...'");
+      const SimTime at = parse_sim_time(tok[1]);
+      FieldReader in{tok};
+      script.add(at, parse_op(tok[2], in));
+      // Anything left over means the line said more than the action can
+      // express — reject it rather than silently dropping qualifiers.
+      if (in.pos < tok.size())
+        throw std::invalid_argument("unexpected trailing token '" +
+                                    tok[in.pos] + "'");
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("scenario line " + std::to_string(line_no) +
+                                  ": " + e.what());
     }
-    const SimTime at = parse_time_token(tok[1], line_no);
-    const std::string& verb = tok[2];
-    const auto arg = [&](std::size_t i) -> const std::string& {
-      if (i >= tok.size()) throw fail("missing argument for '" + verb + "'");
-      return tok[i];
-    };
-
-    std::size_t expected = 4;  // "at <time> <verb> <count>"
-    if (verb == "join") {
-      script.add(at, Join{parse_count(arg(3), line_no)});
-    } else if (verb == "leave") {
-      script.add(at, Leave{parse_count(arg(3), line_no)});
-    } else if (verb == "crash") {
-      script.add(at, CrashNodes{parse_count(arg(3), line_no)});
-    } else if (verb == "recover") {
-      script.add(at, RecoverNodes{parse_count(arg(3), line_no)});
-    } else if (verb == "partition") {
-      Partition op;
-      std::istringstream sides(arg(3));
-      for (std::string part; std::getline(sides, part, ',');) {
-        const std::size_t c = parse_count(part, line_no);
-        if (c > std::numeric_limits<AddrComponent>::max())
-          throw fail("partition component out of range: '" + part + "'");
-        op.side.push_back(static_cast<AddrComponent>(c));
-      }
-      if (arg(4) != "heal") throw fail("expected 'heal <time>'");
-      op.heal_at = parse_time_token(arg(5), line_no);
-      script.add(at, std::move(op));
-      expected = 6;
-    } else if (verb == "loss") {
-      LossBurst op;
-      const std::string& eps = arg(3);
-      char* end = nullptr;
-      op.eps = std::strtod(eps.c_str(), &end);
-      if (eps.empty() || end != eps.c_str() + eps.size())
-        throw fail("expected a loss probability, got '" + eps + "'");
-      if (arg(4) != "for") throw fail("expected 'for <duration>'");
-      op.duration = parse_time_token(arg(5), line_no);
-      script.add(at, op);
-      expected = 6;
-    } else if (verb == "publish") {
-      PublishBurst op;
-      op.count = parse_count(arg(3), line_no);
-      if (tok.size() > 4) {
-        if (arg(4) != "every") throw fail("expected 'every <spacing>'");
-        op.spacing = parse_time_token(arg(5), line_no);
-        expected = 6;
-      }
-      script.add(at, op);
-    } else if (verb == "latency") {
-      LatencyProfile op;
-      if (arg(3) == "uniform") {
-        // defaults: median 0 restores the uniform draw
-      } else if (arg(3) == "lognormal") {
-        op.median = parse_time_token(arg(4), line_no);
-        op.sigma = parse_double_token(arg(5), line_no, "sigma");
-        expected = 6;
-      } else {
-        throw fail("expected 'lognormal <median> <sigma>' or 'uniform'");
-      }
-      script.add(at, op);
-    } else if (verb == "asym") {
-      AsymPartition op;
-      op.from_side = parse_components(arg(3), line_no);
-      if (arg(4) != "to") throw fail("expected 'to <components>'");
-      op.to_side = parse_components(arg(5), line_no);
-      if (arg(6) != "heal") throw fail("expected 'heal <time>'");
-      op.heal_at = parse_time_token(arg(7), line_no);
-      script.add(at, std::move(op));
-      expected = 8;
-    } else if (verb == "flap") {
-      Flap op;
-      op.side = parse_components(arg(3), line_no);
-      if (arg(4) != "period") throw fail("expected 'period <time>'");
-      op.period = parse_time_token(arg(5), line_no);
-      if (arg(6) != "duty") throw fail("expected 'duty <fraction>'");
-      op.duty = parse_double_token(arg(7), line_no, "duty fraction");
-      if (arg(8) != "until") throw fail("expected 'until <time>'");
-      op.until = parse_time_token(arg(9), line_no);
-      script.add(at, std::move(op));
-      expected = 10;
-    } else if (verb == "rack") {
-      RackFailure op;
-      op.prefix = parse_components(arg(3), line_no);
-      script.add(at, std::move(op));
-    } else if (verb == "joinstorm") {
-      JoinStorm op;
-      op.count = parse_count(arg(3), line_no);
-      if (tok.size() > 4) {
-        if (arg(4) != "over") throw fail("expected 'over <spread>'");
-        op.over = parse_time_token(arg(5), line_no);
-        expected = 6;
-      }
-      script.add(at, op);
-    } else if (verb == "duplicate") {
-      DuplicateBurst op;
-      op.prob = parse_double_token(arg(3), line_no,
-                                   "duplication probability");
-      if (arg(4) != "for") throw fail("expected 'for <duration>'");
-      op.duration = parse_time_token(arg(5), line_no);
-      script.add(at, op);
-      expected = 6;
-    } else if (verb == "replay") {
-      script.add(at, TraceReplay{arg(3)});
-    } else {
-      throw fail("unknown action '" + verb + "'");
-    }
-    // Anything left over means the line said more than the action can
-    // express — reject it rather than silently dropping qualifiers.
-    if (tok.size() > expected)
-      throw fail("unexpected trailing token '" + tok[expected] + "'");
   }
   return script;
 }
@@ -461,76 +878,14 @@ std::string ScenarioScript::to_string() const {
   for (const auto& action : actions_) {
     out << "at " << format_time(action.at) << ' ';
     std::visit(
-        Overload{
-            [&](const CrashNodes& op) { out << "crash " << op.count; },
-            [&](const RecoverNodes& op) { out << "recover " << op.count; },
-            [&](const Join& op) { out << "join " << op.count; },
-            [&](const Leave& op) { out << "leave " << op.count; },
-            [&](const Partition& op) {
-              out << "partition ";
-              for (std::size_t i = 0; i < op.side.size(); ++i)
-                out << (i ? "," : "") << op.side[i];
-              out << " heal " << format_time(op.heal_at);
-            },
-            [&](const LossBurst& op) {
-              // Shortest representation that parses back to the same
-              // double, keeping parse(to_string()) exact.
-              char buf[32];
-              const auto res =
-                  std::to_chars(buf, buf + sizeof buf, op.eps);
-              out << "loss " << std::string_view(buf, res.ptr) << " for "
-                  << format_time(op.duration);
-            },
-            [&](const PublishBurst& op) {
-              out << "publish " << op.count;
-              if (op.spacing > 0) out << " every " << format_time(op.spacing);
-            },
-            [&](const LatencyProfile& op) {
-              if (op.median == 0) {
-                out << "latency uniform";
-              } else {
-                char buf[32];
-                const auto res =
-                    std::to_chars(buf, buf + sizeof buf, op.sigma);
-                out << "latency lognormal " << format_time(op.median) << ' '
-                    << std::string_view(buf, res.ptr);
-              }
-            },
-            [&](const AsymPartition& op) {
-              out << "asym ";
-              for (std::size_t i = 0; i < op.from_side.size(); ++i)
-                out << (i ? "," : "") << op.from_side[i];
-              out << " to ";
-              for (std::size_t i = 0; i < op.to_side.size(); ++i)
-                out << (i ? "," : "") << op.to_side[i];
-              out << " heal " << format_time(op.heal_at);
-            },
-            [&](const Flap& op) {
-              char buf[32];
-              const auto res = std::to_chars(buf, buf + sizeof buf, op.duty);
-              out << "flap ";
-              for (std::size_t i = 0; i < op.side.size(); ++i)
-                out << (i ? "," : "") << op.side[i];
-              out << " period " << format_time(op.period) << " duty "
-                  << std::string_view(buf, res.ptr) << " until "
-                  << format_time(op.until);
-            },
-            [&](const RackFailure& op) {
-              out << "rack ";
-              for (std::size_t i = 0; i < op.prefix.size(); ++i)
-                out << (i ? "," : "") << op.prefix[i];
-            },
-            [&](const JoinStorm& op) {
-              out << "joinstorm " << op.count;
-              if (op.over > 0) out << " over " << format_time(op.over);
-            },
-            [&](const DuplicateBurst& op) {
-              char buf[32];
-              const auto res = std::to_chars(buf, buf + sizeof buf, op.prob);
-              out << "duplicate " << std::string_view(buf, res.ptr)
-                  << " for " << format_time(op.duration);
-            },
-            [&](const TraceReplay& op) { out << "replay " << op.path; },
+        [&](const auto& op) {
+          using Verb = VerbOf<decltype(op)>;
+          out << Verb::kKeyword;
+          if constexpr (requires { Verb::print(out, op); }) {
+            Verb::print(out, op);
+          } else {
+            visit_fields(FieldPrinter{out}, op);
+          }
         },
         action.op);
     out << '\n';
@@ -642,43 +997,25 @@ std::string ChurnSummary::to_string() const {
 // ChurnSim
 // ---------------------------------------------------------------------------
 
-ChurnSim::ChurnSim(ChurnConfig config)
-    : config_(config), space_(make_space(config_)) {
-  NetworkConfig net;
-  net.loss_probability = config_.loss;
-  net.latency_min = config_.latency_min;
-  net.latency_max = config_.latency_max;
-  owned_rt_ = std::make_unique<Runtime>(net, config_.seed);
-  rt_ = owned_rt_.get();
-  // Two protocol nodes per address: pre-size the handler and sender tables
-  // so a full group never resizes them mid-run. Same idea for the intern
-  // arenas: the whole address space is interned during init_population.
-  rt_->network().reserve(2 * config_.capacity());
-  owned_interns_ = std::make_unique<Interns>();
-  owned_interns_->reserve(config_.capacity(), config_.d);
-  interns_ = owned_interns_.get();
+ChurnSim::ChurnSim(ChurnConfig config, GroupPlacement placement)
+    : config_(config),
+      space_(make_space(config_)),
+      rt_(NetworkConfig{config_.loss, config_.latency_min,
+                        config_.latency_max},
+          placement.runtime_seed.value_or(config_.seed), placement.tuning),
+      pid_base_(placement.pid_base),
+      stream_salt_(placement.stream_salt) {
+  // Two protocol nodes per address: the network's tables hold exactly this
+  // group's pid range and the intern arenas the whole address space, so a
+  // full group never resizes them mid-run.
+  rt_.network().reserve_range(pid_base_, 2 * config_.capacity());
+  interns_.reserve(config_.capacity(), config_.d);
   if (config_.wire_transcode) {
-    rt_->network().set_transcoder([](const MessagePtr& msg) {
+    rt_.network().set_transcoder([](const MessagePtr& msg) {
       return wire::decode_message(wire::encode_message(*msg));
     });
   }
-  init_population();
-}
 
-ChurnSim::ChurnSim(Runtime& runtime, ChurnConfig config, ProcessId pid_base,
-                   std::uint64_t stream_salt, Interns& interns)
-    : config_(config),
-      space_(make_space(config_)),
-      rt_(&runtime),
-      interns_(&interns),
-      pid_base_(pid_base),
-      stream_salt_(stream_salt) {
-  // Runtime-wide knobs (latency, wire transcoding, base ε) belong to the
-  // runtime's owner in shard mode.
-  init_population();
-}
-
-void ChurnSim::init_population() {
   // Every address of the space owns a slot whose subscription depends only
   // on (seed, address), so churn never re-shuffles anyone else's interests.
   const auto addresses = space_.enumerate();
@@ -688,7 +1025,7 @@ void ChurnSim::init_population() {
     auto member = stable_member(addresses[i], config_.pd, config_.seed);
     slot.address = std::move(member.address);
     slot.subscription = std::move(member.subscription);
-    const AddrId id = interns_->addrs.intern(slot.address);
+    const AddrId id = interns_.addrs.intern(slot.address);
     if (slot_of_id_.size() <= id) slot_of_id_.resize(id + 1, kNoSlot);
     slot_of_id_[id] = i;
     slots_.push_back(std::move(slot));
@@ -711,7 +1048,7 @@ void ChurnSim::init_population() {
   TreeConfig tc;
   tc.depth = config_.d;
   tc.redundancy = config_.r;
-  oracle_ = std::make_unique<GroupTree>(tc, std::move(members), *interns_);
+  oracle_ = std::make_unique<GroupTree>(tc, std::move(members), interns_);
 
   for (const auto i : picks) spawn(i, /*founder=*/true, kNoProcess);
 
@@ -719,8 +1056,8 @@ void ChurnSim::init_population() {
     adaptive_interval_ = config_.adaptive_interval > 0
                              ? config_.adaptive_interval
                              : 4 * config_.period;
-    rt_->scheduler().schedule_after(adaptive_interval_,
-                                    [this] { sample_environment(); });
+    rt_.scheduler().schedule_after(adaptive_interval_,
+                                   [this] { sample_environment(); });
   }
 }
 
@@ -735,10 +1072,10 @@ ProcessId ChurnSim::pm_pid(std::size_t slot) const noexcept {
 }
 
 Rng ChurnSim::stream(std::uint64_t tag) const {
-  // Salt 0 (single-group mode) leaves the label untouched, so classic runs
-  // keep their historical streams; a shard's well-mixed salt moves every
-  // label into its own namespace.
-  return rt_->make_stream(stream_salt_ ^ tag);
+  // Salt 0 (a standalone group) leaves the label untouched, so classic
+  // runs keep their historical streams; a shard's well-mixed salt moves
+  // every label into its own namespace.
+  return rt_.make_stream(stream_salt_ ^ tag);
 }
 
 std::size_t ChurnSim::slot_for(AddrId id) const noexcept {
@@ -784,12 +1121,12 @@ void ChurnSim::spawn(std::size_t slot_idx, bool founder, ProcessId contact) {
 
   if (founder) {
     slot.sync = std::make_unique<SyncNode>(
-        *rt_, sync_pid(slot_idx), sc,
+        rt_, sync_pid(slot_idx), sc,
         oracle_->materialize_view(slot.address), slot.subscription);
   } else {
-    slot.sync = std::make_unique<SyncNode>(*rt_, sync_pid(slot_idx), sc,
+    slot.sync = std::make_unique<SyncNode>(rt_, sync_pid(slot_idx), sc,
                                            slot.address, slot.subscription,
-                                           contact, *interns_);
+                                           contact, interns_);
   }
   slot.sync->set_directory(sync_directory());
 
@@ -805,7 +1142,7 @@ void ChurnSim::spawn(std::size_t slot_idx, bool founder, ProcessId contact) {
   pc.recovery_rounds = config_.recovery_rounds;
   pc.max_retained = config_.max_retained;
   pc.max_buffered = config_.max_buffered;
-  slot.pm = std::make_unique<PmcastNode>(*rt_, pm_pid(slot_idx), pc,
+  slot.pm = std::make_unique<PmcastNode>(rt_, pm_pid(slot_idx), pc,
                                          slot.address, slot.subscription,
                                          *slot.provider, pm_directory());
   if (config_.adaptive) {
@@ -817,7 +1154,7 @@ void ChurnSim::spawn(std::size_t slot_idx, bool founder, ProcessId contact) {
     ++counters_.delivered;
     const auto it = publish_times_.find(e.id());
     if (it != publish_times_.end()) {
-      const SimTime latency = rt_->now() - it->second;
+      const SimTime latency = rt_.now() - it->second;
       ++latency_samples_;
       latency_total_ += latency;
       latency_max_ = std::max(latency_max_, latency);
@@ -834,72 +1171,19 @@ void ChurnSim::spawn(std::size_t slot_idx, bool founder, ProcessId contact) {
 }
 
 void ChurnSim::play(const ScenarioScript& script) {
-  // TraceReplay actions splice their parsed child timeline in here, before
-  // validation — everything below (including the stream labels) operates
-  // on the expanded script, so a replayed action is indistinguishable from
-  // the same action written inline at its offset time.
-  const bool has_replay = std::any_of(
-      script.actions().begin(), script.actions().end(),
-      [](const ScenarioAction& a) {
-        return std::holds_alternative<TraceReplay>(a.op);
-      });
-  ScenarioScript expanded;
-  if (has_replay) expanded = expand_traces(script);
-  const ScenarioScript& timeline = has_replay ? expanded : script;
+  // Replays splice their file's timeline in first: everything below,
+  // stream labels included, sees a replayed action exactly as if it were
+  // written inline at its offset time.
+  const ScenarioScript timeline = expand(script);
 
-  timeline.validate(crash_credit_);
-  const SimTime start = rt_->now();
-  // Engine-level validation the script alone cannot do. The whole script
-  // must be accepted before any state changes: a throw below would
-  // otherwise leave phantom crash credit or already-scheduled actions.
-  const auto check_top_components =
-      [this](const std::vector<AddrComponent>& side) {
-        // A component outside the address space would make the split a
-        // silent no-op; reject it instead.
-        for (const auto c : side) PMC_EXPECTS(c < space_.arity(0));
-      };
-  SimTime loss_busy_until = loss_busy_until_;
-  SimTime dup_busy_until = dup_busy_until_;
-  for (const auto& action : timeline.actions()) {
-    PMC_EXPECTS(action.at >= start);  // no actions scheduled in the past
-    if (const auto* part = std::get_if<Partition>(&action.op)) {
-      check_top_components(part->side);
-    } else if (const auto* burst = std::get_if<LossBurst>(&action.op)) {
-      // Also reject bursts overlapping one scheduled by an earlier play().
-      PMC_EXPECTS(action.at >= loss_busy_until);
-      loss_busy_until = action.at + burst->duration;
-    } else if (const auto* asym = std::get_if<AsymPartition>(&action.op)) {
-      check_top_components(asym->from_side);
-      check_top_components(asym->to_side);
-    } else if (const auto* flap = std::get_if<Flap>(&action.op)) {
-      check_top_components(flap->side);
-    } else if (const auto* rack = std::get_if<RackFailure>(&action.op)) {
-      PMC_EXPECTS(rack->prefix.size() <= space_.depth());
-      for (std::size_t i = 0; i < rack->prefix.size(); ++i)
-        PMC_EXPECTS(rack->prefix[i] < space_.arity(i));
-    } else if (const auto* dup = std::get_if<DuplicateBurst>(&action.op)) {
-      PMC_EXPECTS(action.at >= dup_busy_until);
-      dup_busy_until = action.at + dup->duration;
-    }
-  }
-  // Accepted: account the crash credit appended timelines recover against,
-  // and the windows the last scheduled loss/duplication bursts occupy.
-  loss_busy_until_ = loss_busy_until;
-  dup_busy_until_ = dup_busy_until;
-  for (const auto& action : timeline.actions()) {
-    if (const auto* crash = std::get_if<CrashNodes>(&action.op)) {
-      crash_credit_ += crash->count;
-    } else if (const auto* rec = std::get_if<RecoverNodes>(&action.op)) {
-      crash_credit_ -= rec->count;  // validate() guaranteed non-negative
-    } else if (const auto* rack = std::get_if<RackFailure>(&action.op)) {
-      // A rack failure's victim count is only known at fire time; credit
-      // the whole zone's capacity so a later RecoverNodes can target it.
-      std::uint64_t zone = 1;
-      for (std::size_t i = rack->prefix.size(); i < space_.depth(); ++i)
-        zone *= space_.arity(i);
-      crash_credit_ += zone;
-    }
-  }
+  // The same checks as a standalone validate(), continued from this run's
+  // ledger (crash credit, burst windows, address space) and starting at
+  // now(). The whole timeline is accepted before any state changes, so a
+  // rejected script leaves no crash credit or scheduled action behind.
+  ScenarioScript::Ledger ledger = ledger_;
+  ledger.not_before = rt_.now();
+  ledger_ = timeline.validate_from(ledger);
+
   // Stream labels: (time, kind, ordinal-within-time-and-kind), hashed with
   // the run seed. Ordinals persist across play() calls so appended
   // timelines never reuse a label. New ScenarioOp alternatives append at
@@ -914,9 +1198,13 @@ void ChurnSim::play(const ScenarioScript& script) {
                     action.op.index()),
               ordinal);
     auto rng = std::make_shared<Rng>(stream(tag));
-    rt_->scheduler().schedule_at(
-        action.at,
-        [this, action, rng] { apply(action, rng); });
+    rt_.scheduler().schedule_at(action.at, [this, action, rng] {
+      std::visit(
+          [&](const auto& op) {
+            VerbOf<decltype(op)>::apply(*this, op, rng);
+          },
+          action.op);
+    });
   }
 }
 
@@ -934,87 +1222,19 @@ void ChurnSim::sample_environment() {
     slot.env_cursor = EnvCursor{s.digests_sent, s.digest_acks,
                                 s.deaths_observed};
   }
-  rt_->scheduler().schedule_after(adaptive_interval_,
+  rt_.scheduler().schedule_after(adaptive_interval_,
                                   [this] { sample_environment(); });
 }
 
-void ChurnSim::run_for(SimTime duration) { rt_->run_for(duration); }
-void ChurnSim::run_until(SimTime deadline) { rt_->run_until(deadline); }
-SimTime ChurnSim::now() const noexcept { return rt_->now(); }
+void ChurnSim::run_for(SimTime duration) { rt_.run_for(duration); }
+void ChurnSim::run_until(SimTime deadline) { rt_.run_until(deadline); }
+SimTime ChurnSim::now() const noexcept { return rt_.now(); }
 
 std::vector<std::size_t> ChurnSim::live_slots() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < slots_.size(); ++i)
     if (slots_[i].live) out.push_back(i);
   return out;
-}
-
-std::vector<std::size_t> ChurnSim::contact_slots() const {
-  // Prefer fully joined processes as join contacts (a real joiner would be
-  // pointed at an established member); fall back to any live process.
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < slots_.size(); ++i)
-    if (slots_[i].live && slots_[i].sync->joined()) out.push_back(i);
-  return out.empty() ? live_slots() : out;
-}
-
-std::vector<std::size_t> ChurnSim::pick_live(std::size_t count, Rng& rng) {
-  const auto live = live_slots();
-  const std::size_t n = std::min(count, live.size());
-  counters_.skipped += count - n;
-  std::vector<std::size_t> out;
-  out.reserve(n);
-  for (const auto i : rng.sample_without_replacement(live.size(), n))
-    out.push_back(live[i]);
-  return out;
-}
-
-void ChurnSim::retarget_pending_joiners(Rng& rng) {
-  // A contact that crashed or left strands its pending joiners (they would
-  // retry a dead pid until their budget runs out): point every live,
-  // unjoined process at a fresh contact.
-  const auto contacts = contact_slots();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].live || slots_[i].sync->joined()) continue;
-    if (contacts.empty()) break;
-    const std::size_t pick = contacts[rng.next_below(contacts.size())];
-    if (pick == i) continue;  // nobody else to ask
-    slots_[i].sync->retarget_join(sync_pid(pick));
-  }
-}
-
-void ChurnSim::do_join(Rng& rng) {
-  // One fresh joiner (JoinStorm's unit of work). Unlike the batched Join
-  // action this re-queries the vacancy list per call — storm joins are
-  // spread over time, and earlier arrivals must shrink the pool seen by
-  // later ones.
-  const auto vacant = oracle_->vacancies(space_);
-  if (vacant.empty()) {
-    ++counters_.skipped;
-    return;
-  }
-  const Address address = vacant[rng.next_below(vacant.size())];
-  const auto contacts = contact_slots();
-  if (contacts.empty()) {
-    ++counters_.skipped;
-    return;
-  }
-  const std::size_t contact = contacts[rng.next_below(contacts.size())];
-  const std::size_t idx = slot_for(interns_->addrs.intern(address));
-  spawn(idx, /*founder=*/false, sync_pid(contact));
-  oracle_->add_member(address, slots_[idx].subscription);
-  ++counters_.joins_requested;
-}
-
-void ChurnSim::publish_one(Rng& rng) {
-  const auto live = live_slots();
-  if (live.empty()) {
-    ++counters_.skipped;
-    return;
-  }
-  const std::size_t slot =
-      live[rng.next_below(live.size())];
-  publish_from(slot, make_uniform_event(pm_pid(slot), publish_seq_++, rng));
 }
 
 bool ChurnSim::publish_external(const EventId& id, double u, Rng& rng) {
@@ -1034,279 +1254,9 @@ void ChurnSim::publish_from(std::size_t slot, Event e) {
   for (const auto& s : slots_)
     if (s.live && s.subscription.match(e)) ++counters_.expected_deliveries;
   // Record before pmcast: the publisher may deliver to itself inline.
-  publish_times_.emplace(e.id(), rt_->now());
+  publish_times_.emplace(e.id(), rt_.now());
   ++counters_.published;
   slots_[slot].pm->pmcast(std::move(e));
-}
-
-void ChurnSim::apply(const ScenarioAction& action,
-                     std::shared_ptr<Rng> rng) {
-  std::visit(
-      Overload{
-          [&](const CrashNodes& op) {
-            for (const auto idx : pick_live(op.count, *rng)) {
-              slots_[idx].sync->crash();
-              slots_[idx].pm->crash();
-              slots_[idx].live = false;
-              oracle_->remove_member(slots_[idx].address);
-              crashed_pool_.push_back(idx);
-              ++counters_.crashes;
-            }
-            retarget_pending_joiners(*rng);
-          },
-          [&](const RecoverNodes& op) {
-            const std::size_t n =
-                std::min(op.count, crashed_pool_.size());
-            counters_.skipped += op.count - n;
-            for (std::size_t k = 0; k < n; ++k) {
-              const std::size_t idx = crashed_pool_.front();
-              crashed_pool_.erase(crashed_pool_.begin());
-              if (slots_[idx].live) {
-                // A Join re-occupied the crashed address in the meantime;
-                // nothing left to recover.
-                ++counters_.skipped;
-                continue;
-              }
-              const auto contacts = contact_slots();
-              if (contacts.empty()) {
-                ++counters_.skipped;
-                continue;
-              }
-              const std::size_t contact =
-                  contacts[rng->next_below(contacts.size())];
-              spawn(idx, /*founder=*/false, sync_pid(contact));
-              oracle_->add_member(slots_[idx].address,
-                                  slots_[idx].subscription);
-              ++counters_.recoveries;
-              ++counters_.joins_requested;
-            }
-          },
-          [&](const Join& op) {
-            auto vacant = oracle_->vacancies(space_);
-            const std::size_t n = std::min(op.count, vacant.size());
-            counters_.skipped += op.count - n;
-            for (std::size_t k = 0; k < n; ++k) {
-              const std::size_t pick = static_cast<std::size_t>(
-                  rng->next_below(vacant.size()));
-              const Address address = vacant[pick];
-              vacant.erase(vacant.begin() +
-                           static_cast<std::ptrdiff_t>(pick));
-              const auto contacts = contact_slots();
-              if (contacts.empty()) {
-                ++counters_.skipped;
-                continue;
-              }
-              const std::size_t contact =
-                  contacts[rng->next_below(contacts.size())];
-              const std::size_t idx = slot_for(interns_->addrs.intern(address));
-              spawn(idx, /*founder=*/false, sync_pid(contact));
-              oracle_->add_member(address, slots_[idx].subscription);
-              ++counters_.joins_requested;
-            }
-          },
-          [&](const Leave& op) {
-            for (const auto idx : pick_live(op.count, *rng)) {
-              slots_[idx].sync->leave();
-              slots_[idx].pm->crash();
-              slots_[idx].live = false;
-              oracle_->remove_member(slots_[idx].address);
-              ++counters_.leaves;
-            }
-            retarget_pending_joiners(*rng);
-          },
-          [&](const Partition& op) {
-            const std::vector<AddrComponent> side = op.side;
-            const ProcessId base = pid_base_;
-            const std::size_t capacity = slots_.size();
-            const auto in_side = [this, side, base, capacity](ProcessId pid) {
-              const std::size_t offset = pid - base;
-              const std::size_t slot =
-                  offset < capacity ? offset : offset - capacity;
-              const AddrComponent top = slots_[slot].address.component(0);
-              return std::find(side.begin(), side.end(), top) != side.end();
-            };
-            // The split is scoped to this group's pid range: traffic of
-            // co-hosted groups (other shards) passes untouched.
-            const auto in_range = [base, capacity](ProcessId pid) {
-              return pid >= base && pid < base + 2 * capacity;
-            };
-            const auto token = rt_->network().add_link_filter(
-                [in_side, in_range](ProcessId from, ProcessId to) {
-                  if (!in_range(from) || !in_range(to)) return true;
-                  return in_side(from) == in_side(to);
-                });
-            ++counters_.partitions;
-            rt_->scheduler().schedule_at(op.heal_at, [this, token] {
-              rt_->network().remove_link_filter(token);
-              ++counters_.heals;
-            });
-          },
-          [&](const LossBurst& op) {
-            // Epoch-checked restore: for back-to-back bursts the scheduler
-            // runs the next burst's set_loss (scheduled early, in play())
-            // before this burst's same-time restore (FIFO tie-break), so
-            // an unconditional restore would clobber the new ε for its
-            // whole window. A stale epoch makes the restore a no-op.
-            const std::uint64_t epoch = ++loss_epoch_;
-            rt_->network().set_loss(op.eps);
-            ++counters_.loss_bursts;
-            rt_->scheduler().schedule_after(op.duration, [this, epoch] {
-              if (epoch != loss_epoch_) return;  // a newer burst took over
-              rt_->network().set_loss(config_.loss);
-              ++counters_.loss_restores;
-            });
-          },
-          [&](const PublishBurst& op) {
-            for (std::size_t k = 0; k < op.count; ++k) {
-              const SimTime at = action.at + static_cast<SimTime>(k) *
-                                                 op.spacing;
-              if (at <= rt_->now()) {
-                publish_one(*rng);
-              } else {
-                rt_->scheduler().schedule_at(
-                    at, [this, rng] { publish_one(*rng); });
-              }
-            }
-          },
-          [&](const LatencyProfile& op) {
-            // NOTE: in shard mode the network (and thus the latency model)
-            // is runtime-wide, like the base latency config — the owner
-            // decides which shard's script carries the profile actions.
-            if (op.median > 0) {
-              rt_->network().set_latency_model(make_lognormal_latency(
-                  LogNormalParams{op.median, op.sigma}, 0, 16 * op.median));
-            } else {
-              rt_->network().set_latency_model(nullptr);
-            }
-            ++counters_.latency_profiles;
-          },
-          [&](const AsymPartition& op) {
-            const std::vector<AddrComponent> from_side = op.from_side;
-            const std::vector<AddrComponent> to_side = op.to_side;
-            const ProcessId base = pid_base_;
-            const std::size_t capacity = slots_.size();
-            const auto top_of = [this, base, capacity](ProcessId pid) {
-              const std::size_t offset = pid - base;
-              const std::size_t slot =
-                  offset < capacity ? offset : offset - capacity;
-              return slots_[slot].address.component(0);
-            };
-            const auto in_range = [base, capacity](ProcessId pid) {
-              return pid >= base && pid < base + 2 * capacity;
-            };
-            const auto in = [](const std::vector<AddrComponent>& side,
-                               AddrComponent c) {
-              return std::find(side.begin(), side.end(), c) != side.end();
-            };
-            // One-directional: only from_side -> to_side messages drop;
-            // the reverse direction (and co-hosted shards) pass.
-            const auto token = rt_->network().add_link_filter(
-                [top_of, in_range, in, from_side, to_side](ProcessId from,
-                                                           ProcessId to) {
-                  if (!in_range(from) || !in_range(to)) return true;
-                  return !(in(from_side, top_of(from)) &&
-                           in(to_side, top_of(to)));
-                });
-            ++counters_.asym_partitions;
-            rt_->scheduler().schedule_at(op.heal_at, [this, token] {
-              rt_->network().remove_link_filter(token);
-              ++counters_.heals;
-            });
-          },
-          [&](const Flap& op) {
-            const std::vector<AddrComponent> side = op.side;
-            const ProcessId base = pid_base_;
-            const std::size_t capacity = slots_.size();
-            const auto in_side = [this, side, base, capacity](ProcessId pid) {
-              const std::size_t offset = pid - base;
-              const std::size_t slot =
-                  offset < capacity ? offset : offset - capacity;
-              const AddrComponent top = slots_[slot].address.component(0);
-              return std::find(side.begin(), side.end(), top) != side.end();
-            };
-            const auto in_range = [base, capacity](ProcessId pid) {
-              return pid >= base && pid < base + 2 * capacity;
-            };
-            // The down window is a precomputed integer span (at least one
-            // tick), so the filter itself runs pure integer arithmetic on
-            // the send time — no float drift across the flap's lifetime.
-            const SimTime start_at = action.at;
-            const SimTime period = op.period;
-            const SimTime down_window = std::max<SimTime>(
-                1, static_cast<SimTime>(std::llround(
-                       op.duty * static_cast<double>(op.period))));
-            const auto token = rt_->network().add_link_filter(
-                [this, in_side, in_range, start_at, period,
-                 down_window](ProcessId from, ProcessId to) {
-                  if (!in_range(from) || !in_range(to)) return true;
-                  if (in_side(from) == in_side(to)) return true;
-                  return (rt_->now() - start_at) % period >= down_window;
-                });
-            ++counters_.flaps;
-            rt_->scheduler().schedule_at(op.until, [this, token] {
-              rt_->network().remove_link_filter(token);
-              ++counters_.heals;
-            });
-          },
-          [&](const RackFailure& op) {
-            // Correlated: every live process in the address zone
-            // fail-stops at once — no sampling, no draws.
-            ++counters_.rack_failures;
-            for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
-              Slot& slot = slots_[idx];
-              if (!slot.live) continue;
-              bool in_zone = true;
-              for (std::size_t i = 0; i < op.prefix.size(); ++i) {
-                if (slot.address.component(i) != op.prefix[i]) {
-                  in_zone = false;
-                  break;
-                }
-              }
-              if (!in_zone) continue;
-              slot.sync->crash();
-              slot.pm->crash();
-              slot.live = false;
-              oracle_->remove_member(slot.address);
-              crashed_pool_.push_back(idx);
-              ++counters_.crashes;
-            }
-            retarget_pending_joiners(*rng);
-          },
-          [&](const JoinStorm& op) {
-            ++counters_.join_storms;
-            const SimTime spacing =
-                op.count > 1
-                    ? op.over / static_cast<SimTime>(op.count - 1)
-                    : 0;
-            for (std::size_t k = 0; k < op.count; ++k) {
-              const SimTime at =
-                  action.at + static_cast<SimTime>(k) * spacing;
-              if (at <= rt_->now()) {
-                do_join(*rng);
-              } else {
-                rt_->scheduler().schedule_at(
-                    at, [this, rng] { do_join(*rng); });
-              }
-            }
-          },
-          [&](const DuplicateBurst& op) {
-            // Epoch-checked restore, mirroring LossBurst.
-            const std::uint64_t epoch = ++dup_epoch_;
-            rt_->network().set_duplication(op.prob);
-            ++counters_.dup_bursts;
-            rt_->scheduler().schedule_after(op.duration, [this, epoch] {
-              if (epoch != dup_epoch_) return;
-              rt_->network().set_duplication(0.0);
-              ++counters_.dup_restores;
-            });
-          },
-          [&](const TraceReplay&) {
-            // play() splices traces before scheduling; reaching here means
-            // the expansion was bypassed.
-            PMC_EXPECTS(false && "TraceReplay must be expanded by play()");
-          },
-      },
-      action.op);
 }
 
 std::size_t ChurnSim::live_count() const noexcept {
@@ -1416,8 +1366,8 @@ ChurnSummary ChurnSim::summary() const {
   out.bound_collapsed = g.bound_collapsed;
   out.dup_suppressed = g.dup_suppressed;
   out.shed_events = g.shed_events;
-  out.network = rt_->network().counters();
-  out.scheduler_executed = rt_->scheduler().executed();
+  out.network = rt_.network().counters();
+  out.scheduler_executed = rt_.scheduler().executed();
 
   std::uint64_t h = g.fingerprint;
   h = fnv1a_u64(h, out.network.sent);

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -33,6 +34,7 @@
 #include "membership/tree.hpp"
 #include "pmcast/node.hpp"
 #include "pmcast/view_provider.hpp"
+#include "sim/runtime.hpp"
 
 namespace pmc {
 
@@ -185,12 +187,10 @@ class ScenarioScript {
   std::size_t size() const noexcept { return actions_.size(); }
 
   /// Rejects nonsense scripts via PMC_EXPECTS (throws std::logic_error):
-  /// out-of-range loss, non-positive counts/durations, actions scheduled in
-  /// the past or out of order, heal before its partition, and recoveries
-  /// exceeding the crashes scheduled before them. `prior_crashes` credits
-  /// crashes scheduled by earlier timelines of the same run (ChurnSim::play
-  /// passes its outstanding crash count for appended scripts).
-  void validate(std::uint64_t prior_crashes = 0) const;
+  /// out-of-range probabilities, non-positive counts/durations, actions
+  /// out of order, deadlines at or before their action, overlapping
+  /// bursts, and recoveries exceeding the crashes scheduled before them.
+  void validate() const;
 
   /// Parses the text format; throws std::invalid_argument (with the line
   /// number) on syntax errors. The result still must pass validate().
@@ -206,6 +206,28 @@ class ScenarioScript {
   std::string to_string() const;
 
  private:
+  friend class ChurnSim;
+  friend struct ScenarioEffects;
+
+  /// What validating one action hands to the next: the earliest time the
+  /// next action may take, the crash credit recoveries draw on, and where
+  /// the last loss and duplication bursts end (bursts may not overlap). With
+  /// `space` set (ChurnSim::play), fault zones must lie inside the address
+  /// space, and a rack failure credits its zone's capacity.
+  struct Ledger {
+    SimTime not_before = 0;
+    std::uint64_t crash_credit = 0;
+    SimTime loss_busy_until = 0;
+    SimTime dup_busy_until = 0;
+    const AddressSpace* space = nullptr;
+  };
+
+  /// validate(), continued from `ledger`; returns the ledger after the last
+  /// action. ChurnSim::play passes its own and adopts the result, so
+  /// timelines appended over several play() calls get the verdict they
+  /// would get as one.
+  Ledger validate_from(Ledger ledger) const;
+
   std::vector<ScenarioAction> actions_;
 };
 
@@ -389,29 +411,28 @@ struct ChurnSummary {
   std::string to_string() const;
 };
 
-/// Hosts a dynamic group over a Runtime and executes scenario scripts
+/// Where a group sits among co-hosted groups (topic shards, see
+/// harness/shard.hpp): its pids start at `pid_base`, every labeled stream
+/// is salted with `stream_salt` (0 leaves the labels as they are), and its
+/// runtime is seeded with `runtime_seed` and sized by `tuning`.
+struct GroupPlacement {
+  ProcessId pid_base = 0;
+  std::uint64_t stream_salt = 0;
+  std::optional<std::uint64_t> runtime_seed;  ///< unset: ChurnConfig::seed
+  SchedulerTuning tuning;
+};
+
+/// Hosts a dynamic group on its own Runtime and executes scenario scripts
 /// against it. Every populated address owns a SyncNode (pid = pid_base +
 /// slot) and a PmcastNode (pid = pid_base + capacity + slot) wired together
 /// by piggybacking and a LocalViewProvider. SyncNodes gossip forever, so
 /// the engine runs for explicit horizons (run_for/run_until) rather than to
-/// quiescence.
-///
-/// A ChurnSim either owns its Runtime (the classic single-group mode) or
-/// is hosted on one owned elsewhere (topic shards; see harness/shard.hpp,
-/// which gives every shard its own Runtime). In shard mode every labeled
-/// RNG stream is salted with the shard's tag and pids are offset by
-/// pid_base, so the draws — and the fingerprints that hash them — do not
-/// depend on which other groups exist.
+/// quiescence. A shard's salted streams and pid offset keep its draws — and
+/// the fingerprints that hash them — independent of which other groups
+/// exist.
 class ChurnSim {
  public:
-  explicit ChurnSim(ChurnConfig config);
-
-  /// Shard mode: hosts the group on `runtime` (owned elsewhere), with pids
-  /// offset by `pid_base` and every labeled stream salted by `stream_salt`.
-  /// The owner is responsible for runtime-wide settings (wire transcoding,
-  /// base latency) and provides the intern state.
-  ChurnSim(Runtime& runtime, ChurnConfig config, ProcessId pid_base,
-           std::uint64_t stream_salt, Interns& interns);
+  explicit ChurnSim(ChurnConfig config, GroupPlacement placement = {});
 
   ~ChurnSim();
 
@@ -426,8 +447,8 @@ class ChurnSim {
   void run_until(SimTime deadline);
   SimTime now() const noexcept;
 
-  Runtime& runtime() noexcept { return *rt_; }
-  Interns& interns() noexcept { return *interns_; }
+  Runtime& runtime() noexcept { return rt_; }
+  Interns& interns() noexcept { return interns_; }
   const ChurnConfig& config() const noexcept { return config_; }
   const ChurnCounters& counters() const noexcept { return counters_; }
 
@@ -471,16 +492,17 @@ class ChurnSim {
     bool live = false;
   };
 
-  /// Shared tail of both constructors: builds the slots, picks the
-  /// founders, and spawns them.
-  void init_population();
+  // Scenario verbs (scenario.cpp) apply themselves to the engine.
+  template <class Op>
+  friend struct ScenarioVerb;
+  friend struct ScenarioEffects;
 
   ProcessId sync_pid(std::size_t slot) const noexcept;
   ProcessId pm_pid(std::size_t slot) const noexcept;
   /// The slot owning interned address `id`; kNoSlot for foreign ids.
   std::size_t slot_for(AddrId id) const noexcept;
-  /// Labeled stream salted with this group's shard tag (no-op salt when the
-  /// group owns its runtime).
+  /// Labeled stream salted with this group's shard tag (no-op salt for a
+  /// standalone group).
   Rng stream(std::uint64_t tag) const;
   SyncNode::Directory sync_directory();
   PmcastNode::Directory pm_directory();
@@ -495,20 +517,7 @@ class ChurnSim {
   /// so co-hosted shards are provably unaffected.
   void sample_environment();
 
-  void apply(const ScenarioAction& action, std::shared_ptr<Rng> rng);
   std::vector<std::size_t> live_slots() const;
-  /// Join-contact candidates: joined live slots, else any live slot.
-  std::vector<std::size_t> contact_slots() const;
-  /// Picks up to `count` distinct live slots uniformly; fewer if the group
-  /// is smaller (shortfall counted as skipped).
-  std::vector<std::size_t> pick_live(std::size_t count, Rng& rng);
-  /// Points still-unjoined joiners at fresh contacts after crashes/leaves
-  /// (their original contact may be gone).
-  void retarget_pending_joiners(Rng& rng);
-  /// Spawns one fresh joiner at a vacant address (shared by Join and
-  /// JoinStorm); counts a skip when no vacancy or contact exists.
-  void do_join(Rng& rng);
-  void publish_one(Rng& rng);
   /// Publishes `e` from `slot`, first counting the deliveries it is owed.
   void publish_from(std::size_t slot, Event e);
 
@@ -516,12 +525,11 @@ class ChurnSim {
 
   ChurnConfig config_;
   AddressSpace space_;
-  std::unique_ptr<Runtime> owned_rt_;  ///< set only in single-group mode
-  Runtime* rt_ = nullptr;              ///< owned_rt_.get() or the shared one
-  std::unique_ptr<Interns> owned_interns_;  ///< single-group mode only
-  Interns* interns_ = nullptr;  ///< owned_interns_.get() or the shared one
+  // Declared before everything that refers to them, so they outlive it.
+  Runtime rt_;
+  Interns interns_;
   ProcessId pid_base_ = 0;
-  std::uint64_t stream_salt_ = 0;  ///< 0 in single-group mode (tags as-is)
+  std::uint64_t stream_salt_ = 0;  ///< 0 for a standalone group
   SimTime adaptive_interval_ = 0;  ///< resolved sampling window (adaptive)
   std::unique_ptr<GroupTree> oracle_;  ///< intended membership bookkeeping
   std::vector<Slot> slots_;
@@ -532,17 +540,12 @@ class ChurnSim {
   /// Per-(time, kind) ordinals for action stream labels; persists across
   /// play() calls so appended timelines never reuse a label.
   std::map<std::pair<SimTime, std::size_t>, std::uint64_t> action_ordinals_;
-  /// Crashes scheduled minus recoveries scheduled, across every play()
-  /// call: the crash credit appended timelines may recover against.
-  std::uint64_t crash_credit_ = 0;
-  /// End of the last scheduled loss burst; later bursts must start after
-  /// it (overlap would truncate the earlier burst's restore).
-  SimTime loss_busy_until_ = 0;
-  /// Bumped by every burst; a restore only fires if its epoch is current
-  /// (a back-to-back burst's set_loss runs before the old restore).
+  /// Validation state across every play() call: crash credit and burst
+  /// windows of the timelines accepted so far.
+  ScenarioScript::Ledger ledger_{.space = &space_};
+  /// Bumped by every loss / duplication burst; a restore only fires if its
+  /// epoch is current (see ScenarioEffects::restore_after).
   std::uint64_t loss_epoch_ = 0;
-  /// DuplicateBurst bookkeeping, mirroring the loss-burst pair above.
-  SimTime dup_busy_until_ = 0;
   std::uint64_t dup_epoch_ = 0;
   std::uint64_t publish_seq_ = 0;
   ChurnCounters counters_;

@@ -6,7 +6,6 @@
 
 #include "common/contract.hpp"
 #include "common/hash.hpp"
-#include "wire/messages.hpp"
 
 namespace pmc {
 
@@ -145,17 +144,16 @@ ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
   barrier_interval_ = config_.barrier_interval > 0 ? config_.barrier_interval
                                                    : config_.shard.period;
 
-  NetworkConfig net;
-  net.loss_probability = config_.shard.loss;
-  net.latency_min = config_.shard.latency_min;
-  net.latency_max = config_.shard.latency_max;
-
-  SchedulerTuning tuning;
-  if (config_.shards >= kCompactWheelShards) tuning.bucket_count_log2 = 6;
+  GroupPlacement placement;
+  // Every runtime is seeded with the *master* seed: labeled streams are
+  // pure functions of (base seed, tag), so shard s's draws equal its draws
+  // when every shard shared one runtime — which is what keeps the
+  // pre-split golden fingerprints valid.
+  placement.runtime_seed = config_.shard.seed;
+  if (config_.shards >= kCompactWheelShards)
+    placement.tuning.bucket_count_log2 = 6;
 
   const std::size_t capacity = config_.shard.capacity();
-  runtimes_.reserve(config_.shards);
-  interns_.reserve(config_.shards);
   shards_.reserve(config_.shards);
   cross_.resize(config_.shards);
   std::vector<Rng> picks;
@@ -170,33 +168,15 @@ ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
                                config_.adaptive_shards.end(),
                                s) != config_.adaptive_shards.end();
     }
-    // Every runtime is seeded with the *master* seed: labeled streams are
-    // pure functions of (base seed, tag), so shard s's draws here equal
-    // its draws when every shard shared one runtime — which is what keeps
-    // the pre-split golden fingerprints valid.
-    runtimes_.push_back(
-        std::make_unique<Runtime>(net, config_.shard.seed, tuning));
-    Runtime& rt = *runtimes_.back();
-    // The shard's tables hold only its own pid range [s*2C, (s+1)*2C):
-    // rebased dense tables, so 31k shards don't each allocate global-pid-
-    // sized vectors. Draw labels still use the global pid.
-    rt.network().reserve_range(static_cast<ProcessId>(s * 2 * capacity),
-                               2 * capacity);
-    if (config_.shard.wire_transcode) {
-      rt.network().set_transcoder([](const MessagePtr& msg) {
-        return wire::decode_message(wire::encode_message(*msg));
-      });
-    }
-    // Every shard enumerates the same address space in the same order, so
-    // per-shard intern tables assign identical AddrIds.
-    interns_.push_back(std::make_unique<Interns>());
-    interns_.back()->reserve(capacity, config_.shard.d);
-    shards_.push_back(std::make_unique<ChurnSim>(
-        rt, cfg, static_cast<ProcessId>(s * 2 * capacity),
-        shard_tag(kShardStreamSalt, s), *interns_.back()));
+    // Shard s hosts pids [s*2C, (s+1)*2C); its network's dense tables
+    // cover only that range, while draw labels still use the global pid.
+    placement.pid_base = static_cast<ProcessId>(s * 2 * capacity);
+    placement.stream_salt = shard_tag(kShardStreamSalt, s);
+    shards_.push_back(std::make_unique<ChurnSim>(cfg, placement));
     // A LossBurst's set_loss lands on the shard's own network, so loss is
     // scoped to the shard by construction.
-    picks.push_back(rt.make_stream(shard_tag(kRouterPickSalt, s)));
+    picks.push_back(
+        shard_runtime(s).make_stream(shard_tag(kRouterPickSalt, s)));
   }
 
   std::vector<ChurnSim*> raw;
@@ -222,8 +202,7 @@ const ChurnSim& ShardedSim::shard(std::size_t idx) const {
 }
 
 Runtime& ShardedSim::shard_runtime(std::size_t idx) {
-  PMC_EXPECTS(idx < runtimes_.size());
-  return *runtimes_[idx];
+  return shard(idx).runtime();
 }
 
 void ShardedSim::play(std::size_t shard_idx, const ScenarioScript& script) {
@@ -261,8 +240,8 @@ void ShardedSim::schedule_cross_publishers() {
       // The event's attribute depends only on (publisher, sequence), so a
       // shard's churn can never shift which events the others see.
       const double u =
-          runtimes_.front()
-              ->make_stream(fnv1a_u64(shard_tag(kCrossEventSalt, p), k))
+          shard_runtime(0)
+              .make_stream(fnv1a_u64(shard_tag(kCrossEventSalt, p), k))
               .next_double();
       const EventId id{kCrossPublisherIdBase + p, k};
       // One injection per spanned shard, pre-scheduled in that shard's own
@@ -271,7 +250,7 @@ void ShardedSim::schedule_cross_publishers() {
       for (std::size_t j = 0; j < cross.span; ++j) {
         const std::size_t s = (p + j) % config_.shards;
         const bool primary = j == 0;
-        runtimes_[s]->scheduler().schedule_at(
+        shard_runtime(s).scheduler().schedule_at(
             at, [this, s, id, u, primary] {
               ShardCross& c = cross_[s];
               ++c.runs;
@@ -326,13 +305,14 @@ ShardedSummary ShardedSim::summary() const {
   std::uint64_t executed = 0;
   std::uint64_t cross_runs = 0, cross_primary = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const NetworkCounters& nc = runtimes_[s]->network().counters();
+    const Runtime& rt = shards_[s]->runtime();
+    const NetworkCounters& nc = rt.network().counters();
     out.network.sent += nc.sent;
     out.network.delivered += nc.delivered;
     out.network.lost += nc.lost;
     out.network.filtered += nc.filtered;
     out.network.dead_target += nc.dead_target;
-    executed += runtimes_[s]->scheduler().executed();
+    executed += rt.scheduler().executed();
     cross_runs += cross_[s].runs;
     cross_primary += cross_[s].primary;
   }

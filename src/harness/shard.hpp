@@ -210,12 +210,10 @@ class ShardedSim {
   ShardedConfig config_;
   SimTime barrier_interval_ = 0;
   SimTime now_ = 0;
-  /// One runtime (scheduler + network + stream factory) and one intern
-  /// table per shard: all shards enumerate the same address space in the
+  /// Each shard owns its runtime (scheduler + network + stream factory)
+  /// and intern tables: all shards enumerate the same address space in the
   /// same order, so per-shard tables assign identical AddrIds — and being
   /// private, they are mutable mid-run without any cross-lane traffic.
-  std::vector<std::unique_ptr<Runtime>> runtimes_;
-  std::vector<std::unique_ptr<Interns>> interns_;
   std::vector<std::unique_ptr<ChurnSim>> shards_;
   std::vector<ShardCross> cross_;
   std::unique_ptr<ShardRouter> router_;

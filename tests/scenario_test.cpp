@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <variant>
 
 #include "harness/scenario.hpp"
 
@@ -119,6 +121,37 @@ TEST(ScenarioScript, AppendedTimelineMayRecoverEarlierCrashes) {
   ScenarioScript third;  // but the credit is spent now
   third.add(sim_ms(3000), RecoverNodes{1});
   EXPECT_THROW(sim.play(third), std::logic_error);
+}
+
+TEST(ScenarioScript, TimelineVerdictDoesNotDependOnHowPlayIsSplit) {
+  // play() credits a rack failure's zone when it validates the action, so
+  // a recovery of its victims is accepted whether it comes in the same
+  // script or in a later play() call — and both runs end byte-identical.
+  auto config = small_config();
+  config.initial_fill = 1.0;
+  const RackFailure rack{{0}};  // a=4, d=2: a 4-process zone
+
+  ChurnSim one(config);
+  ScenarioScript whole;
+  whole.add(sim_ms(100), rack);
+  whole.add(sim_ms(500), RecoverNodes{2});
+  // Standalone, there is no address space to size the zone by.
+  EXPECT_THROW(whole.validate(), std::logic_error);
+  ASSERT_NO_THROW(one.play(whole));
+  one.run_for(sim_ms(2000));
+
+  ChurnSim split(config);
+  ScenarioScript first;
+  first.add(sim_ms(100), rack);
+  ScenarioScript second;
+  second.add(sim_ms(500), RecoverNodes{2});
+  split.play(first);
+  ASSERT_NO_THROW(split.play(second));
+  split.run_for(sim_ms(2000));
+
+  EXPECT_EQ(one.counters().crashes, 4u);
+  EXPECT_EQ(one.counters().recoveries, 2u);
+  EXPECT_EQ(one.summary(), split.summary());
 }
 
 TEST(ScenarioScript, PlayRejectsPartitionSideOutsideAddressSpace) {
@@ -545,17 +578,31 @@ TEST(ScenarioScript, ParsesAdversarialVerbs) {
 }
 
 TEST(ScenarioScript, AdversarialVerbsRoundTrip) {
-  const char* text =
+  // Every verb, including the forms that leave an optional field out,
+  // prints back exactly as written.
+  const std::string text =
+      "at 50ms crash 2\n"
+      "at 60ms recover 1\n"
+      "at 70ms join 3\n"
+      "at 80ms leave 1\n"
+      "at 90ms partition 0,1 heal 1s\n"
       "at 100ms latency lognormal 2ms 0.8\n"
+      "at 110ms loss 0.35 for 400ms\n"
+      "at 120ms publish 6 every 25ms\n"
+      "at 130ms publish 3\n"
       "at 200ms asym 0,1 to 2 heal 1800ms\n"
       "at 300ms flap 0 period 200ms duty 0.4 until 2s\n"
       "at 400ms rack 1,0\n"
       "at 500ms joinstorm 16 over 250ms\n"
+      "at 600ms joinstorm 4\n"
       "at 700ms duplicate 0.4 for 300ms\n"
       "at 800ms replay traces/outage.scn\n"
       "at 900ms latency uniform\n";
   const auto s = ScenarioScript::parse(text);
-  EXPECT_EQ(ScenarioScript::parse(s.to_string()).to_string(), s.to_string());
+  std::set<std::size_t> kinds;
+  for (const auto& action : s.actions()) kinds.insert(action.op.index());
+  EXPECT_EQ(kinds.size(), std::variant_size_v<ScenarioOp>);
+  EXPECT_EQ(s.to_string(), text);
 }
 
 TEST(ScenarioScript, RejectsMalformedAdversarialVerbs) {
@@ -686,6 +733,35 @@ TEST(ChurnSim, TraceReplayExpandsWithOffset) {
   EXPECT_EQ(sim.counters().joins_requested, 1u);
   EXPECT_EQ(sim.counters().published, 2u);
   EXPECT_EQ(sim.joined_count(), sim.live_count());
+  std::remove(path.c_str());
+}
+
+TEST(ChurnSim, TraceReplayShiftsDeadlines) {
+  // heal/until are absolute times in the child file: replayed at 500ms,
+  // the cuts installed at 600ms heal at 800, 900 and 1000ms.
+  const std::string path =
+      ::testing::TempDir() + "pmc_trace_deadline_test.scn";
+  {
+    std::ofstream out(path);
+    out << "at 100ms partition 0 heal 300ms\n"
+        << "at 100ms asym 1 to 2 heal 400ms\n"
+        << "at 100ms flap 3 period 50ms duty 0.5 until 500ms\n";
+  }
+  ChurnSim sim(small_config());
+  ScenarioScript s;
+  s.add(sim_ms(500), TraceReplay{path});
+  sim.play(s);
+  sim.run_until(sim_ms(799));
+  EXPECT_EQ(sim.counters().partitions, 1u);
+  EXPECT_EQ(sim.counters().asym_partitions, 1u);
+  EXPECT_EQ(sim.counters().flaps, 1u);
+  EXPECT_EQ(sim.counters().heals, 0u);
+  sim.run_until(sim_ms(801));
+  EXPECT_EQ(sim.counters().heals, 1u);
+  sim.run_until(sim_ms(901));
+  EXPECT_EQ(sim.counters().heals, 2u);
+  sim.run_until(sim_ms(1001));
+  EXPECT_EQ(sim.counters().heals, 3u);
   std::remove(path.c_str());
 }
 

@@ -7,8 +7,9 @@ Usage:
 
     check_bench_json.py --gate-scheduler MICRO_FILE [FILE...]
         Additionally require MICRO_FILE (a micro_benchmarks --json dump) to
-        show the calendar-queue scheduler at or above the PR-1 performance
-        envelope at the 131072-event point.
+        show the calendar-queue scheduler at least 2x as fast as the
+        reference indexed heap at the 131072-event point, each side taken
+        as the median of its runs (one per --benchmark_repetitions).
 
     check_bench_json.py --gate-memory SCALE_FILE [FILE...]
         Additionally require SCALE_FILE (a table_scale --json dump) to show
@@ -51,13 +52,15 @@ Usage:
 
 The scheduler gate is deliberately *counter-based*, not wall-clock-based:
 CI machines differ wildly in absolute speed, so the gate compares the
-calendar queue against the legacy tombstone scheduler measured in the same
-process on the same machine. PR 1's indexed heap recorded a 1.38x ratio
-over the legacy scheduler (1.84M vs 1.33M sched-ops/s at 131k events);
-regressing below that ratio would mean the calendar queue lost PR 1's win,
-never mind PR 5's. The required ratio is 2.0 — comfortably above PR 1's
-1.38, comfortably below the ~4-5x the calendar queue actually shows — so
-the gate trips on real regressions, not scheduler-neutral machine noise.
+calendar queue against the reference indexed heap (ReferenceScheduler, the
+simulator's first scheduler and the property-test oracle) measured in the
+same process on the same machine. The required ratio is 2.0, the calendar
+queue's own acceptance bar against this heap when it replaced it; it
+measures 2.4-3.3x on 4-vCPU hosts, so the gate trips when the calendar
+queue loses most of its win, not on scheduler-neutral machine noise. A
+single run of each can still catch a noisy stretch on a shared host, so CI
+runs several interleaved repetitions (--benchmark_repetitions with
+--benchmark_enable_random_interleaving) and the gate compares medians.
 
 The filter gate is counter-based like the scheduler gate: `naive evals`
 counts Predicate::match calls in the naive scan (subscriptions x events)
@@ -79,12 +82,13 @@ not trip it.
 """
 
 import json
+import statistics
 import sys
 
 SCHEMA = "pmcast-bench-v1"
 GATE_POINT = "131072"
 GATE_NUMERATOR = f"BM_SchedulerCalendarQueue/{GATE_POINT}"
-GATE_DENOMINATOR = f"BM_SchedulerLegacyTombstones/{GATE_POINT}"
+GATE_DENOMINATOR = f"BM_SchedulerReferenceHeap/{GATE_POINT}"
 GATE_MIN_RATIO = 2.0
 MEM_GATE_PROCESSES = 100_000
 MEM_GATE_MAX_BYTES_PER_PROC = 7312.0  # half of the pre-interning 14626
@@ -156,6 +160,8 @@ def load_and_validate(path):
 
 
 def micro_items_per_second(doc, path, name):
+    """Median items/s over every row of `name` (one per repetition)."""
+    values = []
     for t in doc["tables"]:
         try:
             name_col = t["headers"].index("name")
@@ -167,9 +173,11 @@ def micro_items_per_second(doc, path, name):
                 value = row[ips_col]
                 if not isinstance(value, (int, float)) or value <= 0:
                     fail(f"{path}: {name} items_per_second is {value!r}")
-                return float(value)
-    fail(f"{path}: benchmark {name!r} not found (run micro_benchmarks with "
-         f"--benchmark_filter=Scheduler --json {path})")
+                values.append(float(value))
+    if not values:
+        fail(f"{path}: benchmark {name!r} not found (run micro_benchmarks "
+             f"with --benchmark_filter=Scheduler --json {path})")
+    return statistics.median(values), len(values)
 
 
 def gate_memory(doc, path):
@@ -492,18 +500,20 @@ def main(argv):
 
     if gate_file is not None:
         doc = docs[gate_file]
-        calendar = micro_items_per_second(doc, gate_file, GATE_NUMERATOR)
-        legacy = micro_items_per_second(doc, gate_file, GATE_DENOMINATOR)
-        ratio = calendar / legacy
+        calendar, calendar_n = micro_items_per_second(
+            doc, gate_file, GATE_NUMERATOR)
+        heap, heap_n = micro_items_per_second(doc, gate_file, GATE_DENOMINATOR)
+        ratio = calendar / heap
         print(
-            f"check_bench_json: scheduler @{GATE_POINT} events: "
-            f"calendar {calendar / 1e6:.2f}M/s, legacy {legacy / 1e6:.2f}M/s, "
+            f"check_bench_json: scheduler @{GATE_POINT} events (median of "
+            f"{calendar_n}/{heap_n} runs): calendar {calendar / 1e6:.2f}M/s, "
+            f"heap {heap / 1e6:.2f}M/s, "
             f"ratio {ratio:.2f} (required >= {GATE_MIN_RATIO})"
         )
         if ratio < GATE_MIN_RATIO:
             fail(
-                f"calendar/legacy ratio {ratio:.2f} < {GATE_MIN_RATIO}: "
-                f"the scheduler regressed below the PR-1 envelope"
+                f"calendar/heap ratio {ratio:.2f} < {GATE_MIN_RATIO}: "
+                f"the calendar queue lost its win over the reference heap"
             )
 
     if mem_file is not None:
