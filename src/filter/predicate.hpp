@@ -27,8 +27,7 @@ std::string to_string(CmpOp op);
 /// The single-comparison kernel behind Predicate::match: how an event value
 /// relates to a subscription constant. Cross-kind (string vs numeric) values
 /// are never equal, so only Ne holds across kinds; numeric comparisons are
-/// done in double. Exposed so the predicate index lanes share the oracle's
-/// exact semantics instead of reimplementing them.
+/// done in double.
 bool compare_values(const Value& event_value, CmpOp op, const Value& target);
 
 class Predicate;

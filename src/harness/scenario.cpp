@@ -933,11 +933,7 @@ void ChurnConfig::validate() const {
 
 namespace {
 
-/// GroupSummary and ChurnSummary share the group-local fields by name;
-/// templating over the summary type keeps this a single field list instead
-/// of a long positional parameter row two call sites could transpose.
-template <class SummaryT>
-void append_group_fields(std::ostringstream& out, const SummaryT& s) {
+void append_group_fields(std::ostringstream& out, const GroupSummary& s) {
   const ChurnCounters& c = s.counters;
   out << "live " << s.live << " (joined " << s.joined << ")"
       << " | joins " << c.joins_requested << " (served " << s.joins_served
@@ -948,11 +944,8 @@ void append_group_fields(std::ostringstream& out, const SummaryT& s) {
       << " | loss bursts " << c.loss_bursts
       << " | published " << c.published << " | delivered " << c.delivered;
   if (s.latency_samples > 0) {
-    out << " | latency mean "
-        << (static_cast<double>(s.latency_total) /
-            static_cast<double>(s.latency_samples)) /
-               static_cast<double>(sim_ms(1))
-        << "ms max " << static_cast<double>(s.latency_max) /
+    out << " | latency mean " << s.latency_mean_ms() << "ms max "
+        << static_cast<double>(s.latency_max) /
                static_cast<double>(sim_ms(1)) << "ms";
   }
   if (s.env_windows > 0) {
@@ -1307,7 +1300,7 @@ GroupSummary ChurnSim::group_summary() const {
       const auto& p = slot.pm->stats();
       out.bound_collapsed += p.bound_collapsed;
       // Summed but NOT hashed: the fingerprint's field list is frozen
-      // (docs/DETERMINISM.md) — new counters are compared by operator==.
+      // (docs/DETERMINISM.md §7) — new counters are compared by operator==.
       out.dup_suppressed += p.dup_suppressed;
       out.shed_events += p.shed_events;
       h = fnv1a_u64(h, p.published);
@@ -1350,26 +1343,12 @@ GroupSummary ChurnSim::group_summary() const {
 }
 
 ChurnSummary ChurnSim::summary() const {
-  const GroupSummary g = group_summary();
   ChurnSummary out;
-  out.counters = g.counters;
-  out.live = g.live;
-  out.joined = g.joined;
-  out.membership_tombstones = g.membership_tombstones;
-  out.joins_served = g.joins_served;
-  out.latency_samples = g.latency_samples;
-  out.latency_total = g.latency_total;
-  out.latency_max = g.latency_max;
-  out.env_loss_ppm = g.env_loss_ppm;
-  out.env_crash_ppm = g.env_crash_ppm;
-  out.env_windows = g.env_windows;
-  out.bound_collapsed = g.bound_collapsed;
-  out.dup_suppressed = g.dup_suppressed;
-  out.shed_events = g.shed_events;
+  static_cast<GroupSummary&>(out) = group_summary();
   out.network = rt_.network().counters();
   out.scheduler_executed = rt_.scheduler().executed();
 
-  std::uint64_t h = g.fingerprint;
+  std::uint64_t h = out.fingerprint;
   h = fnv1a_u64(h, out.network.sent);
   h = fnv1a_u64(h, out.network.delivered);
   h = fnv1a_u64(h, out.network.lost);

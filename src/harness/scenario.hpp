@@ -387,25 +387,11 @@ struct GroupSummary {
 
 /// A byte-comparable end-of-run digest: the group-local summary plus the
 /// runtime-wide counters (network, scheduler). Two runs with the same
-/// config and script must compare equal (operator==).
-struct ChurnSummary {
-  ChurnCounters counters;
+/// config and script must compare equal (operator==). `fingerprint`
+/// extends the group fingerprint over the network and scheduler counters.
+struct ChurnSummary : GroupSummary {
   NetworkCounters network;
   std::uint64_t scheduler_executed = 0;
-  std::size_t live = 0;    ///< live processes at summary time
-  std::size_t joined = 0;  ///< live processes whose join completed
-  std::uint64_t membership_tombstones = 0;  ///< summed over live processes
-  std::uint64_t joins_served = 0;           ///< view transfers sent
-  std::uint64_t latency_samples = 0;        ///< see GroupSummary
-  SimTime latency_total = 0;
-  SimTime latency_max = 0;
-  std::uint64_t env_loss_ppm = 0;    ///< see GroupSummary
-  std::uint64_t env_crash_ppm = 0;
-  std::uint64_t env_windows = 0;
-  std::uint64_t bound_collapsed = 0;
-  std::uint64_t dup_suppressed = 0;  ///< see GroupSummary
-  std::uint64_t shed_events = 0;     ///< see GroupSummary
-  std::uint64_t fingerprint = 0;
 
   friend bool operator==(const ChurnSummary&, const ChurnSummary&) = default;
   std::string to_string() const;

@@ -286,6 +286,8 @@ ShardedSummary ShardedSim::summary() const {
         std::max(out.aggregate.latency_max, g.latency_max);
     out.aggregate.env_windows += g.env_windows;
     out.aggregate.bound_collapsed += g.bound_collapsed;
+    out.aggregate.dup_suppressed += g.dup_suppressed;
+    out.aggregate.shed_events += g.shed_events;
     if (g.env_windows > 0) {
       env_loss_acc += g.env_loss_ppm;
       env_crash_acc += g.env_crash_ppm;
@@ -306,12 +308,7 @@ ShardedSummary ShardedSim::summary() const {
   std::uint64_t cross_runs = 0, cross_primary = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Runtime& rt = shards_[s]->runtime();
-    const NetworkCounters& nc = rt.network().counters();
-    out.network.sent += nc.sent;
-    out.network.delivered += nc.delivered;
-    out.network.lost += nc.lost;
-    out.network.filtered += nc.filtered;
-    out.network.dead_target += nc.dead_target;
+    out.network += rt.network().counters();
     executed += rt.scheduler().executed();
     cross_runs += cross_[s].runs;
     cross_primary += cross_[s].primary;

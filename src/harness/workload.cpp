@@ -90,126 +90,4 @@ Event make_event_at(std::uint64_t publisher, std::uint64_t sequence,
   return e;
 }
 
-// ---------------------------------------------------------------------------
-// Zipf workload
-
-void ZipfWorkload::validate() const {
-  PMC_EXPECTS(subscriptions > 0);
-  PMC_EXPECTS(numeric_attrs > 0 && string_attrs > 0);
-  PMC_EXPECTS(values_per_attr > 0);
-  PMC_EXPECTS(skew > 0.0);
-  PMC_EXPECTS(range_fraction >= 0.0 && range_fraction <= 1.0);
-  PMC_EXPECTS(or_fraction >= 0.0 && or_fraction <= 1.0);
-  PMC_EXPECTS(atoms_min >= 1 && atoms_min <= atoms_max);
-  PMC_EXPECTS(range_width > 0.0 && range_width <= 1.0);
-}
-
-ZipfRanks::ZipfRanks(std::size_t n, double s) {
-  PMC_EXPECTS(n > 0);
-  cdf_.reserve(n);
-  double total = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    total += std::pow(static_cast<double>(r + 1), -s);
-    cdf_.push_back(total);
-  }
-  for (auto& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against rounding
-}
-
-double ZipfRanks::probability(std::size_t rank) const {
-  PMC_EXPECTS(rank < cdf_.size());
-  return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
-}
-
-std::size_t ZipfRanks::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return it == cdf_.end() ? cdf_.size() - 1
-                          : static_cast<std::size_t>(it - cdf_.begin());
-}
-
-ZipfWorkloadGen::ZipfWorkloadGen(ZipfWorkload config)
-    : config_(config),
-      numeric_attr_ranks_(config.numeric_attrs, config.skew),
-      string_attr_ranks_(config.string_attrs, config.skew),
-      value_ranks_(config.values_per_attr, config.skew) {
-  config_.validate();
-}
-
-namespace {
-
-// Built via append (not operator+ on a literal): GCC 12's -Wrestrict trips
-// a false positive on the latter under -O2.
-std::string tagged(char tag, std::size_t i) {
-  std::string s(1, tag);
-  s.append(std::to_string(i));
-  return s;
-}
-
-}  // namespace
-
-std::string ZipfWorkloadGen::numeric_attr(std::size_t i) {
-  return tagged('n', i);
-}
-
-std::string ZipfWorkloadGen::string_attr(std::size_t i) {
-  return tagged('s', i);
-}
-
-std::string ZipfWorkloadGen::string_value(std::size_t rank) {
-  return tagged('v', rank);
-}
-
-Subscription ZipfWorkloadGen::subscription(std::size_t i) const {
-  // Seeded like stable_member: one FNV-1a-derived stream per (seed, i).
-  std::uint64_t h = kFnv1aBasis ^ config_.seed;
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(i));
-  // detlint:allow(rng-discipline) documented (seed, i) labeled stream, independent of deployment size — see stable_member
-  Rng rng(h);
-
-  const auto make_clause = [this, &rng]() -> PredicatePtr {
-    const auto n = static_cast<std::size_t>(rng.next_in(
-        static_cast<std::int64_t>(config_.atoms_min),
-        static_cast<std::int64_t>(config_.atoms_max)));
-    std::vector<PredicatePtr> atoms;
-    atoms.reserve(n * 2);
-    for (std::size_t a = 0; a < n; ++a) {
-      if (rng.bernoulli(config_.range_fraction)) {
-        const auto attr = numeric_attr(numeric_attr_ranks_.sample(rng));
-        const double lo = rng.next_double() * (1.0 - config_.range_width);
-        atoms.push_back(
-            Predicate::compare(attr, CmpOp::Ge, Value(lo)));
-        atoms.push_back(Predicate::compare(attr, CmpOp::Lt,
-                                           Value(lo + config_.range_width)));
-      } else {
-        const auto attr = string_attr(string_attr_ranks_.sample(rng));
-        atoms.push_back(Predicate::compare(
-            attr, CmpOp::Eq, Value(string_value(value_ranks_.sample(rng)))));
-      }
-    }
-    return Predicate::conj(std::move(atoms));
-  };
-
-  auto pred = make_clause();
-  if (rng.bernoulli(config_.or_fraction))
-    pred = Predicate::disj({std::move(pred), make_clause()});
-  return Subscription(std::move(pred));
-}
-
-Event ZipfWorkloadGen::event(std::uint64_t publisher, std::uint64_t sequence,
-                             Rng& rng) const {
-  // The *audience* is skewed, the world is not: subscriptions crowd hot
-  // categories (Zipf), while events draw values uniformly across the
-  // catalog — every stock ticks, subscribers pile onto the hot names. The
-  // skew therefore lives where it stresses the index (hot lanes hold big
-  // clause buckets) without making every event light them all up.
-  Event e(EventId{publisher, sequence});
-  for (std::size_t i = 0; i < config_.numeric_attrs; ++i)
-    e.with(numeric_attr(i), Value(rng.next_double()));
-  for (std::size_t i = 0; i < config_.string_attrs; ++i)
-    e.with(string_attr(i),
-           Value(string_value(rng.next_below(config_.values_per_attr))));
-  return e;
-}
-
 }  // namespace pmc

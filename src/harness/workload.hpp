@@ -14,7 +14,6 @@
 // attribute space) — the favourable case for the tree's locality.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "addr/space.hpp"
@@ -56,71 +55,5 @@ Event make_uniform_event(std::uint64_t publisher, std::uint64_t sequence,
 /// Event with a fixed u (deterministic matching set).
 Event make_event_at(std::uint64_t publisher, std::uint64_t sequence,
                     double u);
-
-// ---------------------------------------------------------------------------
-// Zipf-skewed content-based subscription workload — the *audience* scale
-// axis. Realistic content-based feeds are heavily skewed: a few hot
-// attributes/values draw most subscriptions and most events (stock symbols,
-// game channels), with a long tail. Attribute choice, equality values and
-// event values all follow Zipf ranks so the predicate index is exercised
-// under contention on the hot lanes, not a flat uniform best case.
-
-struct ZipfWorkload {
-  std::size_t subscriptions = 1000;
-  std::size_t numeric_attrs = 4;    ///< "n0".."n3": uniform [0,1) event values
-  std::size_t string_attrs = 4;     ///< "s0".."s3": Zipf-ranked categories
-  std::size_t values_per_attr = 256;  ///< category universe per string attr
-  double skew = 1.1;                ///< Zipf exponent s (rank^-s)
-  double range_fraction = 0.5;      ///< P(atom is a numeric range) vs equality
-  double or_fraction = 0.1;         ///< P(subscription is a 2-clause disjunction)
-  std::size_t atoms_min = 1;        ///< atoms per conjunctive clause
-  std::size_t atoms_max = 3;
-  double range_width = 0.02;        ///< numeric range selectivity
-  std::uint64_t seed = 1;
-
-  void validate() const;
-};
-
-/// Precomputed Zipf(s) CDF over ranks 0..n-1; sampling is one uniform draw
-/// plus a binary search.
-class ZipfRanks {
- public:
-  ZipfRanks(std::size_t n, double s);
-
-  std::size_t size() const noexcept { return cdf_.size(); }
-  double probability(std::size_t rank) const;
-  std::size_t sample(Rng& rng) const;
-
- private:
-  std::vector<double> cdf_;
-};
-
-/// Generator over a ZipfWorkload. Subscription i depends only on
-/// (config.seed, i) — like stable_member, adding subscriptions never
-/// re-shuffles existing ones, so incremental index builds are reproducible.
-class ZipfWorkloadGen {
- public:
-  explicit ZipfWorkloadGen(ZipfWorkload config);
-
-  const ZipfWorkload& config() const noexcept { return config_; }
-
-  /// The i-th subscription (i in [0, config.subscriptions)).
-  Subscription subscription(std::size_t i) const;
-
-  /// An event carrying every attribute: numeric attrs uniform in [0, 1),
-  /// string attrs uniform over the catalog (the subscription side carries
-  /// the Zipf skew — see event() for why).
-  Event event(std::uint64_t publisher, std::uint64_t sequence, Rng& rng) const;
-
-  static std::string numeric_attr(std::size_t i);
-  static std::string string_attr(std::size_t i);
-  static std::string string_value(std::size_t rank);
-
- private:
-  ZipfWorkload config_;
-  ZipfRanks numeric_attr_ranks_;
-  ZipfRanks string_attr_ranks_;
-  ZipfRanks value_ranks_;
-};
 
 }  // namespace pmc

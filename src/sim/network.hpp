@@ -99,6 +99,17 @@ struct NetworkCounters {
   std::uint64_t duplicated = 0;
   std::uint64_t reordered = 0;
 
+  NetworkCounters& operator+=(const NetworkCounters& o) noexcept {
+    sent += o.sent;
+    delivered += o.delivered;
+    lost += o.lost;
+    filtered += o.filtered;
+    dead_target += o.dead_target;
+    duplicated += o.duplicated;
+    reordered += o.reordered;
+    return *this;
+  }
+
   friend bool operator==(const NetworkCounters&, const NetworkCounters&) =
       default;
 };

@@ -15,10 +15,23 @@ constexpr std::uint64_t kMaxCollection = 1 << 20;  // sanity bound on counts
 /// sentinel can neither leave nor enter round arithmetic.
 constexpr std::uint64_t kMaxGossipRound = 1 << 20;
 
+/// Tree depths on the wire are 1-based and fit in a byte.
+constexpr std::uint64_t kMaxDepth = 0xff;
+
+/// Reads a varint that must lie in [lo, hi] and narrows it to T. A value
+/// out of range is a corrupt or hostile frame; truncating it instead would
+/// decode a different, valid-looking message (pid 2^32 + 7 as pid 7).
+template <typename T>
+T checked_varint(Reader& r, const char* what, std::uint64_t lo = 0,
+                 std::uint64_t hi = std::numeric_limits<T>::max()) {
+  const std::uint64_t v = r.varint();
+  if (v < lo || v > hi) throw DecodeError(what);
+  return static_cast<T>(v);
+}
+
 std::uint64_t checked_count(Reader& r) {
-  const std::uint64_t n = r.varint();
-  if (n > kMaxCollection) throw DecodeError("collection too large");
-  return n;
+  return checked_varint<std::uint64_t>(r, "collection too large", 0,
+                                       kMaxCollection);
 }
 
 }  // namespace
@@ -273,12 +286,9 @@ Address decode_address(Reader& r) {
   if (depth == 0) throw DecodeError("empty address");
   std::vector<AddrComponent> comps;
   comps.reserve(static_cast<std::size_t>(depth));
-  for (std::uint64_t i = 0; i < depth; ++i) {
-    const std::uint64_t c = r.varint();
-    if (c > std::numeric_limits<AddrComponent>::max())
-      throw DecodeError("address component out of range");
-    comps.push_back(static_cast<AddrComponent>(c));
-  }
+  for (std::uint64_t i = 0; i < depth; ++i)
+    comps.push_back(
+        checked_varint<AddrComponent>(r, "address component out of range"));
   return Address(std::move(comps));
 }
 
@@ -295,10 +305,7 @@ void encode(Writer& w, const ViewRow& row) {
 
 ViewRow decode_view_row(Reader& r) {
   ViewRow row;
-  const std::uint64_t infix = r.varint();
-  if (infix > std::numeric_limits<AddrComponent>::max())
-    throw DecodeError("infix out of range");
-  row.infix = static_cast<AddrComponent>(infix);
+  row.infix = checked_varint<AddrComponent>(r, "infix out of range");
   const auto delegates = checked_count(r);
   for (std::uint64_t i = 0; i < delegates; ++i)
     row.delegates.push_back(decode_address(r));
@@ -326,9 +333,7 @@ std::vector<DepthRow> decode_depth_rows(Reader& r) {
   const auto n = checked_count(r);
   for (std::uint64_t i = 0; i < n; ++i) {
     DepthRow dr;
-    const std::uint64_t depth = r.varint();
-    if (depth == 0 || depth > 0xff) throw DecodeError("bad row depth");
-    dr.depth = static_cast<std::uint32_t>(depth);
+    dr.depth = checked_varint<std::uint32_t>(r, "bad row depth", 1, kMaxDepth);
     dr.row = decode_view_row(r);
     rows.push_back(std::move(dr));
   }
@@ -484,13 +489,10 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       msg->rate = r.f64();
       if (!(msg->rate >= 0.0 && msg->rate <= 1.0))
         throw DecodeError("rate out of range");
-      const std::uint64_t round = r.varint();
-      if (round > kMaxGossipRound)
-        throw DecodeError("gossip round beyond sanity cap");
-      msg->round = static_cast<std::uint32_t>(round);
-      const std::uint64_t depth = r.varint();
-      if (depth == 0 || depth > 0xff) throw DecodeError("bad gossip depth");
-      msg->depth = static_cast<std::uint32_t>(depth);
+      msg->round = checked_varint<std::uint32_t>(
+          r, "gossip round beyond sanity cap", 0, kMaxGossipRound);
+      msg->depth =
+          checked_varint<std::uint32_t>(r, "bad gossip depth", 1, kMaxDepth);
       msg->no_regossip = r.boolean();
       if (r.boolean()) {
         msg->sender = decode_address(r);
@@ -502,15 +504,14 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     case MessageTag::MembershipDigest: {
       auto msg = std::make_shared<MembershipDigestMsg>();
       msg->sender = decode_address(r);
-      msg->sender_pid = static_cast<ProcessId>(r.varint());
+      msg->sender_pid =
+          checked_varint<ProcessId>(r, "digest sender pid out of range");
       const auto n = checked_count(r);
       for (std::uint64_t i = 0; i < n; ++i) {
         RowDigest d;
-        d.depth = static_cast<std::uint32_t>(r.varint());
-        const std::uint64_t infix = r.varint();
-        if (infix > std::numeric_limits<AddrComponent>::max())
-          throw DecodeError("digest infix out of range");
-        d.infix = static_cast<AddrComponent>(infix);
+        d.depth =
+            checked_varint<std::uint32_t>(r, "bad digest depth", 1, kMaxDepth);
+        d.infix = checked_varint<AddrComponent>(r, "digest infix out of range");
         d.version = r.varint();
         msg->digests.push_back(d);
       }
@@ -527,9 +528,9 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     case MessageTag::JoinRequest: {
       auto msg = std::make_shared<JoinRequestMsg>();
       msg->joiner = decode_address(r);
-      msg->joiner_pid = static_cast<ProcessId>(r.varint());
+      msg->joiner_pid = checked_varint<ProcessId>(r, "joiner pid out of range");
       msg->subscription = decode_subscription(r);
-      msg->hops = static_cast<std::uint32_t>(r.varint());
+      msg->hops = checked_varint<std::uint32_t>(r, "join hops out of range");
       out = std::move(msg);
       break;
     }
@@ -549,14 +550,15 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     case MessageTag::FloodGossip: {
       auto msg = std::make_shared<FloodGossipMsg>();
       msg->event = std::make_shared<const Event>(decode_event(r));
-      msg->round = static_cast<std::uint32_t>(r.varint());
+      msg->round = checked_varint<std::uint32_t>(r, "flood round out of range");
       out = std::move(msg);
       break;
     }
     case MessageTag::GenuineGossip: {
       auto msg = std::make_shared<GenuineGossipMsg>();
       msg->event = std::make_shared<const Event>(decode_event(r));
-      msg->round = static_cast<std::uint32_t>(r.varint());
+      msg->round =
+          checked_varint<std::uint32_t>(r, "genuine round out of range");
       out = std::move(msg);
       break;
     }

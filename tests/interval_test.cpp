@@ -113,8 +113,8 @@ TEST(Interval, MergeProducesHull) {
 
 TEST(Interval, LeVersusLtAtEqualEndpoints) {
   // [0,1] ∩ [1,2] is the point {1}; opening either side of the shared
-  // endpoint empties it. The predicate index fuses Le/Lt (and Ge/Gt)
-  // atoms into one interval per clause, so these boundary cases decide
+  // endpoint empties it. Regrouping fuses Le/Lt (and Ge/Gt) atoms on one
+  // attribute into one interval per clause, so these boundary cases decide
   // whether e.g. `c >= 1 && c <= 1` keeps a clause alive.
   EXPECT_FALSE(
       Interval::closed(0.0, 1.0).intersect(Interval::closed(1.0, 2.0)).empty());

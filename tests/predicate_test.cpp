@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 namespace pmc {
 namespace {
 
@@ -126,7 +129,7 @@ TEST(Predicate, NegationOfComparisonStaysANotNode) {
 // Absent-attribute semantics lock: a comparison on an attribute the event
 // does not carry is false, and Not flips it. Therefore Not(Eq(a, v)) matches
 // an event lacking `a` while the op-negated Ne(a, v) does not — any
-// normalization (negation(), index decomposition, ...) that collapses the
+// normalization (negation(), regrouping, ...) that collapses the
 // two is wrong.
 TEST(Predicate, NotOfCompareDiffersFromOpNegationOnAbsentAttribute) {
   const auto absent = Event{}.with("other", Value(1));
@@ -176,6 +179,43 @@ TEST(Predicate, NotMatchSemantics) {
       {Predicate::compare("b", CmpOp::Eq, Value(2)),
        Predicate::compare("e", CmpOp::Eq, Value("Tom"))}));
   EXPECT_TRUE(p->match(e));  // inner And is false (e != Tom)
+}
+
+TEST(Predicate, NanAndInfinityFollowIeeeComparisons) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto matches = [](double u, CmpOp op, double target) {
+    return Predicate::compare("u", op, Value(target))
+        ->match(Event{}.with("u", Value(u)));
+  };
+
+  // NaN on either side: every ordered comparison and Eq is false, Ne true.
+  for (const double x : {0.5, kInf, -kInf, kNaN}) {
+    for (const auto& [u, target] : {std::pair{kNaN, x}, std::pair{x, kNaN}}) {
+      EXPECT_FALSE(matches(u, CmpOp::Eq, target)) << u << " == " << target;
+      EXPECT_TRUE(matches(u, CmpOp::Ne, target)) << u << " != " << target;
+      EXPECT_FALSE(matches(u, CmpOp::Lt, target)) << u << " < " << target;
+      EXPECT_FALSE(matches(u, CmpOp::Le, target)) << u << " <= " << target;
+      EXPECT_FALSE(matches(u, CmpOp::Gt, target)) << u << " > " << target;
+      EXPECT_FALSE(matches(u, CmpOp::Ge, target)) << u << " >= " << target;
+    }
+  }
+
+  // u > +inf never matches, u >= +inf matches +inf alone, and u >= -inf
+  // matches every non-NaN u.
+  for (const double u : {-kInf, -1e300, -1.0, -0.0, 0.0, 0.5, 1e300, kInf}) {
+    EXPECT_FALSE(matches(u, CmpOp::Gt, kInf)) << u;
+    EXPECT_EQ(matches(u, CmpOp::Ge, kInf), u == kInf) << u;
+    EXPECT_TRUE(matches(u, CmpOp::Ge, -kInf)) << u;
+  }
+
+  // Not flips a comparison that NaN made false.
+  const auto not_lt = Predicate::negation(
+      Predicate::compare("u", CmpOp::Lt, Value(0.5)));
+  EXPECT_TRUE(not_lt->match(Event{}.with("u", Value(kNaN))));
+  const auto not_eq_nan = Predicate::negation(
+      Predicate::compare("u", CmpOp::Eq, Value(kNaN)));
+  EXPECT_TRUE(not_eq_nan->match(Event{}.with("u", Value(kNaN))));
 }
 
 TEST(Predicate, AccessorContracts) {

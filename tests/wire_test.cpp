@@ -334,6 +334,88 @@ TEST(WireMessage, TrailingBytesRejected) {
   EXPECT_THROW(wire::decode_message(bytes), DecodeError);
 }
 
+// Hand-built frames for the integer fields the decoder narrows to 32 bits
+// (or to a depth byte): a value that does not fit must be rejected, never
+// truncated into a different, valid-looking message.
+constexpr std::uint64_t kPastU32 = (1ULL << 32) + 7;
+
+std::vector<std::uint8_t> digest_frame(std::uint64_t sender_pid,
+                                       std::uint64_t depth) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(wire::MessageTag::MembershipDigest));
+  wire::encode(w, Address::parse("1.2"));
+  w.varint(sender_pid);
+  w.varint(1);  // one row digest
+  w.varint(depth);
+  w.varint(3);  // infix
+  w.varint(9);  // version
+  return std::move(w).take();
+}
+
+std::vector<std::uint8_t> join_frame(std::uint64_t joiner_pid,
+                                     std::uint64_t hops) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(wire::MessageTag::JoinRequest));
+  wire::encode(w, Address::parse("3.3"));
+  w.varint(joiner_pid);
+  wire::encode(w, Subscription::parse("u < 0.5"));
+  w.varint(hops);
+  return std::move(w).take();
+}
+
+std::vector<std::uint8_t> round_frame(wire::MessageTag tag,
+                                      std::uint64_t round) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(tag));
+  wire::encode(w, make_event_at(0, 1, 0.3));
+  w.varint(round);
+  return std::move(w).take();
+}
+
+TEST(WireMessage, DigestSenderPidAndDepthMustFit) {
+  const auto ok = wire::decode_message(digest_frame(5, 2));
+  const auto* digest = dynamic_cast<const MembershipDigestMsg*>(ok.get());
+  ASSERT_NE(digest, nullptr);
+  EXPECT_EQ(digest->sender_pid, 5u);
+  ASSERT_EQ(digest->digests.size(), 1u);
+  EXPECT_EQ(digest->digests[0].depth, 2u);
+
+  EXPECT_THROW(wire::decode_message(digest_frame(kPastU32, 2)), DecodeError);
+  // Row digest depths share DepthRow's 1..255 range.
+  EXPECT_THROW(wire::decode_message(digest_frame(5, 1ULL << 32)),
+               DecodeError);
+  EXPECT_THROW(wire::decode_message(digest_frame(5, 0)), DecodeError);
+  EXPECT_THROW(wire::decode_message(digest_frame(5, 256)), DecodeError);
+}
+
+TEST(WireMessage, JoinRequestPidAndHopsMustFit) {
+  const auto ok = wire::decode_message(join_frame(15, 2));
+  const auto* join = dynamic_cast<const JoinRequestMsg*>(ok.get());
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(join->joiner_pid, 15u);
+  EXPECT_EQ(join->hops, 2u);
+
+  // Truncated, pid 2^32 + 7 would address the view transfer to pid 7.
+  EXPECT_THROW(wire::decode_message(join_frame(kPastU32, 2)), DecodeError);
+  EXPECT_THROW(wire::decode_message(join_frame(15, kPastU32)), DecodeError);
+}
+
+TEST(WireMessage, BaselineGossipRoundsMustFit) {
+  const auto flood =
+      wire::decode_message(round_frame(wire::MessageTag::FloodGossip, 4));
+  EXPECT_EQ(dynamic_cast<const FloodGossipMsg&>(*flood).round, 4u);
+  const auto genuine =
+      wire::decode_message(round_frame(wire::MessageTag::GenuineGossip, 4));
+  EXPECT_EQ(dynamic_cast<const GenuineGossipMsg&>(*genuine).round, 4u);
+
+  for (const auto tag :
+       {wire::MessageTag::FloodGossip, wire::MessageTag::GenuineGossip}) {
+    EXPECT_THROW(wire::decode_message(round_frame(tag, kPastU32)),
+                 DecodeError)
+        << static_cast<int>(tag);
+  }
+}
+
 TEST(WireMessage, FuzzRandomBytesNeverCrash) {
   // Decoders must reject garbage with DecodeError, never UB/crash.
   Rng rng(0xf0220ULL);

@@ -135,101 +135,5 @@ TEST(MakeEventAt, Deterministic) {
   EXPECT_DOUBLE_EQ(e.get(kUniformAttr)->as_double(), 0.75);
 }
 
-// ---------------------------------------------------------------------------
-// Zipf workload
-
-TEST(ZipfRanks, CdfIsMonotoneAndNormalized) {
-  const ZipfRanks ranks(64, 1.1);
-  ASSERT_EQ(ranks.size(), 64u);
-  double prev = 0.0;
-  double sum = 0.0;
-  for (std::size_t r = 0; r < ranks.size(); ++r) {
-    const double p = ranks.probability(r);
-    EXPECT_GT(p, 0.0);
-    sum += p;
-    // Zipf: probabilities are strictly decreasing with rank.
-    if (r > 0) {
-      EXPECT_LT(p, prev);
-    }
-    prev = p;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(ZipfRanks, SamplingFollowsTheSkew) {
-  const ZipfRanks ranks(16, 1.1);
-  Rng rng(42);
-  std::vector<std::size_t> counts(16, 0);
-  constexpr std::size_t kDraws = 20000;
-  for (std::size_t i = 0; i < kDraws; ++i) ++counts[ranks.sample(rng)];
-  // Rank 0 should dominate rank 15 by roughly 16^1.1 ≈ 21x; require a
-  // loose 5x so the test never flakes on RNG noise.
-  EXPECT_GT(counts[0], counts[15] * 5);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / kDraws,
-              ranks.probability(0), 0.02);
-}
-
-TEST(ZipfWorkloadGen, SubscriptionsAreSeedStable) {
-  ZipfWorkload a;
-  a.subscriptions = 100;
-  a.seed = 7;
-  ZipfWorkload b = a;
-  b.subscriptions = 100000;  // a much larger deployment...
-  const ZipfWorkloadGen small(a), large(b);
-  // ...must not re-shuffle the subscriptions the small one already had:
-  // subscription i depends only on (seed, i), like stable_member.
-  for (std::size_t i = 0; i < a.subscriptions; ++i) {
-    EXPECT_EQ(small.subscription(i).to_string(),
-              large.subscription(i).to_string())
-        << "subscription " << i << " depends on the deployment size";
-  }
-  // Different seeds must diverge somewhere.
-  ZipfWorkload c = a;
-  c.seed = 8;
-  const ZipfWorkloadGen other(c);
-  bool any_differ = false;
-  for (std::size_t i = 0; i < a.subscriptions && !any_differ; ++i)
-    any_differ = small.subscription(i).to_string() !=
-                 other.subscription(i).to_string();
-  EXPECT_TRUE(any_differ);
-}
-
-TEST(ZipfWorkloadGen, EventsCarryEveryAttribute) {
-  ZipfWorkload w;
-  w.numeric_attrs = 3;
-  w.string_attrs = 2;
-  w.values_per_attr = 8;
-  const ZipfWorkloadGen gen(w);
-  Rng rng(5);
-  const Event e = gen.event(4, 9, rng);
-  EXPECT_EQ(e.id().publisher, 4u);
-  EXPECT_EQ(e.id().sequence, 9u);
-  for (std::size_t i = 0; i < w.numeric_attrs; ++i) {
-    const auto v = e.get(ZipfWorkloadGen::numeric_attr(i));
-    ASSERT_TRUE(v.has_value());
-    EXPECT_GE(v->as_double(), 0.0);
-    EXPECT_LT(v->as_double(), 1.0);
-  }
-  for (std::size_t i = 0; i < w.string_attrs; ++i) {
-    const auto v = e.get(ZipfWorkloadGen::string_attr(i));
-    ASSERT_TRUE(v.has_value());
-    // Value is one of the catalog's v0..v7.
-    const auto& s = v->as_string();
-    ASSERT_GT(s.size(), 1u);
-    EXPECT_EQ(s[0], 'v');
-    EXPECT_LT(std::stoul(s.substr(1)), w.values_per_attr);
-  }
-}
-
-TEST(ZipfWorkloadGen, InvalidConfigRejected) {
-  ZipfWorkload w;
-  w.subscriptions = 0;
-  EXPECT_THROW((void)ZipfWorkloadGen(w), std::logic_error);
-  ZipfWorkload w2;
-  w2.atoms_min = 3;
-  w2.atoms_max = 2;
-  EXPECT_THROW((void)ZipfWorkloadGen(w2), std::logic_error);
-}
-
 }  // namespace
 }  // namespace pmc

@@ -29,15 +29,6 @@ Usage:
         half is skipped with a note when the recording host had fewer than
         8 cores (the cores column) — the identity half always applies.
 
-    check_bench_json.py --gate-filter FILTER_FILE [FILE...]
-        Additionally require FILTER_FILE (a table_filter --json dump) to
-        show the predicate index returning the same matched count as the
-        naive scan on EVERY row (the oracle claim), and to spend at most
-        a tenth of the naive scan's work at the 1,000,000-subscription
-        row: naive evals / index work >= 10. Skips the ratio check with a
-        note when the run was capped below 10^6 subscriptions (smoke) —
-        the matched-count identity always applies.
-
     check_bench_json.py --gate-figures FIG_FILE [--gate-figures FIG_FILE2]
         Additionally require every FIG_FILE (a fig4_delivery /
         fig6_scalability --json dump; the flag repeats) to carry a
@@ -61,16 +52,6 @@ queue loses most of its win, not on scheduler-neutral machine noise. A
 single run of each can still catch a noisy stretch on a shared host, so CI
 runs several interleaved repetitions (--benchmark_repetitions with
 --benchmark_enable_random_interleaving) and the gate compares medians.
-
-The filter gate is counter-based like the scheduler gate: `naive evals`
-counts Predicate::match calls in the naive scan (subscriptions x events)
-and `index work` counts the index's touched units (lane searches, atom
-visits, candidate checks, fallback evals, matches) over the same stream.
-Both are deterministic functions of the workload, so the 10x bar measures
-the data structure, not the machine. The committed BENCH_filter.json
-records ~20x at every row — the gate trips on algorithmic regressions
-(a lane degenerating to linear credit, the scan bucket swallowing the
-workload), not on noise.
 
 The memory gate is machine-independent for the same reason: bytes per
 process (peak RSS / live processes) is a property of the data layout, not
@@ -96,8 +77,6 @@ PAR_GATE_PROCESSES = 100_000
 PAR_GATE_THREADS = 8
 PAR_GATE_MIN_SPEEDUP = 2.0
 PAR_GATE_COUNTERS = ("sched ops", "msgs sent", "delivered")
-FILTER_GATE_SUBS = 1_000_000
-FILTER_GATE_MIN_RATIO = 10.0
 # Stable-phase delivery-ratio floors per scenario. The committed
 # snapshots are single deterministic runs (fixed seed), so the measured
 # ratios are exact; the floors sit ~3-5 points below them so the gate
@@ -314,73 +293,6 @@ def gate_parallel(doc, path):
     )
 
 
-def gate_filter(doc, path):
-    """Index matched counts must equal the naive scan's on every row, and
-    the index must do <= a tenth of the naive work at the 10^6 row."""
-    for t in doc["tables"]:
-        headers = t["headers"]
-        try:
-            subs_col = headers.index("subs")
-            evals_col = headers.index("naive evals")
-            work_col = headers.index("index work")
-            mn_col = headers.index("matched naive")
-            mi_col = headers.index("matched index")
-        except ValueError:
-            continue
-        # Oracle half: the index and the naive scan must agree on every
-        # row, at every scale — machine-independent, never skipped. (The
-        # bench itself already compares per-event id sets and hard-fails;
-        # this re-checks the committed snapshot was produced by a passing
-        # run, not hand-edited or truncated.)
-        for row in t["rows"]:
-            if row[mn_col] != row[mi_col]:
-                fail(
-                    f"{path}: matched naive ({row[mn_col]!r}) != matched "
-                    f"index ({row[mi_col]!r}) at subs={row[subs_col]!r} — "
-                    f"the predicate index diverged from the "
-                    f"Predicate::match oracle"
-                )
-        print(
-            f"check_bench_json: filter oracle: index matched counts equal "
-            f"naive on all {len(t['rows'])} row(s)"
-        )
-        # Work half: counter-based, so machine-independent too, but it
-        # needs the full-size row; smoke runs cap the axis and skip it.
-        big = [
-            r for r in t["rows"]
-            if float(r[subs_col]) >= FILTER_GATE_SUBS
-        ]
-        if not big:
-            print(
-                f"check_bench_json: NOTE: no row with subs >= "
-                f"{FILTER_GATE_SUBS} in {path} (run capped for smoke?) — "
-                f"filter work-ratio gate skipped"
-            )
-            return
-        row = big[0]
-        evals = float(row[evals_col])
-        work = float(row[work_col])
-        if work <= 0:
-            fail(f"{path}: index work is {row[work_col]!r} at the "
-                 f"{FILTER_GATE_SUBS}-subscription row")
-        ratio = evals / work
-        print(
-            f"check_bench_json: filter @{FILTER_GATE_SUBS} subs: "
-            f"{evals:.0f} naive evals / {work:.0f} index work = "
-            f"{ratio:.1f}x (required >= {FILTER_GATE_MIN_RATIO:.0f})"
-        )
-        if ratio < FILTER_GATE_MIN_RATIO:
-            fail(
-                f"naive/index work ratio {ratio:.1f} < "
-                f"{FILTER_GATE_MIN_RATIO:.0f}: the predicate index lost "
-                f"its sublinear envelope at {FILTER_GATE_SUBS} "
-                f"subscriptions"
-            )
-        return
-    fail(f"{path}: no table with subs/naive evals/index work/matched "
-         f"columns (is this a table_filter --json dump?)")
-
-
 def gate_figures(doc, path):
     """Adversarial scenario rows: exactly-once + delivery floors + the
     injector audit counters. Everything here is a deterministic event
@@ -467,22 +379,18 @@ def main(argv):
     gate_file = None
     mem_file = None
     par_file = None
-    filter_file = None
     figure_files = []  # --gate-figures repeats: one per fig bench
     files = []
     i = 0
     while i < len(args):
         if args[i] in ("--gate-scheduler", "--gate-memory",
-                       "--gate-parallel", "--gate-filter",
-                       "--gate-figures"):
+                       "--gate-parallel", "--gate-figures"):
             if i + 1 >= len(args):
                 fail(f"{args[i]} needs a JSON file")
             if args[i] == "--gate-scheduler":
                 gate_file = args[i + 1]
             elif args[i] == "--gate-memory":
                 mem_file = args[i + 1]
-            elif args[i] == "--gate-filter":
-                filter_file = args[i + 1]
             elif args[i] == "--gate-figures":
                 figure_files.append(args[i + 1])
             else:
@@ -521,9 +429,6 @@ def main(argv):
 
     if par_file is not None:
         gate_parallel(docs[par_file], par_file)
-
-    if filter_file is not None:
-        gate_filter(docs[filter_file], filter_file)
 
     for path in figure_files:
         gate_figures(docs[path], path)
