@@ -29,9 +29,10 @@
 // micro_benchmarks scheduler figure.
 //
 // The 100k sharded row additionally runs at 2 and 8 worker threads — same
-// deployment, byte-identical counters (the barrier engine guarantees it),
-// only wall-clock may move. check_bench_json.py --gate-parallel reads the
-// threads/cores columns to verify both the identity and the speedup.
+// deployment, byte-identical counters (shards share nothing during a run,
+// so lanes cannot change outcomes), only wall-clock may move.
+// check_bench_json.py --gate-parallel reads the threads/cores columns to
+// verify both the identity and the speedup.
 //
 // `--max-processes N` skips rows larger than N (the perf-smoke CI job runs
 // a small prefix); `--json <file>` writes the pmcast-bench-v1 schema —
@@ -230,8 +231,8 @@ int main(int argc, char** argv) {
                  "shard\n";
     Table t(kHeaders);
     // The 100k row is the parallel yardstick: re-run it on 2 and 8 lanes.
-    // The counters must not move a bit (the barrier engine is
-    // byte-identical at any thread count); only run-ms may.
+    // The counters must not move a bit (shards share nothing during a
+    // run, so any thread count is byte-identical); only run-ms may.
     constexpr std::size_t kParallelRowShards = 3125;
     for (const std::size_t shards : {32, 312, 3125, 31250}) {
       const std::size_t n = shards * 32;  // 1024, 9984, 100000, 1000000

@@ -1,4 +1,4 @@
-// TAB-SHARDS — multi-group scaling: K topic shards on one runtime.
+// TAB-SHARDS — multi-group scaling: K topic shards, one runtime each.
 //
 // The paper's scalability argument (Sec. 2.2, 4.3) is per-group: views and
 // message costs stay bounded because each process only tracks its slice of
@@ -109,7 +109,7 @@ void run_section(const char* title, const std::vector<Shape>& shapes,
 int main(int argc, char** argv) {
   bench::JsonWriter json(argc, argv, "table_shards");
   bench::print_header(
-      "TAB-SHARDS", "multi-group scaling (topic shards on one runtime)",
+      "TAB-SHARDS", "multi-group scaling (topic shards, one runtime each)",
       "per-shard script: publish 4, crash 1, publish 4; cross publishers "
       "span 2 shards; eps=0.02, R=2, pd=0.5, horizon 1.8s");
 

@@ -1,16 +1,15 @@
-// Topic shards: four independent pmcast groups hosted on ONE simulated
-// runtime, each running the full membership + dissemination stack, with
-// cross-shard publishers whose events enter several shards through the
-// shard router — the multi-group deployment shape behind the "millions of
-// users" north star.
+// Topic shards: four independent pmcast groups, each on its own simulated
+// runtime and each running the full membership + dissemination stack, with
+// cross-shard publishers whose events are injected into every shard they
+// span — the multi-group deployment shape of many topics side by side.
 //
 // The demo then proves the two properties the sharded runtime is built
 // around:
 //   1. reproducibility — replaying the same config and scripts yields
 //      byte-identical per-shard and aggregate summaries;
 //   2. isolation — adding a churn action to shard 0's script leaves every
-//      other shard's summary byte-identical, even though all shards share
-//      the network, the scheduler and the wall-clock.
+//      other shard's summary byte-identical, even though all shards run in
+//      the same process and advance through the same run_until calls.
 #include <iostream>
 
 #include "harness/shard.hpp"

@@ -31,6 +31,9 @@ constexpr std::uint64_t kActionStreamSalt = 0xac710095;
 
 constexpr SimTime kMaxTime = std::numeric_limits<SimTime>::max();
 
+/// Gossip periods per adaptive-estimator sampling window.
+constexpr SimTime kEnvWindowPeriods = 4;
+
 using RngPtr = std::shared_ptr<Rng>;
 
 std::string format_time(SimTime t) {
@@ -923,7 +926,6 @@ void ChurnConfig::validate() const {
   PMC_EXPECTS(period > 0);
   PMC_EXPECTS(suspicion_timeout > 0);
   PMC_EXPECTS(adaptive_alpha > 0.0 && adaptive_alpha <= 1.0);
-  PMC_EXPECTS(adaptive_interval >= 0);
   PMC_EXPECTS(capacity() >= 2);
 }
 
@@ -1046,10 +1048,7 @@ ChurnSim::ChurnSim(ChurnConfig config, GroupPlacement placement)
   for (const auto i : picks) spawn(i, /*founder=*/true, kNoProcess);
 
   if (config_.adaptive) {
-    adaptive_interval_ = config_.adaptive_interval > 0
-                             ? config_.adaptive_interval
-                             : 4 * config_.period;
-    rt_.scheduler().schedule_after(adaptive_interval_,
+    rt_.scheduler().schedule_after(kEnvWindowPeriods * config_.period,
                                    [this] { sample_environment(); });
   }
 }
@@ -1215,7 +1214,7 @@ void ChurnSim::sample_environment() {
     slot.env_cursor = EnvCursor{s.digests_sent, s.digest_acks,
                                 s.deaths_observed};
   }
-  rt_.scheduler().schedule_after(adaptive_interval_,
+  rt_.scheduler().schedule_after(kEnvWindowPeriods * config_.period,
                                   [this] { sample_environment(); });
 }
 

@@ -276,10 +276,9 @@ struct ChurnConfig {
   /// the Eq. 11 round bound with the live estimate instead of the static
   /// `loss` prior. Deterministic: estimation is pure counter arithmetic.
   bool adaptive = false;
-  /// EWMA weight per estimator sampling window, in (0, 1].
+  /// EWMA weight per estimator sampling window (4 gossip periods), in
+  /// (0, 1].
   double adaptive_alpha = 0.3;
-  /// Length of one estimator sampling window; 0 = 4 gossip periods.
-  SimTime adaptive_interval = 0;
 
   std::uint64_t seed = 42;
 
@@ -442,10 +441,10 @@ class ChurnSim {
   /// [pid_base(), pid_base() + 2 * capacity).
   ProcessId pid_base() const noexcept { return pid_base_; }
 
-  /// Router entry point for cross-shard publishers: publishes the event
-  /// (id, u) from a live member picked with `rng` (the caller's stream, so
-  /// this group's own draws are untouched). Returns false (and counts a
-  /// skip) when the group has no live member.
+  /// Entry point for cross-shard publishers: publishes the event (id, u)
+  /// from a live member picked with `rng` (the caller's stream, so this
+  /// group's own draws are untouched). Returns false (and counts a skip)
+  /// when the group has no live member.
   bool publish_external(const EventId& id, double u, Rng& rng);
 
   std::size_t live_count() const noexcept;
@@ -499,8 +498,8 @@ class ChurnSim {
 
   /// One estimator sampling window: feeds every live slot's estimator the
   /// feedback/churn deltas since the last window, then re-schedules itself
-  /// `adaptive_interval_` later. Pure counter arithmetic — no RNG draws —
-  /// so co-hosted shards are provably unaffected.
+  /// one window (4 gossip periods) later. Pure counter arithmetic — no RNG
+  /// draws — so co-hosted shards are provably unaffected.
   void sample_environment();
 
   std::vector<std::size_t> live_slots() const;
@@ -516,7 +515,6 @@ class ChurnSim {
   Interns interns_;
   ProcessId pid_base_ = 0;
   std::uint64_t stream_salt_ = 0;  ///< 0 for a standalone group
-  SimTime adaptive_interval_ = 0;  ///< resolved sampling window (adaptive)
   std::unique_ptr<GroupTree> oracle_;  ///< intended membership bookkeeping
   std::vector<Slot> slots_;
   /// Dense AddrId -> slot directory (every slot address is interned up

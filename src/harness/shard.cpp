@@ -50,12 +50,17 @@ void ShardedConfig::validate() const {
   for (const auto s : adaptive_shards) PMC_EXPECTS(s < shards);
   // Two protocol nodes per address, across every shard, must stay within
   // the same sanity bound ChurnConfig imposes on a single group — and the
-  // pid ranges must fit comfortably in ProcessId.
-  PMC_EXPECTS(total_capacity() <= (std::size_t{1} << 22));
-  PMC_EXPECTS(barrier_interval >= 0);
+  // pid ranges must fit comfortably in ProcessId. Divided, not multiplied,
+  // so a huge shard count cannot wrap the product back under the bound.
+  constexpr std::size_t kSanityBound = std::size_t{1} << 22;
+  PMC_EXPECTS(shards <= kSanityBound / shard.capacity());
   if (cross.publishers > 0) {
     PMC_EXPECTS(cross.span >= 1 && cross.span <= shards);
     PMC_EXPECTS(cross.events >= 1);
+    // The constructor pre-schedules publishers x events x span injections.
+    PMC_EXPECTS(cross.events <= kSanityBound / cross.span);
+    PMC_EXPECTS(cross.publishers <=
+                kSanityBound / (cross.events * cross.span));
     PMC_EXPECTS(cross.start >= 0);
     PMC_EXPECTS(cross.spacing >= 0);
     if (cross.spacing > 0) {
@@ -69,52 +74,6 @@ void ShardedConfig::validate() const {
                   std::numeric_limits<SimTime>::max() - spread);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// ShardRouter
-// ---------------------------------------------------------------------------
-
-ShardRouter::ShardRouter(std::vector<ChurnSim*> shards,
-                         std::vector<Rng> picks)
-    : shards_(std::move(shards)), picks_(std::move(picks)) {
-  PMC_EXPECTS(!shards_.empty());
-  PMC_EXPECTS(picks_.size() == shards_.size());
-  for (const auto* shard : shards_) PMC_EXPECTS(shard != nullptr);
-  pending_.resize(shards_.size() + 1);
-}
-
-void ShardRouter::enqueue(const EventId& id, double u,
-                          std::span<const std::size_t> targets,
-                          std::size_t source) {
-  const std::size_t slot = source == kExternalSource ? 0 : source + 1;
-  PMC_EXPECTS(slot < pending_.size());
-  Pending p{id, u, {}};
-  p.targets.reserve(targets.size());
-  for (const auto t : targets) {
-    PMC_EXPECTS(t < shards_.size());
-    p.targets.push_back(t);
-  }
-  pending_[slot].push_back(std::move(p));
-}
-
-bool ShardRouter::publish_into(std::size_t target, const EventId& id,
-                               double u) {
-  PMC_EXPECTS(target < shards_.size());
-  return shards_[target]->publish_external(id, u, picks_[target]);
-}
-
-std::uint64_t ShardRouter::drain() {
-  std::uint64_t landed = 0;
-  for (auto& buffer : pending_) {
-    for (const auto& p : buffer) {
-      for (const auto t : p.targets) {
-        if (publish_into(t, p.id, p.u)) ++landed;
-      }
-    }
-    buffer.clear();
-  }
-  return landed;
 }
 
 // ---------------------------------------------------------------------------
@@ -141,8 +100,6 @@ std::string ShardedSummary::to_string(bool per_shard) const {
 
 ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
   config_.validate();
-  barrier_interval_ = config_.barrier_interval > 0 ? config_.barrier_interval
-                                                   : config_.shard.period;
 
   GroupPlacement placement;
   // Every runtime is seeded with the *master* seed: labeled streams are
@@ -155,9 +112,7 @@ ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
 
   const std::size_t capacity = config_.shard.capacity();
   shards_.reserve(config_.shards);
-  cross_.resize(config_.shards);
-  std::vector<Rng> picks;
-  picks.reserve(config_.shards);
+  cross_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     ChurnConfig cfg = config_.shard;
     // Per-shard subscription seed: same address, different shard -> an
@@ -172,17 +127,12 @@ ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
     // cover only that range, while draw labels still use the global pid.
     placement.pid_base = static_cast<ProcessId>(s * 2 * capacity);
     placement.stream_salt = shard_tag(kShardStreamSalt, s);
-    shards_.push_back(std::make_unique<ChurnSim>(cfg, placement));
     // A LossBurst's set_loss lands on the shard's own network, so loss is
     // scoped to the shard by construction.
-    picks.push_back(
-        shard_runtime(s).make_stream(shard_tag(kRouterPickSalt, s)));
+    shards_.push_back(std::make_unique<ChurnSim>(cfg, placement));
+    cross_.push_back(ShardCross{
+        shard_runtime(s).make_stream(shard_tag(kRouterPickSalt, s))});
   }
-
-  std::vector<ChurnSim*> raw;
-  raw.reserve(shards_.size());
-  for (const auto& shard : shards_) raw.push_back(shard.get());
-  router_ = std::make_unique<ShardRouter>(std::move(raw), std::move(picks));
   schedule_cross_publishers();
 
   pool_ = std::make_unique<WorkerPool>(
@@ -216,19 +166,14 @@ void ShardedSim::play_all(const ScenarioScript& script) {
 void ShardedSim::run_for(SimTime duration) { run_until(now_ + duration); }
 
 void ShardedSim::run_until(SimTime deadline) {
-  while (now_ < deadline) {
-    const SimTime target = std::min(deadline, now_ + barrier_interval_);
-    // Within the epoch every shard advances alone: no shared mutable
-    // state, so lane assignment cannot affect outcomes. The pool's run()
-    // is the barrier that publishes every shard's writes back.
-    pool_->run(shards_.size(), [this, target](std::size_t s) {
-      shards_[s]->run_until(target);
-    });
-    now_ = target;
-    // Exchange buffered cross publishes at the barrier, in (source,
-    // enqueue) order; they land at t = now and unfold next epoch.
-    cross_drained_ += router_->drain();
-  }
+  if (deadline <= now_) return;
+  // Shards share no mutable state, so each lane advances its stripe
+  // straight to the deadline and lane assignment cannot affect outcomes.
+  // The pool's run() is the barrier that publishes every shard's writes.
+  pool_->run(shards_.size(), [this, deadline](std::size_t s) {
+    shards_[s]->run_until(deadline);
+  });
+  now_ = deadline;
 }
 
 void ShardedSim::schedule_cross_publishers() {
@@ -255,7 +200,7 @@ void ShardedSim::schedule_cross_publishers() {
               ShardCross& c = cross_[s];
               ++c.runs;
               if (primary) ++c.primary;
-              if (router_->publish_into(s, id, u)) ++c.landed;
+              if (shards_[s]->publish_external(id, u, c.picks)) ++c.landed;
             });
       }
     }
@@ -263,7 +208,7 @@ void ShardedSim::schedule_cross_publishers() {
 }
 
 std::uint64_t ShardedSim::cross_published() const noexcept {
-  std::uint64_t landed = cross_drained_;
+  std::uint64_t landed = 0;
   for (const auto& c : cross_) landed += c.landed;
   return landed;
 }

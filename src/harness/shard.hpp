@@ -22,22 +22,21 @@
 // cannot leak by construction.
 //
 // Threading and determinism: isolation is also what makes deterministic
-// parallelism safe. Shards share no mutable state, so ShardedSim advances
-// them in fixed barrier epochs: within an epoch every shard runs
-// independently (run_until the epoch end) on a WorkerPool lane; at the
-// barrier, cross-shard router publishes buffered during the epoch are
-// exchanged in (source shard, enqueue) order and pre-scheduled injections
-// carry on. Every per-shard input — RNG streams, event order, epoch
-// boundaries, exchange order — is independent of which lane ran which
-// shard, so a T-thread run produces byte-identical per-shard and
-// aggregate summaries to threads = 1 (the serial reference, which runs
-// the same epoch loop inline). tests/repro_golden_test.cpp pins the
-// fingerprints at T = 1, 2, and 8.
+// parallelism safe. Shards share nothing while they run — cross-shard
+// publishers reach a shard only through injections pre-scheduled in that
+// shard's own queue, drawing on that shard's own publisher-pick stream —
+// so run_until hands every shard to a WorkerPool lane and each lane
+// advances its stripe straight to the deadline. Every per-shard input
+// (RNG streams, event order, injections) is independent of which lane ran
+// which shard and of how the caller slices time into run_until calls, so a
+// T-thread run produces byte-identical per-shard and aggregate summaries
+// to threads = 1 (the serial reference, which runs the same call inline in
+// index order). tests/repro_golden_test.cpp pins the fingerprints at
+// T = 1, 2, and 8.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -79,66 +78,10 @@ struct ShardedConfig {
   /// one per hardware core. Results are byte-identical for every value —
   /// the thread count decides wall-clock, never outcomes.
   std::size_t threads = 1;
-  /// Barrier epoch length: shards advance independently for this long,
-  /// then exchange buffered router publishes. 0 = one gossip period.
-  /// Affects when dynamically enqueued cross publishes land (they apply
-  /// at the next barrier), not any shard-local outcome.
-  SimTime barrier_interval = 0;
 
   /// Processes hosted across all shards (2 protocol nodes per address).
   std::size_t total_capacity() const;
   void validate() const;  ///< PMC_EXPECTS on every range above
-};
-
-/// Routes publishes into topic shards. Each shard has its own labeled
-/// publisher-pick stream, so routing an event into shard A never consumes
-/// a draw shard B's picks depend on.
-class ShardRouter {
- public:
-  /// `picks[s]` is shard s's publisher-pick stream (label
-  /// (kRouterPickSalt, s) off the master seed).
-  ShardRouter(std::vector<ChurnSim*> shards, std::vector<Rng> picks);
-
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-
-  /// Sentinel source for publishes originating outside any shard
-  /// (harness code, tests); drained before every shard's own buffer.
-  static constexpr std::size_t kExternalSource =
-      static_cast<std::size_t>(-1);
-
-  /// Buffers event (id, u) for every shard in `targets`; it lands at the
-  /// next barrier. `source` orders the exchange — buffers drain external
-  /// first, then source shard 0..K-1, each FIFO — so the landing order is
-  /// independent of which worker lane buffered what. Safe to call from
-  /// shard `source`'s own callbacks mid-epoch or from the driving thread
-  /// between runs.
-  void enqueue(const EventId& id, double u,
-               std::span<const std::size_t> targets,
-               std::size_t source = kExternalSource);
-
-  /// Publishes (id, u) into shard `target` immediately, consuming that
-  /// shard's pick stream. Only from `target`'s own execution context (its
-  /// lane mid-epoch, or the driving thread between epochs). Returns false
-  /// (and the shard counts a skip) when the shard has no live member.
-  bool publish_into(std::size_t target, const EventId& id, double u);
-
-  /// Applies every buffered publish in deterministic order; returns how
-  /// many (event, target) pairs reached a live member. Driving thread
-  /// only, at a barrier.
-  std::uint64_t drain();
-
- private:
-  struct Pending {
-    EventId id;
-    double u;
-    std::vector<std::size_t> targets;
-  };
-
-  std::vector<ChurnSim*> shards_;
-  std::vector<Rng> picks_;  ///< per-shard publisher-pick streams
-  /// Slot 0 = external, slot s + 1 = shard s. A shard writes only its own
-  /// slot (from its lane), so buffering is race-free without locks.
-  std::vector<std::vector<Pending>> pending_;
 };
 
 /// Byte-comparable digest of a sharded run: one GroupSummary per shard, a
@@ -148,7 +91,7 @@ struct ShardedSummary {
   GroupSummary aggregate;  ///< sums; latency merged; fp over shard fps
   NetworkCounters network;
   std::uint64_t scheduler_executed = 0;
-  std::uint64_t cross_published = 0;  ///< router publishes that landed
+  std::uint64_t cross_published = 0;  ///< cross injections that landed
   std::uint64_t fingerprint = 0;
 
   friend bool operator==(const ShardedSummary&, const ShardedSummary&) =
@@ -158,10 +101,10 @@ struct ShardedSummary {
 };
 
 /// Hosts `config.shards` independent dynamic groups, each on its own
-/// Runtime, and drives them together in barrier epochs on up to
-/// `config.threads` lanes. Shard s occupies pids
-/// [s * 2 * capacity, (s+1) * 2 * capacity) — globally unique, so every
-/// labeled draw matches the single-runtime engine this replaced.
+/// Runtime, and advances them side by side on up to `config.threads`
+/// lanes. Shard s occupies pids [s * 2 * capacity, (s+1) * 2 * capacity)
+/// — globally unique, so every labeled draw matches the single-runtime
+/// engine this replaced.
 class ShardedSim {
  public:
   explicit ShardedSim(ShardedConfig config);
@@ -173,7 +116,6 @@ class ShardedSim {
   std::size_t shard_count() const noexcept { return shards_.size(); }
   ChurnSim& shard(std::size_t idx);
   const ChurnSim& shard(std::size_t idx) const;
-  ShardRouter& router() noexcept { return *router_; }
 
   /// Resolved worker lanes (after threads = 0 and the shard-count cap).
   std::size_t thread_count() const noexcept { return pool_->thread_count(); }
@@ -185,6 +127,8 @@ class ShardedSim {
   void play_all(const ScenarioScript& script);
 
   void run_for(SimTime duration);
+  /// One WorkerPool batch: every shard runs to `deadline` on its lane. A
+  /// deadline at or before now() is a no-op.
   void run_until(SimTime deadline);
   SimTime now() const noexcept { return now_; }
 
@@ -196,10 +140,11 @@ class ShardedSim {
   ShardedSummary summary() const;
 
  private:
-  /// Per-shard cross-traffic accounting, written only from the owning
-  /// shard's execution context (its lane mid-epoch); the driving thread
-  /// sums the slots between epochs.
+  /// One shard's cross-publisher state, touched only from that shard's
+  /// own execution context (its lane during a run); summary() reads it
+  /// after the pool returns.
   struct ShardCross {
+    Rng picks;  ///< publisher-pick stream, label (kRouterPickSalt, s)
     std::uint64_t landed = 0;   ///< injections that reached a live member
     std::uint64_t runs = 0;     ///< injection callbacks executed
     std::uint64_t primary = 0;  ///< …on the event's first spanned shard
@@ -208,7 +153,6 @@ class ShardedSim {
   void schedule_cross_publishers();
 
   ShardedConfig config_;
-  SimTime barrier_interval_ = 0;
   SimTime now_ = 0;
   /// Each shard owns its runtime (scheduler + network + stream factory)
   /// and intern tables: all shards enumerate the same address space in the
@@ -216,9 +160,7 @@ class ShardedSim {
   /// private, they are mutable mid-run without any cross-lane traffic.
   std::vector<std::unique_ptr<ChurnSim>> shards_;
   std::vector<ShardCross> cross_;
-  std::unique_ptr<ShardRouter> router_;
   std::unique_ptr<WorkerPool> pool_;
-  std::uint64_t cross_drained_ = 0;  ///< landed via barrier exchange
 };
 
 }  // namespace pmc

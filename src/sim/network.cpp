@@ -117,7 +117,6 @@ void Network::remove_link_filter(FilterToken token) {
 }
 
 bool Network::passes_filters(ProcessId from, ProcessId to) const {
-  if (filter_ && !filter_(from, to)) return false;
   for (const auto& [token, filter] : filters_) {
     if (!filter(from, to)) return false;
   }

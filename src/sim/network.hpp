@@ -199,15 +199,12 @@ class Network {
   /// reorder-labeled stream only when enabled.
   void set_reorder(double prob, SimTime window);
 
-  /// When set, messages with filter(from, to) == false are dropped
-  /// (simulates partitions). The filter sees the direction, so asymmetric
-  /// (one-way) partitions are expressed directly; a filter may also read a
-  /// scheduler clock to flap. Pass nullptr to clear.
-  void set_link_filter(LinkFilter filter) { filter_ = std::move(filter); }
-
-  /// Layered link filters for concurrent partitions: a message passes only
-  /// if *every* installed filter (and the legacy set_link_filter slot)
-  /// accepts it. Returns a token for remove_link_filter (partition heal).
+  /// Link filters simulate partitions: a message passes only if *every*
+  /// installed filter returns true for (from, to), so concurrent
+  /// partitions layer. A filter sees the direction, so asymmetric
+  /// (one-way) partitions are expressed directly; it may also read a
+  /// scheduler clock to flap. Returns a token for remove_link_filter
+  /// (partition heal).
   using FilterToken = std::uint64_t;
   FilterToken add_link_filter(LinkFilter filter);
   /// Removes a layered filter; a no-op for unknown/already-removed tokens.
@@ -243,7 +240,7 @@ class Network {
     std::uint64_t seq = 0;
   };
 
-  /// True when (from, to) passes the legacy filter and every layered one.
+  /// True when (from, to) passes every installed link filter.
   bool passes_filters(ProcessId from, ProcessId to) const;
   /// The labeled per-message draw seed for `from`'s next send (advances
   /// the sender's sequence).
@@ -276,7 +273,6 @@ class Network {
   /// Backing storage for std::function handlers attached through the
   /// compat overload (keyed by pid; freed on detach/re-attach).
   std::unordered_map<ProcessId, std::unique_ptr<Handler>> boxed_handlers_;
-  LinkFilter filter_;
   std::vector<std::pair<FilterToken, LinkFilter>> filters_;
   FilterToken next_filter_token_ = 1;
   Transcoder transcoder_;

@@ -36,7 +36,7 @@ void WorkerPool::drain(std::size_t lane, const JobFn& fn,
                        std::size_t jobs) {
   // Lane stripes are a fixed function of (lane, lanes, jobs): the first
   // `jobs % lanes` lanes take one extra job. ShardedSim calls run() with
-  // the same job count every epoch, so a given shard sticks to one thread
+  // the same job count every time, so a given shard sticks to one thread
   // for the whole simulation — its event allocations are freed by the
   // thread that made them and its hot state stays in one core's cache.
   const std::size_t lanes = workers_.size() + 1;

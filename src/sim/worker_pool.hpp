@@ -1,12 +1,12 @@
 // Fixed-size worker pool for embarrassingly parallel job batches.
 //
-// ShardedSim's epoch loop needs exactly one primitive: "run fn(s) for every
+// ShardedSim::run_until needs exactly one primitive: "run fn(s) for every
 // shard s, on up to T threads, and do not return until all of them
 // finished". WorkerPool provides that and nothing more — each lane owns a
 // fixed contiguous stripe of the index range, so a given job index lands
 // on the same lane batch after batch (ShardedSim calls run() once per
-// epoch: sticky stripes keep each shard's allocations and cache lines on
-// one thread instead of migrating every epoch, which is worth far more
+// run_until: sticky stripes keep each shard's allocations and cache lines
+// on one thread instead of migrating every call, which is worth far more
 // than work stealing for thousands of near-uniform shards). run() is a
 // full barrier: every write a job made happens-before run() returning
 // (the pool's mutex/condition-variable handshake publishes it).

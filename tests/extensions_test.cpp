@@ -248,7 +248,7 @@ TEST(SuspicionConfirmation, OneSidedSilenceDoesNotExclude) {
     auto c = make_sync(confirm, 22);
     const ProcessId victim = 1;   // address 0.1
     const ProcessId observer = 0;  // address 0.0
-    c.runtime->network().set_link_filter(
+    c.runtime->network().add_link_filter(
         [victim, observer](ProcessId from, ProcessId to) {
           return !(from == victim && to == observer);
         });

@@ -20,7 +20,7 @@ TEST(FailureInjection, PartitionedSubtreeMissesEventOthersUnaffected) {
   const auto subtree_of = [&](ProcessId pid) {
     return c.members[pid].address.component(0);
   };
-  c.runtime->network().set_link_filter(
+  c.runtime->network().add_link_filter(
       [&](ProcessId from, ProcessId to) {
         return (subtree_of(from) == 2) == (subtree_of(to) == 2);
       });
@@ -46,7 +46,7 @@ TEST(FailureInjection, TotalBlackoutStillQuiesces) {
   // Every message dropped: bounded gossip rounds must still drain the
   // buffers (passive garbage collection survives a dead network).
   auto c = make_cluster(3, 2, 2, 1.0, default_config(), 0.0, 8);
-  c.runtime->network().set_link_filter(
+  c.runtime->network().add_link_filter(
       [](ProcessId, ProcessId) { return false; });
   c.nodes[4]->pmcast(make_event_at(4, 0, 0.5));
   c.runtime->run_until_idle();

@@ -116,7 +116,7 @@ TEST(Network, LinkFilterModelsPartition) {
   int received = 0;
   net.attach(1, [&](ProcessId, const MessagePtr&) { ++received; });
   net.attach(2, [&](ProcessId, const MessagePtr&) { ++received; });
-  net.set_link_filter([](ProcessId from, ProcessId to) {
+  const auto cut = net.add_link_filter([](ProcessId from, ProcessId to) {
     return !(from == 0 && to == 1);  // 0 -> 1 partitioned
   });
   net.send(0, 1, std::make_shared<TestMsg>(1));
@@ -124,7 +124,7 @@ TEST(Network, LinkFilterModelsPartition) {
   f.sched.run();
   EXPECT_EQ(received, 1);
   EXPECT_EQ(net.counters().filtered, 1u);
-  net.set_link_filter(nullptr);
+  net.remove_link_filter(cut);
   net.send(0, 1, std::make_shared<TestMsg>(3));
   f.sched.run();
   EXPECT_EQ(received, 2);
@@ -236,8 +236,8 @@ TEST(Network, SendMultiRespectsPerDestinationFilters) {
   attach_loggers(a, f.sched, log_a, 1, 20);
   attach_loggers(b, f.sched, log_b, 1, 20);
   const auto drop_even = [](ProcessId, ProcessId to) { return to % 2 == 1; };
-  a.set_link_filter(drop_even);
-  b.set_link_filter(drop_even);
+  a.add_link_filter(drop_even);
+  b.add_link_filter(drop_even);
 
   std::vector<ProcessId> targets;
   for (ProcessId id = 1; id <= 20; ++id) targets.push_back(id);

@@ -90,7 +90,7 @@ TEST(PmcastNode, QuiescesAfterBoundedRounds) {
 
 TEST(PmcastNode, NoSelfSends) {
   auto c = make_cluster(3, 2, 2, 1.0, default_config());
-  c.runtime->network().set_link_filter([](ProcessId from, ProcessId to) {
+  c.runtime->network().add_link_filter([](ProcessId from, ProcessId to) {
     EXPECT_NE(from, to) << "node gossiped to itself";
     return true;
   });

@@ -2,16 +2,17 @@
 // publishing, thread-count independence, and config validation.
 //
 // The isolation tests are the load-bearing ones: K groups are driven
-// together — now on a worker pool — yet adding a scenario action to shard
-// A must leave every other shard's per-shard summary byte-identical. That
-// only holds because every draw is labeled — shard-salted scenario
-// streams, (pid, incarnation) process streams, (sender, sequence) network
-// draws — rather than pulled from shared sequential state. The same
-// isolation is what makes the thread-count tests pass: lanes decide
-// wall-clock, never outcomes.
+// together on a worker pool, yet adding a scenario action to shard A must
+// leave every other shard's per-shard summary byte-identical. That only
+// holds because every draw is labeled — shard-salted scenario streams,
+// (pid, incarnation) process streams, (sender, sequence) network draws —
+// rather than pulled from shared sequential state. The same isolation is
+// what makes the thread-count and stepping tests pass: lanes and
+// run_until slices decide wall-clock, never outcomes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "harness/shard.hpp"
 
@@ -82,8 +83,8 @@ TEST(ShardedSim, ExtraActionInOneShardLeavesOthersUntouched) {
   // Shard 0 must see its extra churn...
   EXPECT_NE(base.shards[0], perturbed.shards[0]);
   EXPECT_EQ(perturbed.shards[0].counters.loss_bursts, 1u);
-  // ...while shards 1 and 2 are byte-identical, despite sharing the
-  // network, the scheduler, and the wall-clock with shard 0.
+  // ...while shards 1 and 2 are byte-identical, despite running in the
+  // same process, worker pool and run_until calls as shard 0.
   EXPECT_EQ(base.shards[1], perturbed.shards[1]);
   EXPECT_EQ(base.shards[2], perturbed.shards[2]);
 }
@@ -255,6 +256,19 @@ TEST(ShardedConfigValidate, RejectsNonsense) {
   config = small_config(2);
   config.shard.a = 0;  // invalid shard template bubbles up
   EXPECT_THROW(config.validate(), std::logic_error);
+
+  // shards x capacity must not wrap: (2^60 + 1) shards of 16 slots is 16
+  // slots mod 2^64, under the bound.
+  config = small_config(2);
+  ASSERT_EQ(config.shard.capacity(), 16u);
+  config.shards = (std::size_t{1} << 60) + 1;
+  EXPECT_THROW(config.validate(), std::logic_error);
+
+  // publishers x events x span injections are bounded like capacity is,
+  // before the constructor tries to pre-schedule them.
+  config = small_config(2);
+  config.cross.publishers = 1'000'000'000;
+  EXPECT_THROW(config.validate(), std::logic_error);
 }
 
 TEST(ShardedSim, PidRangesAreDisjoint) {
@@ -300,30 +314,44 @@ TEST(ShardedSim, ThreadsZeroMeansHardwareConcurrency) {
   EXPECT_LE(sim.thread_count(), 4u);
 }
 
-TEST(ShardedSim, EnqueuedPublishLandsAtTheNextBarrier) {
-  const auto run = [](bool enqueue, std::size_t threads) {
-    ShardedConfig config = small_config(3);
+TEST(ShardedSim, SteppingDoesNotChangeTheSummary) {
+  // run_until takes every shard straight to its deadline in one pool
+  // batch, so how a caller slices time must not show in the result: one
+  // call, one gossip period per call, and irregular steps on two lanes
+  // (including a repeated and a past deadline, both no-ops) all agree.
+  const SimTime horizon = sim_ms(1600);
+  const auto run = [&](std::size_t threads,
+                       const std::vector<SimTime>& stops) {
+    ShardedConfig config = small_config(4);
+    config.cross.publishers = 3;
+    config.cross.span = 2;
+    config.cross.events = 5;
+    config.cross.start = sim_ms(250);
+    config.cross.spacing = sim_ms(90);
     config.threads = threads;
     ShardedSim sim(config);
-    if (enqueue) {
-      const std::size_t targets[] = {1, 2};
-      sim.router().enqueue(EventId{4242, 0}, 0.25, targets);
-    }
-    sim.run_until(sim_ms(1200));
+    sim.play_all(busy_script());
+    ScenarioScript split;
+    split.add(sim_ms(300), Partition{{0, 1}, sim_ms(1200)});
+    sim.play(1, split);
+    for (const SimTime t : stops) sim.run_until(t);
+    EXPECT_EQ(sim.now(), horizon);
     return sim.summary();
   };
-  const ShardedSummary base = run(false, 1);
-  const ShardedSummary routed = run(true, 1);
-  // The buffered publish entered exactly shards 1 and 2 at the first
-  // barrier (both fully populated, so it cannot have skipped)...
-  EXPECT_EQ(routed.cross_published, 2u);
-  EXPECT_EQ(routed.shards[1].counters.published, 1u);
-  EXPECT_EQ(routed.shards[2].counters.published, 1u);
-  // ...left shard 0 byte-identical...
-  EXPECT_EQ(base.shards[0], routed.shards[0]);
-  EXPECT_EQ(routed.shards[0].counters.published, 0u);
-  // ...and unfolds the same on many lanes.
-  EXPECT_EQ(run(true, 8), routed);
+  const ShardedSummary whole = run(1, {horizon});
+  ASSERT_GT(whole.cross_published, 0u);
+  ASSERT_EQ(whole.shards[1].counters.partitions, 1u);
+
+  std::vector<SimTime> periods;
+  const SimTime period = small_config(4).shard.period;
+  for (SimTime t = period; t < horizon; t += period) periods.push_back(t);
+  periods.push_back(horizon);
+  EXPECT_EQ(run(1, periods), whole);
+
+  EXPECT_EQ(run(2, {sim_us(1), sim_ms(250), sim_ms(250), sim_ms(100),
+                    sim_ms(333) + 7, sim_ms(400), sim_ms(1200) + 1,
+                    sim_ms(1599), horizon}),
+            whole);
 }
 
 }  // namespace

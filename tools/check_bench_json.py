@@ -23,11 +23,12 @@ Usage:
     check_bench_json.py --gate-parallel SCALE_FILE [FILE...]
         Additionally require the threaded 100,000-process rows in
         SCALE_FILE to be counter-identical to the serial row (sched ops,
-        msgs sent, delivered — the barrier engine's byte-identity claim,
-        checked at EVERY thread count present), and the 8-thread row to run
-        at least 2x faster than the serial row in wall-clock. The speedup
-        half is skipped with a note when the recording host had fewer than
-        8 cores (the cores column) — the identity half always applies.
+        msgs sent, delivered — shards share nothing during a run, so any
+        lane count must give the same bytes; checked at EVERY thread count
+        present), and the 8-thread row to run at least 2x faster than the
+        serial row in wall-clock. The speedup half is skipped with a note
+        when the recording host had fewer than 8 cores (the cores column)
+        — the identity half always applies.
 
     check_bench_json.py --gate-figures FIG_FILE [--gate-figures FIG_FILE2]
         Additionally require every FIG_FILE (a fig4_delivery /

@@ -18,10 +18,10 @@
 //   pmcast_sim --scenario demo --a 4 --d 2 --seed 7
 //   pmcast_sim --scenario storm.scn --fill 0.8 --horizon 5s --repro-check
 //
-// Sharded mode hosts K independent pmcast groups (topic shards) on one
-// runtime — each with its own membership stack, optionally its own script,
-// plus cross-shard publishers routed across several shards (see
-// docs/ARCHITECTURE.md):
+// Sharded mode hosts K independent pmcast groups (topic shards), each on
+// its own runtime with its own membership stack and optionally its own
+// script, plus cross-shard publishers whose events enter every shard they
+// span (see docs/ARCHITECTURE.md):
 //
 //   pmcast_sim --shards 16 --repro-check
 //   pmcast_sim --shards 4 --shard-scenario demo --cross 2 --cross-span 3
@@ -120,7 +120,8 @@ void print_usage() {
       "0.3);\n"
       "                   needs --scenario or --shards\n"
       "  --repro-check    run twice, compare summaries byte-for-byte\n"
-      "sharded mode (K topic shards on one runtime; see docs/SCENARIOS.md):\n"
+      "sharded mode (K topic shards, one runtime each; see "
+      "docs/SCENARIOS.md):\n"
       "  --shards K       host K independent groups; per-shard tree from\n"
       "                   --a/--d/--R (defaults a=4, d=2, R=2)\n"
       "  --shard-scenario S\n"
@@ -142,12 +143,14 @@ void print_usage() {
 }
 
 /// Strict size parse: every character must be a digit, so "--cross abc"
-/// errors out instead of silently becoming 0 publishers.
+/// errors out instead of silently becoming 0 publishers, and "--threads -1"
+/// instead of wrapping to 2^64 - 1 (strtoull alone accepts a sign and
+/// leading blanks).
 bool parse_size(const std::string& flag, const char* value,
                 std::size_t& out) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(value, &end, 10);
-  if (*value == '\0' || end == nullptr || *end != '\0') {
+  if (*value < '0' || *value > '9' || end == nullptr || *end != '\0') {
     std::cerr << "bad " << flag << ": expected a number, got '" << value
               << "'\n";
     return false;
@@ -506,9 +509,9 @@ int run_sharded(const Options& options) {
     const auto summary = run_once(config.threads);
     std::cout << summary.to_string() << "\n";
     if (options.repro_check) {
-      // A threaded run is checked against the serial reference: one lane,
-      // same epochs, inline index order. threads=1 degenerates to the old
-      // same-config replay.
+      // A threaded run is checked against the serial reference: one lane
+      // running the same run_until inline, in shard index order. threads=1
+      // degenerates to the old same-config replay.
       const auto second = run_once(1);
       const bool identical = second == summary;
       std::cout << "repro-check: "
