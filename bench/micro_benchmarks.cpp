@@ -134,20 +134,17 @@ void fill_view(std::size_t n, Interns& interns, DepthView& v) {
   Rng rng(9);
   std::vector<std::shared_ptr<const InterestSummary>> summaries;
   for (int i = 0; i < 64; ++i)
-    summaries.push_back(std::make_shared<const InterestSummary>(
+    summaries.push_back(interns.summaries.intern(
         InterestSummary::from(interval_subscription(rng.next_double(), 0.05))));
   v.bind(interns);
   for (std::size_t i = 0; i < n; ++i) {
-    ViewRow r;
-    r.infix = static_cast<AddrComponent>(i);
-    r.version = i + 1;
-    r.process_count = 3;
-    r.delegates = {
-        Address(std::vector<AddrComponent>{static_cast<AddrComponent>(i), 0}),
-        Address(std::vector<AddrComponent>{static_cast<AddrComponent>(i), 1}),
+    const auto infix = static_cast<AddrComponent>(i);
+    const AddrId delegates[] = {
+        interns.addrs.intern(Address(std::vector<AddrComponent>{infix, 0})),
+        interns.addrs.intern(Address(std::vector<AddrComponent>{infix, 1})),
     };
-    r.interests = summaries[i % summaries.size()];
-    v.upsert(r);
+    v.upsert_pooled(infix, delegates, summaries[i % summaries.size()], 3,
+                    i + 1, true);
   }
 }
 

@@ -1155,7 +1155,7 @@ void ChurnSim::spawn(std::size_t slot_idx, bool founder, ProcessId contact) {
   SyncNode* sync = slot.sync.get();
   slot.pm->set_piggyback(
       [sync](AddrId target) { return sync->rows_to_share(target); },
-      [sync](const Address& sender, const std::vector<DepthRow>& rows) {
+      [sync](const Address& sender, const RowBatch& rows) {
         sync->absorb_rows(sender, rows);
       });
 

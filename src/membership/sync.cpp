@@ -1,6 +1,7 @@
 #include "membership/sync.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/contract.hpp"
 #include "common/hash.hpp"
@@ -212,18 +213,31 @@ void SyncNode::handle_digest(ProcessId from, const MembershipDigestMsg& m) {
   // share (tables above the common prefix are about different subgroups).
   const std::size_t shared =
       view_.self().common_prefix_length(m.sender) + 1;
-  std::vector<DepthRow> newer;
+  // One merge walk over the view and the digest, both in (depth, infix)
+  // order. make_digest emits that order; a digest in any other order (the
+  // decoder accepts any) is stable-sorted first, so the first entry for a
+  // key still wins, as a linear search would pick it.
+  const auto key_less = [](const RowDigest& a, const RowDigest& b) {
+    return a.depth != b.depth ? a.depth < b.depth : a.infix < b.infix;
+  };
+  std::span<const RowDigest> digests = m.digests;
+  if (!std::is_sorted(digests.begin(), digests.end(), key_less)) {
+    digest_scratch_.assign(digests.begin(), digests.end());
+    std::stable_sort(digest_scratch_.begin(), digest_scratch_.end(),
+                     key_less);
+    digests = digest_scratch_;
+  }
+  RowBatch newer(view_.interns());
+  auto next = digests.begin();
   for (std::size_t depth = 1; depth <= std::min(shared, config_.tree.depth);
        ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i) {
-      const AddrComponent infix = dv.infix(i);
-      const auto it = std::find_if(
-          m.digests.begin(), m.digests.end(), [&](const RowDigest& d) {
-            return d.depth == depth && d.infix == infix;
-          });
-      if (it == m.digests.end() || it->version < dv.version(i))
-        newer.push_back(
+      const RowDigest key{static_cast<std::uint32_t>(depth), dv.infix(i), 0};
+      while (next != digests.end() && key_less(*next, key)) ++next;
+      const bool known = next != digests.end() && !key_less(key, *next);
+      if (!known || next->version < dv.version(i))
+        newer.rows.push_back(
             DepthRow{static_cast<std::uint32_t>(depth), dv.materialize(i)});
     }
   }
@@ -245,14 +259,13 @@ void SyncNode::handle_update(const MembershipUpdateMsg& m) {
   absorb_rows(m.sender, m.rows);
 }
 
-void SyncNode::absorb_rows(const Address& sender,
-                           const std::vector<DepthRow>& rows) {
+void SyncNode::absorb_rows(const Address& sender, const RowBatch& rows) {
   const std::size_t shared =
       view_.self().common_prefix_length(sender) + 1;
   for (const auto& dr : rows) {
     if (dr.depth < 1 || dr.depth > config_.tree.depth) continue;
     if (dr.depth > shared) continue;  // not our subgroup's table
-    apply_row(dr.depth, dr.row);
+    apply_row(dr.depth, dr.row, rows);
   }
 }
 
@@ -278,21 +291,14 @@ void SyncNode::handle_join(ProcessId from, const JoinRequestMsg& m) {
 
   // We are (or act as) an immediate neighbor: insert the joiner and send it
   // everything we know that is valid for its address.
-  ViewRow row;
-  row.infix = m.joiner.component(
-      std::min(shared, config_.tree.depth - 1));
-  row.delegates = {m.joiner};
-  row.interests = std::make_shared<const InterestSummary>(
-      InterestSummary::from(m.subscription));
-  row.process_count = 1;
-  row.version = next_version();
-  apply_row(static_cast<std::uint32_t>(
-                std::min(shared + 1, config_.tree.depth)),
-            row);
+  const AddrId joiner = addrs().intern(m.joiner);
+  put_process_row(std::min(shared + 1, config_.tree.depth),
+                  m.joiner.component(std::min(shared, config_.tree.depth - 1)),
+                  joiner, m.subscription);
 
   auto transfer = std::make_shared<ViewTransferMsg>();
   transfer->sender = view_.self();
-  transfer->rows = rows_for(addrs().intern(m.joiner));
+  transfer->rows = rows_for(joiner);
   send(m.joiner_pid, std::move(transfer));
   ++stats_.joins_served;
 }
@@ -301,20 +307,24 @@ void SyncNode::handle_view_transfer(const ViewTransferMsg& m) {
   note_contact(m.sender);
   for (const auto& dr : m.rows) {
     if (dr.depth < 1 || dr.depth > config_.tree.depth) continue;
-    apply_row(dr.depth, dr.row);
+    apply_row(dr.depth, dr.row, m.rows);
   }
   if (!joined_) {
     joined_ = true;
     // Make ourselves visible: our own leaf row, versioned locally.
-    ViewRow self_row;
-    self_row.infix = view_.self().component(config_.tree.depth - 1);
-    self_row.delegates = {view_.self()};
-    self_row.interests = std::make_shared<const InterestSummary>(
-        InterestSummary::from(subscription_));
-    self_row.process_count = 1;
-    self_row.version = next_version();
-    view_.view(config_.tree.depth).upsert(self_row);
+    put_process_row(config_.tree.depth,
+                    view_.self().component(config_.tree.depth - 1),
+                    view_.self_id(), subscription_);
   }
+}
+
+void SyncNode::put_process_row(std::size_t depth, AddrComponent infix,
+                               AddrId process,
+                               const Subscription& subscription) {
+  view_.view(depth).upsert_pooled(
+      infix, {&process, 1},
+      view_.interns().summaries.intern(InterestSummary::from(subscription)),
+      1, next_version(), true);
 }
 
 void SyncNode::handle_leave(const LeaveMsg& m) {
@@ -327,37 +337,40 @@ void SyncNode::handle_leave(const LeaveMsg& m) {
   tombstone_row(dv, i);
 }
 
-bool SyncNode::apply_row(std::uint32_t depth, const ViewRow& row) {
+bool SyncNode::apply_row(std::uint32_t depth, const ViewRow& row,
+                         const RowBatch& batch) {
   version_counter_ = std::max(version_counter_, row.version);
   // Rebut false suspicion: a live process that learns of its own tombstone
   // republishes its leaf row with a higher version.
-  if (!row.alive && depth == config_.tree.depth &&
-      !row.delegates.empty() && row.delegates.front() == view_.self()) {
+  if (!row.alive && depth == config_.tree.depth && !row.delegates.empty() &&
+      (batch.interns != nullptr
+           ? row.delegates.front() == view_.self_id()
+           : batch.address(row.delegates.front()) == view_.self())) {
     ViewRow alive_row = row;
     alive_row.alive = true;
     alive_row.version = next_version();
     ++stats_.rebuttals;
-    return view_.view(depth).upsert(alive_row);
+    return view_.view(depth).upsert(alive_row, batch);
   }
   DepthView& dv = view_.view(depth);
   const std::size_t current = dv.find_index(row.infix);
   const bool was_alive = current != DepthView::npos && dv.alive(current);
-  const bool changed = dv.upsert(row);
+  const bool changed = dv.upsert(row, batch);
   // A known-live row absorbed as a tombstone is observed incarnation
   // churn: the raw signal behind the online crash-rate estimate.
   if (changed && was_alive && !row.alive) ++stats_.deaths_observed;
   return changed;
 }
 
-std::vector<DepthRow> SyncNode::rows_for(AddrId other) const {
+RowBatch SyncNode::rows_for(AddrId other) const {
   const std::size_t shared =
       addrs().common_prefix_length(view_.self_id(), other);
-  std::vector<DepthRow> out;
+  RowBatch out(view_.interns());
   for (std::size_t depth = 1;
        depth <= std::min(shared + 1, config_.tree.depth); ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i)
-      out.push_back(
+      out.rows.push_back(
           DepthRow{static_cast<std::uint32_t>(depth), dv.materialize(i)});
   }
   return out;

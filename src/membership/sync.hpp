@@ -26,8 +26,10 @@
 // neither table mutated since the last pass (the steady-state common case).
 //
 // Hot-path state is interned: peers, neighbors and contact tables hold
-// AddrIds; wire messages keep carrying full Addresses (the codec and all
-// protocol bytes are unchanged by the representation).
+// AddrIds, and membership rows travel as a RowBatch of this runtime's ids
+// and pooled summaries (view.hpp). Only the wire codec turns a batch's ids
+// into Addresses; message sender fields still carry full Addresses. The
+// codec and all protocol bytes are unchanged by the representation.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +66,7 @@ struct MembershipUpdateMsg final : MessageBase {
   MembershipUpdateMsg() noexcept : MessageBase(MsgKind::MembershipUpdate) {}
 
   Address sender;
-  std::vector<DepthRow> rows;
+  RowBatch rows;
 };
 
 struct JoinRequestMsg final : MessageBase {
@@ -80,7 +82,7 @@ struct ViewTransferMsg final : MessageBase {
   ViewTransferMsg() noexcept : MessageBase(MsgKind::ViewTransfer) {}
 
   Address sender;
-  std::vector<DepthRow> rows;  ///< rows valid for the joiner
+  RowBatch rows;  ///< rows valid for the joiner
 };
 
 struct LeaveMsg final : MessageBase {
@@ -203,11 +205,8 @@ class SyncNode final : public Process {
   /// Piggybacking support (Sec. 2.3: "membership information can be
   /// piggybacked when gossiping events"): the rows worth attaching to a
   /// message for `other`, and ingestion of rows that arrived piggybacked.
-  std::vector<DepthRow> rows_to_share(AddrId other) const {
-    return rows_for(other);
-  }
-  void absorb_rows(const Address& sender,
-                   const std::vector<DepthRow>& rows);
+  RowBatch rows_to_share(AddrId other) const { return rows_for(other); }
+  void absorb_rows(const Address& sender, const RowBatch& rows);
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -226,11 +225,17 @@ class SyncNode final : public Process {
   void handle_suspect_reply(const SuspectReplyMsg& m);
   void tombstone_row(DepthView& leaf, std::size_t i);
 
-  /// Applies a row if it is newer; returns true when the view changed.
-  bool apply_row(std::uint32_t depth, const ViewRow& row);
+  /// Applies a row of `batch` if it is newer; returns true when the view
+  /// changed.
+  bool apply_row(std::uint32_t depth, const ViewRow& row,
+                 const RowBatch& batch);
   /// Rows of this view relevant for a process with address `other`
   /// (depths 1..common_prefix+1).
-  std::vector<DepthRow> rows_for(AddrId other) const;
+  RowBatch rows_for(AddrId other) const;
+  /// Stores a row built here for `self` or a joiner (id of this runtime),
+  /// alive, with a fresh version.
+  void put_process_row(std::size_t depth, AddrComponent infix, AddrId process,
+                       const Subscription& subscription);
   std::vector<RowDigest> make_digest() const;
   /// Recompacts own-subgroup rows at every depth where self is a delegate.
   void recompact_own_rows();
@@ -281,6 +286,8 @@ class SyncNode final : public Process {
   std::vector<AddrId> suspect_scratch_;
   std::vector<AddrId> candidate_scratch_;
   std::vector<AddrId> delegate_scratch_;
+  /// A received digest stable-sorted by (depth, infix), when it was not.
+  std::vector<RowDigest> digest_scratch_;
   /// Per-depth (deeper-table, own-table) mutation counters observed by the
   /// last recompaction pass; index = depth-1. The pass is skipped while both
   /// counters are unchanged.

@@ -99,8 +99,11 @@ const DepthView& GroupTree::view_for(const Address& self,
   return view_at(self.prefix(depth - 1));
 }
 
-const std::vector<Address>& GroupTree::delegates(const Prefix& prefix) const {
-  return node(prefix).delegates;
+std::vector<Address> GroupTree::delegates(const Prefix& prefix) const {
+  std::vector<Address> out;
+  for (const AddrId id : node(prefix).delegates)
+    out.push_back(interns_->addrs.resolve(id));
+  return out;
 }
 
 std::uint64_t GroupTree::represented(const Prefix& prefix) const {
@@ -161,7 +164,8 @@ bool GroupTree::is_delegate_at(const Address& a, std::size_t depth) const {
   const auto it = nodes_.find(a.prefix(depth));
   if (it == nodes_.end()) return false;
   const auto& del = it->second.delegates;
-  return std::find(del.begin(), del.end(), a) != del.end();
+  return std::find(del.begin(), del.end(), interns_->addrs.find(a)) !=
+         del.end();
 }
 
 MembershipView GroupTree::materialize_view(const Address& self) const {
@@ -186,24 +190,21 @@ void GroupTree::rebuild_leaf(const Prefix& leaf_prefix) {
   DepthView view;
   view.bind(*interns_);
   InterestSummary summary;
-  std::vector<Address> addrs;
-  addrs.reserve(n.members.size());
+  candidate_scratch_.clear();
   for (const auto& m : n.members) {
-    ViewRow row;
-    row.infix = m.address.component(config_.depth - 1);
-    row.delegates = {m.address};
-    row.interests = std::make_shared<const InterestSummary>(
-        InterestSummary::from(m.subscription));
-    row.process_count = 1;
-    row.version = version_counter_++;
-    summary.merge(*row.interests);
-    view.upsert(row);
-    addrs.push_back(m.address);
+    const AddrId id = interns_->addrs.intern(m.address);
+    auto interests =
+        interns_->summaries.intern(InterestSummary::from(m.subscription));
+    summary.merge(*interests);
+    view.upsert_pooled(m.address.component(config_.depth - 1), {&id, 1},
+                       std::move(interests), 1, version_counter_++, true);
+    candidate_scratch_.push_back(id);
   }
   n.child_view = std::move(view);
   n.summary = std::move(summary);
   n.process_count = n.members.size();
-  n.delegates = elect_delegates(addrs, config_.redundancy);
+  elect_delegate_ids(candidate_scratch_, config_.redundancy, interns_->addrs,
+                     n.delegates);
 }
 
 void GroupTree::push_row_to_parent(const Prefix& child) {
@@ -214,17 +215,14 @@ void GroupTree::push_row_to_parent(const Prefix& child) {
     parent.child_view.erase(child.infix());
     return;
   }
-  ViewRow row;
-  row.infix = child.infix();
-  row.delegates = c.delegates;
   InterestSummary interests = c.summary;
   // The row lives in the depth-(parent length + 1) tables; near the root it
   // may be coarsened (Sec. 6) — sound (only over-approximates) but cheaper.
   if (child.length() <= options_.coarsen_depth_leq) interests.coarsen();
-  row.interests = std::make_shared<const InterestSummary>(std::move(interests));
-  row.process_count = c.process_count;
-  row.version = version_counter_++;
-  parent.child_view.upsert(row);
+  parent.child_view.upsert_pooled(
+      child.infix(), c.delegates,
+      interns_->summaries.intern(std::move(interests)), c.process_count,
+      version_counter_++, true);
 }
 
 void GroupTree::recompute_aggregates(Node& n) {
@@ -243,11 +241,7 @@ void GroupTree::recompute_aggregates(Node& n) {
   // The R smallest addresses under a subgroup are among its children's
   // R-smallest (delegate sets), so electing from the union is exact.
   elect_delegate_ids(candidate_scratch_, config_.redundancy, interns_->addrs,
-                     delegate_scratch_);
-  n.delegates.clear();
-  n.delegates.reserve(delegate_scratch_.size());
-  for (const AddrId id : delegate_scratch_)
-    n.delegates.push_back(interns_->addrs.resolve(id));
+                     n.delegates);
 }
 
 void GroupTree::refresh_ancestors(const Prefix& child) {

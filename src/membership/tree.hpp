@@ -69,7 +69,7 @@ class GroupTree {
   const DepthView& view_for(const Address& self, std::size_t depth) const;
 
   /// Delegates representing `prefix` at its parent (R smallest addresses).
-  const std::vector<Address>& delegates(const Prefix& prefix) const;
+  std::vector<Address> delegates(const Prefix& prefix) const;
 
   /// Number of processes represented by `prefix` (paper Eq. 4).
   std::uint64_t represented(const Prefix& prefix) const;
@@ -109,7 +109,7 @@ class GroupTree {
  private:
   struct Node {
     DepthView child_view;             // rows for populated children
-    std::vector<Address> delegates;   // R smallest under this prefix
+    std::vector<AddrId> delegates;    // R smallest under this prefix
     InterestSummary summary;
     std::uint64_t process_count = 0;
     std::vector<Member> members;      // leaf-subgroup nodes only (len == d-1)
@@ -135,7 +135,6 @@ class GroupTree {
   std::unordered_map<Prefix, Node, PrefixHash> nodes_;
   std::uint64_t version_counter_ = 1;
   std::vector<AddrId> candidate_scratch_;
-  std::vector<AddrId> delegate_scratch_;
 };
 
 }  // namespace pmc

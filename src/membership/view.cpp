@@ -18,16 +18,22 @@ std::size_t DepthView::find_index(AddrComponent infix) const noexcept {
   return found ? i : npos;
 }
 
-bool DepthView::upsert(const ViewRow& row) {
+bool DepthView::upsert(const ViewRow& row, const RowBatch& batch) {
   PMC_EXPECTS(row.interests != nullptr);
+  PMC_EXPECTS(batch.interns == nullptr || batch.interns == interns_);
   // Version first: anti-entropy re-sends rows the receiver already holds
   // far more often than it sends news, and the version alone rejects them.
   const auto [i, found] = locate(row.infix);
   if (found && row.version <= version_[i]) return false;
+  if (batch.interns != nullptr) {
+    place(i, found, row.infix, row.delegates, row.interests,
+          row.process_count, row.version, row.alive);
+    return true;
+  }
   auto& in = interns();
   id_scratch_.clear();
-  id_scratch_.reserve(row.delegates.size());
-  for (const auto& d : row.delegates) id_scratch_.push_back(in.addrs.intern(d));
+  for (const AddrId d : row.delegates)
+    id_scratch_.push_back(in.addrs.intern(batch.address(d)));
   place(i, found, row.infix, id_scratch_, in.summaries.intern(row.interests),
         row.process_count, row.version, row.alive);
   return true;
@@ -139,9 +145,7 @@ ViewRow DepthView::materialize(std::size_t i) const {
   ViewRow row;
   row.infix = infix_[i];
   const auto ids = delegates(i);
-  row.delegates.reserve(ids.size());
-  for (const AddrId id : ids)
-    row.delegates.push_back(interns().addrs.resolve(id));
+  row.delegates.assign(ids.begin(), ids.end());
   row.interests = interests_[i];
   row.process_count = count_[i];
   row.version = version_[i];

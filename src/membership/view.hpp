@@ -13,12 +13,11 @@
 // summary, CSR slice of interned delegate ids), so recompact_own_rows and
 // digest construction are linear scans over flat memory and a row costs a
 // few dozen bytes instead of a ViewRow's several heap blocks. The ViewRow
-// struct remains as the *exchange* format — the unit the wire codec encodes
-// and anti-entropy ships — materialized from / interned into the arrays at
-// the network boundary only. It carries the interest summary by handle:
-// materializing a row copies the pooled pointer, never the summary, and
-// upsert() decides on the version before it interns anything, so the stale
-// rows anti-entropy keeps re-sending cost one binary search each.
+// struct remains as the *exchange* format, carried in a RowBatch that names
+// the id space of its delegates: this runtime's ids in memory, an address
+// list off the wire (only the codec turns ids into Addresses). upsert()
+// decides on the version first, so the stale rows anti-entropy keeps
+// re-sending cost one binary search each.
 #pragma once
 
 #include <cstdint>
@@ -56,26 +55,62 @@ struct Interns {
 
 struct ViewRow {
   AddrComponent infix = 0;          ///< subgroup's component at this depth
-  std::vector<Address> delegates;   ///< R delegates; the process itself at depth d
+  /// R delegates (the process itself at depth d), as ids in the id space of
+  /// the RowBatch that carries the row.
+  std::vector<AddrId> delegates;
   /// Regrouped interests of the subgroup, shared and immutable. Never null
-  /// once the row is stored or encoded; it need not be pooled yet.
+  /// once the row is stored or encoded; pooled in an in-memory batch.
   std::shared_ptr<const InterestSummary> interests;
   std::uint64_t process_count = 0;  ///< processes represented by the row
   std::uint64_t version = 0;        ///< anti-entropy logical timestamp
   bool alive = true;                ///< false: tombstone (left or crashed)
 };
 
-/// A row tagged with the depth of the table it belongs to — the unit of
-/// membership exchange (anti-entropy updates, view transfers, and rows
-/// piggybacked on event gossip).
+/// A row tagged with the depth of the table it belongs to.
 struct DepthRow {
   std::uint32_t depth = 0;
   ViewRow row;
 };
 
+/// The unit of membership exchange (anti-entropy updates, view transfers,
+/// and rows piggybacked on event gossip): rows plus the id space their
+/// delegates live in.
+///  * In memory (`interns` set): built by DepthView::materialize in the
+///    runtime that owns `interns`. Delegates are its AddrIds, summaries are
+///    handles pooled there.
+///  * Decoded (`interns` null): read off the wire. Delegates index
+///    `addresses`, and summaries are fresh, not pooled.
+struct RowBatch {
+  RowBatch() = default;  ///< decoded, empty
+  /// In memory, empty, in the id space of `in`.
+  explicit RowBatch(const Interns& in) noexcept : interns(&in) {}
+
+  const Interns* interns = nullptr;
+  std::vector<Address> addresses;  ///< decoded batches only
+  std::vector<DepthRow> rows;
+
+  bool empty() const noexcept { return rows.empty(); }
+  auto begin() const noexcept { return rows.begin(); }
+  auto end() const noexcept { return rows.end(); }
+
+  /// The address a delegate id of this batch names.
+  const Address& address(AddrId id) const {
+    if (interns != nullptr) return interns->addrs.resolve(id);
+    PMC_EXPECTS(id < addresses.size());
+    return addresses[id];
+  }
+};
+
 /// One depth's table: rows sorted by infix, unique per infix, stored as
 /// parallel arrays (see file comment). Must be bound to an Interns before
 /// any row is inserted.
+///
+/// Invariant: every summary handle a DepthView stores is pooled in its
+/// Interns, and every delegate is an id of its Interns. Rows built in this
+/// runtime are interned where they are created (GroupTree, SyncNode's join
+/// and self rows, recompaction), and in-memory batches come only from
+/// materialize(), so upsert() stores an in-memory row without interning or
+/// probing the pool. A decoded row is interned and pooled only if it wins.
 class DepthView {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -114,14 +149,16 @@ class DepthView {
     return del_pool_[del_begin_[i]];
   }
 
-  /// Inserts or replaces from the exchange format; on replace the higher
-  /// version wins (ties keep the incumbent). Only a row that wins is
-  /// interned (delegates and pooled summary), so a rejected row leaves the
-  /// intern state untouched. Returns true if the table changed.
-  bool upsert(const ViewRow& row);
+  /// Inserts or replaces a row of `batch`; on replace the higher version
+  /// wins (ties keep the incumbent). An in-memory batch must come from this
+  /// view's runtime (shards share nothing); its row is stored as it is. A
+  /// decoded row is interned (delegates and pooled summary) only if it
+  /// wins, so a rejected row leaves the intern state untouched. Returns
+  /// true if the table changed.
+  bool upsert(const ViewRow& row, const RowBatch& batch);
 
-  /// Same merge rule, already-interned inputs (the recompaction hot path:
-  /// no Address or summary copies).
+  /// Same merge rule, inputs already in this view's id space (ids of its
+  /// Interns, a pooled summary handle).
   bool upsert_pooled(AddrComponent infix, std::span<const AddrId> delegates,
                      std::shared_ptr<const InterestSummary> interests,
                      std::uint64_t process_count, std::uint64_t version,
@@ -141,9 +178,9 @@ class DepthView {
   /// Sum of process_count over live rows.
   std::uint64_t total_processes() const noexcept;
 
-  /// Rebuilds the exchange-format row byte-for-byte (delegates in published
-  /// order) for wire encodes and anti-entropy replies; `interests` is the
-  /// pooled handle itself.
+  /// The exchange-format row, for an in-memory batch of this view's
+  /// Interns: delegate ids in published order, `interests` the pooled
+  /// handle itself.
   ViewRow materialize(std::size_t i) const;
 
   std::string to_string() const;
@@ -176,7 +213,7 @@ class DepthView {
   /// dominates.
   std::vector<AddrId> del_pool_;
   std::size_t live_delegates_ = 0;  ///< referenced entries of del_pool_
-  std::vector<AddrId> id_scratch_;     ///< upsert() interning buffer
+  std::vector<AddrId> id_scratch_;     ///< decoded-row interning buffer
   std::vector<AddrId> alias_scratch_;  ///< set_delegates() detach buffer
 
   std::uint64_t mutations_ = 0;

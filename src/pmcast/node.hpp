@@ -45,7 +45,7 @@ struct GossipMsg final : MessageBase {
   /// round bound must never see in live arithmetic.
   bool no_regossip = false;
   Address sender;                  ///< set when piggyback is non-empty
-  std::vector<DepthRow> piggyback;
+  RowBatch piggyback;
 };
 
 /// Recovery digests (optional, PmcastConfig::recovery_rounds): ids of
@@ -104,10 +104,9 @@ class PmcastNode final : public Process {
   /// gossip's rows are handed to sink(sender, rows) — typically wired to
   /// SyncNode::rows_to_share / SyncNode::absorb_rows, so membership spreads
   /// with events instead of (only) dedicated gossips.
-  using PiggybackSource =
-      std::function<std::vector<DepthRow>(AddrId target)>;
-  using PiggybackSink = std::function<void(const Address& sender,
-                                           const std::vector<DepthRow>&)>;
+  using PiggybackSource = std::function<RowBatch(AddrId target)>;
+  using PiggybackSink =
+      std::function<void(const Address& sender, const RowBatch&)>;
   void set_piggyback(PiggybackSource source, PiggybackSink sink) {
     piggyback_source_ = std::move(source);
     piggyback_sink_ = std::move(sink);

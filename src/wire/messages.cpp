@@ -292,10 +292,10 @@ Address decode_address(Reader& r) {
   return Address(std::move(comps));
 }
 
-void encode(Writer& w, const ViewRow& row) {
+void encode(Writer& w, const ViewRow& row, const RowBatch& batch) {
   w.varint(row.infix);
   w.varint(row.delegates.size());
-  for (const auto& d : row.delegates) encode(w, d);
+  for (const AddrId d : row.delegates) encode(w, batch.address(d));
   PMC_EXPECTS(row.interests != nullptr);
   encode(w, *row.interests);
   w.varint(row.process_count);
@@ -303,12 +303,14 @@ void encode(Writer& w, const ViewRow& row) {
   w.boolean(row.alive);
 }
 
-ViewRow decode_view_row(Reader& r) {
+ViewRow decode_view_row(Reader& r, std::vector<Address>& addresses) {
   ViewRow row;
   row.infix = checked_varint<AddrComponent>(r, "infix out of range");
   const auto delegates = checked_count(r);
-  for (std::uint64_t i = 0; i < delegates; ++i)
-    row.delegates.push_back(decode_address(r));
+  for (std::uint64_t i = 0; i < delegates; ++i) {
+    row.delegates.push_back(static_cast<AddrId>(addresses.size()));
+    addresses.push_back(decode_address(r));
+  }
   row.interests = std::make_shared<const InterestSummary>(decode_summary(r));
   row.process_count = r.varint();
   row.version = r.varint();
@@ -320,24 +322,24 @@ ViewRow decode_view_row(Reader& r) {
 
 namespace {
 
-void encode_depth_rows(Writer& w, const std::vector<DepthRow>& rows) {
-  w.varint(rows.size());
-  for (const auto& dr : rows) {
+void encode_depth_rows(Writer& w, const RowBatch& batch) {
+  w.varint(batch.rows.size());
+  for (const auto& dr : batch) {
     w.varint(dr.depth);
-    encode(w, dr.row);
+    encode(w, dr.row, batch);
   }
 }
 
-std::vector<DepthRow> decode_depth_rows(Reader& r) {
-  std::vector<DepthRow> rows;
+RowBatch decode_depth_rows(Reader& r) {
+  RowBatch batch;
   const auto n = checked_count(r);
   for (std::uint64_t i = 0; i < n; ++i) {
     DepthRow dr;
     dr.depth = checked_varint<std::uint32_t>(r, "bad row depth", 1, kMaxDepth);
-    dr.row = decode_view_row(r);
-    rows.push_back(std::move(dr));
+    dr.row = decode_view_row(r, batch.addresses);
+    batch.rows.push_back(std::move(dr));
   }
-  return rows;
+  return batch;
 }
 
 }  // namespace

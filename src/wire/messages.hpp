@@ -46,8 +46,12 @@ InterestSummary decode_summary(Reader& r);
 void encode(Writer& w, const Address& a);
 Address decode_address(Reader& r);
 
-void encode(Writer& w, const ViewRow& row);
-ViewRow decode_view_row(Reader& r);
+/// A row of `batch`: its delegate ids are resolved through the batch's id
+/// space, so either batch form encodes to the same bytes.
+void encode(Writer& w, const ViewRow& row, const RowBatch& batch);
+/// Appends the row's delegate addresses to `addresses` (a decoded batch's
+/// address list) and returns the row with their indices there.
+ViewRow decode_view_row(Reader& r, std::vector<Address>& addresses);
 
 // -- Protocol envelope ------------------------------------------------------
 

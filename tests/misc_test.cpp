@@ -51,11 +51,11 @@ TEST(Rendering, DepthViewToStringShowsTombstones) {
   v.bind(interns);
   ViewRow row;
   row.infix = 7;
-  row.delegates = {Address::parse("7.0")};
-  row.interests = std::make_shared<const InterestSummary>(
-      InterestSummary::from(Subscription()));
+  row.delegates = {interns.addrs.intern(Address::parse("7.0"))};
+  row.interests =
+      interns.summaries.intern(InterestSummary::from(Subscription()));
   row.alive = false;
-  v.upsert(row);
+  v.upsert(row, RowBatch(interns));
   EXPECT_NE(v.to_string().find("(gone)"), std::string::npos);
 }
 

@@ -79,7 +79,7 @@ Stack make_stack(SimTime sync_period, bool piggyback,
       SyncNode* sync = s.sync_nodes[i].get();
       s.pm_nodes.back()->set_piggyback(
           [sync](AddrId target) { return sync->rows_to_share(target); },
-          [sync](const Address& sender, const std::vector<DepthRow>& rows) {
+          [sync](const Address& sender, const RowBatch& rows) {
             sync->absorb_rows(sender, rows);
           });
     }
@@ -119,7 +119,7 @@ TEST(Piggyback, SpreadsMembershipWithoutDedicatedGossip) {
     ViewRow tomb = leaf.materialize(i);
     tomb.alive = false;
     tomb.version += 1000;
-    leaf.upsert(tomb);
+    leaf.upsert(tomb, RowBatch(view.interns()));
   }
 
   // A few events published by node 0 spread the row to subgroup peers.

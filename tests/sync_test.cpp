@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "harness/workload.hpp"
+#include "wire/messages.hpp"
 
 namespace pmc {
 namespace {
@@ -188,30 +190,127 @@ TEST(SyncNode, DelegateRecompactionRefreshesCounts) {
 TEST(SyncNode, StaleSelfTombstoneIsRebutted) {
   // A tombstone of a node's own leaf row is rebutted however old it is:
   // the rebuttal check runs ahead of the version comparison that drops
-  // every other stale row.
-  auto c = make_sync_cluster(3, 2, 2, /*seed=*/17);
-  const SyncNode& target = *c.nodes[4];  // 1.1
-  const auto& leaf = target.view().view(2);
-  const std::size_t i =
-      SyncCluster::row_of(target, 2, target.address().component(1));
-  ASSERT_NE(i, DepthView::npos);
-  const std::uint64_t held = leaf.version(i);
-  ASSERT_GT(held, 0u);
-  ViewRow tomb = leaf.materialize(i);
-  tomb.alive = false;
-  tomb.version = held - 1;
-  auto update = std::make_shared<MembershipUpdateMsg>();
-  update->sender = c.nodes[3]->address();  // 1.0, same leaf subgroup
-  update->rows.push_back(DepthRow{2, tomb});
-  c.runtime->network().send(3, 4, update);
-  c.runtime->run_for(sim_ms(1));
+  // every other stale row. It recognises the node by id in an in-memory
+  // batch and by address in a decoded one.
+  for (const bool codec : {false, true}) {
+    auto c = make_sync_cluster(3, 2, 2, /*seed=*/17);
+    const SyncNode& target = *c.nodes[4];  // 1.1
+    const auto& leaf = target.view().view(2);
+    const std::size_t i =
+        SyncCluster::row_of(target, 2, target.address().component(1));
+    ASSERT_NE(i, DepthView::npos);
+    const std::uint64_t held = leaf.version(i);
+    ASSERT_GT(held, 0u);
+    ViewRow tomb = leaf.materialize(i);
+    tomb.alive = false;
+    tomb.version = held - 1;
+    auto update = std::make_shared<MembershipUpdateMsg>();
+    update->sender = c.nodes[3]->address();  // 1.0, same leaf subgroup
+    update->rows = RowBatch(*c.interns);
+    update->rows.rows.push_back(DepthRow{2, tomb});
+    const MessagePtr sent =
+        codec ? wire::decode_message(wire::encode_message(*update)) : update;
+    c.runtime->network().send(3, 4, sent);
+    c.runtime->run_for(sim_ms(1));
 
-  EXPECT_EQ(target.stats().rebuttals, 1u);
-  const std::size_t j =
-      SyncCluster::row_of(target, 2, target.address().component(1));
-  ASSERT_NE(j, DepthView::npos);
-  EXPECT_TRUE(leaf.alive(j));
-  EXPECT_GT(leaf.version(j), held);
+    EXPECT_EQ(target.stats().rebuttals, 1u) << codec;
+    const std::size_t j =
+        SyncCluster::row_of(target, 2, target.address().component(1));
+    ASSERT_NE(j, DepthView::npos);
+    EXPECT_TRUE(leaf.alive(j)) << codec;
+    EXPECT_GT(leaf.version(j), held) << codec;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Digest replies
+// ---------------------------------------------------------------------------
+
+struct ReplyRow {
+  std::uint32_t depth = 0;
+  AddrComponent infix = 0;
+  std::uint64_t version = 0;
+  bool operator==(const ReplyRow&) const = default;
+};
+
+/// The rows node `to` answers `digest` from node `from` with, read off the
+/// network as the reply is sent. With `codec`, every message (the digest
+/// and the reply) crosses the wire codec first.
+std::vector<ReplyRow> digest_reply(SyncCluster& c, ProcessId from,
+                                   ProcessId to,
+                                   const MembershipDigestMsg& digest,
+                                   bool codec) {
+  std::vector<ReplyRow> rows;
+  std::size_t replies = 0;
+  const Address responder = c.nodes[to]->address();
+  c.runtime->network().set_transcoder([&](const MessagePtr& msg) {
+    MessagePtr out =
+        codec ? wire::decode_message(wire::encode_message(*msg)) : msg;
+    if (out->kind == MsgKind::MembershipUpdate) {
+      const auto& update = static_cast<const MembershipUpdateMsg&>(*out);
+      if (update.sender == responder) {
+        ++replies;
+        for (const auto& dr : update.rows)
+          rows.push_back(ReplyRow{dr.depth, dr.row.infix, dr.row.version});
+      }
+    }
+    return out;
+  });
+  c.runtime->network().send(from, to,
+                            std::make_shared<MembershipDigestMsg>(digest));
+  c.runtime->run_for(sim_ms(1));
+  c.runtime->network().set_transcoder(nullptr);
+  EXPECT_EQ(replies, 1u);
+  return rows;
+}
+
+TEST(SyncNode, DigestReplyTakesTheFirstEntryPerKeyInAnyOrder) {
+  // A digest out of (depth, infix) order, with one key listed twice: first
+  // with an older version, then with a newer one. The reply holds exactly
+  // the rows a linear search of the digest picks — the first entry for a
+  // key wins — in memory and across the codec alike.
+  auto c = make_sync_cluster(3, 2, 2, /*seed=*/23);
+  const SyncNode& target = *c.nodes[4];  // 1.1
+  const SyncNode& gossiper = *c.nodes[3];  // 1.0: both depths are shared
+  const auto version = [&](std::size_t depth, AddrComponent infix) {
+    const auto& dv = target.view().view(depth);
+    const std::size_t i = dv.find_index(infix);
+    EXPECT_NE(i, DepthView::npos);
+    return dv.version(i);
+  };
+  ASSERT_GE(version(1, 2), 1u);
+
+  MembershipDigestMsg digest;
+  digest.sender = gossiper.address();
+  digest.sender_pid = 3;
+  digest.digests = {
+      {2, 1, version(2, 1)},        // equal: not sent
+      {1, 2, version(1, 2) - 1},    // older, and first for its key: sent
+      {1, 0, version(1, 0)},        // equal: not sent
+      {1, 2, version(1, 2) + 5},    // same key again: ignored
+      {2, 0, version(2, 0) + 100},  // the gossiper is ahead: not sent
+  };  // (1, 1) and (2, 2) are missing: sent
+
+  // The linear search the walk must agree with, row by row in view order.
+  std::vector<ReplyRow> expected;
+  for (std::uint32_t depth = 1; depth <= 2; ++depth) {
+    const auto& dv = target.view().view(depth);
+    for (std::size_t i = 0; i < dv.size(); ++i) {
+      const auto it = std::find_if(
+          digest.digests.begin(), digest.digests.end(),
+          [&](const RowDigest& d) {
+            return d.depth == depth && d.infix == dv.infix(i);
+          });
+      if (it == digest.digests.end() || it->version < dv.version(i))
+        expected.push_back(ReplyRow{depth, dv.infix(i), dv.version(i)});
+    }
+  }
+  const std::vector<ReplyRow> keys = {
+      {1, 1, version(1, 1)}, {1, 2, version(1, 2)}, {2, 2, version(2, 2)}};
+  ASSERT_EQ(expected, keys);
+
+  EXPECT_EQ(digest_reply(c, 3, 4, digest, /*codec=*/false), expected);
+  EXPECT_EQ(digest_reply(c, 3, 4, digest, /*codec=*/true), expected);
 }
 
 TEST(SyncNode, MessagesCarryNoUpdatesWhenConverged) {

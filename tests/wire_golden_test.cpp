@@ -39,17 +39,21 @@ std::string to_hex(const std::vector<std::uint8_t>& bytes) {
   return out;
 }
 
-/// The canonical ViewRow shared by the membership fixtures.
-ViewRow canonical_row() {
+/// The canonical one-row batch shared by the membership fixtures, in
+/// wire form (its delegate indexes the batch's address list).
+RowBatch canonical_rows(std::uint32_t depth) {
   ViewRow row;
   row.infix = 1;
-  row.delegates = {Address::parse("1.2")};
+  row.delegates = {0};
   row.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(interval_subscription(0.25, 0.5)));
   row.process_count = 3;
   row.version = 9;
   row.alive = true;
-  return row;
+  RowBatch batch;
+  batch.addresses = {Address::parse("1.2")};
+  batch.rows.push_back(DepthRow{depth, std::move(row)});
+  return batch;
 }
 
 /// One canonical instance of every encodable message kind, constructed
@@ -64,7 +68,7 @@ canonical_messages() {
     m->round = 2;
     m->depth = 1;
     m->sender = Address::parse("1.1");
-    m->piggyback.push_back(DepthRow{2, canonical_row()});
+    m->piggyback = canonical_rows(2);
     out.emplace_back("Gossip", std::move(m));
   }
   {
@@ -77,7 +81,7 @@ canonical_messages() {
   {
     auto m = std::make_shared<MembershipUpdateMsg>();
     m->sender = Address::parse("0.1");
-    m->rows.push_back(DepthRow{1, canonical_row()});
+    m->rows = canonical_rows(1);
     out.emplace_back("MembershipUpdate", std::move(m));
   }
   {
@@ -91,7 +95,7 @@ canonical_messages() {
   {
     auto m = std::make_shared<ViewTransferMsg>();
     m->sender = Address::parse("3.0");
-    m->rows.push_back(DepthRow{2, canonical_row()});
+    m->rows = canonical_rows(2);
     out.emplace_back("ViewTransfer", std::move(m));
   }
   {
@@ -238,18 +242,22 @@ Event random_event(Rng& rng) {
   return e;
 }
 
-ViewRow random_row(Rng& rng) {
+/// Appends a random row of depth 1..4 to the wire-form `batch`.
+void add_random_row(Rng& rng, RowBatch& batch) {
+  const auto depth = 1 + static_cast<std::uint32_t>(rng.next_below(4));
   ViewRow row;
   row.infix = static_cast<AddrComponent>(rng.next_below(50));
   const std::size_t delegates = 1 + rng.next_below(3);
-  for (std::size_t i = 0; i < delegates; ++i)
-    row.delegates.push_back(random_address(rng));
+  for (std::size_t i = 0; i < delegates; ++i) {
+    row.delegates.push_back(static_cast<AddrId>(batch.addresses.size()));
+    batch.addresses.push_back(random_address(rng));
+  }
   row.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(interval_subscription(rng.next_double(), 0.3)));
   row.process_count = rng.next_below(1000);
   row.version = rng.next_below(100000);
   row.alive = rng.bernoulli(0.8);
-  return row;
+  batch.rows.push_back(DepthRow{depth, std::move(row)});
 }
 
 std::shared_ptr<MessageBase> random_message(Rng& rng) {
@@ -263,9 +271,7 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       m->no_regossip = rng.bernoulli(0.2);
       if (rng.bernoulli(0.5)) {
         m->sender = random_address(rng);
-        m->piggyback.push_back(DepthRow{
-            1 + static_cast<std::uint32_t>(rng.next_below(4)),
-            random_row(rng)});
+        add_random_row(rng, m->piggyback);
       }
       return m;
     }
@@ -285,10 +291,7 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       auto m = std::make_shared<MembershipUpdateMsg>();
       m->sender = random_address(rng);
       const std::size_t n = rng.next_below(4);
-      for (std::size_t i = 0; i < n; ++i)
-        m->rows.push_back(DepthRow{
-            1 + static_cast<std::uint32_t>(rng.next_below(4)),
-            random_row(rng)});
+      for (std::size_t i = 0; i < n; ++i) add_random_row(rng, m->rows);
       return m;
     }
     case 4: {
@@ -303,10 +306,7 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       auto m = std::make_shared<ViewTransferMsg>();
       m->sender = random_address(rng);
       const std::size_t n = rng.next_below(4);
-      for (std::size_t i = 0; i < n; ++i)
-        m->rows.push_back(DepthRow{
-            1 + static_cast<std::uint32_t>(rng.next_below(4)),
-            random_row(rng)});
+      for (std::size_t i = 0; i < n; ++i) add_random_row(rng, m->rows);
       return m;
     }
     case 6: {

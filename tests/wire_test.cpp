@@ -216,24 +216,55 @@ TEST(WireAddress, RoundTrip) {
 }
 
 TEST(WireViewRow, RoundTrip) {
+  // A decoded batch's row: delegates index the batch's address list.
+  RowBatch batch;
+  batch.addresses = {Address::parse("128.178.73.3"),
+                     Address::parse("128.178.73.17")};
   ViewRow row;
   row.infix = 73;
-  row.delegates = {Address::parse("128.178.73.3"),
-                   Address::parse("128.178.73.17")};
+  row.delegates = {0, 1};
   row.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(Subscription::parse("b > 0")));
   row.process_count = 21;
   row.version = 99;
   row.alive = false;
-  const auto out = round_trip(row, [](Writer& w, const ViewRow& x) {
-    wire::encode(w, x);
-  }, [](Reader& r) { return wire::decode_view_row(r); });
+  std::vector<Address> addresses = {Address::parse("9.9")};
+  const auto out = round_trip(row, [&](Writer& w, const ViewRow& x) {
+    wire::encode(w, x, batch);
+  }, [&](Reader& r) { return wire::decode_view_row(r, addresses); });
   EXPECT_EQ(out.infix, row.infix);
-  EXPECT_EQ(out.delegates, row.delegates);
+  // Decoding appends to the list it is given and indexes into it.
+  EXPECT_EQ(out.delegates, (std::vector<AddrId>{1, 2}));
+  EXPECT_EQ(addresses, (std::vector<Address>{Address::parse("9.9"),
+                                             batch.addresses[0],
+                                             batch.addresses[1]}));
   EXPECT_EQ(out.process_count, row.process_count);
   EXPECT_EQ(out.version, row.version);
   EXPECT_EQ(out.alive, row.alive);
   EXPECT_EQ(*out.interests, *row.interests);
+}
+
+TEST(WireViewRow, BothBatchFormsEncodeAlike) {
+  // An in-memory row names its delegates by the runtime's ids; encoding
+  // resolves them, so it writes the bytes of the same row in wire form.
+  Interns interns;
+  interns.addrs.intern(Address::parse("5.5"));  // ids differ from indices
+  const RowBatch local(interns);
+  RowBatch decoded;
+  decoded.addresses = {Address::parse("128.178.73.17"),
+                       Address::parse("128.178.73.3")};
+  ViewRow row;
+  row.infix = 73;
+  row.interests = interns.summaries.intern(
+      InterestSummary::from(Subscription::parse("b > 0")));
+  row.delegates = {interns.addrs.intern(decoded.addresses[0]),
+                   interns.addrs.intern(decoded.addresses[1])};
+  Writer in_memory;
+  wire::encode(in_memory, row, local);
+  row.delegates = {0, 1};
+  Writer on_wire;
+  wire::encode(on_wire, row, decoded);
+  EXPECT_EQ(in_memory.data(), on_wire.data());
 }
 
 TEST(WireMessage, GossipEnvelope) {
@@ -274,12 +305,13 @@ TEST(WireMessage, AllEnvelopesRoundTrip) {
     m->sender = Address::parse("0.1");
     ViewRow row;
     row.infix = 1;
-    row.delegates = {Address::parse("0.1")};
+    row.delegates = {0};
     row.interests = std::make_shared<const InterestSummary>(
         InterestSummary::from(Subscription()));
     row.process_count = 1;
     row.version = 5;
-    m->rows.push_back(DepthRow{2, row});
+    m->rows.addresses = {Address::parse("0.1")};
+    m->rows.rows.push_back(DepthRow{2, row});
     messages.push_back(std::move(m));
   }
   {
@@ -436,12 +468,13 @@ TEST(WireMessage, FuzzTruncationsOfValidMessage) {
   msg.sender = Address::parse("1.2.3");
   ViewRow row;
   row.infix = 2;
-  row.delegates = {Address::parse("1.2.3")};
+  row.delegates = {0};
   row.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(Subscription::parse("b > 0")));
   row.process_count = 3;
   row.version = 8;
-  msg.rows.push_back(DepthRow{1, row});
+  msg.rows.addresses = {Address::parse("1.2.3")};
+  msg.rows.rows.push_back(DepthRow{1, row});
   const auto bytes = wire::encode_message(msg);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     try {

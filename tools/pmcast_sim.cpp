@@ -26,6 +26,9 @@
 //   pmcast_sim --shards 16 --repro-check
 //   pmcast_sim --shards 4 --shard-scenario demo --cross 2 --cross-span 3
 //   pmcast_sim --shards 8 --shard-scenario 0:storm.scn --horizon 5s
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -143,19 +146,38 @@ void print_usage() {
 }
 
 /// Strict size parse: every character must be a digit, so "--cross abc"
-/// errors out instead of silently becoming 0 publishers, and "--threads -1"
+/// errors out instead of silently becoming 0 publishers, "--runs -1"
 /// instead of wrapping to 2^64 - 1 (strtoull alone accepts a sign and
-/// leading blanks).
-bool parse_size(const std::string& flag, const char* value,
-                std::size_t& out) {
+/// leading blanks), and "--a 4x" instead of running as 4.
+template <typename T>
+bool parse_size(const std::string& flag, const char* value, T& out) {
+  static_assert(sizeof(T) == sizeof(unsigned long long));
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(value, &end, 10);
-  if (*value < '0' || *value > '9' || end == nullptr || *end != '\0') {
+  if (*value < '0' || *value > '9' || end == nullptr || *end != '\0' ||
+      errno == ERANGE) {
     std::cerr << "bad " << flag << ": expected a number, got '" << value
               << "'\n";
     return false;
   }
-  out = static_cast<std::size_t>(v);
+  out = static_cast<T>(v);
+  return true;
+}
+
+/// Strict real parse, the same end-pointer check --adaptive= makes: the
+/// whole value must be one finite number, so "--pd 0.5x" errors out
+/// instead of running as 0.5. Ranges are checked after parsing.
+bool parse_real(const std::string& flag, const char* value, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !std::isfinite(v) ||
+      std::isspace(static_cast<unsigned char>(*value))) {
+    std::cerr << "bad " << flag << ": expected a number, got '" << value
+              << "'\n";
+    return false;
+  }
+  out = v;
   return true;
 }
 
@@ -172,38 +194,44 @@ bool parse_args(int argc, char** argv, Options& out) {
     };
     // --help/-h never reaches here: main() pre-scans argv and exits first.
     if (flag == "--a") {
-      e.a = std::strtoul(next(), nullptr, 10);
+      if (!parse_size(flag, next(), e.a)) return false;
       out.a_set = true;
     }
     else if (flag == "--d") {
-      e.d = std::strtoul(next(), nullptr, 10);
+      if (!parse_size(flag, next(), e.d)) return false;
       out.d_set = true;
     }
     else if (flag == "--R") {
-      e.r = std::strtoul(next(), nullptr, 10);
+      if (!parse_size(flag, next(), e.r)) return false;
       out.r_set = true;
     }
-    else if (flag == "--F") e.fanout = std::strtoul(next(), nullptr, 10);
-    else if (flag == "--pd") e.pd = std::strtod(next(), nullptr);
-    else if (flag == "--loss") e.loss = std::strtod(next(), nullptr);
+    else if (flag == "--F") {
+      if (!parse_size(flag, next(), e.fanout)) return false;
+    }
+    else if (flag == "--pd") {
+      if (!parse_real(flag, next(), e.pd)) return false;
+    }
+    else if (flag == "--loss") {
+      if (!parse_real(flag, next(), e.loss)) return false;
+    }
     else if (flag == "--crash") {
-      e.crash_fraction = std::strtod(next(), nullptr);
+      if (!parse_real(flag, next(), e.crash_fraction)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--c") {
-      e.pittel_c = std::strtod(next(), nullptr);
+      if (!parse_real(flag, next(), e.pittel_c)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--h") {
-      e.tuning_threshold = std::strtoul(next(), nullptr, 10);
+      if (!parse_size(flag, next(), e.tuning_threshold)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--flood") {
-      e.leaf_flood_density = std::strtod(next(), nullptr);
+      if (!parse_real(flag, next(), e.leaf_flood_density)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--coarsen") {
-      e.coarsen_depth_leq = std::strtoul(next(), nullptr, 10);
+      if (!parse_size(flag, next(), e.coarsen_depth_leq)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--no-shortcut") {
@@ -215,16 +243,18 @@ bool parse_args(int argc, char** argv, Options& out) {
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--runs") {
-      e.runs = std::strtoul(next(), nullptr, 10);
+      if (!parse_size(flag, next(), e.runs)) return false;
       out.experiment_only_flags.push_back(flag);
     }
-    else if (flag == "--seed") e.seed = std::strtoull(next(), nullptr, 10);
+    else if (flag == "--seed") {
+      if (!parse_size(flag, next(), e.seed)) return false;
+    }
     else if (flag == "--algorithm") {
       out.algorithm = next();
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--view") {
-      out.genuine_view = std::strtoul(next(), nullptr, 10);
+      if (!parse_size(flag, next(), out.genuine_view)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--analysis-only") {
@@ -232,7 +262,9 @@ bool parse_args(int argc, char** argv, Options& out) {
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--scenario") out.scenario = next();
-    else if (flag == "--fill") out.fill = std::strtod(next(), nullptr);
+    else if (flag == "--fill") {
+      if (!parse_real(flag, next(), out.fill)) return false;
+    }
     else if (flag == "--horizon") {
       try {
         out.horizon = parse_sim_time(next());  // same syntax as scripts
