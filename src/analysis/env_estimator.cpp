@@ -7,31 +7,38 @@
 
 namespace pmc {
 
+namespace {
+
+/// Both estimates stay at or below this, so (1-ε)(1-τ) > 0.
+constexpr double kCeiling = 0.9;
+/// Feedback windows with fewer probes than this are noise.
+constexpr std::uint64_t kMinProbes = 4;
+
+}  // namespace
+
 void AdaptiveEnv::validate() const {
   PMC_EXPECTS(prior.loss >= 0.0 && prior.loss < 1.0);
   PMC_EXPECTS(prior.crash >= 0.0 && prior.crash < 1.0);
   PMC_EXPECTS(ewma_alpha > 0.0 && ewma_alpha <= 1.0);
-  PMC_EXPECTS(loss_ceiling >= 0.0 && loss_ceiling < 1.0);
-  PMC_EXPECTS(crash_ceiling >= 0.0 && crash_ceiling < 1.0);
 }
 
 EnvEstimator::EnvEstimator(AdaptiveEnv policy)
     : policy_(policy),
-      loss_(std::min(policy.prior.loss, policy.loss_ceiling)),
-      crash_(std::min(policy.prior.crash, policy.crash_ceiling)) {
+      loss_(std::min(policy.prior.loss, kCeiling)),
+      crash_(std::min(policy.prior.crash, kCeiling)) {
   policy_.validate();
 }
 
 void EnvEstimator::observe_feedback(std::uint64_t probes,
                                     std::uint64_t acks) {
-  if (probes < policy_.min_probes) return;  // too small to be signal
+  if (probes < kMinProbes) return;  // too small to be signal
   // acked/sent estimates the round-trip success (1-ε)²; acks answering
   // probes of the previous window can push the ratio past 1, so clamp.
   const double ratio = std::min(
       1.0, static_cast<double>(acks) / static_cast<double>(probes));
   const double observed = 1.0 - std::sqrt(ratio);
   loss_ = (1.0 - policy_.ewma_alpha) * loss_ + policy_.ewma_alpha * observed;
-  loss_ = std::clamp(loss_, 0.0, policy_.loss_ceiling);
+  loss_ = std::clamp(loss_, 0.0, kCeiling);
   ++feedback_windows_;
 }
 
@@ -42,7 +49,7 @@ void EnvEstimator::observe_churn(std::uint64_t deaths,
       1.0, static_cast<double>(deaths) / static_cast<double>(population));
   crash_ =
       (1.0 - policy_.ewma_alpha) * crash_ + policy_.ewma_alpha * observed;
-  crash_ = std::clamp(crash_, 0.0, policy_.crash_ceiling);
+  crash_ = std::clamp(crash_, 0.0, kCeiling);
   ++churn_windows_;
 }
 

@@ -18,18 +18,22 @@
 //    into ε̂ until failure detection prunes the view — the estimate is a
 //    deliberately conservative "effective loss towards my current view",
 //    which can double-discount a failure that τ̂ also sees. Over-gossiping
-//    after crash waves is the safe direction for reliability; the ceiling
-//    below bounds the damage.
+//    after crash waves is the safe direction for reliability; the 0.9
+//    ceiling (below) bounds the damage.
 //  * τ from view incarnation churn: rows observed transitioning alive→dead
 //    (SyncNode::Stats::deaths_observed) over the known population,
 //    per window. This approximates the paper's τ = f/n for windows on the
 //    order of an event's gossip lifetime.
 //
 // Both observations are folded into an EWMA seeded from the static prior.
-// The estimator is deterministic by construction — no RNG, only counter
-// arithmetic — so adaptive runs replay byte-identically and never perturb
-// co-hosted shards. Its output is always a valid RoundEstimator input
-// (clamped to [0, ceiling] with ceiling < 1, never NaN).
+// Feedback windows of fewer than 4 probes are discarded: a 1-of-2 ack
+// window would swing the EWMA on pure noise. The estimator is
+// deterministic by construction — no RNG, only counter arithmetic — so
+// adaptive runs replay byte-identically and never perturb co-hosted
+// shards. Its output is always a valid RoundEstimator input: both
+// estimates are clamped to [0, 0.9], so (1-ε)(1-τ) stays strictly
+// positive and an estimator that believes *everything* is lost still
+// leaves the algorithm a usable (if collapsed) bound. Never NaN.
 #pragma once
 
 #include <cstdint>
@@ -53,16 +57,6 @@ struct AdaptiveEnv {
   /// track bursts faster but pass more sampling noise into the bound.
   double ewma_alpha = 0.3;
 
-  /// Estimates are clamped below these ceilings so (1-ε)(1-τ) stays
-  /// strictly positive: an estimator that believes *everything* is lost
-  /// must still leave the algorithm a usable (if collapsed) bound.
-  double loss_ceiling = 0.9;
-  double crash_ceiling = 0.9;
-
-  /// Feedback windows with fewer probes than this are discarded — a 1-of-2
-  /// ack window would swing the EWMA on pure noise.
-  std::uint64_t min_probes = 4;
-
   void validate() const;
 };
 
@@ -71,7 +65,7 @@ class EnvEstimator {
   explicit EnvEstimator(AdaptiveEnv policy);
 
   /// One feedback window: membership digests sent vs. update/ack replies
-  /// received. Windows with fewer than `min_probes` probes are ignored;
+  /// received. Windows with fewer than 4 probes are ignored;
   /// the ratio is clamped to [0, 1] (late acks can straddle windows).
   void observe_feedback(std::uint64_t probes, std::uint64_t acks);
 
@@ -80,7 +74,7 @@ class EnvEstimator {
   void observe_churn(std::uint64_t deaths, std::uint64_t population);
 
   /// Current smoothed estimate; always a valid RoundEstimator::faulty
-  /// input (within [0, ceiling], never NaN).
+  /// input (within [0, 0.9], never NaN).
   EnvParams estimate() const noexcept;
 
   std::uint64_t feedback_windows() const noexcept {

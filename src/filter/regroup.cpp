@@ -196,24 +196,34 @@ std::optional<std::vector<Clause>> to_dnf(const PredicatePtr& pred,
 // InterestSummary
 // ---------------------------------------------------------------------------
 
-InterestSummary InterestSummary::from(const Subscription& sub,
-                                      const RegroupOptions& opts) {
+namespace {
+
+/// Clause budget before DNF conversion of one predicate gives up (the
+/// predicate is then kept opaque).
+constexpr std::size_t kMaxDnfClauses = 64;
+/// Multi-attribute clause budget of a summary; exceeding it triggers an
+/// automatic coarsen().
+constexpr std::size_t kMaxClauses = 256;
+
+}  // namespace
+
+InterestSummary InterestSummary::from(const Subscription& sub) {
   InterestSummary s;
   if (sub.is_wildcard()) {
     s.wildcard_ = true;
     return s;
   }
-  auto dnf = to_dnf(sub.predicate(), opts.max_dnf_clauses);
+  auto dnf = to_dnf(sub.predicate(), kMaxDnfClauses);
   if (!dnf) {
     s.opaque_.push_back(sub.predicate());
     return s;
   }
-  for (auto& clause : *dnf) s.add_clause(std::move(clause), opts);
+  for (auto& clause : *dnf) s.add_clause(std::move(clause));
   s.prune_subsumed();
   return s;
 }
 
-void InterestSummary::add_clause(Clause c, const RegroupOptions& opts) {
+void InterestSummary::add_clause(Clause c) {
   if (c.contradictory()) return;
   if (c.unconstrained()) {
     wildcard_ = true;
@@ -235,11 +245,10 @@ void InterestSummary::add_clause(Clause c, const RegroupOptions& opts) {
     return;
   }
   clauses_.push_back(std::move(c));
-  if (clauses_.size() > opts.max_clauses) coarsen();
+  if (clauses_.size() > kMaxClauses) coarsen();
 }
 
-void InterestSummary::merge(const InterestSummary& other,
-                            const RegroupOptions& opts) {
+void InterestSummary::merge(const InterestSummary& other) {
   if (other.wildcard_) wildcard_ = true;
   if (wildcard_) return;
   for (const auto& [attr, ivs] : other.numeric_) numeric_[attr].insert_all(ivs);
@@ -250,7 +259,7 @@ void InterestSummary::merge(const InterestSummary& other,
                    std::back_inserter(merged));
     dst = std::move(merged);
   }
-  for (const auto& c : other.clauses_) add_clause(c, opts);
+  for (const auto& c : other.clauses_) add_clause(c);
   opaque_.insert(opaque_.end(), other.opaque_.begin(), other.opaque_.end());
   prune_subsumed();
 }

@@ -12,14 +12,15 @@
 //      IntervalSets (binary-search matching, ranges merge away);
 //   2. single-attribute string equalities are unioned into per-attribute
 //      sorted string whitelists;
-//   3. everything else is normalized into conjunctive clauses (bounded DNF)
-//      with subsumption pruning, or kept as an opaque predicate if the
-//      normalization would explode.
+//   3. everything else is normalized into conjunctive clauses (DNF of at
+//      most 64 clauses per predicate) with subsumption pruning, or kept as
+//      an opaque predicate if the normalization would explode.
 //
 // A summary never produces a false negative (every event matching a merged
 // subscription matches the summary). coarsen() trades precision for space —
 // the "approximating the filters applied by delegates closer to the root"
-// mechanism sketched in the paper's concluding remarks.
+// mechanism sketched in the paper's concluding remarks; a summary runs it
+// itself once it holds more than 256 multi-attribute clauses.
 #pragma once
 
 #include <cstdint>
@@ -75,26 +76,15 @@ class Clause {
   bool contradictory_ = false;
 };
 
-/// Options controlling how aggressively summaries trade precision for space.
-struct RegroupOptions {
-  /// Clause budget before DNF conversion of one predicate gives up
-  /// (the predicate is then kept opaque).
-  std::size_t max_dnf_clauses = 64;
-  /// Multi-attribute clause budget of a summary; exceeding it triggers an
-  /// automatic coarsen().
-  std::size_t max_clauses = 256;
-};
-
 class InterestSummary {
  public:
   InterestSummary() = default;
 
   /// Summary of a single subscription.
-  static InterestSummary from(const Subscription& sub,
-                              const RegroupOptions& opts = {});
+  static InterestSummary from(const Subscription& sub);
 
   /// Union with another summary (set union of represented interests).
-  void merge(const InterestSummary& other, const RegroupOptions& opts = {});
+  void merge(const InterestSummary& other);
 
   /// No false negatives w.r.t. every merged subscription.
   bool match(const Event& e) const;
@@ -139,7 +129,7 @@ class InterestSummary {
   std::string to_string() const;
 
  private:
-  void add_clause(Clause c, const RegroupOptions& opts);
+  void add_clause(Clause c);
   void prune_subsumed();
 
   bool wildcard_ = false;

@@ -320,66 +320,6 @@ ExperimentResult run_treecast_experiment(const ExperimentConfig& config) {
       [](TreecastNode& node, const Event& e) { node.multicast(e); });
 }
 
-StreamResult run_stream_experiment(const StreamConfig& stream) {
-  PMC_EXPECTS(stream.events >= 1);
-  PMC_EXPECTS(stream.inter_arrival >= 0);
-  const ExperimentConfig& config = stream.base;
-  const Population pop(config, /*build_tree=*/true);
-  const TreeViewProvider views(*pop.tree);
-  const PmcastConfig node_config = config.pmcast_config();
-
-  NetworkConfig net;
-  net.loss_probability = config.loss;
-  Runtime rt(net, config.seed ^ 0x5712ea30ULL);
-  rt.network().reserve(pop.members.size());
-
-  std::vector<std::unique_ptr<PmcastNode>> nodes;
-  nodes.reserve(pop.members.size());
-  for (std::size_t i = 0; i < pop.members.size(); ++i) {
-    nodes.push_back(std::make_unique<PmcastNode>(
-        rt, static_cast<ProcessId>(i), node_config, pop.members[i].address,
-        pop.members[i].subscription, views, pop.directory_fn()));
-  }
-
-  // detlint:allow(rng-discipline) xor-labeled event stream for the fixed-population harness
-  Rng rng(config.seed ^ 0x5151515151ULL);
-  std::vector<Event> events;
-  events.reserve(stream.events);
-  for (std::uint64_t s = 0; s < stream.events; ++s) {
-    const auto publisher =
-        static_cast<ProcessId>(rng.next_below(nodes.size()));
-    Event e = make_uniform_event(publisher, s, rng);
-    events.push_back(e);
-    rt.scheduler().schedule_at(
-        static_cast<SimTime>(s) * stream.inter_arrival,
-        [&nodes, publisher, e] { nodes[publisher].get()->pmcast(e); });
-  }
-  rt.run_until_idle();
-
-  StreamResult out;
-  const SimTime last_publish =
-      static_cast<SimTime>(stream.events - 1) * stream.inter_arrival;
-  out.drain_periods = static_cast<double>(rt.now() - last_publish) /
-                      static_cast<double>(config.period);
-  out.messages_per_event_per_process =
-      static_cast<double>(rt.network().counters().sent) /
-      static_cast<double>(stream.events) /
-      static_cast<double>(nodes.size());
-  for (const auto& e : events) {
-    std::size_t interested = 0, delivered = 0;
-    for (const auto& node : nodes) {
-      if (!node->alive() || !node->interested_in(e)) continue;
-      ++interested;
-      if (node->has_delivered(e.id())) ++delivered;
-    }
-    out.per_event_delivery.add(
-        interested == 0 ? 1.0
-                        : static_cast<double>(delivered) /
-                              static_cast<double>(interested));
-  }
-  return out;
-}
-
 std::size_t env_size_t(const char* name, std::size_t fallback) {
   // detlint:allow(banned-source) run-scope knob (PMCAST_*) read before any Runtime exists; never feeds draws or fingerprints
   const char* value = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)

@@ -79,23 +79,6 @@ ExperimentResult run_genuine_experiment(const ExperimentConfig& config,
 /// (one forward per interested subgroup; efficient but fragile).
 ExperimentResult run_treecast_experiment(const ExperimentConfig& config);
 
-/// Sustained multi-event workload: `events` publications from random
-/// publishers spaced `inter_arrival` apart over one shared runtime — the
-/// "stable phase" throughput scenario (several events in flight at once).
-struct StreamConfig {
-  ExperimentConfig base;
-  std::size_t events = 50;
-  SimTime inter_arrival = sim_ms(150);
-};
-
-struct StreamResult {
-  Summary per_event_delivery;   ///< delivered/interested for each event
-  double messages_per_event_per_process = 0.0;
-  double drain_periods = 0.0;   ///< periods from last publish to quiescence
-};
-
-StreamResult run_stream_experiment(const StreamConfig& config);
-
 /// Reads a positive integer override from the environment (e.g. PMCAST_RUNS)
 /// so benches can be scaled up without recompiling; `fallback` otherwise.
 std::size_t env_size_t(const char* name, std::size_t fallback);

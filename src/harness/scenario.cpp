@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 
@@ -503,7 +504,7 @@ struct ScenarioVerb<PublishBurst> : ScenarioEffects {
 };
 
 /// latency lognormal <median> <sigma> | latency uniform: installs a WAN
-/// latency model clamped to [0, 16 * median], or removes it. Two text
+/// latency profile clamped to [0, 16 * median], or removes it. Two text
 /// forms, so this block parses and prints itself.
 template <>
 struct ScenarioVerb<LatencyProfile> : ScenarioEffects {
@@ -527,19 +528,19 @@ struct ScenarioVerb<LatencyProfile> : ScenarioEffects {
     }
   }
   static void check(const LatencyProfile& op, SimTime, Ledger&) {
-    // The clamp window [0, 16 * median] must stay representable.
-    PMC_EXPECTS(op.median >= 0 && op.median <= kMaxTime / 16);
+    // The cap 16 * median is a reachable latency, so it must leave room
+    // for the send time when the scheduler adds the two.
+    PMC_EXPECTS(op.median >= 0 && op.median <= kMaxTime / 32);
     // Median 0 restores the uniform draw; sigma must be 0 there so every
     // script has exactly one canonical text form.
     PMC_EXPECTS(op.median == 0 ? op.sigma == 0.0
                                : op.sigma > 0.0 && op.sigma <= 4.0);
   }
   static void apply(ChurnSim& sim, const LatencyProfile& op, const RngPtr&) {
-    sim.rt_.network().set_latency_model(
-        op.median > 0 ? make_lognormal_latency(
-                            LogNormalParams{op.median, op.sigma}, 0,
-                            16 * op.median)
-                      : nullptr);
+    sim.rt_.network().set_latency(
+        op.median > 0 ? std::optional<LogNormalLatency>(LogNormalLatency{
+                            op.median, op.sigma, 0, 16 * op.median})
+                      : std::nullopt);
     ++sim.counters_.latency_profiles;
   }
 };

@@ -87,7 +87,7 @@ struct PublishBurst {
   SimTime spacing = 0;
 };
 
-/// Installs a LogNormal WAN latency model (median / log-space sigma) on
+/// Installs a LogNormal WAN latency profile (median / log-space sigma) on
 /// the group's network; median == 0 restores the uniform default. The
 /// clamp window is [0, 16 * median] so the heavy tail cannot outlive a
 /// run. Text form: `latency lognormal 2ms 0.8` / `latency uniform`.

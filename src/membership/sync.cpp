@@ -18,6 +18,15 @@ constexpr std::uint64_t kNeverRecompacted = ~std::uint64_t{0};
 /// never touches any other labeled stream.
 constexpr std::uint64_t kJoinBackoffSalt = 0xba0cf0ff;
 
+/// Join requests stop being forwarded after this many hops (a guard
+/// against routing loops).
+constexpr std::uint32_t kMaxJoinHops = 16;
+
+/// Join-retry backoff: ceiling on the factor, in gossip periods, and the
+/// jitter's fraction of the backed-off wait.
+constexpr std::uint64_t kJoinBackoffCap = 8;
+constexpr double kJoinBackoffJitter = 0.5;
+
 }  // namespace
 
 SyncNode::SyncNode(Runtime& rt, ProcessId pid, SyncConfig config,
@@ -50,9 +59,6 @@ SyncNode::SyncNode(Runtime& rt, ProcessId pid, SyncConfig config, Address self,
       join_contact_(contact) {
   recompact_cache_.assign(config_.tree.depth,
                           {kNeverRecompacted, kNeverRecompacted});
-  PMC_EXPECTS(config_.join_backoff_cap >= 1);
-  PMC_EXPECTS(config_.join_backoff_jitter >= 0.0 &&
-              config_.join_backoff_jitter <= 1.0);
   if (config_.join_backoff)
     join_jitter_rng_ =
         rt.make_stream(fnv1a_u64(kFnv1aBasis ^ kJoinBackoffSalt, pid));
@@ -76,11 +82,11 @@ void SyncNode::schedule_next_join_retry() {
   // instead of thundering in lockstep. Pure integer schedule; the jitter
   // draw comes from this joiner's own labeled stream.
   const std::uint32_t shift = std::min<std::uint32_t>(join_retry_budget_, 31);
-  const std::uint64_t factor = std::min<std::uint64_t>(
-      std::uint64_t{1} << shift, config_.join_backoff_cap);
+  const std::uint64_t factor =
+      std::min(std::uint64_t{1} << shift, kJoinBackoffCap);
   SimTime wait = config_.gossip_period * static_cast<SimTime>(factor);
-  const SimTime span = static_cast<SimTime>(
-      static_cast<double>(wait) * config_.join_backoff_jitter);
+  const SimTime span =
+      static_cast<SimTime>(static_cast<double>(wait) * kJoinBackoffJitter);
   if (span > 0)
     wait += static_cast<SimTime>(
         join_jitter_rng_.next_below(static_cast<std::uint64_t>(span) + 1));
@@ -276,7 +282,7 @@ void SyncNode::handle_join(ProcessId from, const JoinRequestMsg& m) {
 
   // Try to route closer: a delegate of a deeper subgroup on the joiner's
   // path knows strictly more of the joiner's neighborhood than we do.
-  if (shared + 1 < config_.tree.depth && m.hops < config_.max_join_hops) {
+  if (shared + 1 < config_.tree.depth && m.hops < kMaxJoinHops) {
     const DepthView& dv = view_.view(shared + 1);
     const std::size_t i = dv.find_index(m.joiner.component(shared));
     if (i != DepthView::npos && dv.alive(i) && !dv.delegates(i).empty() &&

@@ -119,24 +119,18 @@ struct SyncConfig {
   std::size_t gossip_fanout = 2;
   /// Silence from an immediate neighbor beyond this tombstones it.
   SimTime suspicion_timeout = sim_ms(1000);
-  /// Join requests stop being forwarded after this many hops.
-  std::uint32_t max_join_hops = 16;
   /// A joiner re-sends its join request every period until a view transfer
   /// arrives, giving up after this many retries (the contact may be dead —
   /// see retarget_join). 0 retries forever.
   std::uint32_t max_join_retries = 240;
   /// Capped exponential backoff on those retries: the k-th retry waits
-  /// min(2^k, join_backoff_cap) gossip periods plus a jitter drawn from the
-  /// joiner's own labeled stream (uniform in [0, wait * join_backoff_jitter]
-  /// — labeled, so enabling backoff on one joiner never moves any other
-  /// process's draws). Off by default: the legacy every-period retry
-  /// cadence (and every existing run fingerprint) is unchanged.
-  /// retarget_join resets the schedule along with the budget.
+  /// min(2^k, 8) gossip periods plus a jitter drawn from the joiner's own
+  /// labeled stream (uniform in [0, wait / 2] — labeled, so enabling
+  /// backoff on one joiner never moves any other process's draws). Off by
+  /// default: the legacy every-period retry cadence (and every existing
+  /// run fingerprint) is unchanged. retarget_join resets the schedule
+  /// along with the budget.
   bool join_backoff = false;
-  /// Ceiling on the backoff factor, in gossip periods.
-  std::uint32_t join_backoff_cap = 8;
-  /// Jitter fraction of the backed-off wait, in [0, 1].
-  double join_backoff_jitter = 0.5;
   /// When true, a timed-out neighbor is only tombstoned after a second
   /// leaf neighbor confirms it has not heard from the suspect either
   /// (Sec. 6's leaf-level agreement before exclusion).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/contract.hpp"
 #include "common/hash.hpp"
@@ -58,28 +57,11 @@ void Network::attach(ProcessId id, void* ctx, DispatchFn fn) {
   const std::size_t idx = id - pid_base_;
   if (idx >= handlers_.size()) handlers_.resize(idx + 1);
   handlers_[idx] = HandlerSlot{fn, ctx};
-  boxed_handlers_.erase(id);
-}
-
-void Network::attach(ProcessId id, Handler handler) {
-  PMC_EXPECTS(handler != nullptr);
-  PMC_EXPECTS(id >= pid_base_);
-  auto box = std::make_unique<Handler>(std::move(handler));
-  Handler* raw = box.get();
-  const std::size_t idx = id - pid_base_;
-  if (idx >= handlers_.size()) handlers_.resize(idx + 1);
-  handlers_[idx] = HandlerSlot{
-      [](void* ctx, ProcessId from, const MessagePtr& msg) {
-        (*static_cast<Handler*>(ctx))(from, msg);
-      },
-      raw};
-  boxed_handlers_[id] = std::move(box);
 }
 
 void Network::detach(ProcessId id) {
   if (id >= pid_base_ && id - pid_base_ < handlers_.size())
     handlers_[id - pid_base_] = HandlerSlot{};
-  boxed_handlers_.erase(id);
 }
 
 bool Network::attached(ProcessId id) const noexcept {
@@ -90,6 +72,15 @@ bool Network::attached(ProcessId id) const noexcept {
 void Network::set_loss(double eps) {
   PMC_EXPECTS(eps >= 0.0 && eps <= 1.0);
   config_.loss_probability = eps;
+}
+
+void Network::set_latency(std::optional<LogNormalLatency> profile) {
+  if (profile) {
+    PMC_EXPECTS(profile->median > 0);
+    PMC_EXPECTS(profile->sigma >= 0.0 && profile->sigma <= 4.0);
+    PMC_EXPECTS(profile->floor >= 0 && profile->floor <= profile->cap);
+  }
+  latency_ = profile;
 }
 
 void Network::set_duplication(double prob) {
@@ -137,17 +128,21 @@ std::uint64_t Network::next_draw_seed(ProcessId from) {
                    sparse_send_seq_[from]++);
 }
 
-SimTime Network::draw_latency(ProcessId from, ProcessId to,
-                              std::uint64_t msg_seed, Rng& legacy) {
-  if (latency_model_) {
-    Rng model_rng(fnv1a_u64(msg_seed, kLatencyDrawLabel));
-    const SimTime latency = latency_model_(from, to, model_rng);
-    PMC_EXPECTS(latency >= 0);
-    return latency;
+SimTime Network::draw_latency(Rng& rng) const {
+  if (latency_) {
+    const LogNormalLatency& wan = *latency_;
+    const double sample = static_cast<double>(wan.median) *
+                          std::exp(wan.sigma * rng.next_normal());
+    // Compare before rounding: past 2^63 llround overflows, so a tail
+    // sample at or above the cap must not reach it.
+    if (!(sample < static_cast<double>(wan.cap))) return wan.cap;
+    // llround pins the float -> sim-time edge to a fully specified rounding.
+    return std::clamp(static_cast<SimTime>(std::llround(sample)), wan.floor,
+                      wan.cap);
   }
   const SimTime span = config_.latency_max - config_.latency_min;
   return config_.latency_min +
-         (span > 0 ? static_cast<SimTime>(legacy.next_below(
+         (span > 0 ? static_cast<SimTime>(rng.next_below(
                          static_cast<std::uint64_t>(span) + 1))
                    : 0);
 }
@@ -178,7 +173,13 @@ void Network::deliver_after_draw(ProcessId from, ProcessId to,
     ++counters_.lost;
     return;
   }
-  SimTime latency = draw_latency(from, to, msg_seed, draw);
+  SimTime latency;
+  if (latency_) {
+    Rng wan(fnv1a_u64(msg_seed, kLatencyDrawLabel));
+    latency = draw_latency(wan);
+  } else {
+    latency = draw_latency(draw);
+  }
   // Injector draws run on their own (msg_seed, label) streams and only
   // when the injector is on — so enabling one never shifts the loss or
   // latency draws, and calm runs replay builds that predate the injectors.
@@ -193,22 +194,11 @@ void Network::deliver_after_draw(ProcessId from, ProcessId to,
   if (duplicate_probability_ > 0.0) {
     Rng dup(fnv1a_u64(msg_seed, kDuplicateDrawLabel));
     if (dup.bernoulli(duplicate_probability_)) {
-      // The clone draws its own latency from the duplicate stream (model
-      // or uniform), so the copies race each other — the receiver's dedup
-      // path is exercised under both orders.
-      SimTime dup_latency;
-      if (latency_model_) {
-        dup_latency = latency_model_(from, to, dup);
-        PMC_EXPECTS(dup_latency >= 0);
-      } else {
-        const SimTime span = config_.latency_max - config_.latency_min;
-        dup_latency = config_.latency_min +
-                      (span > 0 ? static_cast<SimTime>(dup.next_below(
-                                      static_cast<std::uint64_t>(span) + 1))
-                                : 0);
-      }
+      // The clone draws its own latency from the duplicate stream (WAN
+      // profile or uniform), so the copies race each other — the
+      // receiver's dedup path is exercised under both orders.
       ++counters_.duplicated;
-      schedule_delivery(from, to, dup_latency, msg);
+      schedule_delivery(from, to, draw_latency(dup), msg);
     }
   }
   schedule_delivery(from, to, latency, std::move(msg));
@@ -229,52 +219,6 @@ void Network::send(ProcessId from, ProcessId to, MessagePtr msg) {
     }
   }
   deliver_after_draw(from, to, std::move(msg));
-}
-
-namespace {
-
-/// One LogNormal draw: median * exp(sigma * z), rounded to integer
-/// sim-time and clamped into [floor, cap]. llround pins the float ->
-/// sim-time edge to a fully specified rounding.
-SimTime lognormal_draw(const LogNormalParams& params, SimTime floor,
-                       SimTime cap, Rng& rng) {
-  const double sample =
-      static_cast<double>(params.median) * std::exp(params.sigma *
-                                                    rng.next_normal());
-  const double capped =
-      std::min(sample, static_cast<double>(std::numeric_limits<SimTime>::max()));
-  return std::clamp(static_cast<SimTime>(std::llround(capped)), floor, cap);
-}
-
-void check_lognormal(const LogNormalParams& params, SimTime floor,
-                     SimTime cap) {
-  PMC_EXPECTS(params.median > 0);
-  PMC_EXPECTS(params.sigma >= 0.0 && params.sigma <= 4.0);
-  PMC_EXPECTS(floor >= 0 && floor <= cap);
-}
-
-}  // namespace
-
-Network::LatencyModel make_lognormal_latency(LogNormalParams params,
-                                             SimTime floor, SimTime cap) {
-  check_lognormal(params, floor, cap);
-  return [params, floor, cap](ProcessId, ProcessId, Rng& rng) {
-    return lognormal_draw(params, floor, cap, rng);
-  };
-}
-
-Network::LatencyModel make_zoned_latency(
-    std::function<std::uint32_t(ProcessId)> zone_of, LogNormalParams local,
-    LogNormalParams wan, SimTime floor, SimTime cap) {
-  PMC_EXPECTS(zone_of != nullptr);
-  check_lognormal(local, floor, cap);
-  check_lognormal(wan, floor, cap);
-  return [zone_of = std::move(zone_of), local, wan, floor,
-          cap](ProcessId from, ProcessId to, Rng& rng) {
-    const LogNormalParams& params =
-        zone_of(from) == zone_of(to) ? local : wan;
-    return lognormal_draw(params, floor, cap, rng);
-  };
 }
 
 void Network::send_multi(ProcessId from, std::span<const ProcessId> to,

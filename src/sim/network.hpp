@@ -2,9 +2,8 @@
 // adversarial-WAN layer): every message is independently lost with
 // probability ε; delivery latency defaults to uniform in [latency_min,
 // latency_max] (which the analysis requires to stay below the gossip
-// period P) but an installed LatencyModel replaces that draw — e.g. the
-// LogNormal WAN profiles built by make_lognormal_latency /
-// make_zoned_latency. Deterministic duplication and reordering injectors
+// period P) but an installed LogNormal WAN profile (set_latency) replaces
+// that draw on every link. Deterministic duplication and reordering injectors
 // can clone a message or stretch its latency, and any number of link
 // filters can be layered to model concurrent partitions; a filter sees
 // (from, to), so one-directional (asymmetric) and time-varying (flapping)
@@ -15,7 +14,7 @@
 // below, "msg_seed". The legacy loss + uniform-latency pair consumes
 // Rng(msg_seed) exactly as it always has; each injector derives its own
 // stream from it and only when enabled:
-//   * latency model:  Rng(fnv1a(msg_seed, kLatencyDrawLabel))
+//   * WAN latency:    Rng(fnv1a(msg_seed, kLatencyDrawLabel))
 //   * duplication:    Rng(fnv1a(msg_seed, kDuplicateDrawLabel))
 //   * reordering:     Rng(fnv1a(msg_seed, kReorderDrawLabel))
 // So runs with the injectors off are byte-identical to runs on builds that
@@ -32,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -45,10 +45,9 @@ using ProcessId = std::uint32_t;
 constexpr ProcessId kNoProcess = 0xffffffffU;
 
 /// Kind tag carried by every message so receivers dispatch with a switch
-/// instead of a dynamic_cast chain. Values 1..13 deliberately mirror
-/// wire::MessageTag so the codec can reuse the same discriminator
-/// (static_asserted in wire/messages.cpp). Treecast (14) is sim-only: it
-/// has no wire encoding, and encode_message rejects it.
+/// instead of a dynamic_cast chain. Values 1..13 are also the wire codec's
+/// one-byte message tag, so they are frozen (wire/messages.cpp). Treecast
+/// (14) is sim-only: it has no wire encoding, and encode_message rejects it.
 enum class MsgKind : std::uint8_t {
   Other = 0,  ///< untagged payloads (tests, ad-hoc messages)
   Gossip = 1,
@@ -79,6 +78,18 @@ struct MessageBase {
   const MsgKind kind;
 };
 using MessagePtr = std::shared_ptr<const MessageBase>;
+
+/// A LogNormal WAN latency profile: median * exp(sigma * N(0,1)), rounded
+/// to integer sim-time and clamped to [floor, cap]. `median` is the 50th
+/// percentile (the knob reads directly off a WAN RTT chart); sigma is the
+/// log-space spread — 0.5 gives a p99 of ~3.2x the median, the heavy tail
+/// WAN paths actually show.
+struct LogNormalLatency {
+  SimTime median = 0;
+  double sigma = 0.0;
+  SimTime floor = 0;
+  SimTime cap = 0;
+};
 
 struct NetworkConfig {
   double loss_probability = 0.0;  ///< ε — independent per message
@@ -121,10 +132,6 @@ class Network {
   /// with no std::function indirection or allocation. Process attaches a
   /// captureless-lambda thunk over `this`.
   using DispatchFn = void (*)(void* ctx, ProcessId from, const MessagePtr&);
-  /// Boxed std::function handlers remain available for tests and ad-hoc
-  /// wiring (the capturing lambda is heap-boxed once at attach time, not
-  /// per message).
-  using Handler = std::function<void(ProcessId from, const MessagePtr&)>;
   using LinkFilter = std::function<bool(ProcessId from, ProcessId to)>;
 
   Network(Scheduler& sched, NetworkConfig config, Rng rng);
@@ -148,8 +155,6 @@ class Network {
 
   /// Registers the receive dispatch for `id`; overrides any previous one.
   void attach(ProcessId id, void* ctx, DispatchFn fn);
-  /// As above, for a capturing std::function (boxed once; tests use this).
-  void attach(ProcessId id, Handler handler);
   /// Removes the handler (in-flight messages to `id` are counted dead).
   void detach(ProcessId id);
   bool attached(ProcessId id) const noexcept;
@@ -171,20 +176,13 @@ class Network {
   /// are unaffected; only subsequent send() calls draw against the new ε.
   void set_loss(double eps);
 
-  /// When set, replaces the uniform [latency_min, latency_max] draw: the
-  /// model returns the delivery latency for (from, to), drawing whatever it
-  /// needs from `rng` — a per-message stream labeled
-  /// (msg_seed, kLatencyDrawLabel), so installing a model never perturbs
-  /// the loss draw and removing it restores the legacy latencies exactly.
-  /// Must return a non-negative latency. Pass nullptr to restore uniform.
-  using LatencyModel = std::function<SimTime(ProcessId from, ProcessId to,
-                                             Rng& rng)>;
-  void set_latency_model(LatencyModel model) {
-    latency_model_ = std::move(model);
-  }
-  bool has_latency_model() const noexcept {
-    return latency_model_ != nullptr;
-  }
+  /// When set, the profile replaces the uniform [latency_min, latency_max]
+  /// draw on every link. A message's first copy draws it from a
+  /// per-message stream labeled (msg_seed, kLatencyDrawLabel), so
+  /// installing a profile never perturbs the loss draw, and std::nullopt
+  /// restores the legacy latencies exactly. Requires median > 0, sigma in
+  /// [0, 4] and 0 <= floor <= cap.
+  void set_latency(std::optional<LogNormalLatency> profile);
 
   /// Duplication injector: each message that passes loss is cloned with
   /// probability `prob`; the clone draws its own latency (from the
@@ -248,10 +246,9 @@ class Network {
   /// Applies the loss/latency draws (and the injectors) and schedules
   /// delivery.
   void deliver_after_draw(ProcessId from, ProcessId to, MessagePtr msg);
-  /// One latency draw: the installed model on its labeled sub-stream, else
-  /// the legacy uniform draw from `legacy` (the Rng(msg_seed) stream).
-  SimTime draw_latency(ProcessId from, ProcessId to, std::uint64_t msg_seed,
-                       Rng& legacy);
+  /// One latency draw from `rng`: the installed WAN profile, else the
+  /// uniform [latency_min, latency_max] draw.
+  SimTime draw_latency(Rng& rng) const;
   void schedule_delivery(ProcessId from, ProcessId to, SimTime latency,
                          MessagePtr msg);
   void ensure_sender_states(std::size_t count);
@@ -270,38 +267,14 @@ class Network {
   std::vector<SenderState> senders_;  // indexed by pid - pid_base_
   std::unordered_map<ProcessId, std::uint64_t> sparse_send_seq_;
   std::vector<HandlerSlot> handlers_;  // indexed by ProcessId
-  /// Backing storage for std::function handlers attached through the
-  /// compat overload (keyed by pid; freed on detach/re-attach).
-  std::unordered_map<ProcessId, std::unique_ptr<Handler>> boxed_handlers_;
   std::vector<std::pair<FilterToken, LinkFilter>> filters_;
   FilterToken next_filter_token_ = 1;
   Transcoder transcoder_;
-  LatencyModel latency_model_;
+  std::optional<LogNormalLatency> latency_;
   double duplicate_probability_ = 0.0;
   double reorder_probability_ = 0.0;
   SimTime reorder_window_ = 0;
   NetworkCounters counters_;
 };
-
-/// A LogNormal latency distribution: exp(ln(median) + sigma * N(0,1)),
-/// clamped to [floor, cap]. `median` is the 50th percentile (the LogNormal
-/// is specified by its median, not its mean, so the knob reads directly
-/// off a WAN RTT chart); sigma is the log-space spread — 0.5 gives a p99
-/// of ~3.2x the median, the heavy tail WAN paths actually show.
-struct LogNormalParams {
-  SimTime median = sim_ms(1);
-  double sigma = 0.5;
-};
-
-/// LatencyModel drawing every link from one LogNormal profile.
-Network::LatencyModel make_lognormal_latency(LogNormalParams params,
-                                             SimTime floor, SimTime cap);
-
-/// Per-zone WAN model: links within a zone (zone_of(from) == zone_of(to))
-/// draw from `local`, links crossing zones from `wan`. `zone_of` must be a
-/// pure function of the pid (e.g. an address-prefix bucket).
-Network::LatencyModel make_zoned_latency(
-    std::function<std::uint32_t(ProcessId)> zone_of, LogNormalParams local,
-    LogNormalParams wan, SimTime floor, SimTime cap);
 
 }  // namespace pmc

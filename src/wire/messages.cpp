@@ -344,30 +344,10 @@ RowBatch decode_depth_rows(Reader& r) {
 
 }  // namespace
 
-// The in-memory kind tag doubles as the wire discriminator; if either enum
-// drifts, these fire rather than the decoder mis-routing bytes.
-#define PMC_ASSERT_TAG_MIRRORS_KIND(name)                  \
-  static_assert(static_cast<std::uint8_t>(MessageTag::name) == \
-                static_cast<std::uint8_t>(MsgKind::name))
-PMC_ASSERT_TAG_MIRRORS_KIND(Gossip);
-PMC_ASSERT_TAG_MIRRORS_KIND(MembershipDigest);
-PMC_ASSERT_TAG_MIRRORS_KIND(MembershipUpdate);
-PMC_ASSERT_TAG_MIRRORS_KIND(JoinRequest);
-PMC_ASSERT_TAG_MIRRORS_KIND(ViewTransfer);
-PMC_ASSERT_TAG_MIRRORS_KIND(Leave);
-PMC_ASSERT_TAG_MIRRORS_KIND(FloodGossip);
-PMC_ASSERT_TAG_MIRRORS_KIND(GenuineGossip);
-PMC_ASSERT_TAG_MIRRORS_KIND(SuspectQuery);
-PMC_ASSERT_TAG_MIRRORS_KIND(SuspectReply);
-PMC_ASSERT_TAG_MIRRORS_KIND(EventDigest);
-PMC_ASSERT_TAG_MIRRORS_KIND(EventRequest);
-PMC_ASSERT_TAG_MIRRORS_KIND(EventPayload);
-#undef PMC_ASSERT_TAG_MIRRORS_KIND
-
 std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
   Writer w;
-  // One shared discriminator write (the asserts above guarantee the kind
-  // byte IS the MessageTag byte); the per-kind cases only encode bodies.
+  // The kind byte is the wire tag: one shared write, and the per-kind
+  // cases only encode bodies.
   w.u8(static_cast<std::uint8_t>(msg.kind));
   switch (msg.kind) {
     case MsgKind::Gossip: {
@@ -482,10 +462,10 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
 
 MessagePtr decode_message(std::span<const std::uint8_t> data) {
   Reader r(data);
-  const auto tag = static_cast<MessageTag>(r.u8());
+  const auto tag = static_cast<MsgKind>(r.u8());
   MessagePtr out;
   switch (tag) {
-    case MessageTag::Gossip: {
+    case MsgKind::Gossip: {
       auto msg = std::make_shared<GossipMsg>();
       msg->event = std::make_shared<const Event>(decode_event(r));
       msg->rate = r.f64();
@@ -503,7 +483,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       out = std::move(msg);
       break;
     }
-    case MessageTag::MembershipDigest: {
+    case MsgKind::MembershipDigest: {
       auto msg = std::make_shared<MembershipDigestMsg>();
       msg->sender = decode_address(r);
       msg->sender_pid =
@@ -520,14 +500,14 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       out = std::move(msg);
       break;
     }
-    case MessageTag::MembershipUpdate: {
+    case MsgKind::MembershipUpdate: {
       auto msg = std::make_shared<MembershipUpdateMsg>();
       msg->sender = decode_address(r);
       msg->rows = decode_depth_rows(r);
       out = std::move(msg);
       break;
     }
-    case MessageTag::JoinRequest: {
+    case MsgKind::JoinRequest: {
       auto msg = std::make_shared<JoinRequestMsg>();
       msg->joiner = decode_address(r);
       msg->joiner_pid = checked_varint<ProcessId>(r, "joiner pid out of range");
@@ -536,27 +516,27 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       out = std::move(msg);
       break;
     }
-    case MessageTag::ViewTransfer: {
+    case MsgKind::ViewTransfer: {
       auto msg = std::make_shared<ViewTransferMsg>();
       msg->sender = decode_address(r);
       msg->rows = decode_depth_rows(r);
       out = std::move(msg);
       break;
     }
-    case MessageTag::Leave: {
+    case MsgKind::Leave: {
       auto msg = std::make_shared<LeaveMsg>();
       msg->leaver = decode_address(r);
       out = std::move(msg);
       break;
     }
-    case MessageTag::FloodGossip: {
+    case MsgKind::FloodGossip: {
       auto msg = std::make_shared<FloodGossipMsg>();
       msg->event = std::make_shared<const Event>(decode_event(r));
       msg->round = checked_varint<std::uint32_t>(r, "flood round out of range");
       out = std::move(msg);
       break;
     }
-    case MessageTag::GenuineGossip: {
+    case MsgKind::GenuineGossip: {
       auto msg = std::make_shared<GenuineGossipMsg>();
       msg->event = std::make_shared<const Event>(decode_event(r));
       msg->round =
@@ -564,14 +544,14 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       out = std::move(msg);
       break;
     }
-    case MessageTag::SuspectQuery: {
+    case MsgKind::SuspectQuery: {
       auto msg = std::make_shared<SuspectQueryMsg>();
       msg->sender = decode_address(r);
       msg->suspect = decode_address(r);
       out = std::move(msg);
       break;
     }
-    case MessageTag::SuspectReply: {
+    case MsgKind::SuspectReply: {
       auto msg = std::make_shared<SuspectReplyMsg>();
       msg->sender = decode_address(r);
       msg->suspect = decode_address(r);
@@ -579,8 +559,8 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       out = std::move(msg);
       break;
     }
-    case MessageTag::EventDigest:
-    case MessageTag::EventRequest: {
+    case MsgKind::EventDigest:
+    case MsgKind::EventRequest: {
       const auto n = checked_count(r);
       std::vector<EventId> ids;
       ids.reserve(static_cast<std::size_t>(n));
@@ -590,7 +570,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
         id.sequence = r.varint();
         ids.push_back(id);
       }
-      if (tag == MessageTag::EventDigest) {
+      if (tag == MsgKind::EventDigest) {
         auto msg = std::make_shared<EventDigestMsg>();
         msg->ids = std::move(ids);
         out = std::move(msg);
@@ -601,7 +581,7 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
       }
       break;
     }
-    case MessageTag::EventPayload: {
+    case MsgKind::EventPayload: {
       auto msg = std::make_shared<EventPayloadMsg>();
       const auto n = checked_count(r);
       for (std::uint64_t i = 0; i < n; ++i)

@@ -55,24 +55,8 @@ ViewRow decode_view_row(Reader& r, std::vector<Address>& addresses);
 
 // -- Protocol envelope ------------------------------------------------------
 
-enum class MessageTag : std::uint8_t {
-  Gossip = 1,
-  MembershipDigest = 2,
-  MembershipUpdate = 3,
-  JoinRequest = 4,
-  ViewTransfer = 5,
-  Leave = 6,
-  FloodGossip = 7,
-  GenuineGossip = 8,
-  SuspectQuery = 9,
-  SuspectReply = 10,
-  EventDigest = 11,
-  EventRequest = 12,
-  EventPayload = 13,
-};
-
-/// Serializes any of the known protocol messages; throws std::logic_error
-/// for unknown MessageBase subclasses.
+/// Serializes any of the known protocol messages, tagged with their MsgKind
+/// byte; throws std::logic_error for unknown MessageBase subclasses.
 std::vector<std::uint8_t> encode_message(const MessageBase& msg);
 
 /// Parses a message envelope; throws DecodeError on malformed input.

@@ -212,12 +212,6 @@ TEST(ExperimentConfigValidation, RunnersRejectInvalidConfigs) {
   EXPECT_THROW(run_flooding_experiment(c), std::logic_error);
   EXPECT_THROW(run_genuine_experiment(c, 8), std::logic_error);
   EXPECT_THROW(run_treecast_experiment(c), std::logic_error);
-  StreamConfig sc;
-  sc.base = c;
-  EXPECT_THROW(run_stream_experiment(sc), std::logic_error);
-  sc.base = tiny_config();
-  sc.events = 0;
-  EXPECT_THROW(run_stream_experiment(sc), std::logic_error);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "harness/experiment.hpp"
+
 namespace pmc {
 namespace {
 
@@ -143,6 +145,43 @@ TEST(InfectionChain, LargeChainNumericallyStable) {
     total += p;
   }
   EXPECT_NEAR(total, 1.0, 1e-8);
+}
+
+// --- Monte-Carlo cross-validation of the Sec. 4.2 chain --------------------
+
+TEST(ModelValidation, FlatGossipMatchesMarkovChain) {
+  // Simulate flat-group gossip (d=1) many times; the mean infected count
+  // after the full run must sit near the chain's prediction at the round
+  // the algorithm stops (ceil of Pittel's bound).
+  const std::size_t n = 40;
+  const double fanout = 3.0;
+  const double loss = 0.1;
+
+  Accumulator simulated;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    ExperimentConfig c;
+    c.a = n;
+    c.d = 1;
+    c.r = 1;
+    c.fanout = 3;
+    c.pd = 1.0;
+    c.loss = loss;
+    c.runs = 1;
+    c.seed = 900 + seed;
+    const auto r = run_pmcast_experiment(c);
+    simulated.add(r.delivery.mean());
+  }
+
+  EnvParams env;
+  env.loss = loss;
+  const RoundEstimator estimator;
+  const auto rounds = RoundEstimator::executed_rounds(
+      estimator.faulty(n, fanout, env));
+  const auto chain = InfectionChain::flat(n, fanout, env);
+  const double predicted =
+      chain.expected_infected(rounds) / static_cast<double>(n);
+
+  EXPECT_NEAR(simulated.mean(), predicted, 0.08);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <tuple>
 #include <vector>
 
+#include "handler_box.hpp"
+
 namespace pmc {
 namespace {
 
@@ -16,6 +18,7 @@ struct TestMsg final : MessageBase {
 struct Fixture {
   Scheduler sched;
   NetworkConfig config;
+  testing::HandlerBox handlers;
   explicit Fixture(double loss = 0.0) {
     config.loss_probability = loss;
     config.latency_min = sim_us(100);
@@ -29,7 +32,7 @@ TEST(Network, DeliversToAttachedHandler) {
   auto net = f.make();
   int received = -1;
   ProcessId from_seen = kNoProcess;
-  net.attach(1, [&](ProcessId from, const MessagePtr& m) {
+  f.handlers.attach(net, 1, [&](ProcessId from, const MessagePtr& m) {
     from_seen = from;
     received = dynamic_cast<const TestMsg&>(*m).payload;
   });
@@ -45,7 +48,7 @@ TEST(Network, LatencyWithinConfiguredBounds) {
   Fixture f;
   auto net = f.make();
   SimTime delivered_at = -1;
-  net.attach(1, [&](ProcessId, const MessagePtr&) {
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) {
     delivered_at = f.sched.now();
   });
   net.send(0, 1, std::make_shared<TestMsg>(1));
@@ -67,7 +70,7 @@ TEST(Network, DetachStopsDelivery) {
   Fixture f;
   auto net = f.make();
   int received = 0;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++received; });
   net.send(0, 1, std::make_shared<TestMsg>(1));
   net.detach(1);
   f.sched.run();
@@ -81,7 +84,7 @@ TEST(Network, DetachAfterDeliveryInFlight) {
   Fixture f;
   auto net = f.make();
   int received = 0;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++received; });
   net.send(0, 1, std::make_shared<TestMsg>(1));
   f.sched.schedule_at(sim_us(50), [&] { net.detach(1); });  // before latency
   f.sched.run();
@@ -92,7 +95,7 @@ TEST(Network, FullLossDropsEverything) {
   Fixture f(1.0);
   auto net = f.make();
   int received = 0;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++received; });
   for (int i = 0; i < 100; ++i) net.send(0, 1, std::make_shared<TestMsg>(i));
   f.sched.run();
   EXPECT_EQ(received, 0);
@@ -103,7 +106,7 @@ TEST(Network, PartialLossApproximatesEpsilon) {
   Fixture f(0.3);
   auto net = f.make();
   int received = 0;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++received; });
   const int n = 20000;
   for (int i = 0; i < n; ++i) net.send(0, 1, std::make_shared<TestMsg>(i));
   f.sched.run();
@@ -114,8 +117,8 @@ TEST(Network, LinkFilterModelsPartition) {
   Fixture f;
   auto net = f.make();
   int received = 0;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++received; });
-  net.attach(2, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 2, [&](ProcessId, const MessagePtr&) { ++received; });
   const auto cut = net.add_link_filter([](ProcessId from, ProcessId to) {
     return !(from == 0 && to == 1);  // 0 -> 1 partitioned
   });
@@ -134,8 +137,8 @@ TEST(Network, ReattachOverridesHandler) {
   Fixture f;
   auto net = f.make();
   int a = 0, b = 0;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++a; });
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++b; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++a; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++b; });
   net.send(0, 1, std::make_shared<TestMsg>(1));
   f.sched.run();
   EXPECT_EQ(a, 0);
@@ -145,7 +148,7 @@ TEST(Network, ReattachOverridesHandler) {
 TEST(Network, ResetCounters) {
   Fixture f;
   auto net = f.make();
-  net.attach(1, [](ProcessId, const MessagePtr&) {});
+  f.handlers.attach(net, 1, [](ProcessId, const MessagePtr&) {});
   net.send(0, 1, std::make_shared<TestMsg>(1));
   f.sched.run();
   net.reset_counters();
@@ -170,13 +173,14 @@ struct DeliveryLog {
   std::vector<std::tuple<ProcessId, SimTime, int>> rows;  // (to, when, payload)
 };
 
-void attach_loggers(Network& net, Scheduler& sched, DeliveryLog& log,
+void attach_loggers(Fixture& f, Network& net, DeliveryLog& log,
                     ProcessId first, ProcessId last) {
   for (ProcessId id = first; id <= last; ++id) {
-    net.attach(id, [&log, &sched, id](ProcessId, const MessagePtr& m) {
-      log.rows.emplace_back(id, sched.now(),
-                            dynamic_cast<const TestMsg&>(*m).payload);
-    });
+    f.handlers.attach(
+        net, id, [&log, &sched = f.sched, id](ProcessId, const MessagePtr& m) {
+          log.rows.emplace_back(id, sched.now(),
+                                dynamic_cast<const TestMsg&>(*m).payload);
+        });
   }
 }
 
@@ -188,8 +192,8 @@ TEST(Network, SendMultiMatchesIndividualSends) {
   auto a = f.make();
   auto b = f.make();
   DeliveryLog log_a, log_b;
-  attach_loggers(a, f.sched, log_a, 1, 40);
-  attach_loggers(b, f.sched, log_b, 1, 40);
+  attach_loggers(f, a, log_a, 1, 40);
+  attach_loggers(f, b, log_b, 1, 40);
 
   std::vector<ProcessId> targets;
   for (ProcessId id = 1; id <= 40; ++id) targets.push_back(id);
@@ -211,8 +215,8 @@ TEST(Network, SendMultiAdvancesTheSameSenderSequence) {
   auto a = f.make();
   auto b = f.make();
   DeliveryLog log_a, log_b;
-  attach_loggers(a, f.sched, log_a, 1, 9);
-  attach_loggers(b, f.sched, log_b, 1, 9);
+  attach_loggers(f, a, log_a, 1, 9);
+  attach_loggers(f, b, log_b, 1, 9);
 
   const std::vector<ProcessId> targets{1, 2, 3, 4, 5, 6, 7, 8};
   for (const auto id : targets) a.send(0, id, std::make_shared<TestMsg>(1));
@@ -233,8 +237,8 @@ TEST(Network, SendMultiRespectsPerDestinationFilters) {
   auto a = f.make();
   auto b = f.make();
   DeliveryLog log_a, log_b;
-  attach_loggers(a, f.sched, log_a, 1, 20);
-  attach_loggers(b, f.sched, log_b, 1, 20);
+  attach_loggers(f, a, log_a, 1, 20);
+  attach_loggers(f, b, log_b, 1, 20);
   const auto drop_even = [](ProcessId, ProcessId to) { return to % 2 == 1; };
   a.add_link_filter(drop_even);
   b.add_link_filter(drop_even);
@@ -253,8 +257,8 @@ TEST(Network, SendMultiRunsPureTranscoderOncePerFanout) {
   Fixture f;
   auto net = f.make();
   int received = 0;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { ++received; });
-  net.attach(2, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 1, [&](ProcessId, const MessagePtr&) { ++received; });
+  f.handlers.attach(net, 2, [&](ProcessId, const MessagePtr&) { ++received; });
   int transcodes = 0;
   net.set_transcoder([&transcodes](const MessagePtr& m) {
     ++transcodes;
@@ -272,7 +276,7 @@ TEST(Network, SendMultiSharesOnePayload) {
   auto net = f.make();
   std::vector<const MessageBase*> seen;
   for (ProcessId id = 1; id <= 3; ++id)
-    net.attach(id, [&seen](ProcessId, const MessagePtr& m) {
+    f.handlers.attach(net, id, [&seen](ProcessId, const MessagePtr& m) {
       seen.push_back(m.get());
     });
   const std::vector<ProcessId> targets{1, 2, 3};
@@ -291,8 +295,8 @@ TEST(Network, ReserveDoesNotChangeDraws) {
   auto b = f.make();
   b.reserve(64);
   DeliveryLog log_a, log_b;
-  attach_loggers(a, f.sched, log_a, 1, 10);
-  attach_loggers(b, f.sched, log_b, 1, 10);
+  attach_loggers(f, a, log_a, 1, 10);
+  attach_loggers(f, b, log_b, 1, 10);
   for (int i = 0; i < 50; ++i) {
     a.send(i % 7, 1 + (i % 10), std::make_shared<TestMsg>(i));
     b.send(i % 7, 1 + (i % 10), std::make_shared<TestMsg>(i));
@@ -307,8 +311,10 @@ TEST(Network, ZeroLatencySpanIsFixedDelay) {
   NetworkConfig cfg;
   cfg.latency_min = cfg.latency_max = sim_us(250);
   Network net(sched, cfg, Rng(1));
+  testing::HandlerBox handlers;
   SimTime at = -1;
-  net.attach(1, [&](ProcessId, const MessagePtr&) { at = sched.now(); });
+  handlers.attach(net, 1,
+                  [&](ProcessId, const MessagePtr&) { at = sched.now(); });
   net.send(0, 1, std::make_shared<TestMsg>(1));
   sched.run();
   EXPECT_EQ(at, sim_us(250));

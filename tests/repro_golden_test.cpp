@@ -112,6 +112,32 @@ TEST(ReproGolden, WanFlapScenarioAnyThreadCount) {
   }
 }
 
+TEST(ReproGolden, WanDuplicateScenarioAnyThreadCount) {
+  // Adversarial pin: duplication while a WAN latency profile is installed,
+  // so every clone draws its latency from the LogNormal profile on the
+  // duplicate's labeled stream. One publish burst falls inside the
+  // duplication window and one after it.
+  for (const auto threads : kThreadCounts) {
+    ShardedConfig config = sharded_config(4);
+    config.threads = threads;
+    ShardedSim sim(config);
+    sim.play(0, ScenarioScript::parse(
+                    "at 100ms latency lognormal 2ms 0.8\n"
+                    "at 1s duplicate 0.4 for 900ms\n"
+                    "at 1200ms publish 6 every 50ms\n"
+                    "at 2500ms publish 6 every 50ms\n"));
+    sim.run_until(sim_ms(3500));
+    const ShardedSummary s = sim.summary();
+    EXPECT_EQ(s.fingerprint, 0x9789c1e3ef646b97ULL)
+        << "threads=" << threads << "\n" << s.to_string();
+    EXPECT_EQ(s.aggregate.fingerprint, 0x6dff621f68bb4aebULL);
+    ASSERT_EQ(s.shards.size(), 4u);
+    EXPECT_EQ(s.shards[0].fingerprint, 0x9322e9a53a82a702ULL);
+    EXPECT_GT(s.network.duplicated, 0u);
+    EXPECT_GT(s.shards[0].dup_suppressed, 0u);
+  }
+}
+
 TEST(ReproGolden, Shards4Cross2AnyThreadCount) {
   for (const auto threads : kThreadCounts) {
     ShardedConfig config = sharded_config(4);

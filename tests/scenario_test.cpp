@@ -655,6 +655,12 @@ TEST(ScenarioScript, RejectsAdversarialContractBreaches) {
     EXPECT_THROW(s.validate(), std::logic_error);
   }
   {
+    ScenarioScript s;  // cap 16 * median leaves no room for the send time
+    s.add(sim_ms(100),
+          LatencyProfile{std::numeric_limits<SimTime>::max() / 16, 1.0});
+    EXPECT_THROW(s.validate(), std::logic_error);
+  }
+  {
     ScenarioScript s;  // overlapping duplicate bursts
     s.add(sim_ms(100), DuplicateBurst{0.5, sim_ms(300)});
     s.add(sim_ms(200), DuplicateBurst{0.5, sim_ms(300)});

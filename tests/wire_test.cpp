@@ -366,6 +366,18 @@ TEST(WireMessage, TrailingBytesRejected) {
   EXPECT_THROW(wire::decode_message(bytes), DecodeError);
 }
 
+TEST(WireMessage, NonWireKindsRejectedAtDecode) {
+  // Only MsgKind values 1..13 are wire tags: a valid body behind tag 0
+  // (Other), 14 (Treecast) or any larger byte must not decode.
+  LeaveMsg msg;
+  msg.leaver = Address::parse("1.1");
+  auto bytes = wire::encode_message(msg);
+  for (const int tag : {0, 14, 15, 255}) {
+    bytes[0] = static_cast<std::uint8_t>(tag);
+    EXPECT_THROW(wire::decode_message(bytes), DecodeError) << tag;
+  }
+}
+
 // Hand-built frames for the integer fields the decoder narrows to 32 bits
 // (or to a depth byte): a value that does not fit must be rejected, never
 // truncated into a different, valid-looking message.
@@ -374,7 +386,7 @@ constexpr std::uint64_t kPastU32 = (1ULL << 32) + 7;
 std::vector<std::uint8_t> digest_frame(std::uint64_t sender_pid,
                                        std::uint64_t depth) {
   Writer w;
-  w.u8(static_cast<std::uint8_t>(wire::MessageTag::MembershipDigest));
+  w.u8(static_cast<std::uint8_t>(MsgKind::MembershipDigest));
   wire::encode(w, Address::parse("1.2"));
   w.varint(sender_pid);
   w.varint(1);  // one row digest
@@ -387,7 +399,7 @@ std::vector<std::uint8_t> digest_frame(std::uint64_t sender_pid,
 std::vector<std::uint8_t> join_frame(std::uint64_t joiner_pid,
                                      std::uint64_t hops) {
   Writer w;
-  w.u8(static_cast<std::uint8_t>(wire::MessageTag::JoinRequest));
+  w.u8(static_cast<std::uint8_t>(MsgKind::JoinRequest));
   wire::encode(w, Address::parse("3.3"));
   w.varint(joiner_pid);
   wire::encode(w, Subscription::parse("u < 0.5"));
@@ -395,8 +407,7 @@ std::vector<std::uint8_t> join_frame(std::uint64_t joiner_pid,
   return std::move(w).take();
 }
 
-std::vector<std::uint8_t> round_frame(wire::MessageTag tag,
-                                      std::uint64_t round) {
+std::vector<std::uint8_t> round_frame(MsgKind tag, std::uint64_t round) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(tag));
   wire::encode(w, make_event_at(0, 1, 0.3));
@@ -434,14 +445,13 @@ TEST(WireMessage, JoinRequestPidAndHopsMustFit) {
 
 TEST(WireMessage, BaselineGossipRoundsMustFit) {
   const auto flood =
-      wire::decode_message(round_frame(wire::MessageTag::FloodGossip, 4));
+      wire::decode_message(round_frame(MsgKind::FloodGossip, 4));
   EXPECT_EQ(dynamic_cast<const FloodGossipMsg&>(*flood).round, 4u);
   const auto genuine =
-      wire::decode_message(round_frame(wire::MessageTag::GenuineGossip, 4));
+      wire::decode_message(round_frame(MsgKind::GenuineGossip, 4));
   EXPECT_EQ(dynamic_cast<const GenuineGossipMsg&>(*genuine).round, 4u);
 
-  for (const auto tag :
-       {wire::MessageTag::FloodGossip, wire::MessageTag::GenuineGossip}) {
+  for (const auto tag : {MsgKind::FloodGossip, MsgKind::GenuineGossip}) {
     EXPECT_THROW(wire::decode_message(round_frame(tag, kPastU32)),
                  DecodeError)
         << static_cast<int>(tag);
