@@ -13,7 +13,7 @@
 int main() {
   using namespace pmc;
   const std::size_t runs = bench::runs_per_point(15);
-  const std::size_t h = env_size_t("PMCAST_TUNING_H", 10);
+  constexpr std::size_t h = 10;  // Sec. 5.3 tuning threshold
   bench::print_header(
       "FIG7", "Tuned vs untuned delivery probability vs p_d",
       "n=10648 (a=22, d=3), R=3, F=2, eps=0.05, h=" + std::to_string(h) +

@@ -287,67 +287,6 @@ void BM_NetworkSendMulti(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendMulti);
 
-// --- Message dispatch: dynamic_cast chain vs MsgKind switch ----------------
-
-std::vector<MessagePtr> mixed_messages(std::size_t n) {
-  std::vector<MessagePtr> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (i % 4) {
-      case 0: {
-        auto m = std::make_shared<GossipMsg>();
-        m->event = std::make_shared<const Event>(EventId{1, i});
-        out.push_back(std::move(m));
-        break;
-      }
-      case 1: out.push_back(std::make_shared<EventDigestMsg>()); break;
-      case 2: out.push_back(std::make_shared<EventRequestMsg>()); break;
-      default: out.push_back(std::make_shared<EventPayloadMsg>()); break;
-    }
-  }
-  return out;
-}
-
-void BM_DispatchDynamicCast(benchmark::State& state) {
-  // The seed's PmcastNode::on_message dispatch: try each subclass in turn.
-  const auto msgs = mixed_messages(1024);
-  for (auto _ : state) {
-    std::size_t matched = 0;
-    for (const auto& msg : msgs) {
-      if (dynamic_cast<const EventDigestMsg*>(msg.get()) != nullptr)
-        matched += 1;
-      else if (dynamic_cast<const EventRequestMsg*>(msg.get()) != nullptr)
-        matched += 2;
-      else if (dynamic_cast<const EventPayloadMsg*>(msg.get()) != nullptr)
-        matched += 3;
-      else if (dynamic_cast<const GossipMsg*>(msg.get()) != nullptr)
-        matched += 4;
-    }
-    benchmark::DoNotOptimize(matched);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_DispatchDynamicCast);
-
-void BM_DispatchKindSwitch(benchmark::State& state) {
-  const auto msgs = mixed_messages(1024);
-  for (auto _ : state) {
-    std::size_t matched = 0;
-    for (const auto& msg : msgs) {
-      switch (msg->kind) {
-        case MsgKind::EventDigest: matched += 1; break;
-        case MsgKind::EventRequest: matched += 2; break;
-        case MsgKind::EventPayload: matched += 3; break;
-        case MsgKind::Gossip: matched += 4; break;
-        default: break;
-      }
-    }
-    benchmark::DoNotOptimize(matched);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_DispatchKindSwitch);
-
 void BM_PittelEstimate(benchmark::State& state) {
   const RoundEstimator est;
   EnvParams env;

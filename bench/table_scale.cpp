@@ -37,8 +37,9 @@
 // `--max-processes N` skips rows larger than N (the perf-smoke CI job runs
 // a small prefix); `--json <file>` writes the pmcast-bench-v1 schema —
 // BENCH_scale.json in the repo root is a committed snapshot.
+#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -186,18 +187,31 @@ RowResult run_sharded(std::size_t shards, SimTime horizon,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t max_processes = env_size_t("PMCAST_SCALE_MAX", 1'100'000);
+  std::size_t max_processes = 1'100'000;
   // RSS is a process-wide high-water mark, so section A's fat single-group
   // rows would pollute section B's figures; --section B is how the
   // committed memory numbers are produced.
   std::string section;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-processes") == 0 && i + 1 < argc) {
-      max_processes = static_cast<std::size_t>(std::stoull(argv[i + 1]));
-      ++i;
-    } else if (std::strcmp(argv[i], "--section") == 0 && i + 1 < argc) {
-      section = argv[i + 1];
-      ++i;
+    const std::string flag = argv[i];
+    if (flag != "--max-processes" && flag != "--section") continue;
+    const std::string value = i + 1 < argc ? argv[++i] : "";
+    if (flag == "--section") {
+      section = value;
+      if (section == "A" || section == "B") continue;
+      std::cerr << "bad --section: expected A or B, got '" << value << "'\n";
+      return 2;
+    }
+    // Every character a digit: "1e3" and "-1" are errors, not a silent
+    // cap at 1 or a wrap to 2^64 - 1.
+    errno = 0;
+    max_processes = std::strtoull(value.c_str(), nullptr, 10);
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE) {
+      std::cerr << "bad --max-processes: expected a number, got '" << value
+                << "'\n";
+      return 2;
     }
   }
   bench::JsonWriter json(argc, argv, "table_scale");

@@ -7,9 +7,8 @@ namespace pmc {
 FloodingNode::FloodingNode(Runtime& rt, ProcessId pid, FloodingConfig config,
                            Subscription subscription,
                            std::shared_ptr<const std::vector<ProcessId>> peers)
-    : Process(rt, pid),
+    : BaselineNode(rt, pid, std::move(subscription)),
       config_(config),
-      subscription_(std::move(subscription)),
       peers_(std::move(peers)),
       estimator_(config.pittel_c) {
   PMC_EXPECTS(peers_ != nullptr);
@@ -20,21 +19,14 @@ FloodingNode::FloodingNode(Runtime& rt, ProcessId pid, FloodingConfig config,
 void FloodingNode::broadcast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  originate(*ev);
   buffer(Entry{std::move(ev), 0});
 }
 
 void FloodingNode::on_message(ProcessId /*from*/, const MessagePtr& msg) {
   if (msg->kind != MsgKind::FloodGossip) return;
   const auto& gossip = static_cast<const FloodGossipMsg&>(*msg);
-  if (!seen_.insert(gossip.event->id()).second) {
-    ++stats_.dup_suppressed;
-    return;
-  }
-  ++stats_.received;
-  deliver_if_interested(*gossip.event);
-  buffer(Entry{gossip.event, gossip.round});
+  if (accept(*gossip.event)) buffer(Entry{gossip.event, gossip.round});
 }
 
 void FloodingNode::on_period() {
@@ -64,7 +56,7 @@ void FloodingNode::on_period() {
       m->event = it->event;
       m->round = it->round;
       send_multi(targets_, m);
-      stats_.gossips_sent += targets_.size();
+      count_sent(targets_.size());
     }
     ++it;
   }
@@ -74,13 +66,6 @@ void FloodingNode::on_period() {
 void FloodingNode::buffer(Entry entry) {
   buffer_.push_back(std::move(entry));
   if (!periodic_armed()) arm_periodic(config_.period);
-}
-
-void FloodingNode::deliver_if_interested(const Event& e) {
-  if (!subscription_.match(e)) return;
-  if (!delivered_.insert(e.id()).second) return;
-  ++stats_.delivered;
-  if (deliver_) deliver_(e);
 }
 
 }  // namespace pmc

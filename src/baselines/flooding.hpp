@@ -6,15 +6,11 @@
 // uninterested processes receive (almost) everything.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/rounds.hpp"
-#include "event/event.hpp"
-#include "filter/subscription.hpp"
-#include "sim/runtime.hpp"
+#include "baselines/baseline.hpp"
 
 namespace pmc {
 
@@ -32,10 +28,8 @@ struct FloodingConfig {
   EnvParams env_estimate;
 };
 
-class FloodingNode final : public Process {
+class FloodingNode final : public BaselineNode {
  public:
-  using DeliverHandler = std::function<void(const Event&)>;
-
   /// `peers`: the full group membership (every process knows everyone —
   /// the global-knowledge assumption gossip broadcast algorithms make).
   FloodingNode(Runtime& rt, ProcessId pid, FloodingConfig config,
@@ -43,25 +37,6 @@ class FloodingNode final : public Process {
                std::shared_ptr<const std::vector<ProcessId>> peers);
 
   void broadcast(Event event);
-  void set_deliver_handler(DeliverHandler handler) {
-    deliver_ = std::move(handler);
-  }
-
-  bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
-  bool has_delivered(const EventId& id) const {
-    return delivered_.count(id) != 0;
-  }
-
-  struct Stats {
-    std::uint64_t received = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t gossips_sent = 0;
-    /// Duplicates discarded by the seen-set (exactly-once audit trail
-    /// under the network's duplication injector).
-    std::uint64_t dup_suppressed = 0;
-  };
-  const Stats& stats() const noexcept { return stats_; }
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -74,18 +49,12 @@ class FloodingNode final : public Process {
   };
 
   void buffer(Entry entry);
-  void deliver_if_interested(const Event& e);
 
   FloodingConfig config_;
-  Subscription subscription_;
   std::shared_ptr<const std::vector<ProcessId>> peers_;
   RoundEstimator estimator_;
-  DeliverHandler deliver_;
   std::vector<Entry> buffer_;
   std::vector<ProcessId> targets_;  ///< fan-out scratch for send_multi
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_;
-  Stats stats_;
 };
 
 }  // namespace pmc

@@ -6,9 +6,8 @@ namespace pmc {
 
 GenuineNode::GenuineNode(Runtime& rt, ProcessId pid, GenuineConfig config,
                          Subscription subscription, std::vector<Peer> view)
-    : Process(rt, pid),
+    : BaselineNode(rt, pid, std::move(subscription)),
       config_(config),
-      subscription_(std::move(subscription)),
       view_(std::move(view)),
       estimator_(config.pittel_c) {
   PMC_EXPECTS(config_.fanout >= 1);
@@ -18,21 +17,14 @@ GenuineNode::GenuineNode(Runtime& rt, ProcessId pid, GenuineConfig config,
 void GenuineNode::multicast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  originate(*ev);
   buffer(Entry{std::move(ev), 0});
 }
 
 void GenuineNode::on_message(ProcessId /*from*/, const MessagePtr& msg) {
   if (msg->kind != MsgKind::GenuineGossip) return;
   const auto& gossip = static_cast<const GenuineGossipMsg&>(*msg);
-  if (!seen_.insert(gossip.event->id()).second) {
-    ++stats_.dup_suppressed;
-    return;
-  }
-  ++stats_.received;
-  deliver_if_interested(*gossip.event);
-  buffer(Entry{gossip.event, gossip.round});
+  if (accept(*gossip.event)) buffer(Entry{gossip.event, gossip.round});
 }
 
 void GenuineNode::on_period() {
@@ -71,7 +63,7 @@ void GenuineNode::on_period() {
       m->event = it->event;
       m->round = it->round;
       send(view_[interested[ci]].pid, std::move(m));
-      ++stats_.gossips_sent;
+      count_sent(1);
     }
     ++it;
   }
@@ -81,13 +73,6 @@ void GenuineNode::on_period() {
 void GenuineNode::buffer(Entry entry) {
   buffer_.push_back(std::move(entry));
   if (!periodic_armed()) arm_periodic(config_.period);
-}
-
-void GenuineNode::deliver_if_interested(const Event& e) {
-  if (!subscription_.match(e)) return;
-  if (!delivered_.insert(e.id()).second) return;
-  ++stats_.delivered;
-  if (deliver_) deliver_(e);
 }
 
 }  // namespace pmc

@@ -8,15 +8,11 @@
 // most visible at small matching rates.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/rounds.hpp"
-#include "event/event.hpp"
-#include "filter/subscription.hpp"
-#include "sim/runtime.hpp"
+#include "baselines/baseline.hpp"
 
 namespace pmc {
 
@@ -37,10 +33,8 @@ struct GenuineConfig {
   std::size_t group_size_hint = 0;
 };
 
-class GenuineNode final : public Process {
+class GenuineNode final : public BaselineNode {
  public:
-  using DeliverHandler = std::function<void(const Event&)>;
-
   struct Peer {
     ProcessId pid = kNoProcess;
     Subscription subscription;  // known interests of the view member
@@ -51,25 +45,6 @@ class GenuineNode final : public Process {
               Subscription subscription, std::vector<Peer> view);
 
   void multicast(Event event);
-  void set_deliver_handler(DeliverHandler handler) {
-    deliver_ = std::move(handler);
-  }
-
-  bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
-  bool has_delivered(const EventId& id) const {
-    return delivered_.count(id) != 0;
-  }
-
-  struct Stats {
-    std::uint64_t received = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t gossips_sent = 0;
-    /// Duplicates discarded by the seen-set (exactly-once audit trail
-    /// under the network's duplication injector).
-    std::uint64_t dup_suppressed = 0;
-  };
-  const Stats& stats() const noexcept { return stats_; }
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -82,17 +57,11 @@ class GenuineNode final : public Process {
   };
 
   void buffer(Entry entry);
-  void deliver_if_interested(const Event& e);
 
   GenuineConfig config_;
-  Subscription subscription_;
   std::vector<Peer> view_;
   RoundEstimator estimator_;
-  DeliverHandler deliver_;
   std::vector<Entry> buffer_;
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_;
-  Stats stats_;
 };
 
 }  // namespace pmc

@@ -7,10 +7,9 @@ namespace pmc {
 TreecastNode::TreecastNode(Runtime& rt, ProcessId pid, TreecastConfig config,
                            Address self, Subscription subscription,
                            const ViewProvider& views, Directory directory)
-    : Process(rt, pid),
+    : BaselineNode(rt, pid, std::move(subscription)),
       config_(config),
       self_(std::move(self)),
-      subscription_(std::move(subscription)),
       views_(&views),
       directory_(std::move(directory)) {
   config_.tree.validate();
@@ -22,8 +21,7 @@ TreecastNode::TreecastNode(Runtime& rt, ProcessId pid, TreecastConfig config,
 void TreecastNode::multicast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  originate(*ev);
   forward_from(ev, 1);
 }
 
@@ -31,13 +29,8 @@ void TreecastNode::on_message(ProcessId /*from*/, const MessagePtr& msg) {
   if (msg->kind != MsgKind::Treecast) return;
   const auto& m = static_cast<const TreecastMsg&>(*msg);
   PMC_EXPECTS(m.event != nullptr);
-  if (!seen_.insert(m.event->id()).second) {
-    ++stats_.dup_suppressed;
-    return;
-  }
-  ++stats_.received;
-  deliver_if_interested(*m.event);
-  if (m.depth <= config_.tree.depth) forward_from(m.event, m.depth);
+  if (accept(*m.event) && m.depth <= config_.tree.depth)
+    forward_from(m.event, m.depth);
 }
 
 void TreecastNode::forward_from(const std::shared_ptr<const Event>& event,
@@ -58,16 +51,9 @@ void TreecastNode::forward_from(const std::shared_ptr<const Event>& event,
       msg->event = event;
       msg->depth = static_cast<std::uint32_t>(depth + 1);
       send(target, std::move(msg));
-      ++stats_.forwards;
+      count_sent(1);
     }
   }
-}
-
-void TreecastNode::deliver_if_interested(const Event& e) {
-  if (!subscription_.match(e)) return;
-  if (!delivered_.insert(e.id()).second) return;
-  ++stats_.delivered;
-  if (deliver_) deliver_(e);
 }
 
 }  // namespace pmc

@@ -14,12 +14,9 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 
-#include "event/event.hpp"
-#include "filter/subscription.hpp"
+#include "baselines/baseline.hpp"
 #include "pmcast/view_provider.hpp"
-#include "sim/runtime.hpp"
 
 namespace pmc {
 
@@ -35,9 +32,8 @@ struct TreecastConfig {
   TreeConfig tree;
 };
 
-class TreecastNode final : public Process {
+class TreecastNode final : public BaselineNode {
  public:
-  using DeliverHandler = std::function<void(const Event&)>;
   using Directory = std::function<ProcessId(AddrId)>;
 
   TreecastNode(Runtime& rt, ProcessId pid, TreecastConfig config,
@@ -45,26 +41,8 @@ class TreecastNode final : public Process {
                const ViewProvider& views, Directory directory);
 
   void multicast(Event event);
-  void set_deliver_handler(DeliverHandler handler) {
-    deliver_ = std::move(handler);
-  }
 
   const Address& address() const noexcept { return self_; }
-  bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
-  bool has_delivered(const EventId& id) const {
-    return delivered_.count(id) != 0;
-  }
-
-  struct Stats {
-    std::uint64_t received = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t forwards = 0;
-    /// Duplicates discarded by the seen-set (exactly-once audit trail
-    /// under the network's duplication injector).
-    std::uint64_t dup_suppressed = 0;
-  };
-  const Stats& stats() const noexcept { return stats_; }
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -75,18 +53,12 @@ class TreecastNode final : public Process {
   /// loop locally.
   void forward_from(const std::shared_ptr<const Event>& event,
                     std::size_t start_depth);
-  void deliver_if_interested(const Event& e);
 
   TreecastConfig config_;
   Address self_;
   AddrId self_id_ = kNoAddr;
-  Subscription subscription_;
   const ViewProvider* views_;
   Directory directory_;
-  DeliverHandler deliver_;
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_;
-  Stats stats_;
 };
 
 }  // namespace pmc

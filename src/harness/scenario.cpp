@@ -1342,20 +1342,24 @@ GroupSummary ChurnSim::group_summary() const {
   return out;
 }
 
+std::uint64_t fingerprint_runtime(std::uint64_t h,
+                                  const NetworkCounters& network,
+                                  std::uint64_t scheduler_executed) {
+  h = fnv1a_u64(h, network.sent);
+  h = fnv1a_u64(h, network.delivered);
+  h = fnv1a_u64(h, network.lost);
+  h = fnv1a_u64(h, network.filtered);
+  h = fnv1a_u64(h, network.dead_target);
+  return fnv1a_u64(h, scheduler_executed);
+}
+
 ChurnSummary ChurnSim::summary() const {
   ChurnSummary out;
   static_cast<GroupSummary&>(out) = group_summary();
   out.network = rt_.network().counters();
   out.scheduler_executed = rt_.scheduler().executed();
-
-  std::uint64_t h = out.fingerprint;
-  h = fnv1a_u64(h, out.network.sent);
-  h = fnv1a_u64(h, out.network.delivered);
-  h = fnv1a_u64(h, out.network.lost);
-  h = fnv1a_u64(h, out.network.filtered);
-  h = fnv1a_u64(h, out.network.dead_target);
-  h = fnv1a_u64(h, out.scheduler_executed);
-  out.fingerprint = h;
+  out.fingerprint = fingerprint_runtime(out.fingerprint, out.network,
+                                        out.scheduler_executed);
   return out;
 }
 

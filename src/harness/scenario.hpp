@@ -396,6 +396,14 @@ struct ChurnSummary : GroupSummary {
   std::string to_string() const;
 };
 
+/// Continues fingerprint `h` over the runtime-wide counters that end every
+/// run digest, in the frozen order of docs/DETERMINISM.md §7: the
+/// network's sent, delivered, lost, filtered and dead_target, then
+/// `scheduler_executed`.
+std::uint64_t fingerprint_runtime(std::uint64_t h,
+                                  const NetworkCounters& network,
+                                  std::uint64_t scheduler_executed);
+
 /// Where a group sits among co-hosted groups (topic shards, see
 /// harness/shard.hpp): its pids start at `pid_base`, every labeled stream
 /// is salted with `stream_salt` (0 leaves the labels as they are), and its

@@ -265,15 +265,9 @@ ShardedSummary ShardedSim::summary() const {
   out.scheduler_executed = executed - cross_runs + cross_primary;
   out.cross_published = cross_published();
 
-  std::uint64_t h = fp;
-  h = fnv1a_u64(h, out.network.sent);
-  h = fnv1a_u64(h, out.network.delivered);
-  h = fnv1a_u64(h, out.network.lost);
-  h = fnv1a_u64(h, out.network.filtered);
-  h = fnv1a_u64(h, out.network.dead_target);
-  h = fnv1a_u64(h, out.scheduler_executed);
-  h = fnv1a_u64(h, out.cross_published);
-  out.fingerprint = h;
+  out.fingerprint = fnv1a_u64(
+      fingerprint_runtime(fp, out.network, out.scheduler_executed),
+      out.cross_published);
   return out;
 }
 

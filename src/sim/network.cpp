@@ -9,8 +9,8 @@
 namespace pmc {
 
 namespace {
-/// Pids below this use the dense per-sender table; a sentinel-like sender
-/// falls back to the sparse map instead of forcing a huge resize.
+/// Senders live in [pid_base_, pid_base_ + kDenseSenderLimit): the dense
+/// per-sender table grows on demand up to this bound.
 constexpr ProcessId kDenseSenderLimit = ProcessId{1} << 26;
 
 // Injector stream labels (see the header comment): each per-message
@@ -118,14 +118,11 @@ std::uint64_t Network::next_draw_seed(ProcessId from) {
   // Labeled per-message draw: (seed, sender, sender-sequence) alone decide
   // loss and latency (see draw_seed_'s comment). The sender half of the
   // hash is memoized per pid; only the sequence byte-mix runs per message.
-  if (from >= pid_base_ && from - pid_base_ < kDenseSenderLimit) {
-    const std::size_t idx = from - pid_base_;
-    if (idx >= senders_.size()) ensure_sender_states(idx + 1);
-    SenderState& s = senders_[idx];
-    return fnv1a_u64(s.prefix, s.seq++);
-  }
-  return fnv1a_u64(fnv1a_u64(kFnv1aBasis ^ draw_seed_, from),
-                   sparse_send_seq_[from]++);
+  PMC_EXPECTS(from >= pid_base_ && from - pid_base_ < kDenseSenderLimit);
+  const std::size_t idx = from - pid_base_;
+  if (idx >= senders_.size()) ensure_sender_states(idx + 1);
+  SenderState& s = senders_[idx];
+  return fnv1a_u64(s.prefix, s.seq++);
 }
 
 SimTime Network::draw_latency(Rng& rng) const {

@@ -33,7 +33,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -139,8 +138,8 @@ class Network {
   /// Pre-sizes the handler table and the per-sender draw-state table for
   /// `max_processes` pids. Purely an optimization — the tables still grow
   /// on demand — but a harness that knows its population up front (e.g. a
-  /// sharded runtime's K * 2 * capacity) avoids every mid-run resize and
-  /// rehash this way.
+  /// group's 2 * capacity protocol nodes) avoids every mid-run resize this
+  /// way.
   void reserve(std::size_t max_processes);
 
   /// Declares that this network hosts the pid range [pid_base, pid_base +
@@ -148,9 +147,9 @@ class Network {
   /// pid_base, so a shard hosting pids [s * 2C, (s+1) * 2C) allocates 2C
   /// slots instead of (s+1) * 2C. Draw labels still hash the *global* pid —
   /// rebasing changes where state lives, never which stream a sender uses.
-  /// Must be called before any attach/send (the tables must be empty);
-  /// pids below pid_base are routable but take the sparse/dead-target
-  /// slow paths.
+  /// Must be called before any attach/send (the tables must be empty).
+  /// Every sender must lie in [pid_base, pid_base + 2^26); a message *to*
+  /// a pid outside the table is counted dead on arrival.
   void reserve_range(ProcessId pid_base, std::size_t count);
 
   /// Registers the receive dispatch for `id`; overrides any previous one.
@@ -265,7 +264,6 @@ class Network {
   /// First pid of the dense tables; handlers_/senders_ index (pid - base).
   ProcessId pid_base_ = 0;
   std::vector<SenderState> senders_;  // indexed by pid - pid_base_
-  std::unordered_map<ProcessId, std::uint64_t> sparse_send_seq_;
   std::vector<HandlerSlot> handlers_;  // indexed by ProcessId
   std::vector<std::pair<FilterToken, LinkFilter>> filters_;
   FilterToken next_filter_token_ = 1;

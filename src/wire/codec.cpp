@@ -30,11 +30,6 @@ void Writer::str(const std::string& s) {
   out_.insert(out_.end(), s.begin(), s.end());
 }
 
-void Writer::bytes(std::span<const std::uint8_t> data) {
-  varint(data.size());
-  out_.insert(out_.end(), data.begin(), data.end());
-}
-
 void Reader::need(std::size_t n) const {
   if (remaining() < n) throw DecodeError("truncated input");
 }

@@ -31,7 +31,6 @@ class Writer {
   void f64(double v);
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s);
-  void bytes(std::span<const std::uint8_t> data);
 
   const std::vector<std::uint8_t>& data() const noexcept { return out_; }
   std::vector<std::uint8_t> take() && { return std::move(out_); }

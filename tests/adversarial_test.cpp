@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "baselines/flooding.hpp"
+#include "baselines/genuine.hpp"
 #include "baselines/treecast.hpp"
 #include "cluster_helpers.hpp"
 #include "handler_box.hpp"
@@ -100,6 +101,48 @@ TEST(Adversarial, FloodingExactlyOnceUnderDuplicationAndReorder) {
 
   nodes[0]->broadcast(make_event_at(0, 0, 0.4));
   nodes[5]->broadcast(make_event_at(5, 1, 0.8));
+  rt->run_until_idle();
+
+  ASSERT_FALSE(log.counts.empty());
+  EXPECT_EQ(log.max_per_target(), 1);
+  EXPECT_GT(rt->network().counters().duplicated, 0u);
+  std::uint64_t suppressed = 0;
+  for (const auto& n : nodes) suppressed += n->stats().dup_suppressed;
+  EXPECT_GT(suppressed, 0u);
+}
+
+TEST(Adversarial, GenuineExactlyOnceUnderDuplicationAndReorder) {
+  // Same shape as the flooding test, with every process's view holding
+  // the whole group: gossip then only reaches interested members.
+  Rng member_rng(7);
+  const auto members = uniform_interest_members(
+      AddressSpace::regular(30, 1), 0.5, member_rng);
+  auto rt = std::make_unique<Runtime>(NetworkConfig{}, 3);
+  rt->network().set_duplication(0.7);
+  rt->network().set_reorder(0.5, sim_ms(20));
+  GenuineConfig config;
+  config.fanout = 3;
+  config.group_size_hint = members.size();
+  std::vector<std::unique_ptr<GenuineNode>> nodes;
+  DeliveryLog log;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    std::vector<GenuineNode::Peer> view;
+    for (std::size_t p = 0; p < members.size(); ++p) {
+      if (p != i)
+        view.push_back(GenuineNode::Peer{static_cast<ProcessId>(p),
+                                         members[p].subscription});
+    }
+    nodes.push_back(std::make_unique<GenuineNode>(
+        *rt, static_cast<ProcessId>(i), config, members[i].subscription,
+        std::move(view)));
+    nodes.back()->set_deliver_handler(
+        [&log, pid = static_cast<ProcessId>(i)](const Event& e) {
+          log.record(pid, e);
+        });
+  }
+
+  nodes[0]->multicast(make_event_at(0, 0, 0.4));
+  nodes[5]->multicast(make_event_at(5, 1, 0.8));
   rt->run_until_idle();
 
   ASSERT_FALSE(log.counts.empty());

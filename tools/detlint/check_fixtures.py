@@ -13,12 +13,11 @@ Asserts the linter's contract on a pinned corpus:
 Registered as the `detlint_fixture_check` ctest, so a regression in any
 rule's matcher fails tier-1 verify without needing GitHub.
 
-Usage: python3 tools/detlint/check_fixtures.py [--engine lex|cindex|auto]
+Usage: python3 tools/detlint/check_fixtures.py
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import subprocess
 import sys
@@ -30,9 +29,8 @@ FIXTURES = ROOT / "tests" / "detlint_fixtures"
 FINDING_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<rule>[a-z-]+)\]")
 
 
-def run_detlint(files, engine, no_allowlist):
-    cmd = [sys.executable, str(HERE / "detlint.py"), "--root", str(ROOT),
-           "--engine", engine]
+def run_detlint(files, no_allowlist):
+    cmd = [sys.executable, str(HERE / "detlint.py"), "--root", str(ROOT)]
     if no_allowlist:
         cmd.append("--no-allowlist")
     cmd += [str(f) for f in files]
@@ -47,11 +45,6 @@ def run_detlint(files, engine, no_allowlist):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--engine", default="lex",
-                    choices=("lex", "cindex", "auto"))
-    args = ap.parse_args()
-
     failures: list[str] = []
 
     def check(cond: bool, what: str):
@@ -65,7 +58,7 @@ def main() -> int:
 
     for fixture in bad_fixtures:
         rule = fixture.stem[len("bad_"):].replace("_", "-")
-        rc, findings = run_detlint([fixture], args.engine, no_allowlist=True)
+        rc, findings = run_detlint([fixture], no_allowlist=True)
         check(rc == 1, f"{fixture.name}: exit 1 (got {rc})")
         check(len(findings) == 1,
               f"{fixture.name}: exactly one finding (got {len(findings)}: "
@@ -76,16 +69,16 @@ def main() -> int:
                   f"(got [{findings[0][2]}])")
 
     clean = FIXTURES / "clean.cpp"
-    rc, findings = run_detlint([clean], args.engine, no_allowlist=True)
+    rc, findings = run_detlint([clean], no_allowlist=True)
     check(rc == 0 and not findings,
           f"clean.cpp: zero findings, exit 0 (got {rc}, {findings})")
 
     allowed = FIXTURES / "allowed.cpp"
-    rc, findings = run_detlint([allowed], args.engine, no_allowlist=False)
+    rc, findings = run_detlint([allowed], no_allowlist=False)
     check(rc == 0 and not findings,
           f"allowed.cpp with annotations honored: passes (got {rc}, "
           f"{findings})")
-    rc, findings = run_detlint([allowed], args.engine, no_allowlist=True)
+    rc, findings = run_detlint([allowed], no_allowlist=True)
     check(rc == 1 and len(findings) == 2,
           f"allowed.cpp with --no-allowlist: both sites flagged "
           f"(got {rc}, {findings})")

@@ -47,17 +47,11 @@ An inline annotation on the finding's line or the line above:
 
     <path-glob> <rule> -- <justification>
 
-Engines
--------
---engine=lex (default) is a self-contained lexical analyzer: it strips
-comments/strings, resolves unordered-container declarations across a
-file and its same-stem header/source pair, and needs nothing beyond
-Python. --engine=cindex parses the real AST via clang.cindex over the
-CMake-exported compile_commands.json when the libclang bindings are
-installed (pip install libclang / apt install python3-clang); it is a
-strict superset in precision but an optional dependency — detlint
-degrades to lex with a note, never a crash. --engine=auto picks cindex
-when importable, lex otherwise.
+Analysis
+--------
+detlint is a self-contained lexical analyzer: it strips comments and
+strings, resolves unordered-container declarations across a file and its
+same-stem header/source pair, and needs nothing beyond Python.
 
 Usage
 -----
@@ -73,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
-import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -233,7 +226,7 @@ def allowlisted(entry_list, rel: str, rule: str):
 
 
 # --------------------------------------------------------------------------
-# Lexical engine
+# Lexical analysis
 
 
 BANNED_SOURCE_PATTERNS = (
@@ -391,8 +384,8 @@ def range_expr_base(expr: str) -> str | None:
 
 class BraceTracker:
     """Approximate scope tracking: classifies each '{' as namespace, type,
-    or block so the lexical engine can tell namespace-scope variables from
-    locals. Heuristic by design — the cindex engine is exact."""
+    or block so the linter can tell namespace-scope variables from locals.
+    Heuristic by design."""
 
     NAMESPACE, TYPE, BLOCK = "namespace", "type", "block"
 
@@ -571,100 +564,6 @@ def lex_lint_file(
 
 
 # --------------------------------------------------------------------------
-# cindex engine (optional; exact AST walk over compile_commands.json)
-
-
-def cindex_available() -> bool:
-    try:
-        import clang.cindex  # noqa: F401
-
-        clang.cindex.Index.create()
-        return True
-    except Exception:
-        return False
-
-
-def cindex_lint(
-    files: list[Path], root: Path, compdb_dir: Path | None
-) -> list[Finding]:
-    """AST-based pass. Covers the rules that benefit from types exactly
-    (iteration-order via the real range-init type, rng-discipline via
-    constructor calls, thread-confinement via storage class); the token
-    rules (banned-source, pointer-hash) reuse the lexical matcher on the
-    same files, so the union is complete."""
-    import clang.cindex as ci
-
-    findings: list[Finding] = []
-    index = ci.Index.create()
-    compdb = None
-    if compdb_dir and (compdb_dir / "compile_commands.json").exists():
-        compdb = ci.CompilationDatabase.fromDirectory(str(compdb_dir))
-
-    wanted = {f.resolve() for f in files}
-    tus = [f for f in files if f.suffix in (".cpp", ".cc", ".cxx")]
-
-    def args_for(tu_path: Path) -> list[str]:
-        base = ["-std=c++20", f"-I{root / 'src'}"]
-        if compdb:
-            cmds = compdb.getCompileCommands(str(tu_path))
-            if cmds:
-                raw = list(cmds[0].arguments)[1:-1]  # drop compiler & file
-                return [a for a in raw if a not in ("-c", "-o")]
-        return base
-
-    UNORDERED = ("unordered_map", "unordered_set", "unordered_multimap",
-                 "unordered_multiset")
-    ENGINES = ("mt19937", "minstd_rand", "default_random_engine", "ranlux",
-               "knuth_b")
-
-    def rel_of(loc_file: str) -> str | None:
-        p = Path(loc_file).resolve()
-        if p in wanted:
-            return p.relative_to(root.resolve()).as_posix()
-        return None
-
-    def walk(cursor):
-        for node in cursor.walk_preorder():
-            if not node.location.file:
-                continue
-            rel = rel_of(node.location.file.name)
-            if rel is None:
-                continue
-            line = node.location.line
-            if node.kind == ci.CursorKind.CXX_FOR_RANGE_STMT:
-                children = list(node.get_children())
-                if children:
-                    t = children[0].type.spelling
-                    if any(u in t for u in UNORDERED):
-                        findings.append(Finding(
-                            rel, line, "iteration-order",
-                            f"range-for over `{t}` (DETERMINISM.md §4)"))
-            elif node.kind in (ci.CursorKind.VAR_DECL,):
-                t = node.type.spelling
-                if any(e in t for e in ENGINES):
-                    findings.append(Finding(
-                        rel, line, "rng-discipline",
-                        f"<random> engine `{t}` (DETERMINISM.md §1)"))
-                storage = node.storage_class
-                if (storage == ci.StorageClass.STATIC
-                        and not node.type.is_const_qualified()
-                        and "atomic" not in t and "thread_local" not in t):
-                    sem = node.semantic_parent.kind if node.semantic_parent \
-                        else None
-                    if sem != ci.CursorKind.CLASS_DECL \
-                            and sem != ci.CursorKind.STRUCT_DECL:
-                        findings.append(Finding(
-                            rel, line, "thread-confinement",
-                            f"mutable static `{node.spelling}` "
-                            "(DETERMINISM.md §5)"))
-
-    for tu_path in tus:
-        tu = index.parse(str(tu_path), args=args_for(tu_path))
-        walk(tu.cursor)
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Driver
 
 
@@ -729,11 +628,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("files", nargs="*", help="files to lint (default: tree)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: two levels above this script)")
-    ap.add_argument("--engine", choices=("auto", "lex", "cindex"),
-                    default="lex")
-    ap.add_argument("--compdb", default=None,
-                    help="directory containing compile_commands.json "
-                    "(cindex engine)")
     ap.add_argument("--no-allowlist", action="store_true",
                     help="ignore detlint.allow and inline annotations "
                     "(fixture mode)")
@@ -757,14 +651,6 @@ def main(argv: list[str]) -> int:
         print("detlint: no C++ files to lint", file=sys.stderr)
         return 2
 
-    engine = args.engine
-    if engine == "auto":
-        engine = "cindex" if cindex_available() else "lex"
-    if engine == "cindex" and not cindex_available():
-        print("detlint: clang.cindex unavailable, falling back to lex "
-              "engine", file=sys.stderr)
-        engine = "lex"
-
     sources: dict[str, SourceText] = {}
     for f in files:
         try:
@@ -779,13 +665,6 @@ def main(argv: list[str]) -> int:
     for f in files:
         src = sources[f.relative_to(root).as_posix()]
         findings.extend(lex_lint_file(src, siblings[f], root))
-
-    if engine == "cindex":
-        compdb_dir = Path(args.compdb) if args.compdb else root / "build"
-        seen = {(f.path, f.line, f.rule) for f in findings}
-        for f in cindex_lint(files, root, compdb_dir):
-            if (f.path, f.line, f.rule) not in seen:
-                findings.append(f)
 
     if not args.no_allowlist:
         allowlist = load_allowlist(Path(__file__).parent / "detlint.allow")
@@ -802,7 +681,7 @@ def main(argv: list[str]) -> int:
     suppressed = len(findings) - len(live)
     status = "FAIL" if live else "OK"
     print(f"detlint: {status} — {len(live)} violation(s), "
-          f"{suppressed} allowed, {len(files)} file(s), engine={engine}")
+          f"{suppressed} allowed, {len(files)} file(s)")
     return 1 if live else 0
 
 

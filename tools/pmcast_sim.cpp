@@ -334,12 +334,6 @@ bool parse_args(int argc, char** argv, Options& out) {
       return false;
     }
   }
-  if (e.a < 1 || e.d < 1 || e.r < 1 || e.fanout < 1 || e.runs < 1 ||
-      e.pd < 0.0 || e.pd > 1.0 || e.loss < 0.0 || e.loss >= 1.0 ||
-      e.crash_fraction < 0.0 || e.crash_fraction >= 1.0) {
-    std::cerr << "invalid parameter values (try --help)\n";
-    return false;
-  }
   if (out.algorithm != "pmcast" && out.algorithm != "flooding" &&
       out.algorithm != "genuine") {
     std::cerr << "unknown algorithm: " << out.algorithm << "\n";
@@ -369,12 +363,38 @@ bool parse_args(int argc, char** argv, Options& out) {
     std::cerr << "\n";
     return false;
   }
-  if (out.shards > 0 && out.cross_publishers > 0 &&
-      (out.cross_span < 1 || out.cross_span > out.shards)) {
-    std::cerr << "bad --cross-span: must be within [1, --shards]\n";
+  return true;
+}
+
+/// Ranges are checked once, by the run's own config: false (after
+/// printing what is out of range) when `config.validate()` rejects it.
+template <typename Config>
+bool valid(const Config& config) {
+  try {
+    config.validate();
+    return true;
+  } catch (const std::logic_error& err) {
+    std::cerr << "invalid parameter values: " << err.what() << "\n";
     return false;
   }
-  return true;
+}
+
+/// The group config of scenario and sharded mode: a=4, d=2, R=2 unless
+/// the flags set them.
+ChurnConfig group_config(const Options& options) {
+  ChurnConfig config;
+  if (options.a_set) config.a = options.experiment.a;
+  if (options.d_set) config.d = options.experiment.d;
+  if (options.r_set) config.r = options.experiment.r;
+  config.pd = options.experiment.pd;
+  config.fanout = options.experiment.fanout;
+  config.loss = options.experiment.loss;
+  config.initial_fill = options.fill;
+  config.seed = options.experiment.seed;
+  config.wire_transcode = options.wire_transcode;
+  config.adaptive = options.adaptive;
+  config.adaptive_alpha = options.adaptive_alpha;
+  return config;
 }
 
 /// Loads "demo" or a script file into `script`; prints the reason and
@@ -401,21 +421,10 @@ bool load_script(const std::string& spec, ScenarioScript& script) {
 }
 
 int run_scenario(const Options& options) {
+  const ChurnConfig config = group_config(options);
+  if (!valid(config)) return 2;
   ScenarioScript script;
   if (!load_script(options.scenario, script)) return 2;
-
-  ChurnConfig config;
-  if (options.a_set) config.a = options.experiment.a;
-  if (options.d_set) config.d = options.experiment.d;
-  if (options.r_set) config.r = options.experiment.r;
-  config.pd = options.experiment.pd;
-  config.fanout = options.experiment.fanout;
-  config.loss = options.experiment.loss;
-  config.initial_fill = options.fill;
-  config.seed = options.experiment.seed;
-  config.wire_transcode = options.wire_transcode;
-  config.adaptive = options.adaptive;
-  config.adaptive_alpha = options.adaptive_alpha;
 
   const auto run_once = [&] {
     ChurnSim sim(config);
@@ -469,7 +478,9 @@ bool parse_shard_scripts(const Options& options,
     // from being misread as shard indices).
     if (colon != std::string::npos && colon > 0 &&
         spec.find_first_not_of("0123456789") == colon) {
-      entry.shard = std::strtoul(spec.substr(0, colon).c_str(), nullptr, 10);
+      if (!parse_size("--shard-scenario", spec.substr(0, colon).c_str(),
+                      entry.shard))
+        return false;
       if (entry.shard >= options.shards) {
         std::cerr << "bad --shard-scenario '" << spec << "': shard index "
                   << entry.shard << " out of range (--shards "
@@ -487,28 +498,17 @@ bool parse_shard_scripts(const Options& options,
 }
 
 int run_sharded(const Options& options) {
-  std::vector<ShardScript> scripts;
-  if (!parse_shard_scripts(options, scripts)) return 2;
-
   ShardedConfig config;
   config.shards = options.shards;
-  // Same per-shard defaults as scenario mode: a=4, d=2, R=2 unless set.
-  if (options.a_set) config.shard.a = options.experiment.a;
-  if (options.d_set) config.shard.d = options.experiment.d;
-  if (options.r_set) config.shard.r = options.experiment.r;
-  config.shard.pd = options.experiment.pd;
-  config.shard.fanout = options.experiment.fanout;
-  config.shard.loss = options.experiment.loss;
-  config.shard.initial_fill = options.fill;
-  config.shard.seed = options.experiment.seed;
-  config.shard.wire_transcode = options.wire_transcode;
-  config.shard.adaptive = options.adaptive;
-  config.shard.adaptive_alpha = options.adaptive_alpha;
+  config.shard = group_config(options);
   config.cross.publishers = options.cross_publishers;
   config.cross.span = options.cross_span;
   config.cross.events = options.cross_events;
   config.cross.spacing = options.cross_spacing;
   config.threads = options.threads;
+  if (!valid(config)) return 2;
+  std::vector<ShardScript> scripts;
+  if (!parse_shard_scripts(options, scripts)) return 2;
 
   const auto run_once = [&](std::size_t threads) {
     ShardedConfig run_config = config;
@@ -595,6 +595,7 @@ int main(int argc, char** argv) {
   if (options.shards > 0) return run_sharded(options);
   if (!options.scenario.empty()) return run_scenario(options);
   const auto& e = options.experiment;
+  if (!valid(e)) return 2;
 
   std::cout << "pmcast_sim: n = " << e.group_size() << " (a=" << e.a
             << ", d=" << e.d << "), R=" << e.r << ", F=" << e.fanout
