@@ -31,6 +31,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -43,8 +44,19 @@
 
 namespace pmc::bench {
 
+/// env_size_t for a bench's size knob: a malformed value is reported and
+/// the bench exits 2 before printing anything.
+inline std::size_t env_size(const char* name, std::size_t fallback) {
+  try {
+    return env_size_t(name, fallback);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 inline std::size_t runs_per_point(std::size_t fallback) {
-  return env_size_t("PMCAST_RUNS", fallback);
+  return env_size("PMCAST_RUNS", fallback);
 }
 
 /// Peak RSS of this process in bytes — the getrusage ru_maxrss high-water

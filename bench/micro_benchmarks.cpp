@@ -4,7 +4,7 @@
 //  * subscription matching (individual and regrouped summaries),
 //  * interest regrouping (exact interval union) and coarsened matching,
 //  * delegate election,
-//  * GroupTree construction and incremental membership updates,
+//  * GroupTree construction,
 //  * Markov-chain / Pittel analysis evaluation,
 //  * one full simulated dissemination at a mid-size scale.
 #include <benchmark/benchmark.h>
@@ -106,24 +106,6 @@ void BM_GroupTreeBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(members.size()));
 }
 BENCHMARK(BM_GroupTreeBuild)->Arg(6)->Arg(12)->Arg(22)->Unit(benchmark::kMillisecond);
-
-void BM_GroupTreeChurn(benchmark::State& state) {
-  Rng rng(5);
-  const auto members =
-      uniform_interest_members(AddressSpace::regular(12, 3), 0.5, rng);
-  TreeConfig tc;
-  tc.depth = 3;
-  tc.redundancy = 3;
-  Interns interns;
-  GroupTree tree(tc, members, interns);
-  const Address victim = members[members.size() / 2].address;
-  const Subscription sub = members[members.size() / 2].subscription;
-  for (auto _ : state) {
-    tree.remove_member(victim);
-    tree.add_member(victim, sub);
-  }
-}
-BENCHMARK(BM_GroupTreeChurn);
 
 // --- Membership hot loops over the struct-of-arrays DepthView -------------
 

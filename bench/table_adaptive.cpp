@@ -81,7 +81,7 @@ double per_event(const ChurnSummary& s) {
 
 int main(int argc, char** argv) {
   bench::JsonWriter json(argc, argv, "table_adaptive");
-  const auto scale = env_size_t("PMCAST_CHURN_SCALE", 1);
+  const auto scale = bench::env_size("PMCAST_CHURN_SCALE", 1);
 
   ChurnConfig config;
   config.a = 4 * scale;

@@ -1,8 +1,12 @@
 #include "harness/experiment.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "baselines/flooding.hpp"
@@ -259,6 +263,8 @@ ExperimentResult run_flooding_experiment(const ExperimentConfig& config) {
 
 ExperimentResult run_genuine_experiment(const ExperimentConfig& config,
                                         std::size_t view_size) {
+  // A single node's view may end up empty; every node's cannot.
+  PMC_EXPECTS(view_size >= 1);
   const Population pop(config, /*build_tree=*/false);
   GenuineConfig gc;
   gc.fanout = config.fanout;
@@ -324,8 +330,15 @@ std::size_t env_size_t(const char* name, std::size_t fallback) {
   // detlint:allow(banned-source) run-scope knob (PMCAST_*) read before any Runtime exists; never feeds draws or fingerprints
   const char* value = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
   if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+  const std::string_view text(value);
+  std::size_t parsed = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (ec != std::errc{} || end != text.data() + text.size() || parsed < 1)
+    throw std::invalid_argument("bad " + std::string(name) +
+                                ": expected a positive integer, got '" +
+                                std::string(text) + "'");
+  return parsed;
 }
 
 }  // namespace pmc

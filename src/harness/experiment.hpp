@@ -71,7 +71,7 @@ ExperimentResult run_pmcast_experiment(const ExperimentConfig& config);
 ExperimentResult run_flooding_experiment(const ExperimentConfig& config);
 
 /// Same group and workload, genuine-multicast baseline with partial views
-/// of `view_size` uniformly random members.
+/// of `view_size` (>= 1) uniformly random members.
 ExperimentResult run_genuine_experiment(const ExperimentConfig& config,
                                         std::size_t view_size);
 
@@ -80,7 +80,9 @@ ExperimentResult run_genuine_experiment(const ExperimentConfig& config,
 ExperimentResult run_treecast_experiment(const ExperimentConfig& config);
 
 /// Reads a positive integer override from the environment (e.g. PMCAST_RUNS)
-/// so benches can be scaled up without recompiling; `fallback` otherwise.
+/// so benches can be scaled up without recompiling; `fallback` when the
+/// variable is unset or empty. Any other value must be all digits, at
+/// least 1 and in range, else std::invalid_argument ("bad NAME: ...").
 std::size_t env_size_t(const char* name, std::size_t fallback);
 
 }  // namespace pmc

@@ -14,6 +14,7 @@
 #include "common/contract.hpp"
 #include "common/hash.hpp"
 #include "harness/workload.hpp"
+#include "membership/tree.hpp"
 #include "wire/messages.hpp"
 
 namespace pmc {
@@ -281,7 +282,6 @@ struct ScenarioEffects {
       slot.sync->crash();
       slot.pm->crash();
       slot.live = false;
-      sim.oracle_->remove_member(slot.address);
       sim.crashed_pool_.push_back(idx);
       ++sim.counters_.crashes;
     }
@@ -297,9 +297,7 @@ struct ScenarioEffects {
       return false;
     }
     const std::size_t contact = contacts[rng.next_below(contacts.size())];
-    sim.spawn(slot, /*founder=*/false, sim.sync_pid(contact));
-    sim.oracle_->add_member(sim.slots_[slot].address,
-                            sim.slots_[slot].subscription);
+    sim.spawn(slot, std::nullopt, sim.sync_pid(contact));
     ++sim.counters_.joins_requested;
     return true;
   }
@@ -405,14 +403,14 @@ struct ScenarioVerb<Join> : ScenarioEffects {
   static constexpr const char* kKeyword = "join";
   static void fields(auto&& f, auto& op) { f(Term::kCount, op.count); }
   static void apply(ChurnSim& sim, const Join& op, const RngPtr& rng) {
-    auto vacant = sim.oracle_->vacancies(sim.space_);
+    auto vacant = sim.vacant_slots();
     const std::size_t n = std::min(op.count, vacant.size());
     sim.counters_.skipped += op.count - n;
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t pick = rng->next_below(vacant.size());
-      const AddrId id = sim.interns_.addrs.intern(vacant[pick]);
+      const std::size_t slot = vacant[pick];
       vacant.erase(vacant.begin() + static_cast<std::ptrdiff_t>(pick));
-      admit(sim, sim.slot_for(id), *rng);
+      admit(sim, slot, *rng);
     }
   }
 };
@@ -428,7 +426,6 @@ struct ScenarioVerb<Leave> : ScenarioEffects {
       slot.sync->leave();
       slot.pm->crash();
       slot.live = false;
-      sim.oracle_->remove_member(slot.address);
       ++sim.counters_.leaves;
     }
     retarget_pending_joiners(sim, *rng);
@@ -640,13 +637,12 @@ struct ScenarioVerb<JoinStorm> : ScenarioEffects {
     // Unlike the batched join, every arrival re-queries the vacancies: the
     // storm is spread over time, and earlier arrivals shrink the pool.
     repeat(sim, op.count, spacing, rng, [](ChurnSim& s, Rng& r) {
-      const auto vacant = s.oracle_->vacancies(s.space_);
+      const auto vacant = s.vacant_slots();
       if (vacant.empty()) {
         ++s.counters_.skipped;
         return;
       }
-      const Address& address = vacant[r.next_below(vacant.size())];
-      admit(s, s.slot_for(s.interns_.addrs.intern(address)), r);
+      admit(s, vacant[r.next_below(vacant.size())], r);
     });
   }
 };
@@ -923,7 +919,6 @@ void ChurnConfig::validate() const {
   PMC_EXPECTS(pd >= 0.0 && pd <= 1.0);
   PMC_EXPECTS(initial_fill > 0.0 && initial_fill <= 1.0);
   PMC_EXPECTS(loss >= 0.0 && loss < 1.0);
-  PMC_EXPECTS(latency_min >= 0 && latency_min <= latency_max);
   PMC_EXPECTS(period > 0);
   PMC_EXPECTS(suspicion_timeout > 0);
   PMC_EXPECTS(adaptive_alpha > 0.0 && adaptive_alpha <= 1.0);
@@ -996,9 +991,9 @@ std::string ChurnSummary::to_string() const {
 ChurnSim::ChurnSim(ChurnConfig config, GroupPlacement placement)
     : config_(config),
       space_(make_space(config_)),
-      rt_(NetworkConfig{config_.loss, config_.latency_min,
-                        config_.latency_max},
-          placement.runtime_seed.value_or(config_.seed), placement.tuning),
+      rt_(NetworkConfig{config_.loss},
+          placement.runtime_seed.value_or(config_.seed),
+          placement.bucket_count_log2),
       pid_base_(placement.pid_base),
       stream_salt_(placement.stream_salt) {
   // Two protocol nodes per address: the network's tables hold exactly this
@@ -1044,9 +1039,12 @@ ChurnSim::ChurnSim(ChurnConfig config, GroupPlacement placement)
   TreeConfig tc;
   tc.depth = config_.d;
   tc.redundancy = config_.r;
-  oracle_ = std::make_unique<GroupTree>(tc, std::move(members), interns_);
-
-  for (const auto i : picks) spawn(i, /*founder=*/true, kNoProcess);
+  // The tree only bootstraps the founders: afterwards a process knows the
+  // group through its own view tables, and the slots' live flags are the
+  // harness's membership record.
+  const GroupTree tree(tc, std::move(members), interns_);
+  for (const auto i : picks)
+    spawn(i, tree.materialize_view(slots_[i].address), kNoProcess);
 
   if (config_.adaptive) {
     rt_.scheduler().schedule_after(kEnvWindowPeriods * config_.period,
@@ -1089,7 +1087,9 @@ PmcastNode::Directory ChurnSim::pm_directory() {
   };
 }
 
-void ChurnSim::spawn(std::size_t slot_idx, bool founder, ProcessId contact) {
+void ChurnSim::spawn(std::size_t slot_idx,
+                     std::optional<MembershipView> bootstrap,
+                     ProcessId contact) {
   Slot& slot = slots_[slot_idx];
   // Destroy stale nodes first: a Process attaches its pid's network handler
   // in its constructor, so the old incarnation must detach before the new
@@ -1112,10 +1112,10 @@ void ChurnSim::spawn(std::size_t slot_idx, bool founder, ProcessId contact) {
   sc.ack_digests = config_.adaptive;  // digests double as loss probes
   sc.join_backoff = config_.join_backoff;
 
-  if (founder) {
-    slot.sync = std::make_unique<SyncNode>(
-        rt_, sync_pid(slot_idx), sc,
-        oracle_->materialize_view(slot.address), slot.subscription);
+  if (bootstrap) {
+    slot.sync = std::make_unique<SyncNode>(rt_, sync_pid(slot_idx), sc,
+                                           std::move(*bootstrap),
+                                           slot.subscription);
   } else {
     slot.sync = std::make_unique<SyncNode>(rt_, sync_pid(slot_idx), sc,
                                            slot.address, slot.subscription,
@@ -1227,6 +1227,13 @@ std::vector<std::size_t> ChurnSim::live_slots() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < slots_.size(); ++i)
     if (slots_[i].live) out.push_back(i);
+  return out;
+}
+
+std::vector<std::size_t> ChurnSim::vacant_slots() const {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < slots_.size(); ++i)
+    if (!slots_[i].live) out.push_back(i);
   return out;
 }
 

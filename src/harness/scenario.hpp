@@ -31,7 +31,6 @@
 #include "analysis/env_estimator.hpp"
 #include "event/event.hpp"
 #include "membership/sync.hpp"
-#include "membership/tree.hpp"
 #include "pmcast/node.hpp"
 #include "pmcast/view_provider.hpp"
 #include "sim/runtime.hpp"
@@ -249,8 +248,6 @@ struct ChurnConfig {
 
   // Environment.
   double loss = 0.0;  ///< base ε; LossBurst actions deviate from this
-  SimTime latency_min = sim_us(100);
-  SimTime latency_max = sim_us(900);
 
   // Protocol parameters.
   SimTime period = sim_ms(50);  ///< gossip period of both layers
@@ -407,12 +404,13 @@ std::uint64_t fingerprint_runtime(std::uint64_t h,
 /// Where a group sits among co-hosted groups (topic shards, see
 /// harness/shard.hpp): its pids start at `pid_base`, every labeled stream
 /// is salted with `stream_salt` (0 leaves the labels as they are), and its
-/// runtime is seeded with `runtime_seed` and sized by `tuning`.
+/// runtime is seeded with `runtime_seed` and its scheduler wheel has
+/// 2^`bucket_count_log2` buckets.
 struct GroupPlacement {
   ProcessId pid_base = 0;
   std::uint64_t stream_salt = 0;
   std::optional<std::uint64_t> runtime_seed;  ///< unset: ChurnConfig::seed
-  SchedulerTuning tuning;
+  std::uint32_t bucket_count_log2 = 12;
 };
 
 /// Hosts a dynamic group on its own Runtime and executes scenario scripts
@@ -500,9 +498,11 @@ class ChurnSim {
   SyncNode::Directory sync_directory();
   PmcastNode::Directory pm_directory();
 
-  /// (Re)creates both protocol nodes in `slot`. Founders get a materialized
-  /// bootstrap view; joiners enter through the join protocol via `contact`.
-  void spawn(std::size_t slot, bool founder, ProcessId contact);
+  /// (Re)creates both protocol nodes in `slot`. A founder starts from its
+  /// `bootstrap` view; a joiner (no bootstrap) enters through the join
+  /// protocol via `contact`.
+  void spawn(std::size_t slot, std::optional<MembershipView> bootstrap,
+             ProcessId contact);
 
   /// One estimator sampling window: feeds every live slot's estimator the
   /// feedback/churn deltas since the last window, then re-schedules itself
@@ -511,6 +511,8 @@ class ChurnSim {
   void sample_environment();
 
   std::vector<std::size_t> live_slots() const;
+  /// The slots a join can fill, in slot (= address) order.
+  std::vector<std::size_t> vacant_slots() const;
   /// Publishes `e` from `slot`, first counting the deliveries it is owed.
   void publish_from(std::size_t slot, Event e);
 
@@ -523,7 +525,6 @@ class ChurnSim {
   Interns interns_;
   ProcessId pid_base_ = 0;
   std::uint64_t stream_salt_ = 0;  ///< 0 for a standalone group
-  std::unique_ptr<GroupTree> oracle_;  ///< intended membership bookkeeping
   std::vector<Slot> slots_;
   /// Dense AddrId -> slot directory (every slot address is interned up
   /// front, so protocol-node lookups are a bounds check + array read).

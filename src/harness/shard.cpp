@@ -108,7 +108,7 @@ ShardedSim::ShardedSim(ShardedConfig config) : config_(config) {
   // pre-split golden fingerprints valid.
   placement.runtime_seed = config_.shard.seed;
   if (config_.shards >= kCompactWheelShards)
-    placement.tuning.bucket_count_log2 = 6;
+    placement.bucket_count_log2 = 6;
 
   const std::size_t capacity = config_.shard.capacity();
   shards_.reserve(config_.shards);

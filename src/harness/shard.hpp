@@ -5,10 +5,10 @@
 // bounded as the system grows; the way a deployment actually grows past
 // one group is by hosting many of them — one per topic — side by side.
 // ShardedSim realizes that: every shard runs the full dynamic-group stack
-// of ChurnSim (GroupTree oracle + SyncNode anti-entropy membership feeding
-// a PmcastNode per live process), owns its own Runtime — scheduler,
-// network, intern tables — over a disjoint pid range, and may be driven
-// by its own ScenarioScript. Cross-shard publishers model subscribers
+// of ChurnSim (SyncNode anti-entropy membership feeding a PmcastNode per
+// live process), owns its own Runtime — scheduler, network, intern
+// tables — over a disjoint pid range, and may be driven by its own
+// ScenarioScript. Cross-shard publishers model subscribers
 // whose topic spans several shards: the same event (same id, same
 // attribute) enters every shard the publisher spans.
 //

@@ -6,19 +6,14 @@
 
 namespace pmc {
 
-namespace {
-
-bool member_less(const Member& a, const Member& b) {
-  return a.address < b.address;
-}
-
-}  // namespace
-
 GroupTree::GroupTree(TreeConfig config, std::vector<Member> members,
                      Interns& interns, GroupTreeOptions options)
     : config_(config), options_(options), interns_(&interns) {
   config_.validate();
-  std::sort(members.begin(), members.end(), member_less);
+  std::sort(members.begin(), members.end(),
+            [](const Member& x, const Member& y) {
+              return x.address < y.address;
+            });
   for (std::size_t i = 0; i < members.size(); ++i) {
     PMC_EXPECTS(members[i].address.depth() == config_.depth);
     if (i > 0) PMC_EXPECTS(!(members[i].address == members[i - 1].address));
@@ -43,13 +38,12 @@ GroupTree::GroupTree(TreeConfig config, std::vector<Member> members,
       ensure_node(p);
     }
   }
-  for (const auto& lp : leaves) rebuild_leaf(lp);
+  for (const auto& lp : leaves) build_leaf(lp);
 
   // Bubble rows upward one level at a time so each ancestor's aggregates are
-  // recomputed exactly once (refresh_ancestors per leaf would redo the root
-  // once per leaf). The map walk is a sorted materialization: each level is
-  // put in prefix order before any row is pushed, so version stamps and
-  // push order never depend on hash-bucket layout.
+  // recomputed exactly once. The map walk is a sorted materialization: each
+  // level is put in prefix order before any row is pushed, so version stamps
+  // and push order never depend on hash-bucket layout.
   std::vector<std::vector<const Prefix*>> by_length(config_.depth);
   // detlint:allow(iteration-order) sorted materialization — levels sorted below
   for (const auto& [prefix, n] : nodes_)
@@ -147,15 +141,6 @@ std::vector<Address> GroupTree::all_members() const {
   return out;
 }
 
-std::vector<Address> GroupTree::vacancies(const AddressSpace& space) const {
-  PMC_EXPECTS(space.depth() == config_.depth);
-  std::vector<Address> out;
-  for (auto& a : space.enumerate()) {
-    if (!contains(a)) out.push_back(std::move(a));
-  }
-  return out;
-}
-
 bool GroupTree::is_delegate_at(const Address& a, std::size_t depth) const {
   PMC_EXPECTS(depth >= 1 && depth <= config_.depth);
   if (depth == config_.depth) return contains(a);
@@ -182,13 +167,10 @@ MembershipView GroupTree::materialize_view(const Address& self) const {
   return mv;
 }
 
-void GroupTree::rebuild_leaf(const Prefix& leaf_prefix) {
+void GroupTree::build_leaf(const Prefix& leaf_prefix) {
   PMC_EXPECTS(leaf_prefix.length() == config_.depth - 1);
+  // Members arrive in address order (the constructor sorts them).
   Node& n = node(leaf_prefix);
-  std::sort(n.members.begin(), n.members.end(), member_less);
-
-  DepthView view;
-  view.bind(*interns_);
   InterestSummary summary;
   candidate_scratch_.clear();
   for (const auto& m : n.members) {
@@ -196,11 +178,11 @@ void GroupTree::rebuild_leaf(const Prefix& leaf_prefix) {
     auto interests =
         interns_->summaries.intern(InterestSummary::from(m.subscription));
     summary.merge(*interests);
-    view.upsert_pooled(m.address.component(config_.depth - 1), {&id, 1},
-                       std::move(interests), 1, version_counter_++, true);
+    n.child_view.upsert_pooled(m.address.component(config_.depth - 1),
+                               {&id, 1}, std::move(interests), 1,
+                               version_counter_++, true);
     candidate_scratch_.push_back(id);
   }
-  n.child_view = std::move(view);
   n.summary = std::move(summary);
   n.process_count = n.members.size();
   elect_delegate_ids(candidate_scratch_, config_.redundancy, interns_->addrs,
@@ -211,10 +193,6 @@ void GroupTree::push_row_to_parent(const Prefix& child) {
   PMC_EXPECTS(!child.is_root());
   Node& parent = node(child.parent());
   const Node& c = node(child);
-  if (c.process_count == 0) {
-    parent.child_view.erase(child.infix());
-    return;
-  }
   InterestSummary interests = c.summary;
   // The row lives in the depth-(parent length + 1) tables; near the root it
   // may be coarsened (Sec. 6) — sound (only over-approximates) but cheaper.
@@ -242,55 +220,6 @@ void GroupTree::recompute_aggregates(Node& n) {
   // R-smallest (delegate sets), so electing from the union is exact.
   elect_delegate_ids(candidate_scratch_, config_.redundancy, interns_->addrs,
                      n.delegates);
-}
-
-void GroupTree::refresh_ancestors(const Prefix& child) {
-  if (child.is_root()) return;
-  const Prefix parent_prefix = child.parent();
-  push_row_to_parent(child);
-  recompute_aggregates(node(parent_prefix));
-  refresh_ancestors(parent_prefix);
-}
-
-void GroupTree::add_member(Address address, Subscription subscription) {
-  PMC_EXPECTS(address.depth() == config_.depth);
-  PMC_EXPECTS(!contains(address));
-  const Prefix lp = address.prefix(config_.depth - 1);
-  // Materialize any missing nodes on the path.
-  ensure_node(lp);
-  for (Prefix p = lp; !p.is_root();) {
-    p = p.parent();
-    ensure_node(p);
-  }
-  node(lp).members.push_back(
-      Member{std::move(address), std::move(subscription)});
-  rebuild_leaf(lp);
-  refresh_ancestors(lp);
-}
-
-void GroupTree::remove_member(const Address& address) {
-  PMC_EXPECTS(contains(address));
-  const Prefix lp = address.prefix(config_.depth - 1);
-  Node& n = node(lp);
-  const auto it = std::find_if(
-      n.members.begin(), n.members.end(),
-      [&](const Member& m) { return m.address == address; });
-  n.members.erase(it);
-  rebuild_leaf(lp);
-  refresh_ancestors(lp);
-}
-
-void GroupTree::update_subscription(const Address& address,
-                                    Subscription subscription) {
-  PMC_EXPECTS(contains(address));
-  const Prefix lp = address.prefix(config_.depth - 1);
-  Node& n = node(lp);
-  const auto it = std::find_if(
-      n.members.begin(), n.members.end(),
-      [&](const Member& m) { return m.address == address; });
-  it->subscription = std::move(subscription);
-  rebuild_leaf(lp);
-  refresh_ancestors(lp);
 }
 
 }  // namespace pmc

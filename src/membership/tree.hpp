@@ -6,24 +6,19 @@
 // populated child subgroup: its delegates, regrouped interests and process
 // count), the subgroup's own delegates, and its interest summary.
 //
-// The tree serves two roles:
-//  * in simulation, it is the authoritative membership all processes share
+// The tree is built once, for a fixed population, and serves two roles:
+//  * in the static figure harness, it is the membership all processes share
 //    (one DepthView per subgroup, shared by reference — what every member of
 //    that subgroup would hold in its own table);
-//  * in the dynamic-membership path it is the bootstrap source
-//    (materialize_view) and the oracle that tests compare against.
-//
-// Incremental join/leave updates rebuild only the leaf subgroup and the
-// O(d) ancestor rows on the path to the root, bumping row versions so
-// anti-entropy picks the changes up.
+//  * in the dynamic-membership path it is the founders' bootstrap source
+//    (materialize_view). From then on each process knows the group only
+//    through its own view tables, which anti-entropy keeps current.
 #pragma once
 
-#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "addr/address.hpp"
-#include "addr/space.hpp"
 #include "filter/subscription.hpp"
 #include "membership/config.hpp"
 #include "membership/election.hpp"
@@ -83,28 +78,13 @@ class GroupTree {
 
   std::vector<Address> all_members() const;
 
-  /// Addresses of `space` not currently populated, in lexicographic order —
-  /// the candidate slots a scripted Join action can fill. Precondition:
-  /// space.depth() == config().depth.
-  std::vector<Address> vacancies(const AddressSpace& space) const;
-
   /// True iff `a` is one of the delegates of its depth-(i+1) subgroup for
   /// some i <= depth-1, i.e. appears in the node of depth `depth`.
   bool is_delegate_at(const Address& a, std::size_t depth) const;
 
   /// Per-process membership knowledge (Eq. 2) as a standalone copy — the
-  /// bootstrap a joining process receives.
+  /// bootstrap a founding process receives.
   MembershipView materialize_view(const Address& self) const;
-
-  // -- Dynamic membership --------------------------------------------------
-
-  /// Adds a process; rebuilds its leaf subgroup and the ancestor path.
-  void add_member(Address address, Subscription subscription);
-  /// Removes a process (leave or crash observed); ancestors updated; an empty
-  /// leaf subgroup disappears from its parent's table.
-  void remove_member(const Address& address);
-  /// Replaces a member's subscription; summaries on the path are refreshed.
-  void update_subscription(const Address& address, Subscription subscription);
 
  private:
   struct Node {
@@ -120,14 +100,11 @@ class GroupTree {
   /// try_emplace that binds a fresh node's child view to the intern state.
   Node& ensure_node(const Prefix& p);
 
-  void rebuild_leaf(const Prefix& leaf_prefix);
-  /// Writes (or erases, when empty) the row describing `child` in its
-  /// parent's table.
+  void build_leaf(const Prefix& leaf_prefix);
+  /// Writes the row describing populated `child` in its parent's table.
   void push_row_to_parent(const Prefix& child);
   /// Recomputes count/summary/delegates from the node's child rows.
   void recompute_aggregates(Node& n);
-  /// Refreshes the row for `child` inside its parent and recurses upward.
-  void refresh_ancestors(const Prefix& child);
 
   TreeConfig config_;
   GroupTreeOptions options_;

@@ -112,22 +112,6 @@ void DepthView::compact_pool() {
   del_pool_ = std::move(packed);
 }
 
-bool DepthView::erase(AddrComponent infix) {
-  const std::size_t i = find_index(infix);
-  if (i == npos) return false;
-  live_delegates_ -= del_len_[i];
-  const auto d = static_cast<std::ptrdiff_t>(i);
-  infix_.erase(infix_.begin() + d);
-  version_.erase(version_.begin() + d);
-  count_.erase(count_.begin() + d);
-  alive_.erase(alive_.begin() + d);
-  interests_.erase(interests_.begin() + d);
-  del_begin_.erase(del_begin_.begin() + d);
-  del_len_.erase(del_len_.begin() + d);
-  ++mutations_;
-  return true;
-}
-
 std::size_t DepthView::live_count() const noexcept {
   return static_cast<std::size_t>(
       std::count(alive_.begin(), alive_.end(), std::uint8_t{1}));

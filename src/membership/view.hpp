@@ -164,13 +164,9 @@ class DepthView {
                      std::uint64_t process_count, std::uint64_t version,
                      bool alive);
 
-  /// Removes a row outright (local maintenance; prefer tombstones for
-  /// anti-entropy-visible departures).
-  bool erase(AddrComponent infix);
-
-  /// Bumped on every change (upsert that took effect, erase). Lets callers
-  /// cache derived state — recompaction skips depths whose inputs did not
-  /// change since the last pass.
+  /// Bumped on every upsert that took effect. Lets callers cache derived
+  /// state — recompaction skips depths whose inputs did not change since
+  /// the last pass.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
   /// Number of live rows.

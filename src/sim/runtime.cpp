@@ -12,8 +12,8 @@ constexpr std::uint64_t kProcessStreamSalt = 0x9c0ce55e5;
 }  // namespace
 
 Runtime::Runtime(NetworkConfig net_config, std::uint64_t seed,
-                 SchedulerTuning tuning)
-    : sched_(tuning.bucket_width_log2, tuning.bucket_count_log2),
+                 std::uint32_t bucket_count_log2)
+    : sched_(/*bucket_width_log2=*/6, bucket_count_log2),
       base_seed_(seed),
       seeder_(seed),
       net_(sched_, net_config, Rng(seeder_.next_u64())) {}

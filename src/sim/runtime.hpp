@@ -17,20 +17,15 @@ namespace pmc {
 
 class Process;
 
-/// Calendar-queue sizing knobs, forwarded to the scheduler. The defaults
-/// match CalendarScheduler's (a 262 ms wheel window); hosts that run many
-/// small co-resident schedulers (one per topic shard) pass a compact wheel
-/// instead so per-shard fixed cost stays in the kilobytes.
-struct SchedulerTuning {
-  std::uint32_t bucket_width_log2 = 6;
-  std::uint32_t bucket_count_log2 = 12;
-};
-
 class Runtime {
  public:
+  /// `bucket_count_log2` sizes the scheduler's wheel. The default matches
+  /// CalendarScheduler's (a 262 ms window); hosts that run many small
+  /// co-resident schedulers (one per topic shard) pass a compact wheel so
+  /// per-shard fixed cost stays in the kilobytes.
   explicit Runtime(NetworkConfig net_config = {},
                    std::uint64_t seed = 0x5eedf00dULL,
-                   SchedulerTuning tuning = {});
+                   std::uint32_t bucket_count_log2 = 12);
 
   Scheduler& scheduler() noexcept { return sched_; }
   const Scheduler& scheduler() const noexcept { return sched_; }

@@ -135,10 +135,14 @@ TEST(EnvSizeT, ParsesAndFallsBack) {
   EXPECT_EQ(env_size_t("PMC_TEST_ENVVAR", 7), 7u);
   ::setenv("PMC_TEST_ENVVAR", "42", 1);
   EXPECT_EQ(env_size_t("PMC_TEST_ENVVAR", 7), 42u);
-  ::setenv("PMC_TEST_ENVVAR", "-3", 1);
+  ::setenv("PMC_TEST_ENVVAR", "", 1);
   EXPECT_EQ(env_size_t("PMC_TEST_ENVVAR", 7), 7u);
-  ::setenv("PMC_TEST_ENVVAR", "abc", 1);
-  EXPECT_EQ(env_size_t("PMC_TEST_ENVVAR", 7), 7u);
+  // Anything else that is not a positive integer is rejected, not ignored.
+  for (const char* bad : {"-3", "abc", "2x", "0", "99999999999999999999999"}) {
+    ::setenv("PMC_TEST_ENVVAR", bad, 1);
+    EXPECT_THROW(env_size_t("PMC_TEST_ENVVAR", 7), std::invalid_argument)
+        << bad;
+  }
   ::unsetenv("PMC_TEST_ENVVAR");
 }
 
@@ -212,6 +216,7 @@ TEST(ExperimentConfigValidation, RunnersRejectInvalidConfigs) {
   EXPECT_THROW(run_flooding_experiment(c), std::logic_error);
   EXPECT_THROW(run_genuine_experiment(c, 8), std::logic_error);
   EXPECT_THROW(run_treecast_experiment(c), std::logic_error);
+  EXPECT_THROW(run_genuine_experiment(tiny_config(), 0), std::logic_error);
 }
 
 }  // namespace

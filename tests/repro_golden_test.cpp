@@ -158,6 +158,55 @@ TEST(ReproGolden, Shards4Cross2AnyThreadCount) {
   }
 }
 
+/// Every verb that draws a vacant or live slot: storms, a batched join, a
+/// rack failure, recoveries, a leave and a crash, on a half-full group so
+/// the draws have room to differ.
+constexpr const char* kVacancyScript =
+    "at 200ms joinstorm 8 over 300ms\n"
+    "at 300ms publish 6 every 30ms\n"
+    "at 550ms rack 1\n"
+    "at 650ms recover 3\n"
+    "at 700ms joinstorm 3\n"
+    "at 800ms join 2\n"
+    "at 1200ms leave 2\n"
+    "at 1300ms crash 2\n"
+    "at 1500ms publish 6 every 30ms\n";
+
+TEST(ReproGolden, VacancyDraws) {
+  ChurnConfig config = demo_config();
+  config.a = 6;
+  config.initial_fill = 0.5;
+  ChurnSim sim(config);
+  sim.play(ScenarioScript::parse(kVacancyScript));
+  sim.run_until(sim_ms(2500));
+  const ChurnSummary s = sim.summary();
+  EXPECT_EQ(s.fingerprint, 0x48b9fed4d9fc0c6bULL) << s.to_string();
+  EXPECT_EQ(s.counters.joins_requested, 16u);
+  EXPECT_EQ(s.counters.crashes, 7u);
+  EXPECT_EQ(s.counters.recoveries, 3u);
+  EXPECT_EQ(s.counters.leaves, 2u);
+  EXPECT_EQ(s.counters.delivered, 81u);
+  EXPECT_EQ(s.network.sent, 4836u);
+}
+
+TEST(ReproGolden, VacancyDrawsShardAnyThreadCount) {
+  for (const auto threads : kThreadCounts) {
+    ShardedConfig config = sharded_config(4);
+    config.shard.a = 6;
+    config.shard.initial_fill = 0.5;
+    config.threads = threads;
+    ShardedSim sim(config);
+    sim.play(1, ScenarioScript::parse(kVacancyScript));
+    sim.run_until(sim_ms(2500));
+    const ShardedSummary s = sim.summary();
+    EXPECT_EQ(s.fingerprint, 0x175b66d7190e2c03ULL)
+        << "threads=" << threads << "\n" << s.to_string();
+    EXPECT_EQ(s.aggregate.fingerprint, 0xc4ae7b184148a8b6ULL);
+    ASSERT_EQ(s.shards.size(), 4u);
+    EXPECT_EQ(s.shards[1].fingerprint, 0x13d0481d308b868bULL);
+  }
+}
+
 TEST(ReproGolden, Shards8PartitionedShardAnyThreadCount) {
   // A partition scoped to one shard (install + heal both inside the run)
   // must unfold identically under every lane count; the fingerprint was

@@ -169,65 +169,6 @@ TEST(GroupTree, WrongDepthAddressRejected) {
   EXPECT_THROW(GroupTree(cfg(2, 1), members, interns), std::logic_error);
 }
 
-TEST(GroupTree, AddMemberUpdatesPath) {
-  auto members = regular_members(3, 2);
-  members.pop_back();  // remove 2.2
-  Tree t(cfg(2, 2), members);
-  EXPECT_EQ(t.tree.process_count(), 8u);
-  t.tree.add_member(Address::parse("2.2"), Subscription::parse("u < 0.5"));
-  EXPECT_EQ(t.tree.process_count(), 9u);
-  EXPECT_TRUE(t.tree.contains(Address::parse("2.2")));
-  EXPECT_EQ(t.tree.represented(Address::parse("2.0").prefix(1)), 3u);
-}
-
-TEST(GroupTree, AddMemberIntoEmptySubtreeCreatesNodes) {
-  std::vector<Member> members{{Address::parse("0.0.0"), Subscription()}};
-  Tree t(cfg(3, 1), members);
-  t.tree.add_member(Address::parse("2.1.0"), Subscription());
-  EXPECT_EQ(t.tree.process_count(), 2u);
-  EXPECT_EQ(t.tree.view_at(Prefix::root()).size(), 2u);
-}
-
-TEST(GroupTree, RemoveMemberUpdatesDelegates) {
-  Tree t(cfg(2, 1), regular_members(3, 2));
-  // 0.0 is the single delegate of subgroup 0; removing it promotes 0.1.
-  EXPECT_EQ(t.tree.delegates(Address::parse("0.0").prefix(1))[0].to_string(),
-            "0.0");
-  t.tree.remove_member(Address::parse("0.0"));
-  EXPECT_EQ(t.tree.delegates(Address::parse("0.0").prefix(1))[0].to_string(),
-            "0.1");
-  EXPECT_EQ(t.tree.process_count(), 8u);
-}
-
-TEST(GroupTree, RemoveLastMemberOfSubgroupDropsRow) {
-  std::vector<Member> members;
-  for (const auto* t : {"0.0", "0.1", "1.0"})
-    members.push_back(Member{Address::parse(t), Subscription()});
-  Tree t(cfg(2, 2), members);
-  t.tree.remove_member(Address::parse("1.0"));
-  EXPECT_EQ(t.tree.view_at(Prefix::root()).size(), 1u);
-  EXPECT_EQ(t.tree.process_count(), 2u);
-}
-
-TEST(GroupTree, RemoveNonMemberRejected) {
-  Tree t(cfg(2, 1), regular_members(2, 2));
-  EXPECT_THROW(t.tree.remove_member(Address::parse("9.9")),
-               std::logic_error);
-}
-
-TEST(GroupTree, UpdateSubscriptionRefreshesSummaries) {
-  std::vector<Member> members;
-  for (const auto* t : {"0.0", "0.1"})
-    members.push_back(Member{Address::parse(t),
-                             Subscription::parse("u >= 0.9")});
-  Tree t(cfg(2, 1), members);
-  Event e = make_event_at(0, 0, 0.1);
-  EXPECT_FALSE(t.tree.summary(Prefix::root()).match(e));
-  t.tree.update_subscription(Address::parse("0.1"),
-                             Subscription::parse("u < 0.5"));
-  EXPECT_TRUE(t.tree.summary(Prefix::root()).match(e));
-}
-
 TEST(GroupTree, MaterializeViewMatchesShared) {
   const Tree t(cfg(3, 2), regular_members(3, 3, 0.4));
   const auto self = Address::parse("1.2.0");
@@ -242,15 +183,6 @@ TEST(GroupTree, MaterializeViewMatchesShared) {
   }
   // Eq. 2 knowledge: R*a*(d-1) + a = 2*3*2 + 3 = 15.
   EXPECT_EQ(mv.known_processes(), 15u);
-}
-
-TEST(GroupTree, VersionsIncreaseOnMutation) {
-  Tree t(cfg(2, 1), regular_members(3, 2));
-  const auto& root = t.tree.view_at(Prefix::root());
-  const auto before = root.version(root.find_index(0));
-  t.tree.remove_member(Address::parse("0.2"));
-  const auto after = root.version(root.find_index(0));
-  EXPECT_GT(after, before);
 }
 
 }  // namespace

@@ -147,16 +147,6 @@ TEST(DepthView, FindMissingReturnsNpos) {
   EXPECT_NE(b.v.find_index(2), DepthView::npos);
 }
 
-TEST(DepthView, Erase) {
-  BoundView b;
-  b.upsert(b.row(1, 1));
-  b.upsert(b.row(2, 1));
-  EXPECT_TRUE(b.v.erase(1));
-  EXPECT_FALSE(b.v.erase(1));
-  EXPECT_EQ(b.v.size(), 1u);
-  EXPECT_EQ(b.v.find_index(1), DepthView::npos);
-}
-
 TEST(DepthView, LiveCountSkipsTombstones) {
   BoundView b;
   b.upsert(b.row(1, 1, 1, true));

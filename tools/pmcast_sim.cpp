@@ -255,6 +255,10 @@ bool parse_args(int argc, char** argv, Options& out) {
     }
     else if (flag == "--view") {
       if (!parse_size(flag, next(), out.genuine_view)) return false;
+      if (out.genuine_view < 1) {
+        std::cerr << "bad --view: must be >= 1\n";
+        return false;
+      }
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--analysis-only") {
