@@ -85,7 +85,7 @@ int main() {
     SyncNode* sync = sync_nodes[i].get();
     pm_nodes.back()->set_piggyback(
         [sync](AddrId target) { return sync->rows_to_share(target); },
-        [sync](const Address& sender, const RowBatch& rows) {
+        [sync](const AddrRef& sender, const RowBatch& rows) {
           sync->absorb_rows(sender, rows);
         });
   }

@@ -69,7 +69,7 @@ SyncNode::SyncNode(Runtime& rt, ProcessId pid, SyncConfig config, Address self,
 
 void SyncNode::send_join_request() {
   auto join = std::make_shared<JoinRequestMsg>();
-  join->joiner = view_.self();
+  join->joiner = AddrRef(view_.interns(), view_.self_id());
   join->joiner_pid = id();
   join->subscription = subscription_;
   send(join_contact_, std::move(join));
@@ -103,7 +103,7 @@ void SyncNode::retarget_join(ProcessId contact) {
 
 void SyncNode::leave() {
   auto msg = std::make_shared<LeaveMsg>();
-  msg->leaver = view_.self();
+  msg->leaver = AddrRef(view_.interns(), view_.self_id());
   // Inform the immediate (leaf-depth) neighbors.
   const DepthView& leaf = view_.view(config_.tree.depth);
   for (std::size_t i = 0; i < leaf.size(); ++i) {
@@ -171,7 +171,7 @@ void SyncNode::on_period() {
   const auto& peers = known_peers();
   if (peers.empty()) return;
   auto digest = std::make_shared<MembershipDigestMsg>();
-  digest->sender = view_.self();
+  digest->sender = AddrRef(view_.interns(), view_.self_id());
   digest->sender_pid = id();
   digest->digests = make_digest();
   // The same digest goes to every target: resolve the whole fan-out first
@@ -213,12 +213,12 @@ void SyncNode::on_period() {
 }
 
 void SyncNode::handle_digest(ProcessId from, const MembershipDigestMsg& m) {
-  note_contact(m.sender);
+  const std::size_t prefix = shared_prefix(m.sender);
+  note_contact(m.sender, prefix);
   // Reply with every line where our version is strictly newer, plus lines
   // the gossiper does not know at all — restricted to depths the two of us
   // share (tables above the common prefix are about different subgroups).
-  const std::size_t shared =
-      view_.self().common_prefix_length(m.sender) + 1;
+  const std::size_t limit = std::min(prefix + 1, config_.tree.depth);
   // One merge walk over the view and the digest, both in (depth, infix)
   // order. make_digest emits that order; a digest in any other order (the
   // decoder accepts any) is stable-sorted first, so the first entry for a
@@ -233,41 +233,52 @@ void SyncNode::handle_digest(ProcessId from, const MembershipDigestMsg& m) {
                      key_less);
     digests = digest_scratch_;
   }
-  RowBatch newer(view_.interns());
-  auto next = digests.begin();
-  for (std::size_t depth = 1; depth <= std::min(shared, config_.tree.depth);
-       ++depth) {
-    const DepthView& dv = view_.view(depth);
-    for (std::size_t i = 0; i < dv.size(); ++i) {
-      const RowDigest key{static_cast<std::uint32_t>(depth), dv.infix(i), 0};
-      while (next != digests.end() && key_less(*next, key)) ++next;
-      const bool known = next != digests.end() && !key_less(key, *next);
-      if (!known || next->version < dv.version(i))
-        newer.rows.push_back(
-            DepthRow{static_cast<std::uint32_t>(depth), dv.materialize(i)});
+  // Two passes of one walk: the first counts what the reply carries, the
+  // second fills a reply sized to exactly that (replies in flight at a
+  // period boundary hold their batches, so no walk-sized reservation).
+  const auto walk = [&](auto&& take) {
+    auto next = digests.begin();
+    for (std::size_t depth = 1; depth <= limit; ++depth) {
+      const DepthView& dv = view_.view(depth);
+      for (std::size_t i = 0; i < dv.size(); ++i) {
+        const RowDigest key{static_cast<std::uint32_t>(depth), dv.infix(i), 0};
+        while (next != digests.end() && key_less(*next, key)) ++next;
+        const bool known = next != digests.end() && !key_less(key, *next);
+        if (!known || next->version < dv.version(i)) take(dv, depth, i);
+      }
     }
-  }
+  };
+  std::size_t rows = 0;
+  std::size_t delegates = 0;
+  walk([&](const DepthView& dv, std::size_t, std::size_t i) {
+    ++rows;
+    delegates += dv.delegates(i).size();
+  });
   // With ack_digests every digest is answered — an empty update is a pure
   // ack — so the gossiper can meter the round-trip loss (sent vs. acked).
-  if (newer.empty() && !config_.ack_digests) return;
+  if (rows == 0 && !config_.ack_digests) return;
   auto reply = std::make_shared<MembershipUpdateMsg>();
-  reply->sender = view_.self();
-  reply->rows = std::move(newer);
+  reply->sender = AddrRef(view_.interns(), view_.self_id());
+  reply->rows = RowBatch(view_.interns());
+  reply->rows.rows.reserve(rows);
+  reply->rows.pool.reserve(delegates);
+  walk([&](const DepthView& dv, std::size_t depth, std::size_t i) {
+    reply->rows.append(static_cast<std::uint32_t>(depth), dv, i);
+  });
   send(from, std::move(reply));
   ++stats_.updates_sent;
 }
 
 void SyncNode::handle_update(const MembershipUpdateMsg& m) {
-  note_contact(m.sender);
+  note_contact(m.sender, shared_prefix(m.sender));
   // Every update answers one of our digests (gossip pull), so it doubles
   // as the ack half of the loss-feedback pair (see Stats::digest_acks).
   ++stats_.digest_acks;
   absorb_rows(m.sender, m.rows);
 }
 
-void SyncNode::absorb_rows(const Address& sender, const RowBatch& rows) {
-  const std::size_t shared =
-      view_.self().common_prefix_length(sender) + 1;
+void SyncNode::absorb_rows(const AddrRef& sender, const RowBatch& rows) {
+  const std::size_t shared = shared_prefix(sender) + 1;
   for (const auto& dr : rows) {
     if (dr.depth < 1 || dr.depth > config_.tree.depth) continue;
     if (dr.depth > shared) continue;  // not our subgroup's table
@@ -278,7 +289,7 @@ void SyncNode::absorb_rows(const Address& sender, const RowBatch& rows) {
 void SyncNode::handle_join(ProcessId from, const JoinRequestMsg& m) {
   (void)from;
   if (!joined_) return;
-  const std::size_t shared = view_.self().common_prefix_length(m.joiner);
+  const std::size_t shared = shared_prefix(m.joiner);
 
   // Try to route closer: a delegate of a deeper subgroup on the joiner's
   // path knows strictly more of the joiner's neighborhood than we do.
@@ -297,20 +308,20 @@ void SyncNode::handle_join(ProcessId from, const JoinRequestMsg& m) {
 
   // We are (or act as) an immediate neighbor: insert the joiner and send it
   // everything we know that is valid for its address.
-  const AddrId joiner = addrs().intern(m.joiner);
+  const AddrId joiner = intern(m.joiner);
   put_process_row(std::min(shared + 1, config_.tree.depth),
                   m.joiner.component(std::min(shared, config_.tree.depth - 1)),
                   joiner, m.subscription);
 
   auto transfer = std::make_shared<ViewTransferMsg>();
-  transfer->sender = view_.self();
-  transfer->rows = rows_for(joiner);
+  transfer->sender = AddrRef(view_.interns(), view_.self_id());
+  transfer->rows = rows_up_to(share_limit(joiner));
   send(m.joiner_pid, std::move(transfer));
   ++stats_.joins_served;
 }
 
 void SyncNode::handle_view_transfer(const ViewTransferMsg& m) {
-  note_contact(m.sender);
+  note_contact(m.sender, shared_prefix(m.sender));
   for (const auto& dr : m.rows) {
     if (dr.depth < 1 || dr.depth > config_.tree.depth) continue;
     apply_row(dr.depth, dr.row, m.rows);
@@ -335,7 +346,7 @@ void SyncNode::put_process_row(std::size_t depth, AddrComponent infix,
 
 void SyncNode::handle_leave(const LeaveMsg& m) {
   // Tombstone the leaver's leaf row; anti-entropy spreads it.
-  const std::size_t shared = view_.self().common_prefix_length(m.leaver);
+  const std::size_t shared = shared_prefix(m.leaver);
   const std::size_t depth = std::min(shared + 1, config_.tree.depth);
   DepthView& dv = view_.view(depth);
   const std::size_t i = dv.find_index(m.leaver.component(depth - 1));
@@ -348,10 +359,11 @@ bool SyncNode::apply_row(std::uint32_t depth, const ViewRow& row,
   version_counter_ = std::max(version_counter_, row.version);
   // Rebut false suspicion: a live process that learns of its own tombstone
   // republishes its leaf row with a higher version.
-  if (!row.alive && depth == config_.tree.depth && !row.delegates.empty() &&
+  const auto delegates = batch.delegates(row);
+  if (!row.alive && depth == config_.tree.depth && !delegates.empty() &&
       (batch.interns != nullptr
-           ? row.delegates.front() == view_.self_id()
-           : batch.address(row.delegates.front()) == view_.self())) {
+           ? delegates.front() == view_.self_id()
+           : batch.address(delegates.front()) == view_.self())) {
     ViewRow alive_row = row;
     alive_row.alive = true;
     alive_row.version = next_version();
@@ -368,22 +380,52 @@ bool SyncNode::apply_row(std::uint32_t depth, const ViewRow& row,
   return changed;
 }
 
-RowBatch SyncNode::rows_for(AddrId other) const {
-  const std::size_t shared =
-      addrs().common_prefix_length(view_.self_id(), other);
+std::size_t SyncNode::share_limit(AddrId other) const {
+  return std::min(addrs().common_prefix_length(view_.self_id(), other) + 1,
+                  config_.tree.depth);
+}
+
+RowBatch SyncNode::rows_up_to(std::size_t limit) const {
+  std::size_t rows = 0;
+  std::size_t delegates = 0;
+  for (std::size_t depth = 1; depth <= limit; ++depth) {
+    rows += view_.view(depth).size();
+    delegates += view_.view(depth).delegate_count();
+  }
   RowBatch out(view_.interns());
-  for (std::size_t depth = 1;
-       depth <= std::min(shared + 1, config_.tree.depth); ++depth) {
+  out.rows.reserve(rows);
+  out.pool.reserve(delegates);
+  for (std::size_t depth = 1; depth <= limit; ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i)
-      out.rows.push_back(
-          DepthRow{static_cast<std::uint32_t>(depth), dv.materialize(i)});
+      out.append(static_cast<std::uint32_t>(depth), dv, i);
   }
   return out;
 }
 
+std::shared_ptr<const RowBatch> SyncNode::rows_to_share(AddrId other) {
+  const std::size_t limit = share_limit(other);
+  std::uint64_t stamp = 0;
+  for (std::size_t depth = 1; depth <= limit; ++depth)
+    stamp += view_.view(depth).mutations();
+  if (shared_rows_.empty()) shared_rows_.resize(config_.tree.depth);
+  SharedRows& slot = shared_rows_[limit - 1];
+  if (slot.stamp == stamp) {
+    if (auto batch = slot.batch.lock()) return batch;
+  }
+  // Not make_shared: the weak slot would keep that one block, batch
+  // included, alive until the slot is next rebuilt.
+  std::shared_ptr<const RowBatch> batch(new RowBatch(rows_up_to(limit)));
+  slot = {batch, stamp};
+  return batch;
+}
+
 std::vector<RowDigest> SyncNode::make_digest() const {
+  std::size_t rows = 0;
+  for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth)
+    rows += view_.view(depth).size();
   std::vector<RowDigest> out;
+  out.reserve(rows);
   for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i)
@@ -506,8 +548,8 @@ void SyncNode::check_neighbor_timeouts() {
       continue;
     }
     auto query = std::make_shared<SuspectQueryMsg>();
-    query->sender = view_.self();
-    query->suspect = addrs().resolve(suspect);
+    query->sender = AddrRef(view_.interns(), view_.self_id());
+    query->suspect = AddrRef(view_.interns(), suspect);
     send_to(confirmer, std::move(query));
     pending_suspicions_.insert_or_assign(suspect, now);
   }
@@ -515,22 +557,21 @@ void SyncNode::check_neighbor_timeouts() {
 
 void SyncNode::handle_suspect_query(ProcessId from,
                                     const SuspectQueryMsg& m) {
-  note_contact(m.sender);
-  const AddrId suspect = addrs().intern(m.suspect);
-  const auto it = last_contact_.find(suspect);
+  note_contact(m.sender, shared_prefix(m.sender));
+  const auto it = last_contact_.find(find(m.suspect));
   const bool heard =
       it != last_contact_.end() &&
       runtime().now() - it->second <= config_.suspicion_timeout;
   auto reply = std::make_shared<SuspectReplyMsg>();
-  reply->sender = view_.self();
+  reply->sender = AddrRef(view_.interns(), view_.self_id());
   reply->suspect = m.suspect;
   reply->heard_recently = heard;
   send(from, std::move(reply));
 }
 
 void SyncNode::handle_suspect_reply(const SuspectReplyMsg& m) {
-  note_contact(m.sender);
-  const AddrId suspect = addrs().intern(m.suspect);
+  note_contact(m.sender, shared_prefix(m.sender));
+  const AddrId suspect = find(m.suspect);
   const auto it = pending_suspicions_.find(suspect);
   if (it == pending_suspicions_.end()) return;  // stale reply
   pending_suspicions_.erase(it);
@@ -555,25 +596,49 @@ void SyncNode::tombstone_row(DepthView& leaf, std::size_t i) {
   ++stats_.deaths_observed;
 }
 
-void SyncNode::note_contact(const Address& a) {
-  last_contact_.insert_or_assign(addrs().intern(a), runtime().now());
+std::size_t SyncNode::shared_prefix(const AddrRef& a) const {
+  if (a.interns == nullptr)
+    return view_.self().common_prefix_length(a.decoded);
+  PMC_EXPECTS(a.interns == &view_.interns());
+  return addrs().common_prefix_length(view_.self_id(), a.id);
+}
+
+AddrId SyncNode::intern(const AddrRef& a) const {
+  if (a.interns == nullptr) return addrs().intern(a.decoded);
+  PMC_EXPECTS(a.interns == &view_.interns());
+  return a.id;
+}
+
+AddrId SyncNode::find(const AddrRef& a) const {
+  if (a.interns == nullptr) return addrs().find(a.decoded);
+  PMC_EXPECTS(a.interns == &view_.interns());
+  return a.id;
+}
+
+void SyncNode::note_contact(const AddrRef& sender, std::size_t shared) {
+  if (shared + 1 < config_.tree.depth) return;  // not a leaf neighbour
+  last_contact_.insert_or_assign(intern(sender), runtime().now());
 }
 
 const std::vector<AddrId>& SyncNode::known_peers() const {
-  peer_scratch_.clear();
+  std::uint64_t stamp = 0;
+  for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth)
+    stamp += view_.view(depth).mutations();
+  if (stamp == peers_stamp_) return peers_;
+  peers_stamp_ = stamp;
+  peers_.clear();
   for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i) {
       if (!dv.alive(i)) continue;
       for (const AddrId d : dv.delegates(i)) {
         if (d == view_.self_id()) continue;
-        if (std::find(peer_scratch_.begin(), peer_scratch_.end(), d) ==
-            peer_scratch_.end())
-          peer_scratch_.push_back(d);
+        if (std::find(peers_.begin(), peers_.end(), d) == peers_.end())
+          peers_.push_back(d);
       }
     }
   }
-  return peer_scratch_;
+  return peers_;
 }
 
 void SyncNode::send_to(AddrId a, MessagePtr msg) {

@@ -15,8 +15,9 @@
 // false, bumped version); the tombstone then spreads via anti-entropy.
 //
 // Failure detection: each process tracks the last time it heard from its
-// immediate (leaf-depth) neighbors; silence beyond a timeout tombstones the
-// suspect locally, and anti-entropy propagates the suspicion.
+// immediate (leaf-depth) neighbors, and from no one else (only they are
+// ever read back); silence beyond a timeout tombstones the suspect
+// locally, and anti-entropy propagates the suspicion.
 //
 // Row recomputation: delegates periodically recompact the row describing
 // their own subgroup at each depth they represent (interest regrouping,
@@ -26,13 +27,18 @@
 // neither table mutated since the last pass (the steady-state common case).
 //
 // Hot-path state is interned: peers, neighbors and contact tables hold
-// AddrIds, and membership rows travel as a RowBatch of this runtime's ids
-// and pooled summaries (view.hpp). Only the wire codec turns a batch's ids
-// into Addresses; message sender fields still carry full Addresses. The
+// AddrIds, membership rows travel as a RowBatch of this runtime's ids and
+// pooled summaries, and every process address a message carries (senders,
+// joiner, leaver, suspect) is an AddrRef holding this runtime's id
+// (view.hpp). Only the wire codec turns ids into Addresses, and a receiver
+// interns a decoded address only when it keeps it. Derived state is cached
+// on the tables' mutations() counters: recompaction, the peer list and the
+// piggyback batch each rebuild only after a table they read changed. The
 // codec and all protocol bytes are unchanged by the representation.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -57,7 +63,7 @@ struct RowDigest {
 struct MembershipDigestMsg final : MessageBase {
   MembershipDigestMsg() noexcept : MessageBase(MsgKind::MembershipDigest) {}
 
-  Address sender;
+  AddrRef sender;
   ProcessId sender_pid = kNoProcess;
   std::vector<RowDigest> digests;
 };
@@ -65,14 +71,14 @@ struct MembershipDigestMsg final : MessageBase {
 struct MembershipUpdateMsg final : MessageBase {
   MembershipUpdateMsg() noexcept : MessageBase(MsgKind::MembershipUpdate) {}
 
-  Address sender;
+  AddrRef sender;
   RowBatch rows;
 };
 
 struct JoinRequestMsg final : MessageBase {
   JoinRequestMsg() noexcept : MessageBase(MsgKind::JoinRequest) {}
 
-  Address joiner;
+  AddrRef joiner;
   ProcessId joiner_pid = kNoProcess;
   Subscription subscription;
   std::uint32_t hops = 0;  ///< guards against routing loops
@@ -81,14 +87,14 @@ struct JoinRequestMsg final : MessageBase {
 struct ViewTransferMsg final : MessageBase {
   ViewTransferMsg() noexcept : MessageBase(MsgKind::ViewTransfer) {}
 
-  Address sender;
+  AddrRef sender;
   RowBatch rows;  ///< rows valid for the joiner
 };
 
 struct LeaveMsg final : MessageBase {
   LeaveMsg() noexcept : MessageBase(MsgKind::Leave) {}
 
-  Address leaver;
+  AddrRef leaver;
 };
 
 /// Sec. 6's per-depth mechanism (3): before excluding a silent neighbor,
@@ -97,15 +103,15 @@ struct LeaveMsg final : MessageBase {
 struct SuspectQueryMsg final : MessageBase {
   SuspectQueryMsg() noexcept : MessageBase(MsgKind::SuspectQuery) {}
 
-  Address sender;
-  Address suspect;
+  AddrRef sender;
+  AddrRef suspect;
 };
 
 struct SuspectReplyMsg final : MessageBase {
   SuspectReplyMsg() noexcept : MessageBase(MsgKind::SuspectReply) {}
 
-  Address sender;
-  Address suspect;
+  AddrRef sender;
+  AddrRef suspect;
   bool heard_recently = false;
 };
 
@@ -199,8 +205,11 @@ class SyncNode final : public Process {
   /// Piggybacking support (Sec. 2.3: "membership information can be
   /// piggybacked when gossiping events"): the rows worth attaching to a
   /// message for `other`, and ingestion of rows that arrived piggybacked.
-  RowBatch rows_to_share(AddrId other) const { return rows_for(other); }
-  void absorb_rows(const Address& sender, const RowBatch& rows);
+  /// The rows depend only on the depth limit min(shared prefix + 1, d), so
+  /// every target at one limit gets the same immutable batch until a table
+  /// in that range mutates (see shared_rows_).
+  std::shared_ptr<const RowBatch> rows_to_share(AddrId other);
+  void absorb_rows(const AddrRef& sender, const RowBatch& rows);
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -223,9 +232,11 @@ class SyncNode final : public Process {
   /// changed.
   bool apply_row(std::uint32_t depth, const ViewRow& row,
                  const RowBatch& batch);
-  /// Rows of this view relevant for a process with address `other`
-  /// (depths 1..common_prefix+1).
-  RowBatch rows_for(AddrId other) const;
+  /// Depths of this view relevant for a process with address `other`:
+  /// 1..min(common prefix + 1, d).
+  std::size_t share_limit(AddrId other) const;
+  /// Every row of depths 1..limit, sized before it is filled.
+  RowBatch rows_up_to(std::size_t limit) const;
   /// Stores a row built here for `self` or a joiner (id of this runtime),
   /// alive, with a fresh version.
   void put_process_row(std::size_t depth, AddrComponent infix, AddrId process,
@@ -234,10 +245,19 @@ class SyncNode final : public Process {
   /// Recompacts own-subgroup rows at every depth where self is a delegate.
   void recompact_own_rows();
   void check_neighbor_timeouts();
-  void note_contact(const Address& a);
+  /// Length of the prefix `a` shares with this process.
+  std::size_t shared_prefix(const AddrRef& a) const;
+  /// This runtime's id for `a`, interning a decoded address.
+  AddrId intern(const AddrRef& a) const;
+  /// This runtime's id for `a`, or kNoAddr for a decoded address it never
+  /// interned (which then has no contact, suspicion or grace entry).
+  AddrId find(const AddrRef& a) const;
+  /// Records direct contact from `sender` if it is a leaf neighbour (it
+  /// shares `shared` >= d-1 components with this process).
+  void note_contact(const AddrRef& sender, std::size_t shared);
   /// All (address, pid-resolvable) gossip candidates, excluding self —
-  /// depth-ascending, row order, first sighting wins. Returns a scratch
-  /// buffer reused across periods (invalidated by the next call).
+  /// depth-ascending, row order, first sighting wins. Rebuilt only when a
+  /// table mutated since the last call (see peers_).
   const std::vector<AddrId>& known_peers() const;
   void send_to(AddrId a, MessagePtr msg);
   std::uint64_t next_version() { return ++version_counter_; }
@@ -266,6 +286,17 @@ class SyncNode final : public Process {
   /// Suspect queries are answered from this map only — never from grace —
   /// otherwise two suspecting processes can keep a dead neighbor "alive" by
   /// echoing each other's second-hand confidence.
+  ///
+  /// Only leaf neighbours (senders sharing our depth-(d-1) prefix) are
+  /// recorded, because only they are ever read back: the timeout check
+  /// looks up the first delegates of leaf rows, and a suspect query names
+  /// the querier's leaf neighbour, which shares the confirmer's leaf
+  /// subgroup. That is exact while every leaf row describes a member of our
+  /// leaf subgroup, and every row the protocol builds does: handle_join
+  /// writes depth d only when the prefixes agree, a digest reply carries
+  /// depth-d rows only to such a sender, absorb_rows admits depth-d rows
+  /// only from one, and a view transfer carries only rows_up_to(the depth
+  /// the contact and the joiner share).
   FlatMap<AddrId, SimTime> last_contact_;
   /// Deadline extensions granted by positive confirmations.
   FlatMap<AddrId, SimTime> grace_until_;
@@ -273,9 +304,22 @@ class SyncNode final : public Process {
   /// Resolved pids for the periodic digest fan-out, so one shared digest
   /// goes out through Network::send_multi instead of per-target copies.
   std::vector<ProcessId> digest_targets_;
-  // Reusable per-period scratch buffers (the sync path allocates nothing in
-  // steady state).
-  mutable std::vector<AddrId> peer_scratch_;
+  /// The peer list known_peers() last built, and the sum of every table's
+  /// mutations() it was built from. The counters only grow, so an equal sum
+  /// means no table changed and the list (and its order, which the RNG
+  /// indexes) still holds.
+  mutable std::vector<AddrId> peers_;
+  mutable std::uint64_t peers_stamp_ = ~std::uint64_t{0};
+  /// The last piggyback batch built per depth limit (index limit-1), held
+  /// weakly so the cache never outlives the messages that carry a batch,
+  /// with the sum of mutations() over depths 1..limit it was built from.
+  struct SharedRows {
+    std::weak_ptr<const RowBatch> batch;
+    std::uint64_t stamp = 0;
+  };
+  std::vector<SharedRows> shared_rows_;
+  // Reusable scratch buffers (the sync path allocates nothing in steady
+  // state).
   std::vector<AddrId> neighbor_scratch_;
   std::vector<AddrId> suspect_scratch_;
   std::vector<AddrId> candidate_scratch_;

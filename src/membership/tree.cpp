@@ -19,26 +19,30 @@ GroupTree::GroupTree(TreeConfig config, std::vector<Member> members,
     if (i > 0) PMC_EXPECTS(!(members[i].address == members[i - 1].address));
   }
 
-  // Distribute members into leaf-subgroup nodes (prefix length d-1), then
-  // build every leaf and bubble the rows upward.
+  // The sorted members form one contiguous run per leaf subgroup (prefix
+  // length d-1): build every leaf from its run, then bubble the rows upward.
+  // The runs live only here; the tree keeps no per-member copy.
   const std::size_t leaf_len = config_.depth - 1;
-  std::vector<Prefix> leaves;
-  for (auto& m : members) {
-    const Prefix lp = m.address.prefix(leaf_len);
-    const bool fresh = !nodes_.contains(lp);
-    Node& n = ensure_node(lp);
-    if (fresh) leaves.push_back(lp);
-    n.members.push_back(std::move(m));
+  std::vector<std::pair<Prefix, std::span<const Member>>> leaves;
+  for (std::size_t begin = 0, end = 0; begin < members.size(); begin = end) {
+    const Address& first = members[begin].address;
+    end = begin + 1;
+    while (end < members.size() &&
+           members[end].address.common_prefix_length(first) >= leaf_len)
+      ++end;
+    leaves.emplace_back(first.prefix(leaf_len),
+                        std::span(members).subspan(begin, end - begin));
+    ensure_node(leaves.back().first);
   }
   // Ensure ancestor nodes exist (including the root even when empty).
   ensure_node(Prefix::root());
-  for (const auto& lp : leaves) {
-    for (Prefix p = lp; !p.is_root();) {
+  for (const auto& leaf : leaves) {
+    for (Prefix p = leaf.first; !p.is_root();) {
       p = p.parent();
       ensure_node(p);
     }
   }
-  for (const auto& lp : leaves) build_leaf(lp);
+  for (const auto& [prefix, run] : leaves) build_leaf(prefix, run);
 
   // Bubble rows upward one level at a time so each ancestor's aggregates are
   // recomputed exactly once. The map walk is a sorted materialization: each
@@ -109,50 +113,6 @@ const InterestSummary& GroupTree::summary(const Prefix& prefix) const {
   return node(prefix).summary;
 }
 
-bool GroupTree::contains(const Address& a) const {
-  if (a.depth() != config_.depth) return false;
-  const auto it = nodes_.find(a.prefix(config_.depth - 1));
-  if (it == nodes_.end()) return false;
-  const auto& members = it->second.members;
-  const auto mit = std::lower_bound(
-      members.begin(), members.end(), a,
-      [](const Member& m, const Address& addr) { return m.address < addr; });
-  return mit != members.end() && mit->address == a;
-}
-
-const Subscription& GroupTree::subscription(const Address& a) const {
-  const auto& members = node(a.prefix(config_.depth - 1)).members;
-  const auto it = std::lower_bound(
-      members.begin(), members.end(), a,
-      [](const Member& m, const Address& addr) { return m.address < addr; });
-  PMC_EXPECTS(it != members.end() && it->address == a);
-  return it->subscription;
-}
-
-std::vector<Address> GroupTree::all_members() const {
-  std::vector<Address> out;
-  // detlint:allow(iteration-order) sorted materialization — sort below erases bucket order
-  for (const auto& [prefix, n] : nodes_) {
-    if (prefix.length() == config_.depth - 1) {
-      for (const auto& m : n.members) out.push_back(m.address);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-bool GroupTree::is_delegate_at(const Address& a, std::size_t depth) const {
-  PMC_EXPECTS(depth >= 1 && depth <= config_.depth);
-  if (depth == config_.depth) return contains(a);
-  // `a` appears at depth i iff it is a delegate of its depth-(i+1) subgroup,
-  // i.e. of the prefix of length i.
-  const auto it = nodes_.find(a.prefix(depth));
-  if (it == nodes_.end()) return false;
-  const auto& del = it->second.delegates;
-  return std::find(del.begin(), del.end(), interns_->addrs.find(a)) !=
-         del.end();
-}
-
 MembershipView GroupTree::materialize_view(const Address& self) const {
   MembershipView mv(self, config_, *interns_);
   for (std::size_t depth = 1; depth <= config_.depth; ++depth) {
@@ -167,13 +127,14 @@ MembershipView GroupTree::materialize_view(const Address& self) const {
   return mv;
 }
 
-void GroupTree::build_leaf(const Prefix& leaf_prefix) {
+void GroupTree::build_leaf(const Prefix& leaf_prefix,
+                           std::span<const Member> members) {
   PMC_EXPECTS(leaf_prefix.length() == config_.depth - 1);
   // Members arrive in address order (the constructor sorts them).
   Node& n = node(leaf_prefix);
   InterestSummary summary;
   candidate_scratch_.clear();
-  for (const auto& m : n.members) {
+  for (const auto& m : members) {
     const AddrId id = interns_->addrs.intern(m.address);
     auto interests =
         interns_->summaries.intern(InterestSummary::from(m.subscription));
@@ -184,7 +145,7 @@ void GroupTree::build_leaf(const Prefix& leaf_prefix) {
     candidate_scratch_.push_back(id);
   }
   n.summary = std::move(summary);
-  n.process_count = n.members.size();
+  n.process_count = members.size();
   elect_delegate_ids(candidate_scratch_, config_.redundancy, interns_->addrs,
                      n.delegates);
 }

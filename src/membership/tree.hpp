@@ -15,6 +15,7 @@
 //    through its own view tables, which anti-entropy keeps current.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -72,16 +73,6 @@ class GroupTree {
   /// Regrouped interests of the whole subtree under `prefix`.
   const InterestSummary& summary(const Prefix& prefix) const;
 
-  bool contains(const Address& a) const;
-  /// Individual subscription; precondition: contains(a).
-  const Subscription& subscription(const Address& a) const;
-
-  std::vector<Address> all_members() const;
-
-  /// True iff `a` is one of the delegates of its depth-(i+1) subgroup for
-  /// some i <= depth-1, i.e. appears in the node of depth `depth`.
-  bool is_delegate_at(const Address& a, std::size_t depth) const;
-
   /// Per-process membership knowledge (Eq. 2) as a standalone copy — the
   /// bootstrap a founding process receives.
   MembershipView materialize_view(const Address& self) const;
@@ -92,7 +83,6 @@ class GroupTree {
     std::vector<AddrId> delegates;    // R smallest under this prefix
     InterestSummary summary;
     std::uint64_t process_count = 0;
-    std::vector<Member> members;      // leaf-subgroup nodes only (len == d-1)
   };
 
   Node& node(const Prefix& p);
@@ -100,7 +90,8 @@ class GroupTree {
   /// try_emplace that binds a fresh node's child view to the intern state.
   Node& ensure_node(const Prefix& p);
 
-  void build_leaf(const Prefix& leaf_prefix);
+  /// Fills a leaf subgroup's table from its members, in address order.
+  void build_leaf(const Prefix& leaf_prefix, std::span<const Member> members);
   /// Writes the row describing populated `child` in its parent's table.
   void push_row_to_parent(const Prefix& child);
   /// Recomputes count/summary/delegates from the node's child rows.

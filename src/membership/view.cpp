@@ -26,13 +26,13 @@ bool DepthView::upsert(const ViewRow& row, const RowBatch& batch) {
   const auto [i, found] = locate(row.infix);
   if (found && row.version <= version_[i]) return false;
   if (batch.interns != nullptr) {
-    place(i, found, row.infix, row.delegates, row.interests,
+    place(i, found, row.infix, batch.delegates(row), row.interests,
           row.process_count, row.version, row.alive);
     return true;
   }
   auto& in = interns();
   id_scratch_.clear();
-  for (const AddrId d : row.delegates)
+  for (const AddrId d : batch.delegates(row))
     id_scratch_.push_back(in.addrs.intern(batch.address(d)));
   place(i, found, row.infix, id_scratch_, in.summaries.intern(row.interests),
         row.process_count, row.version, row.alive);
@@ -124,19 +124,6 @@ std::uint64_t DepthView::total_processes() const noexcept {
   return n;
 }
 
-ViewRow DepthView::materialize(std::size_t i) const {
-  PMC_EXPECTS(i < infix_.size());
-  ViewRow row;
-  row.infix = infix_[i];
-  const auto ids = delegates(i);
-  row.delegates.assign(ids.begin(), ids.end());
-  row.interests = interests_[i];
-  row.process_count = count_[i];
-  row.version = version_[i];
-  row.alive = alive_[i] != 0;
-  return row;
-}
-
 std::string DepthView::to_string() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < infix_.size(); ++i) {
@@ -147,6 +134,27 @@ std::string DepthView::to_string() const {
     os << "\n";
   }
   return os.str();
+}
+
+ViewRow& RowBatch::append(std::uint32_t depth, ViewRow row,
+                          std::span<const AddrId> ids) {
+  row.delegates_begin = static_cast<std::uint32_t>(pool.size());
+  row.delegates_len = static_cast<std::uint32_t>(ids.size());
+  pool.insert(pool.end(), ids.begin(), ids.end());
+  return rows.emplace_back(DepthRow{depth, std::move(row)}).row;
+}
+
+ViewRow& RowBatch::append(std::uint32_t depth, const DepthView& dv,
+                          std::size_t i) {
+  PMC_EXPECTS(interns == &dv.interns());
+  PMC_EXPECTS(i < dv.size());
+  ViewRow row;
+  row.infix = dv.infix(i);
+  row.interests = dv.interests_ptr(i);
+  row.process_count = dv.process_count(i);
+  row.version = dv.version(i);
+  row.alive = dv.alive(i);
+  return append(depth, std::move(row), dv.delegates(i));
 }
 
 MembershipView::MembershipView(Address self, TreeConfig config,

@@ -15,9 +15,12 @@
 // few dozen bytes instead of a ViewRow's several heap blocks. The ViewRow
 // struct remains as the *exchange* format, carried in a RowBatch that names
 // the id space of its delegates: this runtime's ids in memory, an address
-// list off the wire (only the codec turns ids into Addresses). upsert()
-// decides on the version first, so the stale rows anti-entropy keeps
-// re-sending cost one binary search each.
+// list off the wire (only the codec turns ids into Addresses). A batch
+// keeps its rows' delegates in one CSR pool, as DepthView does, so an
+// in-memory batch is two allocations however many rows it carries. Message
+// senders travel the same way, as an AddrRef. upsert() decides on the
+// version first, so the stale rows anti-entropy keeps re-sending cost one
+// binary search each.
 #pragma once
 
 #include <cstdint>
@@ -53,16 +56,19 @@ struct Interns {
   }
 };
 
+/// One row in the exchange format. Its delegates live in the pool of the
+/// RowBatch that carries it (`RowBatch::delegates(row)`), as a CSR slice.
 struct ViewRow {
-  AddrComponent infix = 0;          ///< subgroup's component at this depth
-  /// R delegates (the process itself at depth d), as ids in the id space of
-  /// the RowBatch that carries the row.
-  std::vector<AddrId> delegates;
   /// Regrouped interests of the subgroup, shared and immutable. Never null
   /// once the row is stored or encoded; pooled in an in-memory batch.
   std::shared_ptr<const InterestSummary> interests;
   std::uint64_t process_count = 0;  ///< processes represented by the row
   std::uint64_t version = 0;        ///< anti-entropy logical timestamp
+  /// The R delegates (the process itself at depth d): offset and length of
+  /// the row's slice of its batch's delegate pool.
+  std::uint32_t delegates_begin = 0;
+  std::uint32_t delegates_len = 0;
+  AddrComponent infix = 0;          ///< subgroup's component at this depth
   bool alive = true;                ///< false: tombstone (left or crashed)
 };
 
@@ -72,12 +78,14 @@ struct DepthRow {
   ViewRow row;
 };
 
+class DepthView;
+
 /// The unit of membership exchange (anti-entropy updates, view transfers,
-/// and rows piggybacked on event gossip): rows plus the id space their
-/// delegates live in.
-///  * In memory (`interns` set): built by DepthView::materialize in the
-///    runtime that owns `interns`. Delegates are its AddrIds, summaries are
-///    handles pooled there.
+/// and rows piggybacked on event gossip): rows, one pool of their delegate
+/// ids, and the id space those ids live in.
+///  * In memory (`interns` set): built from a DepthView in the runtime that
+///    owns `interns`. Delegates are its AddrIds, summaries are handles
+///    pooled there.
 ///  * Decoded (`interns` null): read off the wire. Delegates index
 ///    `addresses`, and summaries are fresh, not pooled.
 struct RowBatch {
@@ -87,17 +95,57 @@ struct RowBatch {
 
   const Interns* interns = nullptr;
   std::vector<Address> addresses;  ///< decoded batches only
+  std::vector<AddrId> pool;        ///< every row's delegates, back to back
   std::vector<DepthRow> rows;
 
   bool empty() const noexcept { return rows.empty(); }
   auto begin() const noexcept { return rows.begin(); }
   auto end() const noexcept { return rows.end(); }
 
+  /// A row's delegates, as ids of this batch.
+  std::span<const AddrId> delegates(const ViewRow& row) const {
+    PMC_EXPECTS(std::size_t{row.delegates_begin} + row.delegates_len <=
+                pool.size());
+    return {pool.data() + row.delegates_begin, row.delegates_len};
+  }
+
   /// The address a delegate id of this batch names.
   const Address& address(AddrId id) const {
     if (interns != nullptr) return interns->addrs.resolve(id);
     PMC_EXPECTS(id < addresses.size());
     return addresses[id];
+  }
+
+  /// Appends `row` at `depth` with `ids` (ids of this batch) as its
+  /// delegates; returns the stored row.
+  ViewRow& append(std::uint32_t depth, ViewRow row,
+                  std::span<const AddrId> ids);
+  /// Appends row `i` of `dv`, a table of this batch's runtime: its
+  /// delegate ids in published order, `interests` the pooled handle itself.
+  ViewRow& append(std::uint32_t depth, const DepthView& dv, std::size_t i);
+};
+
+/// A process address as a membership message carries it, in RowBatch's two
+/// forms:
+///  * in memory (`interns` set): `id`, an AddrId of the sending runtime;
+///  * decoded (`interns` null): `decoded`, the Address read off the wire.
+/// Only the codec builds the decoded form, so in-memory traffic copies no
+/// component vector and a receiver interns nothing it already has.
+struct AddrRef {
+  AddrRef() = default;  ///< decoded, empty
+  AddrRef(const Interns& in, AddrId a) noexcept : interns(&in), id(a) {}
+  explicit AddrRef(Address a) : decoded(std::move(a)) {}
+
+  const Interns* interns = nullptr;
+  AddrId id = kNoAddr;  ///< in-memory form only
+  Address decoded;      ///< decoded form only
+
+  const Address& address() const {
+    return interns != nullptr ? interns->addrs.resolve(id) : decoded;
+  }
+  AddrComponent component(std::size_t i) const {
+    return interns != nullptr ? interns->addrs.component(id, i)
+                              : decoded.component(i);
   }
 };
 
@@ -108,9 +156,10 @@ struct RowBatch {
 /// Invariant: every summary handle a DepthView stores is pooled in its
 /// Interns, and every delegate is an id of its Interns. Rows built in this
 /// runtime are interned where they are created (GroupTree, SyncNode's join
-/// and self rows, recompaction), and in-memory batches come only from
-/// materialize(), so upsert() stores an in-memory row without interning or
-/// probing the pool. A decoded row is interned and pooled only if it wins.
+/// and self rows, recompaction), and in-memory batches are filled only from
+/// views (RowBatch::append), so upsert() stores an in-memory row without
+/// interning or probing the pool. A decoded row is interned and pooled only
+/// if it wins.
 class DepthView {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -169,15 +218,13 @@ class DepthView {
   /// the last pass.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
+  /// Total length of all rows' delegate lists.
+  std::size_t delegate_count() const noexcept { return live_delegates_; }
+
   /// Number of live rows.
   std::size_t live_count() const noexcept;
   /// Sum of process_count over live rows.
   std::uint64_t total_processes() const noexcept;
-
-  /// The exchange-format row, for an in-memory batch of this view's
-  /// Interns: delegate ids in published order, `interests` the pooled
-  /// handle itself.
-  ViewRow materialize(std::size_t i) const;
 
   std::string to_string() const;
 

@@ -74,8 +74,8 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
   PMC_EXPECTS(gossip.event != nullptr);
   PMC_EXPECTS(gossip.depth >= 1 && gossip.depth <= config_.tree.depth);
 
-  if (piggyback_sink_ && !gossip.piggyback.empty())
-    piggyback_sink_(gossip.sender, gossip.piggyback);
+  if (piggyback_sink_ && gossip.has_piggyback())
+    piggyback_sink_(gossip.sender, *gossip.piggyback);
 
   // Fig. 3 lines 20-23 (with whole-lifetime dedup, see header).
   if (!seen_.insert(gossip.event->id()).second) {
@@ -177,8 +177,8 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
       const auto chosen =
           rng().sample_without_replacement(candidates.size(), picks);
       if (piggyback_source_) {
-        // Piggybacked rows are scoped per target, so every message is
-        // distinct and goes out individually.
+        // Piggybacked rows are scoped per target, so every message goes
+        // out individually (targets at one depth limit share the batch).
         for (const auto ci : chosen) {
           const Candidate& cand = candidates[ci];
           if (!cand.interested) continue;  // line 13: filter before sending
@@ -190,7 +190,8 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
           msg->round = entry.round;
           msg->depth = static_cast<std::uint32_t>(depth);
           msg->piggyback = piggyback_source_(cand.id);
-          if (!msg->piggyback.empty()) msg->sender = self_;
+          if (msg->has_piggyback())
+            msg->sender = AddrRef(views_->interns(), self_id_);
           send(target, std::move(msg));
           ++stats_.gossips_sent;
         }

@@ -30,7 +30,9 @@ namespace pmc {
 
 /// The gossip wire message (Fig. 3's SEND(event, rate, round, depth)).
 /// `piggyback` optionally carries membership rows (Sec. 2.3) together with
-/// the sender's address so the receiver can scope them.
+/// the sender's address so the receiver can scope them. The batch is shared
+/// and immutable: every gossip a sender addresses at one depth limit in one
+/// view state points at the same batch (SyncNode::rows_to_share).
 struct GossipMsg final : MessageBase {
   GossipMsg() noexcept : MessageBase(MsgKind::Gossip) {}
 
@@ -44,8 +46,12 @@ struct GossipMsg final : MessageBase {
   /// state used to be smuggled as round = uint32::max, which an adaptive
   /// round bound must never see in live arithmetic.
   bool no_regossip = false;
-  Address sender;                  ///< set when piggyback is non-empty
-  RowBatch piggyback;
+  AddrRef sender;  ///< set when piggyback is non-empty
+  std::shared_ptr<const RowBatch> piggyback;
+
+  bool has_piggyback() const noexcept {
+    return piggyback != nullptr && !piggyback->empty();
+  }
 };
 
 /// Recovery digests (optional, PmcastConfig::recovery_rounds): ids of
@@ -104,9 +110,10 @@ class PmcastNode final : public Process {
   /// gossip's rows are handed to sink(sender, rows) — typically wired to
   /// SyncNode::rows_to_share / SyncNode::absorb_rows, so membership spreads
   /// with events instead of (only) dedicated gossips.
-  using PiggybackSource = std::function<RowBatch(AddrId target)>;
+  using PiggybackSource =
+      std::function<std::shared_ptr<const RowBatch>(AddrId target)>;
   using PiggybackSink =
-      std::function<void(const Address& sender, const RowBatch&)>;
+      std::function<void(const AddrRef& sender, const RowBatch&)>;
   void set_piggyback(PiggybackSource source, PiggybackSink sink) {
     piggyback_source_ = std::move(source);
     piggyback_sink_ = std::move(sink);

@@ -292,10 +292,15 @@ Address decode_address(Reader& r) {
   return Address(std::move(comps));
 }
 
+void encode(Writer& w, const AddrRef& a) { encode(w, a.address()); }
+
+AddrRef decode_addr_ref(Reader& r) { return AddrRef(decode_address(r)); }
+
 void encode(Writer& w, const ViewRow& row, const RowBatch& batch) {
   w.varint(row.infix);
-  w.varint(row.delegates.size());
-  for (const AddrId d : row.delegates) encode(w, batch.address(d));
+  const auto delegates = batch.delegates(row);
+  w.varint(delegates.size());
+  for (const AddrId d : delegates) encode(w, batch.address(d));
   PMC_EXPECTS(row.interests != nullptr);
   encode(w, *row.interests);
   w.varint(row.process_count);
@@ -303,13 +308,16 @@ void encode(Writer& w, const ViewRow& row, const RowBatch& batch) {
   w.boolean(row.alive);
 }
 
-ViewRow decode_view_row(Reader& r, std::vector<Address>& addresses) {
+ViewRow decode_view_row(Reader& r, RowBatch& batch) {
+  PMC_EXPECTS(batch.interns == nullptr);
   ViewRow row;
   row.infix = checked_varint<AddrComponent>(r, "infix out of range");
   const auto delegates = checked_count(r);
+  row.delegates_begin = static_cast<std::uint32_t>(batch.pool.size());
+  row.delegates_len = static_cast<std::uint32_t>(delegates);
   for (std::uint64_t i = 0; i < delegates; ++i) {
-    row.delegates.push_back(static_cast<AddrId>(addresses.size()));
-    addresses.push_back(decode_address(r));
+    batch.pool.push_back(static_cast<AddrId>(batch.addresses.size()));
+    batch.addresses.push_back(decode_address(r));
   }
   row.interests = std::make_shared<const InterestSummary>(decode_summary(r));
   row.process_count = r.varint();
@@ -336,7 +344,7 @@ RowBatch decode_depth_rows(Reader& r) {
   for (std::uint64_t i = 0; i < n; ++i) {
     DepthRow dr;
     dr.depth = checked_varint<std::uint32_t>(r, "bad row depth", 1, kMaxDepth);
-    dr.row = decode_view_row(r, batch.addresses);
+    dr.row = decode_view_row(r, batch);
     batch.rows.push_back(std::move(dr));
   }
   return batch;
@@ -360,11 +368,11 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
       w.varint(gossip.round);
       w.varint(gossip.depth);
       w.boolean(gossip.no_regossip);
-      const bool piggybacked = !gossip.piggyback.empty();
+      const bool piggybacked = gossip.has_piggyback();
       w.boolean(piggybacked);
       if (piggybacked) {
         encode(w, gossip.sender);
-        encode_depth_rows(w, gossip.piggyback);
+        encode_depth_rows(w, *gossip.piggyback);
       }
       break;
     }
@@ -477,15 +485,15 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
           checked_varint<std::uint32_t>(r, "bad gossip depth", 1, kMaxDepth);
       msg->no_regossip = r.boolean();
       if (r.boolean()) {
-        msg->sender = decode_address(r);
-        msg->piggyback = decode_depth_rows(r);
+        msg->sender = decode_addr_ref(r);
+        msg->piggyback = std::make_shared<const RowBatch>(decode_depth_rows(r));
       }
       out = std::move(msg);
       break;
     }
     case MsgKind::MembershipDigest: {
       auto msg = std::make_shared<MembershipDigestMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_addr_ref(r);
       msg->sender_pid =
           checked_varint<ProcessId>(r, "digest sender pid out of range");
       const auto n = checked_count(r);
@@ -502,14 +510,14 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     }
     case MsgKind::MembershipUpdate: {
       auto msg = std::make_shared<MembershipUpdateMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_addr_ref(r);
       msg->rows = decode_depth_rows(r);
       out = std::move(msg);
       break;
     }
     case MsgKind::JoinRequest: {
       auto msg = std::make_shared<JoinRequestMsg>();
-      msg->joiner = decode_address(r);
+      msg->joiner = decode_addr_ref(r);
       msg->joiner_pid = checked_varint<ProcessId>(r, "joiner pid out of range");
       msg->subscription = decode_subscription(r);
       msg->hops = checked_varint<std::uint32_t>(r, "join hops out of range");
@@ -518,14 +526,14 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     }
     case MsgKind::ViewTransfer: {
       auto msg = std::make_shared<ViewTransferMsg>();
-      msg->sender = decode_address(r);
+      msg->sender = decode_addr_ref(r);
       msg->rows = decode_depth_rows(r);
       out = std::move(msg);
       break;
     }
     case MsgKind::Leave: {
       auto msg = std::make_shared<LeaveMsg>();
-      msg->leaver = decode_address(r);
+      msg->leaver = decode_addr_ref(r);
       out = std::move(msg);
       break;
     }
@@ -546,15 +554,15 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     }
     case MsgKind::SuspectQuery: {
       auto msg = std::make_shared<SuspectQueryMsg>();
-      msg->sender = decode_address(r);
-      msg->suspect = decode_address(r);
+      msg->sender = decode_addr_ref(r);
+      msg->suspect = decode_addr_ref(r);
       out = std::move(msg);
       break;
     }
     case MsgKind::SuspectReply: {
       auto msg = std::make_shared<SuspectReplyMsg>();
-      msg->sender = decode_address(r);
-      msg->suspect = decode_address(r);
+      msg->sender = decode_addr_ref(r);
+      msg->suspect = decode_addr_ref(r);
       msg->heard_recently = r.boolean();
       out = std::move(msg);
       break;

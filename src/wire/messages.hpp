@@ -46,12 +46,17 @@ InterestSummary decode_summary(Reader& r);
 void encode(Writer& w, const Address& a);
 Address decode_address(Reader& r);
 
+/// A message's process address, as the Address it names: either form
+/// encodes to the same bytes, and the decoded form holds the Address.
+void encode(Writer& w, const AddrRef& a);
+AddrRef decode_addr_ref(Reader& r);
+
 /// A row of `batch`: its delegate ids are resolved through the batch's id
 /// space, so either batch form encodes to the same bytes.
 void encode(Writer& w, const ViewRow& row, const RowBatch& batch);
-/// Appends the row's delegate addresses to `addresses` (a decoded batch's
-/// address list) and returns the row with their indices there.
-ViewRow decode_view_row(Reader& r, std::vector<Address>& addresses);
+/// Appends the row's delegate addresses and their indices to `batch` (a
+/// decoded batch) and returns the row, which points at those indices.
+ViewRow decode_view_row(Reader& r, RowBatch& batch);
 
 // -- Protocol envelope ------------------------------------------------------
 

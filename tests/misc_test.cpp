@@ -51,11 +51,12 @@ TEST(Rendering, DepthViewToStringShowsTombstones) {
   v.bind(interns);
   ViewRow row;
   row.infix = 7;
-  row.delegates = {interns.addrs.intern(Address::parse("7.0"))};
   row.interests =
       interns.summaries.intern(InterestSummary::from(Subscription()));
   row.alive = false;
-  v.upsert(row, RowBatch(interns));
+  RowBatch batch(interns);
+  const AddrId delegate = interns.addrs.intern(Address::parse("7.0"));
+  v.upsert(batch.append(1, row, {&delegate, 1}), batch);
   EXPECT_NE(v.to_string().find("(gone)"), std::string::npos);
 }
 
@@ -115,7 +116,7 @@ TEST(TreeSeams, SummaryOfUnknownPrefixThrows) {
                std::logic_error);
 }
 
-TEST(TreeSeams, SubscriptionLookupOfMissingMemberThrows) {
+TEST(TreeSeams, MissingMemberHasNoLeafRow) {
   Rng rng(7);
   auto members = uniform_interest_members(
       AddressSpace::regular(2, 2), 1.0, rng);
@@ -125,7 +126,11 @@ TEST(TreeSeams, SubscriptionLookupOfMissingMemberThrows) {
   tc.redundancy = 1;
   Interns interns;
   const GroupTree tree(tc, members, interns);
-  EXPECT_THROW(tree.subscription(Address::parse("1.1")), std::logic_error);
+  const auto missing = Address::parse("1.1");
+  const DepthView& leaf = tree.view_for(missing, 2);
+  EXPECT_EQ(leaf.find_index(missing.component(1)), DepthView::npos);
+  EXPECT_NE(leaf.find_index(0), DepthView::npos);  // 1.0 is there
+  EXPECT_EQ(tree.represented(missing.prefix(1)), 1u);
 }
 
 TEST(Contracts, ViolationMessagesAreInformative) {

@@ -4,6 +4,7 @@
 // is scarce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 
@@ -79,12 +80,26 @@ Stack make_stack(SimTime sync_period, bool piggyback,
       SyncNode* sync = s.sync_nodes[i].get();
       s.pm_nodes.back()->set_piggyback(
           [sync](AddrId target) { return sync->rows_to_share(target); },
-          [sync](const Address& sender, const RowBatch& rows) {
+          [sync](const AddrRef& sender, const RowBatch& rows) {
             sync->absorb_rows(sender, rows);
           });
     }
   }
   return s;
+}
+
+/// Tombstones the leaf row with `infix` in `node`'s own view, the way a
+/// local membership change would: a version far ahead of the group's.
+void tombstone_locally(const SyncNode& node, AddrComponent infix) {
+  auto& view = const_cast<MembershipView&>(node.view());
+  DepthView& leaf = view.view(2);
+  const std::size_t i = leaf.find_index(infix);
+  ASSERT_NE(i, DepthView::npos);
+  RowBatch batch(view.interns());
+  ViewRow& tomb = batch.append(2, leaf, i);
+  tomb.alive = false;
+  tomb.version += 1000;
+  ASSERT_TRUE(leaf.upsert(tomb, batch));
 }
 
 TEST(Piggyback, GossipCarriesRows) {
@@ -93,7 +108,7 @@ TEST(Piggyback, GossipCarriesRows) {
   bool saw_piggyback = false;
   s.runtime->network().set_transcoder([&](const MessagePtr& msg) {
     if (const auto* gossip = dynamic_cast<const GossipMsg*>(msg.get())) {
-      if (!gossip->piggyback.empty()) saw_piggyback = true;
+      if (gossip->has_piggyback()) saw_piggyback = true;
     }
     return msg;
   });
@@ -110,17 +125,7 @@ TEST(Piggyback, SpreadsMembershipWithoutDedicatedGossip) {
 
   // Simulate a local membership change: node 0 (address 0.0) tombstones
   // its neighbor 0.2 in its own view.
-  {
-    auto& view =
-        const_cast<MembershipView&>(s.sync_nodes[0]->view());
-    auto& leaf = view.view(2);
-    const std::size_t i = leaf.find_index(2);
-    ASSERT_NE(i, DepthView::npos);
-    ViewRow tomb = leaf.materialize(i);
-    tomb.alive = false;
-    tomb.version += 1000;
-    leaf.upsert(tomb, RowBatch(view.interns()));
-  }
+  tombstone_locally(*s.sync_nodes[0], 2);
 
   // A few events published by node 0 spread the row to subgroup peers.
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -139,13 +144,76 @@ TEST(Piggyback, NoHooksNoRows) {
   bool saw_piggyback = false;
   s.runtime->network().set_transcoder([&](const MessagePtr& msg) {
     if (const auto* gossip = dynamic_cast<const GossipMsg*>(msg.get())) {
-      if (!gossip->piggyback.empty()) saw_piggyback = true;
+      if (gossip->has_piggyback()) saw_piggyback = true;
     }
     return msg;
   });
   s.pm_nodes[0]->pmcast(make_event_at(0, 0, 0.5));
   s.runtime->run_for(sim_sec(5));
   EXPECT_FALSE(saw_piggyback);
+}
+
+/// Field-by-field equality of two in-memory batches of one runtime.
+bool same_rows(const RowBatch& a, const RowBatch& b) {
+  if (a.interns != b.interns || a.rows.size() != b.rows.size()) return false;
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    const DepthRow& x = a.rows[i];
+    const DepthRow& y = b.rows[i];
+    if (x.depth != y.depth || x.row.infix != y.row.infix ||
+        x.row.version != y.row.version ||
+        x.row.process_count != y.row.process_count ||
+        x.row.alive != y.row.alive || x.row.interests != y.row.interests ||
+        !std::ranges::equal(a.delegates(x.row), b.delegates(y.row)))
+      return false;
+  }
+  return true;
+}
+
+/// Every row of `view` at depths 1..limit, as a fresh batch.
+RowBatch rows_up_to(const MembershipView& view, std::size_t limit) {
+  RowBatch out(view.interns());
+  for (std::size_t depth = 1; depth <= limit; ++depth)
+    for (std::size_t i = 0; i < view.view(depth).size(); ++i)
+      out.append(static_cast<std::uint32_t>(depth), view.view(depth), i);
+  return out;
+}
+
+TEST(Piggyback, TargetsAtOneDepthLimitShareOneBatch) {
+  auto s = make_stack(sim_sec(100), /*piggyback=*/true);
+  SyncNode& sync = *s.sync_nodes[0];  // 0.0
+  const auto id = [&](const char* a) {
+    return s.interns->addrs.intern(Address::parse(a));
+  };
+  // 0.1 and 0.2 share 0.0's leaf subgroup (limit 2); 1.0 and 2.1 share
+  // only the root (limit 1).
+  auto leaf = sync.rows_to_share(id("0.1"));
+  EXPECT_EQ(sync.rows_to_share(id("0.2")), leaf);
+  auto root = sync.rows_to_share(id("1.0"));
+  EXPECT_EQ(sync.rows_to_share(id("2.1")), root);
+  EXPECT_NE(root, leaf);
+  EXPECT_TRUE(same_rows(*leaf, rows_up_to(sync.view(), 2)));
+  EXPECT_TRUE(same_rows(*root, rows_up_to(sync.view(), 1)));
+
+  // A leaf-table change renews the leaf-limit batch only: the root-limit
+  // batch covers no mutated table.
+  tombstone_locally(sync, 2);
+  const auto renewed = sync.rows_to_share(id("0.1"));
+  EXPECT_NE(renewed, leaf);
+  EXPECT_EQ(sync.rows_to_share(id("0.2")), renewed);
+  EXPECT_TRUE(same_rows(*renewed, rows_up_to(sync.view(), 2)));
+  EXPECT_FALSE(same_rows(*renewed, *leaf));
+  EXPECT_EQ(sync.rows_to_share(id("1.0")), root);
+
+  // The cache holds its batches weakly: once the last holder lets go, the
+  // batch is gone.
+  const std::weak_ptr<const RowBatch> watch_root = root;
+  const std::weak_ptr<const RowBatch> watch_leaf = leaf;
+  root.reset();
+  leaf.reset();
+  EXPECT_TRUE(watch_root.expired());
+  EXPECT_TRUE(watch_leaf.expired());
+  EXPECT_TRUE(same_rows(*sync.rows_to_share(id("1.0")),
+                        rows_up_to(sync.view(), 1)));
 }
 
 TEST(Piggyback, SurvivesWireRoundTrip) {

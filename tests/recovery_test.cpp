@@ -2,6 +2,8 @@
 // — pbcast-style event-digest anti-entropy on the leaf subgroups.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster_helpers.hpp"
 
 namespace pmc {
@@ -62,8 +64,12 @@ TEST(Recovery, UninterestedNonDelegatesStillUntouched) {
   for (const auto& node : c.nodes) {
     if (node->id() == 7 || node->interested_in(e)) continue;
     bool delegate = false;
-    for (std::size_t depth = 1; depth < 3; ++depth)
-      delegate = delegate || c.tree->is_delegate_at(node->address(), depth);
+    for (std::size_t depth = 1; depth < 3; ++depth) {
+      // A delegate of its depth-(i+1) subgroup appears in depth-i tables.
+      const auto dels = c.tree->delegates(node->address().prefix(depth));
+      delegate = delegate || std::find(dels.begin(), dels.end(),
+                                       node->address()) != dels.end();
+    }
     if (!delegate) {
       EXPECT_FALSE(node->has_received(e.id()))
           << node->address().to_string();

@@ -52,6 +52,47 @@ TEST(ReproGolden, ScenarioDemoWireTranscodeIsTransparent) {
   EXPECT_EQ(s.fingerprint, 0x0709bfc910400cbcULL) << s.to_string();
 }
 
+/// A depth-3 group under churn, loss, a partition and duplication. At
+/// depth 3 a digest reaches processes outside the receiver's leaf subgroup,
+/// so the in-memory and decoded sender forms take different paths into
+/// the contact table; both must give the same run.
+constexpr const char* kDepth3ChurnScript =
+    "at 200ms joinstorm 20 over 400ms\n"
+    "at 300ms publish 10 every 30ms\n"
+    "at 700ms crash 10\n"
+    "at 900ms partition 0,1 heal 1800ms\n"
+    "at 1s publish 10 every 30ms\n"
+    "at 1200ms loss 0.3 for 400ms\n"
+    "at 2s recover 8\n"
+    "at 2200ms duplicate 0.3 for 600ms\n"
+    "at 2300ms publish 10 every 30ms\n"
+    "at 2600ms leave 5\n"
+    "at 3s publish 10 every 30ms\n";
+
+TEST(ReproGolden, Depth3ChurnInMemoryAndOverTheWire) {
+  ChurnConfig config;
+  config.a = 6;
+  config.d = 3;
+  config.r = 2;
+  config.pd = 0.5;
+  config.fanout = 3;
+  config.loss = 0.02;
+  config.initial_fill = 0.7;
+  config.seed = 2027;
+  for (const bool wire : {false, true}) {
+    config.wire_transcode = wire;
+    ChurnSim sim(config);
+    sim.play(ScenarioScript::parse(kDepth3ChurnScript));
+    sim.run_until(sim_ms(4000));
+    const ChurnSummary s = sim.summary();
+    EXPECT_EQ(s.fingerprint, 0xfd4c609f65c79914ULL)
+        << "wire=" << wire << "\n" << s.to_string();
+    EXPECT_EQ(s.counters.delivered, 2443u);
+    EXPECT_EQ(s.membership_tombstones, 192u);
+    EXPECT_EQ(s.network.sent, 90321u);
+  }
+}
+
 TEST(ReproGolden, ScenarioDemoAdaptive) {
   ChurnConfig config = demo_config();
   config.adaptive = true;

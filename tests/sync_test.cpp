@@ -201,13 +201,13 @@ TEST(SyncNode, StaleSelfTombstoneIsRebutted) {
     ASSERT_NE(i, DepthView::npos);
     const std::uint64_t held = leaf.version(i);
     ASSERT_GT(held, 0u);
-    ViewRow tomb = leaf.materialize(i);
+    auto update = std::make_shared<MembershipUpdateMsg>();
+    // 1.0, same leaf subgroup
+    update->sender = AddrRef(*c.interns, c.nodes[3]->address_id());
+    update->rows = RowBatch(*c.interns);
+    ViewRow& tomb = update->rows.append(2, leaf, i);
     tomb.alive = false;
     tomb.version = held - 1;
-    auto update = std::make_shared<MembershipUpdateMsg>();
-    update->sender = c.nodes[3]->address();  // 1.0, same leaf subgroup
-    update->rows = RowBatch(*c.interns);
-    update->rows.rows.push_back(DepthRow{2, tomb});
     const MessagePtr sent =
         codec ? wire::decode_message(wire::encode_message(*update)) : update;
     c.runtime->network().send(3, 4, sent);
@@ -248,7 +248,7 @@ std::vector<ReplyRow> digest_reply(SyncCluster& c, ProcessId from,
         codec ? wire::decode_message(wire::encode_message(*msg)) : msg;
     if (out->kind == MsgKind::MembershipUpdate) {
       const auto& update = static_cast<const MembershipUpdateMsg&>(*out);
-      if (update.sender == responder) {
+      if (update.sender.address() == responder) {
         ++replies;
         for (const auto& dr : update.rows)
           rows.push_back(ReplyRow{dr.depth, dr.row.infix, dr.row.version});
@@ -281,7 +281,7 @@ TEST(SyncNode, DigestReplyTakesTheFirstEntryPerKeyInAnyOrder) {
   ASSERT_GE(version(1, 2), 1u);
 
   MembershipDigestMsg digest;
-  digest.sender = gossiper.address();
+  digest.sender = AddrRef(*c.interns, gossiper.address_id());
   digest.sender_pid = 3;
   digest.digests = {
       {2, 1, version(2, 1)},        // equal: not sent
@@ -311,6 +311,76 @@ TEST(SyncNode, DigestReplyTakesTheFirstEntryPerKeyInAnyOrder) {
 
   EXPECT_EQ(digest_reply(c, 3, 4, digest, /*codec=*/false), expected);
   EXPECT_EQ(digest_reply(c, 3, 4, digest, /*codec=*/true), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Contact table: only leaf neighbours are timed
+// ---------------------------------------------------------------------------
+
+/// Whether `to` answers a suspect query about `suspect` with "heard
+/// recently", after `contact` sent it a digest (each message in memory, or
+/// through the codec). The query comes from `querier`, a leaf neighbour.
+bool heard_after_digest(SyncCluster& c, ProcessId contact, ProcessId to,
+                        ProcessId querier, ProcessId suspect, bool codec) {
+  std::size_t replies = 0;
+  bool heard = false;
+  c.runtime->network().set_transcoder([&](const MessagePtr& msg) {
+    MessagePtr out =
+        codec ? wire::decode_message(wire::encode_message(*msg)) : msg;
+    if (out->kind == MsgKind::SuspectReply) {
+      const auto& reply = static_cast<const SuspectReplyMsg&>(*out);
+      if (reply.sender.address() == c.nodes[to]->address()) {
+        ++replies;
+        heard = reply.heard_recently;
+      }
+    }
+    return out;
+  });
+  auto digest = std::make_shared<MembershipDigestMsg>();
+  digest->sender = AddrRef(*c.interns, c.nodes[contact]->address_id());
+  digest->sender_pid = contact;
+  c.runtime->network().send(contact, to, digest);
+  c.runtime->run_for(sim_ms(1));
+  auto query = std::make_shared<SuspectQueryMsg>();
+  query->sender = AddrRef(*c.interns, c.nodes[querier]->address_id());
+  query->suspect = AddrRef(*c.interns, c.nodes[suspect]->address_id());
+  c.runtime->network().send(querier, to, query);
+  c.runtime->run_for(sim_ms(1));
+  c.runtime->network().set_transcoder(nullptr);
+  EXPECT_EQ(replies, 1u);
+  return heard;
+}
+
+TEST(SyncNode, ContactsOutsideTheLeafSubgroupAreNotRecorded) {
+  // Node 4 (1.1) hears a digest from 0.0, outside its leaf subgroup, and
+  // one from 1.2, its leaf neighbour. Only the neighbour's lands in the
+  // contact table that suspect queries are answered from — in memory and
+  // through the codec alike. At t = 0 nothing else has been heard yet.
+  for (const bool codec : {false, true}) {
+    auto c = make_sync_cluster(3, 2, 2, /*seed=*/29);
+    ASSERT_EQ(c.nodes[0]->address(), Address::parse("0.0"));
+    ASSERT_EQ(c.nodes[5]->address(), Address::parse("1.2"));
+    EXPECT_FALSE(heard_after_digest(c, 0, 4, 3, 0, codec)) << codec;
+    EXPECT_TRUE(heard_after_digest(c, 5, 4, 3, 5, codec)) << codec;
+  }
+}
+
+TEST(SyncNode, LeafNeighbourDigestsKeepItFromTimingOut) {
+  // 1.2 (node 5) crashes at once. Digests naming it as sender keep arriving
+  // at node 4 (1.1) every 100 ms, so node 4 never times it out; node 3
+  // (1.0) hears nothing from it and tombstones it after the 600 ms
+  // timeout.
+  auto c = make_sync_cluster(3, 2, 2, /*seed=*/31);
+  c.nodes[5]->crash();
+  for (int tick = 0; tick < 20; ++tick) {
+    auto digest = std::make_shared<MembershipDigestMsg>();
+    digest->sender = AddrRef(*c.interns, c.nodes[5]->address_id());
+    digest->sender_pid = 5;
+    c.runtime->network().send(0, 4, digest);
+    c.runtime->run_for(sim_ms(100));
+  }
+  EXPECT_EQ(c.nodes[4]->stats().tombstones, 0u);
+  EXPECT_GE(c.nodes[3]->stats().tombstones, 1u);
 }
 
 TEST(SyncNode, MessagesCarryNoUpdatesWhenConverged) {

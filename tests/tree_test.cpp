@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "addr/space.hpp"
 #include "harness/workload.hpp"
 
@@ -28,6 +30,17 @@ struct Tree {
   GroupTree tree;
   Tree(TreeConfig c, std::vector<Member> members)
       : tree(c, std::move(members), interns) {}
+
+  /// Whether `a` appears in its own depth-`depth` table, as a delegate of
+  /// the row for its depth-`depth` subgroup (a leaf row at depth d).
+  bool appears_at(const Address& a, std::size_t depth) const {
+    const DepthView& dv = tree.view_for(a, depth);
+    const std::size_t i = dv.find_index(a.component(depth - 1));
+    if (i == DepthView::npos) return false;
+    const auto ids = dv.delegates(i);
+    return std::find(ids.begin(), ids.end(), interns.addrs.find(a)) !=
+           ids.end();
+  }
 };
 
 TEST(GroupTree, ProcessCountMatchesPopulation) {
@@ -72,7 +85,7 @@ TEST(GroupTree, DelegatesAreNested) {
   const auto root_delegates = t.tree.delegates(Prefix::root());
   for (const auto& d : root_delegates) {
     for (std::size_t depth = 1; depth <= 3; ++depth)
-      EXPECT_TRUE(t.tree.is_delegate_at(d, depth))
+      EXPECT_TRUE(t.appears_at(d, depth))
           << d.to_string() << " at depth " << depth;
   }
 }
@@ -117,21 +130,39 @@ TEST(GroupTree, SubgroupSummaryCoversMemberInterests) {
   }
 }
 
-TEST(GroupTree, ContainsAndSubscription) {
+TEST(GroupTree, EveryMemberHasALeafRowWithItsInterests) {
   const auto members = regular_members(3, 2, 0.5);
   const Tree t(cfg(2, 1), members);
-  EXPECT_TRUE(t.tree.contains(Address::parse("0.0")));
-  EXPECT_FALSE(t.tree.contains(Address::parse("3.0")));
-  EXPECT_FALSE(t.tree.contains(Address::parse("0.0.0")));
-  EXPECT_NO_THROW(t.tree.subscription(Address::parse("2.2")));
+  for (const auto& m : members) {
+    ASSERT_TRUE(t.appears_at(m.address, 2)) << m.address.to_string();
+    const DepthView& leaf = t.tree.view_for(m.address, 2);
+    const std::size_t i = leaf.find_index(m.address.component(1));
+    EXPECT_EQ(leaf.delegates(i).size(), 1u);
+    EXPECT_EQ(leaf.process_count(i), 1u);
+    EXPECT_EQ(leaf.interests(i), InterestSummary::from(m.subscription));
+  }
+  // Subtree 3 is unpopulated.
+  EXPECT_EQ(t.tree.view_at(Prefix::root()).find_index(3), DepthView::npos);
+  EXPECT_EQ(t.tree.represented(Address::parse("3.0").prefix(1)), 0u);
 }
 
-TEST(GroupTree, AllMembersRoundTrip) {
+TEST(GroupTree, LeafTablesListEveryMemberOnce) {
   const auto members = regular_members(3, 2);
   const Tree t(cfg(2, 1), members);
-  const auto all = t.tree.all_members();
-  EXPECT_EQ(all.size(), 9u);
-  for (std::size_t i = 1; i < all.size(); ++i) EXPECT_LT(all[i - 1], all[i]);
+  std::vector<Address> listed;
+  const DepthView& root = t.tree.view_at(Prefix::root());
+  for (std::size_t r = 0; r < root.size(); ++r) {
+    const DepthView& leaf = t.tree.view_at(Prefix({root.infix(r)}));
+    for (std::size_t i = 0; i < leaf.size(); ++i)
+      for (const AddrId id : leaf.delegates(i))
+        listed.push_back(t.interns.addrs.resolve(id));
+  }
+  ASSERT_EQ(listed.size(), 9u);
+  for (std::size_t i = 1; i < listed.size(); ++i)
+    EXPECT_LT(listed[i - 1], listed[i]);
+  for (const auto& m : members)
+    EXPECT_NE(std::find(listed.begin(), listed.end(), m.address),
+              listed.end());
 }
 
 TEST(GroupTree, DepthOneDegeneratesToFlatGroup) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "filter/subscription.hpp"
 #include "wire/messages.hpp"
@@ -10,24 +11,32 @@
 namespace pmc {
 namespace {
 
-/// A row built the way this runtime builds them: delegate interned and
-/// summary pooled in `interns`, so an in-memory batch can carry it.
-ViewRow row(Interns& interns, AddrComponent infix, std::uint64_t version,
-            std::uint64_t count = 1, bool alive = true) {
+/// A row built the way this runtime builds them, appended to `batch`, an
+/// in-memory batch of `interns`: delegates (by default "<infix>.0.0")
+/// interned into the batch's pool and the summary pooled. Returns a copy,
+/// which still points at its delegates in the batch's pool.
+ViewRow row(Interns& interns, RowBatch& batch, AddrComponent infix,
+            std::uint64_t version, std::uint64_t count = 1, bool alive = true,
+            const std::vector<std::string>& delegates = {}) {
   ViewRow r;
   r.infix = infix;
   r.version = version;
   r.process_count = count;
   r.alive = alive;
-  r.delegates = {
-      interns.addrs.intern(Address::parse(std::to_string(infix) + ".0.0"))};
   r.interests =
       interns.summaries.intern(InterestSummary::from(Subscription()));
-  return r;
+  std::vector<AddrId> ids;
+  for (const auto& d : delegates)
+    ids.push_back(interns.addrs.intern(Address::parse(d)));
+  if (delegates.empty())
+    ids.push_back(
+        interns.addrs.intern(Address::parse(std::to_string(infix) + ".0.0")));
+  return batch.append(1, r, ids);
 }
 
 /// A row of the decoded batch `batch`: its delegates are appended to the
-/// batch's address list, and its summary is a fresh, unpooled handle.
+/// batch's address list and pool, and its summary is a fresh, unpooled
+/// handle.
 ViewRow wire_row(RowBatch& batch, AddrComponent infix, std::uint64_t version,
                  const std::vector<const char*>& delegates,
                  const char* subscription = "b > 4") {
@@ -35,13 +44,14 @@ ViewRow wire_row(RowBatch& batch, AddrComponent infix, std::uint64_t version,
   r.infix = infix;
   r.version = version;
   r.process_count = 1;
+  std::vector<AddrId> ids;
   for (const char* d : delegates) {
-    r.delegates.push_back(static_cast<AddrId>(batch.addresses.size()));
+    ids.push_back(static_cast<AddrId>(batch.addresses.size()));
     batch.addresses.push_back(Address::parse(d));
   }
   r.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(Subscription::parse(subscription)));
-  return r;
+  return batch.append(1, r, ids);
 }
 
 /// A DepthView needs intern state to store rows; the fixture owns one, and
@@ -53,8 +63,9 @@ struct BoundView {
   BoundView() { v.bind(interns); }
 
   ViewRow row(AddrComponent infix, std::uint64_t version,
-              std::uint64_t count = 1, bool alive = true) {
-    return pmc::row(interns, infix, version, count, alive);
+              std::uint64_t count = 1, bool alive = true,
+              const std::vector<std::string>& delegates = {}) {
+    return pmc::row(interns, local, infix, version, count, alive, delegates);
   }
   bool upsert(const ViewRow& r) { return v.upsert(r, local); }
 };
@@ -110,15 +121,16 @@ TEST(DepthView, FirstSightAdoptsTheDecodedHandle) {
   EXPECT_EQ(b.interns.summaries.size(), 1u);
 }
 
-TEST(DepthView, MaterializeSharesThePooledHandle) {
+TEST(DepthView, AppendSharesThePooledHandle) {
   BoundView b;
   b.upsert(b.row(3, 1));
-  const ViewRow back = b.v.materialize(0);
+  RowBatch out(b.interns);
+  const ViewRow back = out.append(1, b.v, 0);
   EXPECT_EQ(back.interests.get(), &b.v.interests(0));
   // Another view of the same runtime stores the handle as it is.
   DepthView other;
   other.bind(b.interns);
-  ASSERT_TRUE(other.upsert(back, b.local));
+  ASSERT_TRUE(other.upsert(back, out));
   EXPECT_EQ(other.interests_ptr(0).get(), back.interests.get());
   EXPECT_EQ(b.interns.summaries.size(), 1u);
 }
@@ -135,8 +147,9 @@ TEST(DepthView, InMemoryBatchOfAnotherRuntimeRejected) {
   // share nothing, so a batch built against other intern state is a bug.
   BoundView b;
   Interns foreign;
-  const ViewRow r = row(foreign, 1, 1);
-  EXPECT_THROW(b.v.upsert(r, RowBatch(foreign)), std::logic_error);
+  RowBatch batch(foreign);
+  const ViewRow r = row(foreign, batch, 1, 1);
+  EXPECT_THROW(b.v.upsert(r, batch), std::logic_error);
   EXPECT_TRUE(b.v.empty());
 }
 
@@ -164,21 +177,22 @@ TEST(DepthView, TotalProcessesSumsLiveRows) {
   EXPECT_EQ(b.v.total_processes(), 15u);
 }
 
-TEST(DepthView, MaterializeReproducesRowBytes) {
+TEST(DepthView, AppendReproducesRowBytes) {
   BoundView b;
-  ViewRow r = b.row(4, 7, 12);
-  r.delegates = {b.interns.addrs.intern(Address::parse("4.0.1")),
-                 b.interns.addrs.intern(Address::parse("4.0.0"))};
+  const ViewRow r = b.row(4, 7, 12, true, {"4.0.1", "4.0.0"});
   b.upsert(r);
   const std::size_t i = b.v.find_index(4);
   ASSERT_NE(i, DepthView::npos);
-  const ViewRow back = b.v.materialize(i);
+  RowBatch out(b.interns);
+  const ViewRow back = out.append(1, b.v, i);
   EXPECT_EQ(back.infix, r.infix);
   EXPECT_EQ(back.version, r.version);
   EXPECT_EQ(back.process_count, r.process_count);
   EXPECT_EQ(back.alive, r.alive);
   // Delegate order is preserved exactly as published (no id reordering).
-  EXPECT_EQ(back.delegates, r.delegates);
+  EXPECT_TRUE(
+      std::ranges::equal(out.delegates(back), b.local.delegates(r)));
+  EXPECT_EQ(out.delegates(back).size(), 2u);
   EXPECT_EQ(back.interests.get(), r.interests.get());
 }
 
@@ -190,8 +204,10 @@ TEST(DepthView, DecodedDelegatesAreInterned) {
   const std::size_t i = b.v.find_index(2);
   const auto ids = b.v.delegates(i);
   ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(b.interns.addrs.resolve(ids[0]), wire.address(r.delegates[0]));
-  EXPECT_EQ(b.interns.addrs.resolve(ids[1]), wire.address(r.delegates[1]));
+  EXPECT_EQ(b.interns.addrs.resolve(ids[0]),
+            wire.address(wire.delegates(r)[0]));
+  EXPECT_EQ(b.interns.addrs.resolve(ids[1]),
+            wire.address(wire.delegates(r)[1]));
   EXPECT_EQ(b.v.first_delegate(i), ids[0]);
 }
 
@@ -210,29 +226,49 @@ TEST(DepthView, DecodedSummariesArePooled) {
 }
 
 TEST(DepthView, BatchIsAdoptedAlikeInMemoryAndOverTheWire) {
-  // A view's rows, materialized once into an in-memory batch and once
+  // A view's rows, appended once to an in-memory batch and once sent
   // through the codec, land identically in two fresh views of the same
-  // runtime: same columns, same delegate ids, pooled summary handles.
+  // runtime: same columns, same delegate ids, pooled summary handles. The
+  // rows carry one to four delegates, so each form's pool holds slices of
+  // different lengths back to back.
   BoundView src;
   const char* subscriptions[] = {"b > 4", "c < 30.0", "b > 4",
                                  "e == \"Bob\""};
   for (AddrComponent infix = 0; infix < 4; ++infix) {
-    ViewRow r = src.row(infix, 10 + infix, 3 + infix, infix != 2);
-    r.delegates.push_back(src.interns.addrs.intern(
-        Address::parse(std::to_string(infix) + ".1.1")));
+    std::vector<std::string> delegates;
+    for (int k = 0; k <= infix; ++k)
+      delegates.push_back(std::to_string(infix) + ".1." + std::to_string(k));
+    ViewRow r =
+        src.row(infix, 10 + infix, 3 + infix, infix != 2, delegates);
     r.interests = src.interns.summaries.intern(InterestSummary::from(
         Subscription::parse(subscriptions[infix])));
     ASSERT_TRUE(src.upsert(r));
   }
   RowBatch local(src.interns);
-  for (std::size_t i = 0; i < src.v.size(); ++i)
-    local.rows.push_back(DepthRow{1, src.v.materialize(i)});
+  for (std::size_t i = 0; i < src.v.size(); ++i) local.append(1, src.v, i);
+  ASSERT_EQ(local.pool.size(), src.v.delegate_count());
+  ASSERT_EQ(local.pool.size(), 10u);
   MembershipUpdateMsg update;
-  update.sender = Address::parse("0.0.0");
+  update.sender =
+      AddrRef(src.interns, src.interns.addrs.intern(Address::parse("0.0.0")));
   update.rows = local;
   const MessagePtr decoded = wire::decode_message(wire::encode_message(update));
-  const RowBatch& wire = static_cast<const MembershipUpdateMsg&>(*decoded).rows;
+  const auto& decoded_update =
+      static_cast<const MembershipUpdateMsg&>(*decoded);
+  EXPECT_EQ(decoded_update.sender.interns, nullptr);
+  EXPECT_EQ(decoded_update.sender.address(), Address::parse("0.0.0"));
+  const RowBatch& wire = decoded_update.rows;
   ASSERT_EQ(wire.interns, nullptr);
+  ASSERT_EQ(wire.rows.size(), local.rows.size());
+  ASSERT_EQ(wire.pool.size(), local.pool.size());
+  for (std::size_t r = 0; r < wire.rows.size(); ++r) {
+    const auto mem_ids = local.delegates(local.rows[r].row);
+    const auto dec_ids = wire.delegates(wire.rows[r].row);
+    ASSERT_EQ(dec_ids.size(), mem_ids.size());
+    ASSERT_EQ(mem_ids.size(), r + 1);
+    for (std::size_t k = 0; k < mem_ids.size(); ++k)
+      EXPECT_EQ(wire.address(dec_ids[k]), local.address(mem_ids[k]));
+  }
 
   DepthView mem;
   DepthView dec;
@@ -280,10 +316,10 @@ TEST(MembershipView, DepthIndexingOneBased) {
   cfg.depth = 3;
   cfg.redundancy = 2;
   Interns interns;
-  const RowBatch local(interns);
+  RowBatch local(interns);
   MembershipView mv(self, cfg, interns);
-  mv.view(1).upsert(row(interns, 0, 1), local);
-  mv.view(3).upsert(row(interns, 7, 1), local);
+  mv.view(1).upsert(row(interns, local, 0, 1), local);
+  mv.view(3).upsert(row(interns, local, 7, 1), local);
   EXPECT_EQ(mv.view(1).size(), 1u);
   EXPECT_EQ(mv.view(2).size(), 0u);
   EXPECT_EQ(mv.view(3).size(), 1u);
@@ -304,16 +340,12 @@ TEST(MembershipView, KnownProcessesCountsDelegatesPerAppearance) {
   TreeConfig cfg;
   cfg.depth = 3;
   Interns interns;
-  const RowBatch local(interns);
+  RowBatch local(interns);
   MembershipView mv(self, cfg, interns);
-  ViewRow r1 = row(interns, 0, 1);
-  r1.delegates = {interns.addrs.intern(Address::parse("0.0.0")),
-                  interns.addrs.intern(Address::parse("0.0.1"))};
-  mv.view(1).upsert(r1, local);
-  ViewRow r2 = row(interns, 4, 1);
-  r2.delegates = {interns.addrs.intern(Address::parse("1.4.0"))};
-  mv.view(2).upsert(r2, local);
-  mv.view(2).upsert(row(interns, 9, 1, 1, false), local);
+  mv.view(1).upsert(row(interns, local, 0, 1, 1, true, {"0.0.0", "0.0.1"}),
+                    local);
+  mv.view(2).upsert(row(interns, local, 4, 1, 1, true, {"1.4.0"}), local);
+  mv.view(2).upsert(row(interns, local, 9, 1, 1, false), local);
   EXPECT_EQ(mv.known_processes(), 3u);  // 2 + 1, tombstone excluded
 }
 

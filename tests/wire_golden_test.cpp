@@ -39,27 +39,43 @@ std::string to_hex(const std::vector<std::uint8_t>& bytes) {
   return out;
 }
 
-/// The canonical one-row batch shared by the membership fixtures, in
-/// wire form (its delegate indexes the batch's address list).
-RowBatch canonical_rows(std::uint32_t depth) {
+/// A fixture address: decoded (wire form) when `in` is null, else an id
+/// interned in `in` (the in-memory form a runtime sends).
+AddrRef ref(Interns* in, const char* text) {
+  if (in == nullptr) return AddrRef(Address::parse(text));
+  return AddrRef(*in, in->addrs.intern(Address::parse(text)));
+}
+
+/// The canonical one-row batch shared by the membership fixtures: in wire
+/// form when `in` is null (its delegate indexes the batch's address list),
+/// else in memory (an id of `in`, a pooled summary).
+RowBatch canonical_rows(std::uint32_t depth, Interns* in) {
   ViewRow row;
   row.infix = 1;
-  row.delegates = {0};
   row.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(interval_subscription(0.25, 0.5)));
   row.process_count = 3;
   row.version = 9;
   row.alive = true;
-  RowBatch batch;
-  batch.addresses = {Address::parse("1.2")};
-  batch.rows.push_back(DepthRow{depth, std::move(row)});
+  if (in == nullptr) {
+    RowBatch batch;
+    batch.addresses = {Address::parse("1.2")};
+    const AddrId delegate = 0;
+    batch.append(depth, std::move(row), {&delegate, 1});
+    return batch;
+  }
+  RowBatch batch(*in);
+  row.interests = in->summaries.intern(row.interests);
+  const AddrId delegate = in->addrs.intern(Address::parse("1.2"));
+  batch.append(depth, std::move(row), {&delegate, 1});
   return batch;
 }
 
 /// One canonical instance of every encodable message kind, constructed
-/// exactly as when the fixtures were generated.
+/// exactly as when the fixtures were generated; with `in`, every address
+/// and row batch in the in-memory form of that runtime instead.
 std::vector<std::pair<std::string, std::shared_ptr<MessageBase>>>
-canonical_messages() {
+canonical_messages(Interns* in = nullptr) {
   std::vector<std::pair<std::string, std::shared_ptr<MessageBase>>> out;
   {
     auto m = std::make_shared<GossipMsg>();
@@ -67,26 +83,26 @@ canonical_messages() {
     m->rate = 0.5;
     m->round = 2;
     m->depth = 1;
-    m->sender = Address::parse("1.1");
-    m->piggyback = canonical_rows(2);
+    m->sender = ref(in, "1.1");
+    m->piggyback = std::make_shared<const RowBatch>(canonical_rows(2, in));
     out.emplace_back("Gossip", std::move(m));
   }
   {
     auto m = std::make_shared<MembershipDigestMsg>();
-    m->sender = Address::parse("1.2");
+    m->sender = ref(in, "1.2");
     m->sender_pid = 5;
     m->digests = {{1, 0, 10}, {2, 3, 20}};
     out.emplace_back("MembershipDigest", std::move(m));
   }
   {
     auto m = std::make_shared<MembershipUpdateMsg>();
-    m->sender = Address::parse("0.1");
-    m->rows = canonical_rows(1);
+    m->sender = ref(in, "0.1");
+    m->rows = canonical_rows(1, in);
     out.emplace_back("MembershipUpdate", std::move(m));
   }
   {
     auto m = std::make_shared<JoinRequestMsg>();
-    m->joiner = Address::parse("3.3");
+    m->joiner = ref(in, "3.3");
     m->joiner_pid = 15;
     m->subscription = interval_subscription(0.25, 0.5);
     m->hops = 2;
@@ -94,13 +110,13 @@ canonical_messages() {
   }
   {
     auto m = std::make_shared<ViewTransferMsg>();
-    m->sender = Address::parse("3.0");
-    m->rows = canonical_rows(2);
+    m->sender = ref(in, "3.0");
+    m->rows = canonical_rows(2, in);
     out.emplace_back("ViewTransfer", std::move(m));
   }
   {
     auto m = std::make_shared<LeaveMsg>();
-    m->leaver = Address::parse("2.1");
+    m->leaver = ref(in, "2.1");
     out.emplace_back("Leave", std::move(m));
   }
   {
@@ -117,14 +133,14 @@ canonical_messages() {
   }
   {
     auto m = std::make_shared<SuspectQueryMsg>();
-    m->sender = Address::parse("0.0");
-    m->suspect = Address::parse("0.1");
+    m->sender = ref(in, "0.0");
+    m->suspect = ref(in, "0.1");
     out.emplace_back("SuspectQuery", std::move(m));
   }
   {
     auto m = std::make_shared<SuspectReplyMsg>();
-    m->sender = Address::parse("0.1");
-    m->suspect = Address::parse("0.2");
+    m->sender = ref(in, "0.1");
+    m->suspect = ref(in, "0.2");
     m->heard_recently = true;
     out.emplace_back("SuspectReply", std::move(m));
   }
@@ -205,6 +221,19 @@ TEST(WireGolden, EncodeMatchesFrozenBytes) {
   }
 }
 
+TEST(WireGolden, InMemoryFormEncodesTheFrozenBytes) {
+  // A runtime sends its addresses as interned ids and its rows as in-memory
+  // batches; the codec must put the same frozen bytes on the wire.
+  Interns interns;
+  const auto messages = canonical_messages(&interns);
+  ASSERT_EQ(messages.size(), std::size(kGoldenVectors));
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    EXPECT_EQ(to_hex(wire::encode_message(*messages[i].second)),
+              kGoldenVectors[i].second)
+        << "in-memory form of " << messages[i].first;
+  }
+}
+
 TEST(WireGolden, FrozenBytesStillDecode) {
   // The decoder must accept bytes produced by any past version, and
   // re-encoding the decoded message must reproduce them exactly.
@@ -248,8 +277,9 @@ void add_random_row(Rng& rng, RowBatch& batch) {
   ViewRow row;
   row.infix = static_cast<AddrComponent>(rng.next_below(50));
   const std::size_t delegates = 1 + rng.next_below(3);
+  std::vector<AddrId> ids;
   for (std::size_t i = 0; i < delegates; ++i) {
-    row.delegates.push_back(static_cast<AddrId>(batch.addresses.size()));
+    ids.push_back(static_cast<AddrId>(batch.addresses.size()));
     batch.addresses.push_back(random_address(rng));
   }
   row.interests = std::make_shared<const InterestSummary>(
@@ -257,7 +287,7 @@ void add_random_row(Rng& rng, RowBatch& batch) {
   row.process_count = rng.next_below(1000);
   row.version = rng.next_below(100000);
   row.alive = rng.bernoulli(0.8);
-  batch.rows.push_back(DepthRow{depth, std::move(row)});
+  batch.append(depth, std::move(row), ids);
 }
 
 std::shared_ptr<MessageBase> random_message(Rng& rng) {
@@ -270,14 +300,16 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
       m->depth = 1 + static_cast<std::uint32_t>(rng.next_below(4));
       m->no_regossip = rng.bernoulli(0.2);
       if (rng.bernoulli(0.5)) {
-        m->sender = random_address(rng);
-        add_random_row(rng, m->piggyback);
+        m->sender = AddrRef(random_address(rng));
+        RowBatch piggyback;
+        add_random_row(rng, piggyback);
+        m->piggyback = std::make_shared<const RowBatch>(std::move(piggyback));
       }
       return m;
     }
     case 2: {
       auto m = std::make_shared<MembershipDigestMsg>();
-      m->sender = random_address(rng);
+      m->sender = AddrRef(random_address(rng));
       m->sender_pid = static_cast<ProcessId>(rng.next_below(1000));
       const std::size_t n = rng.next_below(5);
       for (std::size_t i = 0; i < n; ++i)
@@ -289,14 +321,14 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
     }
     case 3: {
       auto m = std::make_shared<MembershipUpdateMsg>();
-      m->sender = random_address(rng);
+      m->sender = AddrRef(random_address(rng));
       const std::size_t n = rng.next_below(4);
       for (std::size_t i = 0; i < n; ++i) add_random_row(rng, m->rows);
       return m;
     }
     case 4: {
       auto m = std::make_shared<JoinRequestMsg>();
-      m->joiner = random_address(rng);
+      m->joiner = AddrRef(random_address(rng));
       m->joiner_pid = static_cast<ProcessId>(rng.next_below(1000));
       m->subscription = interval_subscription(rng.next_double(), 0.4);
       m->hops = static_cast<std::uint32_t>(rng.next_below(16));
@@ -304,14 +336,14 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
     }
     case 5: {
       auto m = std::make_shared<ViewTransferMsg>();
-      m->sender = random_address(rng);
+      m->sender = AddrRef(random_address(rng));
       const std::size_t n = rng.next_below(4);
       for (std::size_t i = 0; i < n; ++i) add_random_row(rng, m->rows);
       return m;
     }
     case 6: {
       auto m = std::make_shared<LeaveMsg>();
-      m->leaver = random_address(rng);
+      m->leaver = AddrRef(random_address(rng));
       return m;
     }
     case 7: {
@@ -328,14 +360,14 @@ std::shared_ptr<MessageBase> random_message(Rng& rng) {
     }
     case 9: {
       auto m = std::make_shared<SuspectQueryMsg>();
-      m->sender = random_address(rng);
-      m->suspect = random_address(rng);
+      m->sender = AddrRef(random_address(rng));
+      m->suspect = AddrRef(random_address(rng));
       return m;
     }
     case 10: {
       auto m = std::make_shared<SuspectReplyMsg>();
-      m->sender = random_address(rng);
-      m->suspect = random_address(rng);
+      m->sender = AddrRef(random_address(rng));
+      m->suspect = AddrRef(random_address(rng));
       m->heard_recently = rng.bernoulli(0.5);
       return m;
     }

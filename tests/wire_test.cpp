@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "harness/workload.hpp"
 
@@ -222,22 +224,31 @@ TEST(WireViewRow, RoundTrip) {
                      Address::parse("128.178.73.17")};
   ViewRow row;
   row.infix = 73;
-  row.delegates = {0, 1};
   row.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(Subscription::parse("b > 0")));
   row.process_count = 21;
   row.version = 99;
   row.alive = false;
-  std::vector<Address> addresses = {Address::parse("9.9")};
+  const AddrId ids[] = {0, 1};
+  row = batch.append(1, row, ids);
+  // A decoded batch that already holds one row with one delegate.
+  RowBatch into;
+  into.addresses = {Address::parse("9.9")};
+  into.pool = {0};
   const auto out = round_trip(row, [&](Writer& w, const ViewRow& x) {
     wire::encode(w, x, batch);
-  }, [&](Reader& r) { return wire::decode_view_row(r, addresses); });
+  }, [&](Reader& r) { return wire::decode_view_row(r, into); });
   EXPECT_EQ(out.infix, row.infix);
-  // Decoding appends to the list it is given and indexes into it.
-  EXPECT_EQ(out.delegates, (std::vector<AddrId>{1, 2}));
-  EXPECT_EQ(addresses, (std::vector<Address>{Address::parse("9.9"),
-                                             batch.addresses[0],
-                                             batch.addresses[1]}));
+  // Decoding appends to the batch it is given: the addresses to its list,
+  // their indices to its pool, and the row points at that slice.
+  EXPECT_EQ(out.delegates_begin, 1u);
+  EXPECT_EQ(out.delegates_len, 2u);
+  EXPECT_EQ(into.pool, (std::vector<AddrId>{0, 1, 2}));
+  EXPECT_TRUE(std::ranges::equal(into.delegates(out),
+                                 std::vector<AddrId>{1, 2}));
+  EXPECT_EQ(into.addresses, (std::vector<Address>{Address::parse("9.9"),
+                                                  batch.addresses[0],
+                                                  batch.addresses[1]}));
   EXPECT_EQ(out.process_count, row.process_count);
   EXPECT_EQ(out.version, row.version);
   EXPECT_EQ(out.alive, row.alive);
@@ -249,7 +260,7 @@ TEST(WireViewRow, BothBatchFormsEncodeAlike) {
   // resolves them, so it writes the bytes of the same row in wire form.
   Interns interns;
   interns.addrs.intern(Address::parse("5.5"));  // ids differ from indices
-  const RowBatch local(interns);
+  RowBatch local(interns);
   RowBatch decoded;
   decoded.addresses = {Address::parse("128.178.73.17"),
                        Address::parse("128.178.73.3")};
@@ -257,14 +268,20 @@ TEST(WireViewRow, BothBatchFormsEncodeAlike) {
   row.infix = 73;
   row.interests = interns.summaries.intern(
       InterestSummary::from(Subscription::parse("b > 0")));
-  row.delegates = {interns.addrs.intern(decoded.addresses[0]),
-                   interns.addrs.intern(decoded.addresses[1])};
+  const AddrId runtime_ids[] = {interns.addrs.intern(decoded.addresses[0]),
+                                interns.addrs.intern(decoded.addresses[1])};
+  const AddrId wire_ids[] = {0, 1};
   Writer in_memory;
-  wire::encode(in_memory, row, local);
-  row.delegates = {0, 1};
+  wire::encode(in_memory, local.append(1, row, runtime_ids), local);
   Writer on_wire;
-  wire::encode(on_wire, row, decoded);
+  wire::encode(on_wire, decoded.append(1, row, wire_ids), decoded);
   EXPECT_EQ(in_memory.data(), on_wire.data());
+  // So does an address a message carries, in either form.
+  Writer id_form;
+  wire::encode(id_form, AddrRef(interns, runtime_ids[1]));
+  Writer address_form;
+  wire::encode(address_form, AddrRef(decoded.addresses[1]));
+  EXPECT_EQ(id_form.data(), address_form.data());
 }
 
 TEST(WireMessage, GossipEnvelope) {
@@ -285,14 +302,15 @@ TEST(WireMessage, GossipEnvelope) {
 
 TEST(WireMessage, MembershipDigestEnvelope) {
   MembershipDigestMsg msg;
-  msg.sender = Address::parse("1.2.3");
+  msg.sender = AddrRef(Address::parse("1.2.3"));
   msg.sender_pid = 7;
   msg.digests = {{1, 0, 10}, {2, 5, 20}, {3, 9, 30}};
   const auto bytes = wire::encode_message(msg);
   const auto decoded = wire::decode_message(bytes);
   const auto* out = dynamic_cast<const MembershipDigestMsg*>(decoded.get());
   ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->sender, msg.sender);
+  EXPECT_EQ(out->sender.address(), msg.sender.address());
+  EXPECT_EQ(out->sender.interns, nullptr);
   ASSERT_EQ(out->digests.size(), 3u);
   EXPECT_EQ(out->digests[1].infix, 5);
   EXPECT_EQ(out->digests[2].version, 30u);
@@ -302,21 +320,21 @@ TEST(WireMessage, AllEnvelopesRoundTrip) {
   std::vector<std::shared_ptr<MessageBase>> messages;
   {
     auto m = std::make_shared<MembershipUpdateMsg>();
-    m->sender = Address::parse("0.1");
+    m->sender = AddrRef(Address::parse("0.1"));
     ViewRow row;
     row.infix = 1;
-    row.delegates = {0};
     row.interests = std::make_shared<const InterestSummary>(
         InterestSummary::from(Subscription()));
     row.process_count = 1;
     row.version = 5;
     m->rows.addresses = {Address::parse("0.1")};
-    m->rows.rows.push_back(DepthRow{2, row});
+    const AddrId delegate = 0;
+    m->rows.append(2, row, {&delegate, 1});
     messages.push_back(std::move(m));
   }
   {
     auto m = std::make_shared<JoinRequestMsg>();
-    m->joiner = Address::parse("3.3");
+    m->joiner = AddrRef(Address::parse("3.3"));
     m->joiner_pid = 15;
     m->subscription = Subscription::parse("u < 0.5");
     m->hops = 2;
@@ -324,12 +342,12 @@ TEST(WireMessage, AllEnvelopesRoundTrip) {
   }
   {
     auto m = std::make_shared<ViewTransferMsg>();
-    m->sender = Address::parse("3.0");
+    m->sender = AddrRef(Address::parse("3.0"));
     messages.push_back(std::move(m));
   }
   {
     auto m = std::make_shared<LeaveMsg>();
-    m->leaver = Address::parse("2.1");
+    m->leaver = AddrRef(Address::parse("2.1"));
     messages.push_back(std::move(m));
   }
   {
@@ -360,7 +378,7 @@ TEST(WireMessage, UnknownTypeRejectedAtEncode) {
 
 TEST(WireMessage, TrailingBytesRejected) {
   LeaveMsg msg;
-  msg.leaver = Address::parse("1.1");
+  msg.leaver = AddrRef(Address::parse("1.1"));
   auto bytes = wire::encode_message(msg);
   bytes.push_back(0x00);
   EXPECT_THROW(wire::decode_message(bytes), DecodeError);
@@ -370,7 +388,7 @@ TEST(WireMessage, NonWireKindsRejectedAtDecode) {
   // Only MsgKind values 1..13 are wire tags: a valid body behind tag 0
   // (Other), 14 (Treecast) or any larger byte must not decode.
   LeaveMsg msg;
-  msg.leaver = Address::parse("1.1");
+  msg.leaver = AddrRef(Address::parse("1.1"));
   auto bytes = wire::encode_message(msg);
   for (const int tag : {0, 14, 15, 255}) {
     bytes[0] = static_cast<std::uint8_t>(tag);
@@ -475,16 +493,16 @@ TEST(WireMessage, FuzzRandomBytesNeverCrash) {
 
 TEST(WireMessage, FuzzTruncationsOfValidMessage) {
   MembershipUpdateMsg msg;
-  msg.sender = Address::parse("1.2.3");
+  msg.sender = AddrRef(Address::parse("1.2.3"));
   ViewRow row;
   row.infix = 2;
-  row.delegates = {0};
   row.interests = std::make_shared<const InterestSummary>(
       InterestSummary::from(Subscription::parse("b > 0")));
   row.process_count = 3;
   row.version = 8;
   msg.rows.addresses = {Address::parse("1.2.3")};
-  msg.rows.rows.push_back(DepthRow{1, row});
+  const AddrId delegate = 0;
+  msg.rows.append(1, row, {&delegate, 1});
   const auto bytes = wire::encode_message(msg);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     try {
