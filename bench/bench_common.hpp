@@ -90,7 +90,7 @@ inline void print_header(const std::string& id, const std::string& title,
             << "=====================================================\n";
 }
 
-inline std::string pm(const Summary& s, int precision = 4) {
+inline std::string pm(const Accumulator& s, int precision = 4) {
   return Table::num(s.mean(), precision) + " ±" +
          Table::num(s.ci95_halfwidth(), precision);
 }

@@ -80,12 +80,20 @@ void BM_InterestRegrouping(benchmark::State& state) {
 BENCHMARK(BM_InterestRegrouping)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_DelegateElection(benchmark::State& state) {
+  // The id election every protocol path runs, over interned addresses.
   Rng rng(3);
   const auto space = AddressSpace::regular(64, 3);
-  const auto members = space.sample(static_cast<std::size_t>(state.range(0)),
-                                    rng);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(elect_delegates(members, 3));
+  AddrInternTable table;
+  std::vector<AddrId> members;
+  for (const auto& a :
+       space.sample(static_cast<std::size_t>(state.range(0)), rng))
+    members.push_back(table.intern(a));
+  std::vector<AddrId> delegates;
+  for (auto _ : state) {
+    elect_delegate_ids(members, 3, table, delegates);
+    benchmark::DoNotOptimize(delegates.data());
+    benchmark::ClobberMemory();
+  }
 }
 BENCHMARK(BM_DelegateElection)->Arg(16)->Arg(128)->Arg(1024);
 
@@ -100,7 +108,7 @@ void BM_GroupTreeBuild(benchmark::State& state) {
   for (auto _ : state) {
     Interns interns;
     GroupTree tree(tc, members, interns);
-    benchmark::DoNotOptimize(tree.process_count());
+    benchmark::DoNotOptimize(tree.view_at(Prefix::root()).size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(members.size()));
@@ -131,25 +139,18 @@ void fill_view(std::size_t n, Interns& interns, DepthView& v) {
 }
 
 void BM_RecompactScanSoA(benchmark::State& state) {
-  // The SyncNode::recompact_own_rows inner loop: merge live interests,
-  // gather delegate candidates, sum process counts.
+  // compact_subgroup, the rule SyncNode::recompact_own_rows and GroupTree
+  // share: merge live interests, elect from the live rows' delegates, sum
+  // process counts.
   Interns interns;
   DepthView v;
   fill_view(static_cast<std::size_t>(state.range(0)), interns, v);
-  std::vector<AddrId> candidates;
+  InterestSummary summary;
+  std::vector<AddrId> candidates, delegates;
   for (auto _ : state) {
-    InterestSummary summary;
-    candidates.clear();
-    std::uint64_t count = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (!v.alive(i)) continue;
-      summary.merge(v.interests(i));
-      const auto ids = v.delegates(i);
-      candidates.insert(candidates.end(), ids.begin(), ids.end());
-      count += v.process_count(i);
-    }
-    benchmark::DoNotOptimize(count);
-    benchmark::DoNotOptimize(candidates.data());
+    benchmark::DoNotOptimize(
+        compact_subgroup(v, 2, summary, candidates, delegates));
+    benchmark::DoNotOptimize(delegates.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -68,10 +68,6 @@ std::size_t Address::distance(const Address& o) const {
   return depth() - common_prefix_length(o);
 }
 
-bool Address::has_prefix(const Prefix& p) const noexcept {
-  return p.contains(*this);
-}
-
 std::string Address::to_string() const { return join_components(comps_); }
 
 Prefix Prefix::child(AddrComponent next) const {

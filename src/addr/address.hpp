@@ -48,8 +48,6 @@ class Address {
   /// (two identical addresses have distance 0). Precondition: same depth.
   std::size_t distance(const Address& o) const;
 
-  bool has_prefix(const Prefix& p) const noexcept;
-
   std::string to_string() const;
 
   friend bool operator==(const Address&, const Address&) = default;

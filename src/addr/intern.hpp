@@ -87,13 +87,6 @@ class AddrInternTable {
     return {comps_.data() + recs_[id].comp_begin, recs_[id].depth};
   }
 
-  /// Key of the length-`len` prefix of `id` (len in [0, depth]). Equal keys
-  /// <=> equal prefixes, across every address in this table.
-  PrefixKey prefix_key(AddrId id, std::size_t len) const {
-    PMC_EXPECTS(id < recs_.size() && len <= recs_[id].depth);
-    return len == 0 ? PrefixKey{0} : keys_[recs_[id].key_begin + len - 1];
-  }
-
   /// Length of the longest common prefix — integer compares over the
   /// precomputed prefix keys, no component walk (Address::
   /// common_prefix_length's contract, tested equivalent in

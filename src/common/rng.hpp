@@ -39,10 +39,6 @@ class Rng {
   using result_type = std::uint64_t;
 
   explicit Rng(std::uint64_t seed = 0x9d1ef5a3c0ffee42ULL) noexcept {
-    reseed(seed);
-  }
-
-  void reseed(std::uint64_t seed) noexcept {
     SplitMix64 sm(seed);
     for (auto& s : state_) s = sm.next();
   }
@@ -90,16 +86,6 @@ class Rng {
   /// Precondition: k <= n.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
-
-  /// In-place Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(next_below(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   std::uint64_t state_[4]{};

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/contract.hpp"
-
 namespace pmc {
 
 void Accumulator::add(double x) noexcept {
@@ -28,26 +26,6 @@ double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
 double Accumulator::stderr_mean() const noexcept {
   return n_ < 2 ? 0.0 : stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void Summary::add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-  acc_.add(x);
-}
-
-double Summary::quantile(double q) const {
-  PMC_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
 }
 
 }  // namespace pmc

@@ -1,11 +1,9 @@
 // Streaming statistics used by the experiment harness: Welford accumulators
-// for mean/variance with normal-approximation confidence intervals, and a
-// small exact-quantile summary for per-run metrics (run counts are modest,
-// so storing samples is acceptable and keeps quantiles exact).
+// for mean/variance with normal-approximation confidence intervals. They
+// keep no samples.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace pmc {
 
@@ -32,28 +30,6 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Stores samples for exact quantiles; intended for <= a few thousand runs.
-class Summary {
- public:
-  void add(double x);
-
-  std::size_t count() const noexcept { return samples_.size(); }
-  double mean() const noexcept { return acc_.mean(); }
-  double stddev() const noexcept { return acc_.stddev(); }
-  double ci95_halfwidth() const noexcept { return acc_.ci95_halfwidth(); }
-  double min() const noexcept { return acc_.min(); }
-  double max() const noexcept { return acc_.max(); }
-
-  /// Linear-interpolation quantile, q in [0, 1]. Returns 0 when empty.
-  double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-  Accumulator acc_;
 };
 
 }  // namespace pmc

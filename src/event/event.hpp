@@ -30,7 +30,6 @@ class Event {
   explicit Event(EventId id) : id_(id) {}
 
   const EventId& id() const noexcept { return id_; }
-  void set_id(EventId id) noexcept { id_ = id; }
 
   /// Sets (or replaces) an attribute. Returns *this for fluent building:
   ///   Event e; e.with("b", 2).with("c", 41.5).with("e", "Bob");

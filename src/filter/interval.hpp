@@ -94,12 +94,6 @@ class IntervalSet {
   /// Precondition: !empty().
   Interval bounding() const;
 
-  /// True iff the set contains every double (single (-inf, +inf) interval).
-  bool is_all() const noexcept {
-    return ivs_.size() == 1 && ivs_[0].unbounded_below() &&
-           ivs_[0].unbounded_above();
-  }
-
   const std::vector<Interval>& intervals() const noexcept { return ivs_; }
 
   friend bool operator==(const IntervalSet&, const IntervalSet&) = default;

@@ -6,18 +6,6 @@
 
 namespace pmc {
 
-CmpOp negate(CmpOp op) noexcept {
-  switch (op) {
-    case CmpOp::Eq: return CmpOp::Ne;
-    case CmpOp::Ne: return CmpOp::Eq;
-    case CmpOp::Lt: return CmpOp::Ge;
-    case CmpOp::Le: return CmpOp::Gt;
-    case CmpOp::Gt: return CmpOp::Le;
-    case CmpOp::Ge: return CmpOp::Lt;
-  }
-  return CmpOp::Eq;  // unreachable
-}
-
 std::string to_string(CmpOp op) {
   switch (op) {
     case CmpOp::Eq: return "==";

@@ -20,8 +20,6 @@ namespace pmc {
 
 enum class CmpOp { Eq, Ne, Lt, Le, Gt, Ge };
 
-/// The comparison with op negated (Eq<->Ne, Lt<->Ge, Le<->Gt).
-CmpOp negate(CmpOp op) noexcept;
 std::string to_string(CmpOp op);
 
 /// The single-comparison kernel behind Predicate::match: how an event value

@@ -57,11 +57,11 @@ struct ExperimentConfig {
 
 /// Per-point aggregated results (across config.runs independent runs).
 struct ExperimentResult {
-  Summary delivery;         ///< delivered / interested, per run
-  Summary false_reception;  ///< uninterested receivers / uninterested, per run
-  Summary rounds;           ///< completed gossip periods until quiescence
-  Summary messages_per_process;
-  Summary interested_fraction;  ///< sanity: should concentrate around pd
+  Accumulator delivery;         ///< delivered / interested, per run
+  Accumulator false_reception;  ///< uninterested receivers / uninterested
+  Accumulator rounds;           ///< completed gossip periods to quiescence
+  Accumulator messages_per_process;
+  Accumulator interested_fraction;  ///< sanity: concentrates around pd
 };
 
 /// Runs pmcast `config.runs` times (one event per run) and aggregates.

@@ -6,30 +6,6 @@
 
 namespace pmc {
 
-DelegateRank smallest_address_rank() {
-  return [](const Address& a, const Address& b) { return a < b; };
-}
-
-std::vector<Address> elect_delegates(std::span<const Address> members,
-                                     std::size_t r,
-                                     const DelegateRank& rank) {
-  PMC_EXPECTS(r >= 1);
-  std::vector<Address> out(members.begin(), members.end());
-  if (out.size() > r) {
-    std::partial_sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(r),
-                      out.end(), rank);
-    out.resize(r);
-  } else {
-    std::sort(out.begin(), out.end(), rank);
-  }
-  return out;
-}
-
-std::vector<Address> elect_delegates(std::span<const Address> members,
-                                     std::size_t r) {
-  return elect_delegates(members, r, smallest_address_rank());
-}
-
 void elect_delegate_ids(std::span<const AddrId> members, std::size_t r,
                         const AddrInternTable& table,
                         std::vector<AddrId>& out) {
@@ -45,6 +21,26 @@ void elect_delegate_ids(std::span<const AddrId> members, std::size_t r,
   } else {
     std::sort(out.begin(), out.end(), by_address);
   }
+}
+
+std::uint64_t compact_subgroup(const DepthView& table, std::size_t r,
+                               InterestSummary& interests,
+                               std::vector<AddrId>& candidates,
+                               std::vector<AddrId>& delegates) {
+  interests = InterestSummary();
+  candidates.clear();
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (!table.alive(i)) continue;
+    interests.merge(table.interests(i));
+    const auto ids = table.delegates(i);
+    candidates.insert(candidates.end(), ids.begin(), ids.end());
+    count += table.process_count(i);
+  }
+  // The R smallest addresses under a subgroup are among its rows' R
+  // smallest (their delegate lists), so electing from the union is exact.
+  elect_delegate_ids(candidates, r, table.interns().addrs, delegates);
+  return count;
 }
 
 }  // namespace pmc

@@ -1,44 +1,45 @@
-// Deterministic delegate election (paper Sec. 2.2/2.3).
+// Deterministic delegate election and subgroup compaction (paper Sec.
+// 2.2/2.3).
 //
 // All processes of a subgroup must agree on the same R delegates *without
-// explicit agreement*, so the choice is a pure function of the member set.
-// The paper's default criterion is "smallest addresses"; alternative
-// criteria (e.g. preferring well-resourced processes) plug in as a custom
-// ranking, as Sec. 2.3 suggests.
+// explicit agreement*, so the choice is a pure function of the member set:
+// the R smallest addresses, the paper's default criterion. Sec. 2.3 also
+// allows other criteria (e.g. preferring well-resourced processes), but no
+// other rank could take effect here: the election every path runs orders
+// candidates by AddrInternTable::less alone.
+//
+// compact_subgroup is the one rule for the row that describes a subgroup in
+// its parent's table. GroupTree builds every upper row with it, and
+// SyncNode recompacts its own rows with it.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "addr/address.hpp"
 #include "addr/intern.hpp"
+#include "filter/regroup.hpp"
+#include "membership/view.hpp"
 
 namespace pmc {
 
-/// Ranks candidates; delegates are the R best (lowest) by this order.
-/// Must be a strict weak ordering and identical at all processes.
-using DelegateRank =
-    std::function<bool(const Address& a, const Address& b)>;
-
-/// The paper's default: numerically smallest addresses first.
-DelegateRank smallest_address_rank();
-
-/// The R best members by `rank`; all members if fewer than R.
-/// The result is sorted by rank (best first).
-std::vector<Address> elect_delegates(std::span<const Address> members,
-                                     std::size_t r,
-                                     const DelegateRank& rank);
-
-std::vector<Address> elect_delegates(std::span<const Address> members,
-                                     std::size_t r);
-
-/// Interned-id election under the paper's default criterion: the winners
-/// are ranked by their *addresses* (ids are first-intern order, never a
-/// valid ranking), resolved through `table`. Writes into `out` (cleared
-/// first) so the recompaction hot path elects without allocating.
+/// The R members with the smallest *addresses* (ids are first-intern
+/// order, never a valid ranking), resolved through `table`; all members if
+/// fewer than R. Writes into `out` (cleared first), smallest first, so the
+/// recompaction hot path elects without allocating.
 void elect_delegate_ids(std::span<const AddrId> members, std::size_t r,
                         const AddrInternTable& table,
                         std::vector<AddrId>& out);
+
+/// Compacts a subgroup's own table into the row that describes the
+/// subgroup in its parent's table: `interests` becomes the union of the
+/// live rows' interests, merged in row order; `delegates` the R smallest
+/// of the live rows' delegates (gathered in `candidates`). Returns the
+/// live rows' summed process count, 0 when no row is live. Both vectors
+/// are the caller's scratch, so a steady-state caller allocates nothing.
+std::uint64_t compact_subgroup(const DepthView& table, std::size_t r,
+                               InterestSummary& interests,
+                               std::vector<AddrId>& candidates,
+                               std::vector<AddrId>& delegates);
 
 }  // namespace pmc

@@ -449,49 +449,27 @@ void SyncNode::recompact_own_rows() {
     auto& cache = recompact_cache_[depth - 1];
     if (cache.first == deeper.mutations() && cache.second == own.mutations())
       continue;
-    if (deeper.empty()) {
-      cache = {deeper.mutations(), own.mutations()};
-      continue;
-    }
-
     InterestSummary summary;
-    candidate_scratch_.clear();
-    std::uint64_t count = 0;
-    for (std::size_t i = 0; i < deeper.size(); ++i) {
-      if (!deeper.alive(i)) continue;
-      summary.merge(deeper.interests(i));
-      const auto ids = deeper.delegates(i);
-      candidate_scratch_.insert(candidate_scratch_.end(), ids.begin(),
-                                ids.end());
-      count += deeper.process_count(i);
+    const std::uint64_t count =
+        compact_subgroup(deeper, config_.tree.redundancy, summary,
+                         candidate_scratch_, delegate_scratch_);
+    // Publish only if we are one of the delegates of our own subgroup, and
+    // only when the row materially changed.
+    if (count != 0 &&
+        std::ranges::find(delegate_scratch_, view_.self_id()) !=
+            delegate_scratch_.end()) {
+      const AddrComponent own_infix = view_.self().component(depth - 1);
+      const std::size_t current = own.find_index(own_infix);
+      const bool unchanged =
+          current != DepthView::npos && own.alive(current) &&
+          std::ranges::equal(own.delegates(current), delegate_scratch_) &&
+          own.process_count(current) == count &&
+          own.interests(current) == summary;
+      if (!unchanged)
+        own.upsert_pooled(own_infix, delegate_scratch_,
+                          view_.interns().summaries.intern(std::move(summary)),
+                          count, next_version(), true);
     }
-    if (count == 0) {
-      cache = {deeper.mutations(), own.mutations()};
-      continue;
-    }
-    elect_delegate_ids(candidate_scratch_, config_.tree.redundancy, addrs(),
-                       delegate_scratch_);
-
-    // Publish only if we are one of the delegates of our own subgroup.
-    if (std::find(delegate_scratch_.begin(), delegate_scratch_.end(),
-                  view_.self_id()) == delegate_scratch_.end()) {
-      cache = {deeper.mutations(), own.mutations()};
-      continue;
-    }
-
-    const AddrComponent own_infix = view_.self().component(depth - 1);
-    const std::size_t current = own.find_index(own_infix);
-    if (current != DepthView::npos && own.alive(current) &&
-        std::ranges::equal(own.delegates(current), delegate_scratch_) &&
-        own.process_count(current) == count &&
-        own.interests(current) == summary) {
-      cache = {deeper.mutations(), own.mutations()};
-      continue;  // nothing changed
-    }
-
-    own.upsert_pooled(own_infix, delegate_scratch_,
-                      view_.interns().summaries.intern(std::move(summary)),
-                      count, next_version(), true);
     cache = {deeper.mutations(), own.mutations()};
   }
 }

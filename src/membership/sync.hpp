@@ -21,9 +21,10 @@
 //
 // Row recomputation: delegates periodically recompact the row describing
 // their own subgroup at each depth they represent (interest regrouping,
-// process count, delegate list) from the next-deeper table, bumping the
-// version when the row materially changed. The recompaction is a pure
-// function of the two adjacent tables, so it is skipped outright while
+// process count, delegate list) from the next-deeper table, with the
+// compact_subgroup rule GroupTree builds its rows with (election.hpp), and
+// bump the version when the row materially changed. The recompaction is a
+// pure function of the two adjacent tables, so it is skipped outright while
 // neither table mutated since the last pass (the steady-state common case).
 //
 // Hot-path state is interned: peers, neighbors and contact tables hold
@@ -160,7 +161,6 @@ class SyncNode final : public Process {
            Subscription subscription, ProcessId contact, Interns& interns);
 
   const Address& address() const noexcept { return view_.self(); }
-  AddrId address_id() const noexcept { return view_.self_id(); }
   const MembershipView& view() const noexcept { return view_; }
   const Subscription& subscription() const noexcept { return subscription_; }
   bool joined() const noexcept { return joined_; }

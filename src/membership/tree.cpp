@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "common/contract.hpp"
+#include "membership/election.hpp"
 
 namespace pmc {
 
 GroupTree::GroupTree(TreeConfig config, std::vector<Member> members,
                      Interns& interns, GroupTreeOptions options)
-    : config_(config), options_(options), interns_(&interns) {
+    : config_(config), interns_(&interns) {
   config_.validate();
   std::sort(members.begin(), members.end(),
             [](const Member& x, const Member& y) {
@@ -20,75 +21,67 @@ GroupTree::GroupTree(TreeConfig config, std::vector<Member> members,
   }
 
   // The sorted members form one contiguous run per leaf subgroup (prefix
-  // length d-1): build every leaf from its run, then bubble the rows upward.
-  // The runs live only here; the tree keeps no per-member copy.
+  // length d-1), and the runs come in prefix order: each run fills its leaf
+  // table, one row per member in address order. The runs live only here;
+  // the tree keeps no per-member copy.
   const std::size_t leaf_len = config_.depth - 1;
-  std::vector<std::pair<Prefix, std::span<const Member>>> leaves;
+  std::uint64_t version = 1;
+  table(Prefix::root());  // exists even when the group is empty
+  std::vector<Prefix> level;
   for (std::size_t begin = 0, end = 0; begin < members.size(); begin = end) {
     const Address& first = members[begin].address;
-    end = begin + 1;
-    while (end < members.size() &&
-           members[end].address.common_prefix_length(first) >= leaf_len)
-      ++end;
-    leaves.emplace_back(first.prefix(leaf_len),
-                        std::span(members).subspan(begin, end - begin));
-    ensure_node(leaves.back().first);
-  }
-  // Ensure ancestor nodes exist (including the root even when empty).
-  ensure_node(Prefix::root());
-  for (const auto& leaf : leaves) {
-    for (Prefix p = leaf.first; !p.is_root();) {
-      p = p.parent();
-      ensure_node(p);
+    level.push_back(first.prefix(leaf_len));
+    DepthView& leaf = table(level.back());
+    for (end = begin; end < members.size() &&
+                      members[end].address.common_prefix_length(first) >=
+                          leaf_len;
+         ++end) {
+      const Member& m = members[end];
+      const AddrId id = interns_->addrs.intern(m.address);
+      leaf.upsert_pooled(
+          m.address.component(leaf_len), {&id, 1},
+          interns_->summaries.intern(InterestSummary::from(m.subscription)),
+          1, version++, true);
     }
   }
-  for (const auto& [prefix, run] : leaves) build_leaf(prefix, run);
 
-  // Bubble rows upward one level at a time so each ancestor's aggregates are
-  // recomputed exactly once. The map walk is a sorted materialization: each
-  // level is put in prefix order before any row is pushed, so version stamps
-  // and push order never depend on hash-bucket layout.
-  std::vector<std::vector<const Prefix*>> by_length(config_.depth);
-  // detlint:allow(iteration-order) sorted materialization — levels sorted below
-  for (const auto& [prefix, n] : nodes_)
-    by_length[prefix.length()].push_back(&prefix);
-  for (auto& level : by_length)
-    std::sort(level.begin(), level.end(),
-              [](const Prefix* a, const Prefix* b) { return *a < *b; });
-  for (std::size_t len = config_.depth - 1; len >= 1; --len) {
-    for (const Prefix* p : by_length[len]) push_row_to_parent(*p);
-    for (const Prefix* q : by_length[len - 1]) recompute_aggregates(node(*q));
+  // Then one level at a time, upward, so each table is complete before it
+  // is compacted: every subgroup's table becomes its row in the parent's
+  // table. A level is in prefix order (parents of a sorted level are
+  // sorted), so version stamps never depend on hash-bucket layout.
+  InterestSummary interests;
+  std::vector<AddrId> candidates, delegates;
+  for (std::size_t len = leaf_len; len >= 1; --len) {
+    std::vector<Prefix> parents;
+    for (const Prefix& p : level) {
+      const std::uint64_t count = compact_subgroup(
+          tables_.at(p), config_.redundancy, interests, candidates, delegates);
+      // The row lives in the depth-len tables; near the root it may be
+      // coarsened (Sec. 6) — sound (only over-approximates) but cheaper.
+      if (len <= options.coarsen_depth_leq) interests.coarsen();
+      Prefix parent = p.parent();
+      table(parent).upsert_pooled(
+          p.infix(), delegates,
+          interns_->summaries.intern(std::move(interests)), count, version++,
+          true);
+      if (parents.empty() || !(parents.back() == parent))
+        parents.push_back(std::move(parent));
+    }
+    level = std::move(parents);
   }
 }
 
-GroupTree::Node& GroupTree::node(const Prefix& p) {
-  const auto it = nodes_.find(p);
-  PMC_EXPECTS(it != nodes_.end());
+DepthView& GroupTree::table(const Prefix& p) {
+  const auto [it, inserted] = tables_.try_emplace(p);
+  if (inserted) it->second.bind(*interns_);
   return it->second;
-}
-
-const GroupTree::Node& GroupTree::node(const Prefix& p) const {
-  const auto it = nodes_.find(p);
-  PMC_EXPECTS(it != nodes_.end());
-  return it->second;
-}
-
-GroupTree::Node& GroupTree::ensure_node(const Prefix& p) {
-  const auto [it, inserted] = nodes_.try_emplace(p);
-  if (inserted) it->second.child_view.bind(*interns_);
-  return it->second;
-}
-
-std::size_t GroupTree::process_count() const noexcept {
-  const auto it = nodes_.find(Prefix::root());
-  return it == nodes_.end()
-             ? 0
-             : static_cast<std::size_t>(it->second.process_count);
 }
 
 const DepthView& GroupTree::view_at(const Prefix& prefix) const {
   PMC_EXPECTS(prefix.length() < config_.depth);
-  return node(prefix).child_view;
+  const auto it = tables_.find(prefix);
+  PMC_EXPECTS(it != tables_.end());
+  return it->second;
 }
 
 const DepthView& GroupTree::view_for(const Address& self,
@@ -97,90 +90,18 @@ const DepthView& GroupTree::view_for(const Address& self,
   return view_at(self.prefix(depth - 1));
 }
 
-std::vector<Address> GroupTree::delegates(const Prefix& prefix) const {
-  std::vector<Address> out;
-  for (const AddrId id : node(prefix).delegates)
-    out.push_back(interns_->addrs.resolve(id));
-  return out;
-}
-
-std::uint64_t GroupTree::represented(const Prefix& prefix) const {
-  const auto it = nodes_.find(prefix);
-  return it == nodes_.end() ? 0 : it->second.process_count;
-}
-
-const InterestSummary& GroupTree::summary(const Prefix& prefix) const {
-  return node(prefix).summary;
-}
-
 MembershipView GroupTree::materialize_view(const Address& self) const {
   MembershipView mv(self, config_, *interns_);
   for (std::size_t depth = 1; depth <= config_.depth; ++depth) {
-    const auto it = nodes_.find(self.prefix(depth - 1));
-    if (it == nodes_.end()) continue;
-    const DepthView& dv = it->second.child_view;
+    const auto it = tables_.find(self.prefix(depth - 1));
+    if (it == tables_.end()) continue;
+    const DepthView& dv = it->second;
     for (std::size_t i = 0; i < dv.size(); ++i)
       mv.view(depth).upsert_pooled(dv.infix(i), dv.delegates(i),
                                    dv.interests_ptr(i), dv.process_count(i),
                                    dv.version(i), dv.alive(i));
   }
   return mv;
-}
-
-void GroupTree::build_leaf(const Prefix& leaf_prefix,
-                           std::span<const Member> members) {
-  PMC_EXPECTS(leaf_prefix.length() == config_.depth - 1);
-  // Members arrive in address order (the constructor sorts them).
-  Node& n = node(leaf_prefix);
-  InterestSummary summary;
-  candidate_scratch_.clear();
-  for (const auto& m : members) {
-    const AddrId id = interns_->addrs.intern(m.address);
-    auto interests =
-        interns_->summaries.intern(InterestSummary::from(m.subscription));
-    summary.merge(*interests);
-    n.child_view.upsert_pooled(m.address.component(config_.depth - 1),
-                               {&id, 1}, std::move(interests), 1,
-                               version_counter_++, true);
-    candidate_scratch_.push_back(id);
-  }
-  n.summary = std::move(summary);
-  n.process_count = members.size();
-  elect_delegate_ids(candidate_scratch_, config_.redundancy, interns_->addrs,
-                     n.delegates);
-}
-
-void GroupTree::push_row_to_parent(const Prefix& child) {
-  PMC_EXPECTS(!child.is_root());
-  Node& parent = node(child.parent());
-  const Node& c = node(child);
-  InterestSummary interests = c.summary;
-  // The row lives in the depth-(parent length + 1) tables; near the root it
-  // may be coarsened (Sec. 6) — sound (only over-approximates) but cheaper.
-  if (child.length() <= options_.coarsen_depth_leq) interests.coarsen();
-  parent.child_view.upsert_pooled(
-      child.infix(), c.delegates,
-      interns_->summaries.intern(std::move(interests)), c.process_count,
-      version_counter_++, true);
-}
-
-void GroupTree::recompute_aggregates(Node& n) {
-  n.process_count = n.child_view.total_processes();
-  InterestSummary summary;
-  candidate_scratch_.clear();
-  const DepthView& dv = n.child_view;
-  for (std::size_t i = 0; i < dv.size(); ++i) {
-    if (!dv.alive(i)) continue;
-    summary.merge(dv.interests(i));
-    const auto ids = dv.delegates(i);
-    candidate_scratch_.insert(candidate_scratch_.end(), ids.begin(),
-                              ids.end());
-  }
-  n.summary = std::move(summary);
-  // The R smallest addresses under a subgroup are among its children's
-  // R-smallest (delegate sets), so electing from the union is exact.
-  elect_delegate_ids(candidate_scratch_, config_.redundancy, interns_->addrs,
-                     n.delegates);
 }
 
 }  // namespace pmc

@@ -2,9 +2,10 @@
 //
 // Processes sharing a prefix of length i-1 form a subgroup of depth i; each
 // populated subgroup elects R delegates that also populate the parent node.
-// GroupTree maintains, per prefix, the child view table (one ViewRow per
-// populated child subgroup: its delegates, regrouped interests and process
-// count), the subgroup's own delegates, and its interest summary.
+// GroupTree keeps, per prefix, only the child view table: one ViewRow per
+// populated child subgroup (its delegates, regrouped interests and process
+// count). A subgroup's own row is compact_subgroup of its table
+// (election.hpp), the same rule SyncNode recompacts live views with.
 //
 // The tree is built once, for a fixed population, and serves two roles:
 //  * in the static figure harness, it is the membership all processes share
@@ -15,14 +16,12 @@
 //    through its own view tables, which anti-entropy keeps current.
 #pragma once
 
-#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "addr/address.hpp"
 #include "filter/subscription.hpp"
 #include "membership/config.hpp"
-#include "membership/election.hpp"
 #include "membership/view.hpp"
 
 namespace pmc {
@@ -51,9 +50,7 @@ class GroupTree {
   GroupTree(TreeConfig config, std::vector<Member> members, Interns& interns,
             GroupTreeOptions options = {});
 
-  const TreeConfig& config() const noexcept { return config_; }
   Interns& interns() const noexcept { return *interns_; }
-  std::size_t process_count() const noexcept;
 
   /// Child view of the subgroup denoted by `prefix`
   /// (prefix length in [0, d-1]). This is the depth-(len+1) table of every
@@ -64,45 +61,17 @@ class GroupTree {
   /// view_at(self.prefix(i-1)).
   const DepthView& view_for(const Address& self, std::size_t depth) const;
 
-  /// Delegates representing `prefix` at its parent (R smallest addresses).
-  std::vector<Address> delegates(const Prefix& prefix) const;
-
-  /// Number of processes represented by `prefix` (paper Eq. 4).
-  std::uint64_t represented(const Prefix& prefix) const;
-
-  /// Regrouped interests of the whole subtree under `prefix`.
-  const InterestSummary& summary(const Prefix& prefix) const;
-
   /// Per-process membership knowledge (Eq. 2) as a standalone copy — the
   /// bootstrap a founding process receives.
   MembershipView materialize_view(const Address& self) const;
 
  private:
-  struct Node {
-    DepthView child_view;             // rows for populated children
-    std::vector<AddrId> delegates;    // R smallest under this prefix
-    InterestSummary summary;
-    std::uint64_t process_count = 0;
-  };
-
-  Node& node(const Prefix& p);
-  const Node& node(const Prefix& p) const;
-  /// try_emplace that binds a fresh node's child view to the intern state.
-  Node& ensure_node(const Prefix& p);
-
-  /// Fills a leaf subgroup's table from its members, in address order.
-  void build_leaf(const Prefix& leaf_prefix, std::span<const Member> members);
-  /// Writes the row describing populated `child` in its parent's table.
-  void push_row_to_parent(const Prefix& child);
-  /// Recomputes count/summary/delegates from the node's child rows.
-  void recompute_aggregates(Node& n);
+  /// The table of `p`, bound to the intern state; created empty if absent.
+  DepthView& table(const Prefix& p);
 
   TreeConfig config_;
-  GroupTreeOptions options_;
   Interns* interns_ = nullptr;
-  std::unordered_map<Prefix, Node, PrefixHash> nodes_;
-  std::uint64_t version_counter_ = 1;
-  std::vector<AddrId> candidate_scratch_;
+  std::unordered_map<Prefix, DepthView, PrefixHash> tables_;
 };
 
 }  // namespace pmc

@@ -117,13 +117,6 @@ std::size_t DepthView::live_count() const noexcept {
       std::count(alive_.begin(), alive_.end(), std::uint8_t{1}));
 }
 
-std::uint64_t DepthView::total_processes() const noexcept {
-  std::uint64_t n = 0;
-  for (std::size_t i = 0; i < count_.size(); ++i)
-    if (alive_[i]) n += count_[i];
-  return n;
-}
-
 std::string DepthView::to_string() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < infix_.size(); ++i) {

@@ -223,8 +223,6 @@ class DepthView {
 
   /// Number of live rows.
   std::size_t live_count() const noexcept;
-  /// Sum of process_count over live rows.
-  std::uint64_t total_processes() const noexcept;
 
   std::string to_string() const;
 

@@ -133,7 +133,6 @@ class PmcastNode final : public Process {
   }
 
   const Address& address() const noexcept { return self_; }
-  AddrId address_id() const noexcept { return self_id_; }
   const Subscription& subscription() const noexcept { return subscription_; }
 
   bool interested_in(const Event& e) const { return subscription_.match(e); }

@@ -64,11 +64,6 @@ void Network::detach(ProcessId id) {
     handlers_[id - pid_base_] = HandlerSlot{};
 }
 
-bool Network::attached(ProcessId id) const noexcept {
-  return id >= pid_base_ && id - pid_base_ < handlers_.size() &&
-         handlers_[id - pid_base_].fn != nullptr;
-}
-
 void Network::set_loss(double eps) {
   PMC_EXPECTS(eps >= 0.0 && eps <= 1.0);
   config_.loss_probability = eps;

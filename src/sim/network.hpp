@@ -156,7 +156,6 @@ class Network {
   void attach(ProcessId id, void* ctx, DispatchFn fn);
   /// Removes the handler (in-flight messages to `id` are counted dead).
   void detach(ProcessId id);
-  bool attached(ProcessId id) const noexcept;
 
   /// Sends `msg` from `from` to `to`; loss and latency are applied here.
   void send(ProcessId from, ProcessId to, MessagePtr msg);
@@ -206,7 +205,6 @@ class Network {
   FilterToken add_link_filter(LinkFilter filter);
   /// Removes a layered filter; a no-op for unknown/already-removed tokens.
   void remove_link_filter(FilterToken token);
-  std::size_t link_filter_count() const noexcept { return filters_.size(); }
 
   /// When set, every message passes through this hook before delivery —
   /// e.g. a serialize-then-parse round trip through the wire codec, so

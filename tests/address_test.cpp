@@ -111,12 +111,5 @@ TEST(PrefixHash, DistinguishesPrefixes) {
   EXPECT_NE(h(addr({1, 2}).prefix(1)), h(addr({2, 1}).prefix(1)));
 }
 
-TEST(Address, HasPrefix) {
-  const auto a = addr({3, 1, 4});
-  EXPECT_TRUE(a.has_prefix(a.prefix(0)));
-  EXPECT_TRUE(a.has_prefix(a.prefix(3)));
-  EXPECT_FALSE(a.has_prefix(addr({3, 2, 4}).prefix(2)));
-}
-
 }  // namespace
 }  // namespace pmc

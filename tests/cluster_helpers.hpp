@@ -3,6 +3,7 @@
 // directory and one PmcastNode per process.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -31,6 +32,19 @@ struct Cluster {
   ProcessId pid_of(const Address& a) const {
     const AddrId id = interns->addrs.find(a);
     return id == kNoAddr ? kNoProcess : pid_by_id.at(id);
+  }
+
+  /// Whether member `a` is a delegate of one of its subgroups above the
+  /// leaf: it is listed in the row for its depth-i subgroup, i in [1, d-1],
+  /// in the depth-i table.
+  bool is_delegate(const Address& a) const {
+    const AddrId id = interns->addrs.find(a);
+    for (std::size_t depth = 1; depth < a.depth(); ++depth) {
+      const DepthView& dv = tree->view_for(a, depth);
+      const auto ids = dv.delegates(dv.find_index(a.component(depth - 1)));
+      if (std::ranges::find(ids, id) != ids.end()) return true;
+    }
+    return false;
   }
 };
 

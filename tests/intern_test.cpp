@@ -37,20 +37,13 @@ TEST(AddrIntern, RoundTripAndIdempotence) {
     EXPECT_EQ(span[i], b.component(i));
 }
 
-TEST(AddrIntern, SharedPrefixKeysMatchComponentComparison) {
+TEST(AddrIntern, CommonPrefixLengthMatchesComponentComparison) {
   AddrInternTable table;
   const AddrId x = table.intern(Address::parse("2.7.1"));
   const AddrId y = table.intern(Address::parse("2.7.5"));
   const AddrId z = table.intern(Address::parse("3.7.1"));
 
-  // Length-0 prefixes (the root) are shared by everything.
-  EXPECT_EQ(table.prefix_key(x, 0), table.prefix_key(y, 0));
   // x and y share "2.7"; z shares nothing past the root with either.
-  EXPECT_EQ(table.prefix_key(x, 1), table.prefix_key(y, 1));
-  EXPECT_EQ(table.prefix_key(x, 2), table.prefix_key(y, 2));
-  EXPECT_NE(table.prefix_key(x, 3), table.prefix_key(y, 3));
-  EXPECT_NE(table.prefix_key(x, 1), table.prefix_key(z, 1));
-
   EXPECT_EQ(table.common_prefix_length(x, y), 2u);
   EXPECT_EQ(table.common_prefix_length(x, z), 0u);
   EXPECT_EQ(table.common_prefix_length(x, x), 3u);

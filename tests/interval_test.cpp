@@ -192,9 +192,11 @@ TEST(IntervalSet, InfiniteAndBoundaryMembers) {
   EXPECT_FALSE(s.contains(0.0));
   EXPECT_FALSE(s.contains(0.999999));
   EXPECT_TRUE(s.contains(1.0));
-  EXPECT_FALSE(s.is_all());
+  IntervalSet all;
+  all.insert(Interval::all());
+  EXPECT_NE(s, all);
   s.insert(Interval::closed(0.0, 1.0));  // plugs the gap
-  EXPECT_TRUE(s.is_all());
+  EXPECT_EQ(s, all);
 }
 
 TEST(IntervalSet, InsertDisjointKeepsBoth) {
@@ -291,13 +293,6 @@ TEST(IntervalSet, BoundingHull) {
   EXPECT_DOUBLE_EQ(b.lo, 1.0);
   EXPECT_DOUBLE_EQ(b.hi, 7.0);
   EXPECT_TRUE(b.hi_open);
-}
-
-TEST(IntervalSet, IsAll) {
-  IntervalSet s;
-  EXPECT_FALSE(s.is_all());
-  s.insert(Interval::all());
-  EXPECT_TRUE(s.is_all());
 }
 
 TEST(IntervalSet, EqualityIsCanonical) {

@@ -101,7 +101,7 @@ TEST(TreeSeams, ViewForAgreesWithViewAt) {
   EXPECT_THROW(tree.view_for(self, 4), std::logic_error);
 }
 
-TEST(TreeSeams, SummaryOfUnknownPrefixThrows) {
+TEST(TreeSeams, ViewOfUnknownPrefixThrows) {
   Rng rng(6);
   const auto members = uniform_interest_members(
       AddressSpace::regular(2, 2), 1.0, rng);
@@ -110,9 +110,7 @@ TEST(TreeSeams, SummaryOfUnknownPrefixThrows) {
   tc.redundancy = 1;
   Interns interns;
   const GroupTree tree(tc, members, interns);
-  EXPECT_THROW(tree.summary(Address::parse("9.9").prefix(1)),
-               std::logic_error);
-  EXPECT_THROW(tree.delegates(Address::parse("9.9").prefix(1)),
+  EXPECT_THROW(tree.view_at(Address::parse("9.9").prefix(1)),
                std::logic_error);
 }
 
@@ -130,7 +128,8 @@ TEST(TreeSeams, MissingMemberHasNoLeafRow) {
   const DepthView& leaf = tree.view_for(missing, 2);
   EXPECT_EQ(leaf.find_index(missing.component(1)), DepthView::npos);
   EXPECT_NE(leaf.find_index(0), DepthView::npos);  // 1.0 is there
-  EXPECT_EQ(tree.represented(missing.prefix(1)), 1u);
+  const DepthView& root = tree.view_at(Prefix::root());
+  EXPECT_EQ(root.process_count(root.find_index(missing.component(0))), 1u);
 }
 
 TEST(Contracts, ViolationMessagesAreInformative) {

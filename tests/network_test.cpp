@@ -76,7 +76,6 @@ TEST(Network, DetachStopsDelivery) {
   f.sched.run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(net.counters().dead_target, 1u);
-  EXPECT_FALSE(net.attached(1));
 }
 
 TEST(Network, DetachAfterDeliveryInFlight) {

@@ -41,14 +41,7 @@ TEST(PmcastNode, UninterestedNonDelegatesNeverReceive) {
   for (const auto& node : c.nodes) {
     if (node->interested_in(e)) continue;
     if (node->id() == 7) continue;  // the publisher buffers its own event
-    bool delegate = false;
-    for (std::size_t depth = 1; depth < 3; ++depth) {
-      // A delegate of its depth-(i+1) subgroup appears in depth-i tables.
-      const auto dels = c.tree->delegates(node->address().prefix(depth));
-      delegate = delegate || std::find(dels.begin(), dels.end(),
-                                       node->address()) != dels.end();
-    }
-    if (!delegate) {
+    if (!c.is_delegate(node->address())) {
       EXPECT_FALSE(node->has_received(e.id()))
           << node->address().to_string();
     }

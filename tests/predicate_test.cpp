@@ -234,14 +234,5 @@ TEST(Predicate, ToStringRoundTripish) {
   EXPECT_EQ(p->to_string(), "(b > 3 && c < 220)");
 }
 
-TEST(CmpOpNegate, AllCases) {
-  EXPECT_EQ(negate(CmpOp::Eq), CmpOp::Ne);
-  EXPECT_EQ(negate(CmpOp::Ne), CmpOp::Eq);
-  EXPECT_EQ(negate(CmpOp::Lt), CmpOp::Ge);
-  EXPECT_EQ(negate(CmpOp::Ge), CmpOp::Lt);
-  EXPECT_EQ(negate(CmpOp::Le), CmpOp::Gt);
-  EXPECT_EQ(negate(CmpOp::Gt), CmpOp::Le);
-}
-
 }  // namespace
 }  // namespace pmc

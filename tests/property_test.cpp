@@ -2,8 +2,6 @@
 // (a, d, R, F, pd, seed) parameter grid, run via TEST_P sweeps.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "analysis/tree_analysis.hpp"
 #include "cluster_helpers.hpp"
 
@@ -58,14 +56,7 @@ TEST_P(PmcastGrid, UninterestedNonDelegatesUntouched) {
   auto c = run_one(e, 0);
   for (const auto& node : c.nodes) {
     if (node->id() == 0 || node->interested_in(e)) continue;
-    bool delegate = false;
-    for (std::size_t depth = 1; depth < GetParam().d; ++depth) {
-      // A delegate of its depth-(i+1) subgroup appears in depth-i tables.
-      const auto dels = c.tree->delegates(node->address().prefix(depth));
-      delegate = delegate || std::find(dels.begin(), dels.end(),
-                                       node->address()) != dels.end();
-    }
-    if (!delegate) {
+    if (!c.is_delegate(node->address())) {
       EXPECT_FALSE(node->has_received(e.id()));
     }
   }

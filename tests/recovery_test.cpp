@@ -2,8 +2,6 @@
 // — pbcast-style event-digest anti-entropy on the leaf subgroups.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "cluster_helpers.hpp"
 
 namespace pmc {
@@ -63,14 +61,7 @@ TEST(Recovery, UninterestedNonDelegatesStillUntouched) {
   c.runtime->run_until_idle();
   for (const auto& node : c.nodes) {
     if (node->id() == 7 || node->interested_in(e)) continue;
-    bool delegate = false;
-    for (std::size_t depth = 1; depth < 3; ++depth) {
-      // A delegate of its depth-(i+1) subgroup appears in depth-i tables.
-      const auto dels = c.tree->delegates(node->address().prefix(depth));
-      delegate = delegate || std::find(dels.begin(), dels.end(),
-                                       node->address()) != dels.end();
-    }
-    if (!delegate) {
+    if (!c.is_delegate(node->address())) {
       EXPECT_FALSE(node->has_received(e.id()))
           << node->address().to_string();
     }

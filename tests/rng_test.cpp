@@ -30,14 +30,6 @@ TEST(Rng, DifferentSeedsDiverge) {
   EXPECT_LT(same, 2);
 }
 
-TEST(Rng, ReseedRestartsSequence) {
-  Rng a(7);
-  const auto first = a.next_u64();
-  a.next_u64();
-  a.reseed(7);
-  EXPECT_EQ(a.next_u64(), first);
-}
-
 TEST(Rng, DoubleInUnitInterval) {
   Rng r(99);
   for (int i = 0; i < 10000; ++i) {
@@ -141,15 +133,6 @@ TEST(Rng, SplitStreamsAreIndependent) {
   for (int i = 0; i < 64; ++i)
     if (child1.next_u64() == child2.next_u64()) ++same;
   EXPECT_LT(same, 2);
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  Rng r(60);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = v;
-  r.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
 }
 
 }  // namespace

@@ -50,49 +50,5 @@ TEST(Accumulator, Ci95ShrinksWithSamples) {
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
 }
 
-TEST(Summary, QuantilesExact) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-12);
-  EXPECT_NEAR(s.quantile(0.25), 25.75, 1e-12);
-}
-
-TEST(Summary, QuantileOnEmptyIsZero) {
-  Summary s;
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
-}
-
-TEST(Summary, AddAfterQuantileStillCorrect) {
-  Summary s;
-  s.add(3.0);
-  s.add(1.0);
-  EXPECT_DOUBLE_EQ(s.median(), 2.0);
-  s.add(2.0);  // triggers re-sort on the next quantile call
-  EXPECT_DOUBLE_EQ(s.median(), 2.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 3.0);
-}
-
-TEST(Summary, MirrorsAccumulatorMoments) {
-  Summary s;
-  Accumulator a;
-  for (const double x : {1.0, 2.0, 3.5, 9.0}) {
-    s.add(x);
-    a.add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), a.mean());
-  EXPECT_DOUBLE_EQ(s.stddev(), a.stddev());
-  EXPECT_DOUBLE_EQ(s.min(), a.min());
-  EXPECT_DOUBLE_EQ(s.max(), a.max());
-}
-
-TEST(Summary, QuantileOutOfRangeThrows) {
-  Summary s;
-  s.add(1.0);
-  EXPECT_THROW(s.quantile(-0.1), std::logic_error);
-  EXPECT_THROW(s.quantile(1.1), std::logic_error);
-}
-
 }  // namespace
 }  // namespace pmc

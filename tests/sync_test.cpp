@@ -40,13 +40,17 @@ struct SyncCluster {
   }
 };
 
+/// Founders of a regular a^d group, each present with probability `fill`.
 SyncCluster make_sync_cluster(std::size_t a, std::size_t d, std::size_t r,
-                              std::uint64_t seed = 1) {
+                              std::uint64_t seed = 1, double fill = 1.0) {
   SyncCluster c;
   Rng rng(seed);
   const auto space =
       AddressSpace::regular(static_cast<AddrComponent>(a), d);
   c.members = uniform_interest_members(space, 0.5, rng);
+  if (fill < 1.0)
+    std::erase_if(c.members,
+                  [&](const Member&) { return !rng.bernoulli(fill); });
   c.config.tree.depth = d;
   c.config.tree.redundancy = r;
   c.config.gossip_period = sim_ms(50);
@@ -69,6 +73,33 @@ SyncCluster make_sync_cluster(std::size_t a, std::size_t d, std::size_t r,
 TEST(SyncNode, FoundersStartJoined) {
   auto c = make_sync_cluster(3, 2, 2);
   for (const auto& n : c.nodes) EXPECT_TRUE(n->joined());
+}
+
+TEST(SyncNode, FoundersFromAGroupTreeRecompactNothing) {
+  // GroupTree writes every upper row with compact_subgroup, the rule a
+  // SyncNode recompacts its own rows with. So the founders' first
+  // recompaction (the first period, before any message lands) finds each
+  // row it publishes current and changes no table.
+  struct Shape {
+    std::size_t a, d, r;
+    double fill;
+  };
+  for (const Shape& s : {Shape{3, 2, 2, 1.0}, Shape{4, 3, 2, 0.6},
+                         Shape{3, 4, 3, 0.7}, Shape{5, 3, 1, 1.0}}) {
+    auto c = make_sync_cluster(s.a, s.d, s.r, /*seed=*/s.a + s.d, s.fill);
+    const auto mutations = [&c] {
+      std::vector<std::uint64_t> out;
+      for (const auto& n : c.nodes)
+        for (std::size_t depth = 1; depth <= c.config.tree.depth; ++depth)
+          out.push_back(n->view().view(depth).mutations());
+      return out;
+    };
+    const auto before = mutations();
+    c.runtime->run_until(c.config.gossip_period);
+    EXPECT_EQ(mutations(), before) << s.a << "^" << s.d << " R=" << s.r;
+    for (const auto& n : c.nodes)  // every founder ran its period
+      EXPECT_GT(n->stats().digests_sent, 0u);
+  }
 }
 
 TEST(SyncNode, StableGroupViewsStayConsistent) {
@@ -203,7 +234,7 @@ TEST(SyncNode, StaleSelfTombstoneIsRebutted) {
     ASSERT_GT(held, 0u);
     auto update = std::make_shared<MembershipUpdateMsg>();
     // 1.0, same leaf subgroup
-    update->sender = AddrRef(*c.interns, c.nodes[3]->address_id());
+    update->sender = AddrRef(*c.interns, c.nodes[3]->view().self_id());
     update->rows = RowBatch(*c.interns);
     ViewRow& tomb = update->rows.append(2, leaf, i);
     tomb.alive = false;
@@ -281,7 +312,7 @@ TEST(SyncNode, DigestReplyTakesTheFirstEntryPerKeyInAnyOrder) {
   ASSERT_GE(version(1, 2), 1u);
 
   MembershipDigestMsg digest;
-  digest.sender = AddrRef(*c.interns, gossiper.address_id());
+  digest.sender = AddrRef(*c.interns, gossiper.view().self_id());
   digest.sender_pid = 3;
   digest.digests = {
       {2, 1, version(2, 1)},        // equal: not sent
@@ -337,13 +368,13 @@ bool heard_after_digest(SyncCluster& c, ProcessId contact, ProcessId to,
     return out;
   });
   auto digest = std::make_shared<MembershipDigestMsg>();
-  digest->sender = AddrRef(*c.interns, c.nodes[contact]->address_id());
+  digest->sender = AddrRef(*c.interns, c.nodes[contact]->view().self_id());
   digest->sender_pid = contact;
   c.runtime->network().send(contact, to, digest);
   c.runtime->run_for(sim_ms(1));
   auto query = std::make_shared<SuspectQueryMsg>();
-  query->sender = AddrRef(*c.interns, c.nodes[querier]->address_id());
-  query->suspect = AddrRef(*c.interns, c.nodes[suspect]->address_id());
+  query->sender = AddrRef(*c.interns, c.nodes[querier]->view().self_id());
+  query->suspect = AddrRef(*c.interns, c.nodes[suspect]->view().self_id());
   c.runtime->network().send(querier, to, query);
   c.runtime->run_for(sim_ms(1));
   c.runtime->network().set_transcoder(nullptr);
@@ -374,7 +405,7 @@ TEST(SyncNode, LeafNeighbourDigestsKeepItFromTimingOut) {
   c.nodes[5]->crash();
   for (int tick = 0; tick < 20; ++tick) {
     auto digest = std::make_shared<MembershipDigestMsg>();
-    digest->sender = AddrRef(*c.interns, c.nodes[5]->address_id());
+    digest->sender = AddrRef(*c.interns, c.nodes[5]->view().self_id());
     digest->sender_pid = 5;
     c.runtime->network().send(0, 4, digest);
     c.runtime->run_for(sim_ms(100));

@@ -6,6 +6,7 @@
 
 #include "addr/space.hpp"
 #include "harness/workload.hpp"
+#include "membership/election.hpp"
 
 namespace pmc {
 namespace {
@@ -27,9 +28,10 @@ std::vector<Member> regular_members(AddrComponent a, std::size_t d,
 /// helper bundles the two with the right lifetime.
 struct Tree {
   Interns interns;
+  TreeConfig config;
   GroupTree tree;
   Tree(TreeConfig c, std::vector<Member> members)
-      : tree(c, std::move(members), interns) {}
+      : config(c), tree(c, std::move(members), interns) {}
 
   /// Whether `a` appears in its own depth-`depth` table, as a delegate of
   /// the row for its depth-`depth` subgroup (a leaf row at depth d).
@@ -41,11 +43,42 @@ struct Tree {
     return std::find(ids.begin(), ids.end(), interns.addrs.find(a)) !=
            ids.end();
   }
+
+  /// compact_subgroup of `p`'s table: the row describing `p` in its
+  /// parent's table (for the root, the whole group).
+  struct Compacted {
+    std::uint64_t count = 0;
+    InterestSummary interests;
+    std::vector<AddrId> delegates;
+  };
+  Compacted compact(const Prefix& p) const {
+    Compacted out;
+    std::vector<AddrId> candidates;
+    out.count = compact_subgroup(tree.view_at(p), config.redundancy,
+                                 out.interests, candidates, out.delegates);
+    return out;
+  }
+
+  /// The row describing non-root `p` in its parent's table, or npos.
+  std::size_t row_of(const Prefix& p) const {
+    return tree.view_at(p.parent()).find_index(p.infix());
+  }
+
+  std::vector<std::string> names(std::span<const AddrId> ids) const {
+    std::vector<std::string> out;
+    for (const AddrId id : ids)
+      out.push_back(interns.addrs.resolve(id).to_string());
+    return out;
+  }
 };
+
+Prefix prefix_of(const char* address, std::size_t len) {
+  return Address::parse(address).prefix(len);
+}
 
 TEST(GroupTree, ProcessCountMatchesPopulation) {
   const Tree t(cfg(3, 2), regular_members(3, 3));
-  EXPECT_EQ(t.tree.process_count(), 27u);
+  EXPECT_EQ(t.compact(Prefix::root()).count, 27u);
 }
 
 TEST(GroupTree, RootViewHasOneRowPerPopulatedChild) {
@@ -72,18 +105,21 @@ TEST(GroupTree, LeafViewListsIndividualProcesses) {
 TEST(GroupTree, DelegatesAreSmallestAddresses) {
   const Tree t(cfg(3, 2), regular_members(3, 3));
   // Delegates of subgroup 2.1 are its two smallest members.
-  const auto d = t.tree.delegates(Address::parse("2.1.0").prefix(2));
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_EQ(d[0].to_string(), "2.1.0");
-  EXPECT_EQ(d[1].to_string(), "2.1.1");
+  const Prefix p = prefix_of("2.1.0", 2);
+  const std::size_t row = t.row_of(p);
+  ASSERT_NE(row, DepthView::npos);
+  EXPECT_EQ(t.names(t.tree.view_at(p.parent()).delegates(row)),
+            (std::vector<std::string>{"2.1.0", "2.1.1"}));
 }
 
 TEST(GroupTree, DelegatesAreNested) {
   // A delegate at depth i is also a delegate at every depth below (paper:
   // "it appears in all successive depths") under smallest-address election.
   const Tree t(cfg(3, 3), regular_members(4, 3));
-  const auto root_delegates = t.tree.delegates(Prefix::root());
-  for (const auto& d : root_delegates) {
+  const auto root_delegates = t.compact(Prefix::root()).delegates;
+  ASSERT_EQ(root_delegates.size(), 3u);
+  for (const AddrId id : root_delegates) {
+    const Address& d = t.interns.addrs.resolve(id);
     for (std::size_t depth = 1; depth <= 3; ++depth)
       EXPECT_TRUE(t.appears_at(d, depth))
           << d.to_string() << " at depth " << depth;
@@ -92,10 +128,15 @@ TEST(GroupTree, DelegatesAreNested) {
 
 TEST(GroupTree, RepresentedCountsEq4) {
   const Tree t(cfg(3, 2), regular_members(3, 3));
-  EXPECT_EQ(t.tree.represented(Prefix::root()), 27u);
-  EXPECT_EQ(t.tree.represented(Address::parse("1.0.0").prefix(1)), 9u);
-  EXPECT_EQ(t.tree.represented(Address::parse("1.0.0").prefix(2)), 3u);
-  EXPECT_EQ(t.tree.represented(Address::parse("9.9.9").prefix(1)), 0u);
+  EXPECT_EQ(t.compact(Prefix::root()).count, 27u);
+  for (const auto& [len, count] : {std::pair<std::size_t, std::uint64_t>{1, 9},
+                                   {2, 3}}) {
+    const Prefix p = prefix_of("1.0.0", len);
+    const std::size_t row = t.row_of(p);
+    ASSERT_NE(row, DepthView::npos);
+    EXPECT_EQ(t.tree.view_at(p.parent()).process_count(row), count);
+  }
+  EXPECT_EQ(t.row_of(prefix_of("9.9.9", 1)), DepthView::npos);
 }
 
 TEST(GroupTree, ViewSizesMatchEq12) {
@@ -118,14 +159,18 @@ TEST(GroupTree, SubgroupSummaryCoversMemberInterests) {
   // subscription matches (no false negatives through the whole tree).
   const auto members = regular_members(3, 3, 0.15, /*seed=*/7);
   const Tree t(cfg(3, 2), members);
+  const InterestSummary whole_group = t.compact(Prefix::root()).interests;
   Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
     const Event e = make_uniform_event(0, static_cast<std::uint64_t>(trial),
                                        rng);
     for (const auto& m : members) {
       if (!m.subscription.match(e)) continue;
-      for (std::size_t len = 0; len < 3; ++len)
-        EXPECT_TRUE(t.tree.summary(m.address.prefix(len)).match(e));
+      EXPECT_TRUE(whole_group.match(e));
+      for (std::size_t len = 1; len < 3; ++len) {
+        const Prefix p = m.address.prefix(len);
+        EXPECT_TRUE(t.tree.view_at(p.parent()).interests(t.row_of(p)).match(e));
+      }
     }
   }
 }
@@ -143,7 +188,6 @@ TEST(GroupTree, EveryMemberHasALeafRowWithItsInterests) {
   }
   // Subtree 3 is unpopulated.
   EXPECT_EQ(t.tree.view_at(Prefix::root()).find_index(3), DepthView::npos);
-  EXPECT_EQ(t.tree.represented(Address::parse("3.0").prefix(1)), 0u);
 }
 
 TEST(GroupTree, LeafTablesListEveryMemberOnce) {
@@ -167,7 +211,7 @@ TEST(GroupTree, LeafTablesListEveryMemberOnce) {
 
 TEST(GroupTree, DepthOneDegeneratesToFlatGroup) {
   const Tree t(cfg(1, 2), regular_members(5, 1));
-  EXPECT_EQ(t.tree.process_count(), 5u);
+  EXPECT_EQ(t.compact(Prefix::root()).count, 5u);
   const auto& view = t.tree.view_at(Prefix::root());
   EXPECT_EQ(view.size(), 5u);
 }
@@ -178,11 +222,62 @@ TEST(GroupTree, IrregularPopulation) {
   for (const auto* t : {"0.0.0", "0.0.1", "0.2.4", "3.1.1", "3.1.2"})
     members.push_back(Member{Address::parse(t), Subscription()});
   const Tree t(cfg(3, 2), members);
-  EXPECT_EQ(t.tree.process_count(), 5u);
+  EXPECT_EQ(t.compact(Prefix::root()).count, 5u);
   const auto& root_view = t.tree.view_at(Prefix::root());
-  EXPECT_EQ(root_view.size(), 2u);  // subtrees 0 and 3
-  EXPECT_EQ(t.tree.represented(Address::parse("0.0.0").prefix(1)), 3u);
-  EXPECT_EQ(t.tree.represented(Address::parse("3.0.0").prefix(1)), 2u);
+  ASSERT_EQ(root_view.size(), 2u);  // subtrees 0 and 3
+  EXPECT_EQ(root_view.process_count(t.row_of(prefix_of("0.0.0", 1))), 3u);
+  EXPECT_EQ(root_view.process_count(t.row_of(prefix_of("3.0.0", 1))), 2u);
+}
+
+TEST(GroupTree, EveryRowIsTheCompactionOfItsSubgroupsTable) {
+  // The tree writes each upper row with the rule SyncNode recompacts live
+  // views with: for every populated non-root prefix, its row in the
+  // parent's table is compact_subgroup of its own table. Coarsened rows
+  // (Sec. 6) keep the delegates and count but not the exact interests.
+  std::vector<Member> irregular;
+  for (const auto& m : regular_members(4, 3, 0.5, /*seed=*/11))
+    if (m.address.component(2) % 3 != 1 && m.address.component(1) != 2)
+      irregular.push_back(m);
+  struct Shape {
+    TreeConfig config;
+    std::vector<Member> members;
+    std::size_t coarsen_depth_leq;
+  };
+  const Shape shapes[] = {
+      {cfg(3, 2), regular_members(3, 3, 0.4), 0},
+      {cfg(3, 2), irregular, 0},
+      {cfg(4, 3), regular_members(3, 4, 0.3, /*seed=*/5), 1},
+  };
+  for (const Shape& shape : shapes) {
+    Interns interns;
+    GroupTreeOptions options;
+    options.coarsen_depth_leq = shape.coarsen_depth_leq;
+    const GroupTree tree(shape.config, shape.members, interns, options);
+    std::vector<Prefix> prefixes;
+    for (const auto& m : shape.members)
+      for (std::size_t len = 1; len < shape.config.depth; ++len)
+        prefixes.push_back(m.address.prefix(len));
+    std::sort(prefixes.begin(), prefixes.end());
+    prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
+                   prefixes.end());
+    for (const Prefix& p : prefixes) {
+      SCOPED_TRACE(p.to_string());
+      InterestSummary interests;
+      std::vector<AddrId> candidates, delegates;
+      const std::uint64_t count =
+          compact_subgroup(tree.view_at(p), shape.config.redundancy,
+                           interests, candidates, delegates);
+      const DepthView& parent = tree.view_at(p.parent());
+      const std::size_t row = parent.find_index(p.infix());
+      ASSERT_NE(row, DepthView::npos);
+      EXPECT_TRUE(parent.alive(row));
+      EXPECT_EQ(parent.process_count(row), count);
+      EXPECT_TRUE(std::ranges::equal(parent.delegates(row), delegates));
+      if (p.length() > shape.coarsen_depth_leq) {
+        EXPECT_EQ(parent.interests(row), interests);
+      }
+    }
+  }
 }
 
 TEST(GroupTree, DuplicateAddressRejected) {

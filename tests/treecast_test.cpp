@@ -201,10 +201,12 @@ TEST(Treecast, UninterestedSubtreesNeverTouched) {
     // neighbors: an uninterested process receives only if it is the first
     // delegate of a subgroup containing interest.
     if (c.members[i].subscription.match(e)) continue;
-    const auto prefix = c.members[i].address.prefix(1);
+    const DepthView& root = c.tree->view_at(Prefix::root());
+    const std::size_t row = root.find_index(c.members[i].address.component(0));
     const bool forwarder =
-        c.tree->delegates(prefix).front() == c.members[i].address &&
-        c.tree->summary(prefix).match(e);
+        c.interns->addrs.resolve(root.first_delegate(row)) ==
+            c.members[i].address &&
+        root.interests(row).match(e);
     if (!forwarder) {
       EXPECT_FALSE(c.nodes[i]->has_received(e.id()))
           << c.members[i].address.to_string();

@@ -169,14 +169,6 @@ TEST(DepthView, LiveCountSkipsTombstones) {
   EXPECT_EQ(b.v.live_count(), 2u);
 }
 
-TEST(DepthView, TotalProcessesSumsLiveRows) {
-  BoundView b;
-  b.upsert(b.row(1, 1, 10, true));
-  b.upsert(b.row(2, 1, 20, false));  // tombstoned, not counted
-  b.upsert(b.row(3, 1, 5, true));
-  EXPECT_EQ(b.v.total_processes(), 15u);
-}
-
 TEST(DepthView, AppendReproducesRowBytes) {
   BoundView b;
   const ViewRow r = b.row(4, 7, 12, true, {"4.0.1", "4.0.0"});

@@ -623,7 +623,8 @@ int main(int argc, char** argv) {
 
   std::cout << "\nsimulation (" << e.runs << " runs):\n";
   Table t({"metric", "mean", "ci95", "min", "max"});
-  const auto row = [&](const char* name, const Summary& s, int precision) {
+  const auto row = [&](const char* name, const Accumulator& s,
+                       int precision) {
     t.add_row({name, Table::num(s.mean(), precision),
                Table::num(s.ci95_halfwidth(), precision),
                Table::num(s.min(), precision),
