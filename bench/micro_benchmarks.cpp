@@ -5,6 +5,7 @@
 //  * interest regrouping (exact interval union) and coarsened matching,
 //  * delegate election,
 //  * GroupTree construction,
+//  * the wire round trip, stateless and through a runtime's codec,
 //  * Markov-chain / Pittel analysis evaluation,
 //  * one full simulated dissemination at a mid-size scale.
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include "pmcast/node.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "wire/messages.hpp"
 
 namespace {
 
@@ -156,21 +158,32 @@ void BM_RecompactScanSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_RecompactScanSoA)->Arg(1024)->Arg(16384);
 
-void BM_DigestBuildSoA(benchmark::State& state) {
-  // SyncNode::make_digest: one (depth, infix, version) triple per row.
+// --- Wire round trip --------------------------------------------------------
+
+/// A MembershipUpdate of `state.range(0)` fill_view rows through the frozen
+/// bytes: decode_message(encode_message(m)), which returns the decoded form,
+/// or the runtime's wire::Codec, which returns its ids and pooled summaries
+/// (its memo is warm after the first iteration).
+void BM_WireRoundTrip(benchmark::State& state, bool runtime_codec) {
   Interns interns;
   DepthView v;
   fill_view(static_cast<std::size_t>(state.range(0)), interns, v);
-  std::vector<RowDigest> out;
+  auto update = std::make_shared<MembershipUpdateMsg>();
+  update->sender = AddrRef(interns, v.first_delegate(0));
+  update->rows = RowBatch(interns);
+  for (std::size_t i = 0; i < v.size(); ++i) update->rows.append(1, v, i);
+  const MessagePtr msg = update;
+  wire::Codec codec(interns);
   for (auto _ : state) {
-    out.clear();
-    for (std::size_t i = 0; i < v.size(); ++i)
-      out.push_back(RowDigest{1, v.infix(i), v.version(i)});
-    benchmark::DoNotOptimize(out.data());
+    const MessagePtr out =
+        runtime_codec ? codec.transcode(msg)
+                      : wire::decode_message(wire::encode_message(*msg));
+    benchmark::DoNotOptimize(out.get());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DigestBuildSoA)->Arg(1024)->Arg(16384);
+BENCHMARK_CAPTURE(BM_WireRoundTrip, stateless, false)->Arg(1024);
+BENCHMARK_CAPTURE(BM_WireRoundTrip, codec, true)->Arg(1024);
 
 // --- Scheduler: calendar queue vs indexed heap ----------------------------
 

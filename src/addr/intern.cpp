@@ -49,9 +49,9 @@ AddrId AddrInternTable::intern(const Address& a) {
   return id;
 }
 
-AddrId AddrInternTable::find(const Address& a) const {
+AddrId AddrInternTable::find(std::span<const AddrComponent> comps) const {
   PrefixKey parent = 0;
-  for (const AddrComponent c : a.components()) {
+  for (const AddrComponent c : comps) {
     const auto it = trie_.find(edge(parent, c));
     if (it == trie_.end()) return kNoAddr;
     parent = it->second;

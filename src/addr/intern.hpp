@@ -59,7 +59,10 @@ class AddrInternTable {
   AddrId intern(const Address& a);
 
   /// The id of an already-interned address; kNoAddr when never interned.
-  AddrId find(const Address& a) const;
+  AddrId find(const Address& a) const { return find(a.components()); }
+  /// Same, for an address given as its components (the wire codec looks
+  /// decoded addresses up without building an Address).
+  AddrId find(std::span<const AddrComponent> comps) const;
 
   /// Number of distinct addresses interned so far (ids are [0, size())).
   std::size_t size() const noexcept { return recs_.size(); }

@@ -1002,9 +1002,9 @@ ChurnSim::ChurnSim(ChurnConfig config, GroupPlacement placement)
   rt_.network().reserve_range(pid_base_, 2 * config_.capacity());
   interns_.reserve(config_.capacity(), config_.d);
   if (config_.wire_transcode) {
-    rt_.network().set_transcoder([](const MessagePtr& msg) {
-      return wire::decode_message(wire::encode_message(*msg));
-    });
+    rt_.network().set_transcoder(
+        [codec = std::make_shared<wire::Codec>(interns_)](
+            const MessagePtr& msg) { return codec->transcode(msg); });
   }
 
   // Every address of the space owns a slot whose subscription depends only

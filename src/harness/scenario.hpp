@@ -263,8 +263,10 @@ struct ChurnConfig {
   /// Capped exponential backoff (with labeled-stream jitter) on the
   /// joiners' join-request retries (SyncConfig::join_backoff).
   bool join_backoff = false;
-  /// Run every message through encode_message/decode_message, as a socket
-  /// deployment would (scenarios then exercise the frozen wire format).
+  /// Run every message through the frozen wire format, as a socket
+  /// deployment would: the runtime's wire::Codec encodes each message to
+  /// the bytes encode_message writes and reads every byte back, decoding
+  /// into this runtime's ids and pooled summaries.
   bool wire_transcode = false;
 
   /// Online ε/τ estimation (analysis/env_estimator.hpp): every node runs

@@ -1,6 +1,7 @@
 #include "membership/sync.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 
 #include "common/contract.hpp"
@@ -26,6 +27,9 @@ constexpr std::uint32_t kMaxJoinHops = 16;
 /// jitter's fraction of the backed-off wait.
 constexpr std::uint64_t kJoinBackoffCap = 8;
 constexpr double kJoinBackoffJitter = 0.5;
+
+/// Spreads consecutive ids over known_peers' dedup set.
+constexpr std::uint64_t kFibonacciMul = 0x9e3779b97f4a7c15ULL;
 
 }  // namespace
 
@@ -605,14 +609,27 @@ const std::vector<AddrId>& SyncNode::known_peers() const {
   if (stamp == peers_stamp_) return peers_;
   peers_stamp_ = stamp;
   peers_.clear();
+  // First sighting wins, found through an open-addressing set of the ids
+  // taken so far: linear in the view's delegate count. The set lives only
+  // for this rebuild, sized to at least twice that count, so no node keeps
+  // a table of its own.
+  std::size_t delegates = 0;
+  for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth)
+    delegates += view_.view(depth).delegate_count();
+  std::vector<AddrId> taken(std::bit_ceil(2 * delegates + 1), kNoAddr);
+  const std::size_t mask = taken.size() - 1;
   for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth) {
     const DepthView& dv = view_.view(depth);
     for (std::size_t i = 0; i < dv.size(); ++i) {
       if (!dv.alive(i)) continue;
       for (const AddrId d : dv.delegates(i)) {
         if (d == view_.self_id()) continue;
-        if (std::find(peers_.begin(), peers_.end(), d) == peers_.end())
-          peers_.push_back(d);
+        std::size_t slot = ((d * kFibonacciMul) >> 32) & mask;
+        while (taken[slot] != kNoAddr && taken[slot] != d)
+          slot = (slot + 1) & mask;
+        if (taken[slot] == d) continue;
+        taken[slot] = d;
+        peers_.push_back(d);
       }
     }
   }

@@ -31,8 +31,9 @@
 // AddrIds, membership rows travel as a RowBatch of this runtime's ids and
 // pooled summaries, and every process address a message carries (senders,
 // joiner, leaver, suspect) is an AddrRef holding this runtime's id
-// (view.hpp). Only the wire codec turns ids into Addresses, and a receiver
-// interns a decoded address only when it keeps it. Derived state is cached
+// (view.hpp). Only the wire layer turns ids into Addresses (a runtime's
+// codec decodes back into its ids), and a receiver interns a decoded
+// address only when it keeps it. Derived state is cached
 // on the tables' mutations() counters: recompaction, the peer list and the
 // piggyback batch each rebuild only after a table they read changed. The
 // codec and all protocol bytes are unchanged by the representation.

@@ -14,8 +14,9 @@
 // digest construction are linear scans over flat memory and a row costs a
 // few dozen bytes instead of a ViewRow's several heap blocks. The ViewRow
 // struct remains as the *exchange* format, carried in a RowBatch that names
-// the id space of its delegates: this runtime's ids in memory, an address
-// list off the wire (only the codec turns ids into Addresses). A batch
+// the id space of its delegates: this runtime's ids in memory (also when
+// this runtime's wire::Codec decoded it), an address list when decoded
+// without one (only the codec turns ids into Addresses). A batch
 // keeps its rows' delegates in one CSR pool, as DepthView does, so an
 // in-memory batch is two allocations however many rows it carries. Message
 // senders travel the same way, as an AddrRef. upsert() decides on the
@@ -84,9 +85,13 @@ class DepthView;
 /// and rows piggybacked on event gossip): rows, one pool of their delegate
 /// ids, and the id space those ids live in.
 ///  * In memory (`interns` set): built from a DepthView in the runtime that
-///    owns `interns`. Delegates are its AddrIds, summaries are handles
-///    pooled there.
-///  * Decoded (`interns` null): read off the wire. Delegates index
+///    owns `interns`, or read off the wire by that runtime's wire::Codec
+///    (which finds every delegate among the runtime's ids and pools every
+///    summary). Delegates are its AddrIds, summaries are handles pooled
+///    there.
+///  * Decoded (`interns` null): read off the wire by decode_message, or by
+///    a codec when the batch names an address the runtime never interned
+///    or holds a summary with opaque predicates. Delegates index
 ///    `addresses`, and summaries are fresh, not pooled.
 struct RowBatch {
   RowBatch() = default;  ///< decoded, empty
@@ -127,10 +132,13 @@ struct RowBatch {
 
 /// A process address as a membership message carries it, in RowBatch's two
 /// forms:
-///  * in memory (`interns` set): `id`, an AddrId of the sending runtime;
-///  * decoded (`interns` null): `decoded`, the Address read off the wire.
-/// Only the codec builds the decoded form, so in-memory traffic copies no
-/// component vector and a receiver interns nothing it already has.
+///  * in memory (`interns` set): `id`, an AddrId of the sending runtime,
+///    or of the receiving one when its wire::Codec found the address there;
+///  * decoded (`interns` null): `decoded`, the Address read off the wire by
+///    decode_message, or by a codec for an address its runtime never
+///    interned.
+/// Only the wire layer builds the decoded form, so in-memory traffic copies
+/// no component vector and a receiver interns nothing it already has.
 struct AddrRef {
   AddrRef() = default;  ///< decoded, empty
   AddrRef(const Interns& in, AddrId a) noexcept : interns(&in), id(a) {}
@@ -157,9 +165,10 @@ struct AddrRef {
 /// Interns, and every delegate is an id of its Interns. Rows built in this
 /// runtime are interned where they are created (GroupTree, SyncNode's join
 /// and self rows, recompaction), and in-memory batches are filled only from
-/// views (RowBatch::append), so upsert() stores an in-memory row without
-/// interning or probing the pool. A decoded row is interned and pooled only
-/// if it wins.
+/// views (RowBatch::append) or by the runtime's codec, which finds ids and
+/// pools summaries as it decodes, so upsert() stores an in-memory row
+/// without interning or probing the pool. A decoded row is interned and
+/// pooled only if it wins.
 class DepthView {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -165,8 +165,9 @@ class Network {
   /// calls would use (tests/network_test.cpp asserts the equivalence), but
   /// sharing the payload and the per-sender setup, and running the
   /// transcoder at most once for the whole fan-out. Requires the installed
-  /// transcoder (if any) to be pure — true for the wire codec round trip,
-  /// which depends only on the message bytes.
+  /// transcoder (if any) to return a message that depends only on the
+  /// message it is given — true for the wire codec round trip, which
+  /// depends only on the message bytes, memos and all.
   void send_multi(ProcessId from, std::span<const ProcessId> to,
                   const MessagePtr& msg);
 
@@ -209,8 +210,10 @@ class Network {
   /// When set, every message passes through this hook before delivery —
   /// e.g. a serialize-then-parse round trip through the wire codec, so
   /// tests exercise the exact bytes a deployment would put on a socket.
-  /// Returning nullptr drops the message (counted as filtered). Must be a
-  /// pure function of the message (send_multi runs it once per fan-out).
+  /// Returning nullptr drops the message (counted as filtered). Its output
+  /// must depend only on the message (send_multi runs it once per fan-out);
+  /// it may memoize, as a runtime's wire::Codec does, as long as a memo
+  /// never changes what it returns.
   using Transcoder = std::function<MessagePtr(const MessagePtr&)>;
   void set_transcoder(Transcoder transcoder) {
     transcoder_ = std::move(transcoder);

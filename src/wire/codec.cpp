@@ -71,14 +71,20 @@ bool Reader::boolean() {
   return v == 1;
 }
 
-std::string Reader::str() {
+std::size_t Reader::str_length() {
   const std::uint64_t len = varint();
   if (len > remaining()) throw DecodeError("string length beyond input");
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_),
-                static_cast<std::size_t>(len));
-  pos_ += static_cast<std::size_t>(len);
+  return static_cast<std::size_t>(len);
+}
+
+std::string Reader::str() {
+  const std::size_t len = str_length();
+  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
+  pos_ += len;
   return s;
 }
+
+void Reader::skip_str() { pos_ += str_length(); }
 
 void Reader::expect_end() const {
   if (!exhausted()) throw DecodeError("trailing bytes");

@@ -31,10 +31,16 @@ class Writer {
   void f64(double v);
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s);
+  /// Appends bytes already encoded.
+  void raw(std::span<const std::uint8_t> bytes) {
+    out_.insert(out_.end(), bytes.begin(), bytes.end());
+  }
 
   const std::vector<std::uint8_t>& data() const noexcept { return out_; }
   std::vector<std::uint8_t> take() && { return std::move(out_); }
   std::size_t size() const noexcept { return out_.size(); }
+  /// Empties the buffer and keeps its capacity.
+  void clear() noexcept { out_.clear(); }
 
  private:
   std::vector<std::uint8_t> out_;
@@ -50,14 +56,22 @@ class Reader {
   double f64();
   bool boolean();
   std::string str();
+  /// Reads past a string with the checks str() makes, keeping nothing.
+  void skip_str();
 
   bool exhausted() const noexcept { return pos_ == data_.size(); }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
+  /// The bytes read since `from`, a reader of the same input.
+  std::span<const std::uint8_t> read_since(const Reader& from) const {
+    return data_.subspan(from.pos_, pos_ - from.pos_);
+  }
   /// Throws DecodeError unless all input was consumed.
   void expect_end() const;
 
  private:
   void need(std::size_t n) const;
+  /// A string's length prefix, checked against the input left.
+  std::size_t str_length();
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

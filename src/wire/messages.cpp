@@ -1,6 +1,11 @@
 #include "wire/messages.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
+#include <type_traits>
+
+#include "common/hash.hpp"
 
 namespace pmc::wire {
 
@@ -32,6 +37,32 @@ T checked_varint(Reader& r, const char* what, std::uint64_t lo = 0,
 std::uint64_t checked_count(Reader& r) {
   return checked_varint<std::uint64_t>(r, "collection too large", 0,
                                        kMaxCollection);
+}
+
+/// What a walk that builds nothing (kBuild false) reads in place of a
+/// value: the summary grammar below runs both ways.
+struct Skipped {};
+
+template <bool kBuild>
+auto read_text(Reader& r) {
+  if constexpr (kBuild) {
+    return r.str();
+  } else {
+    r.skip_str();
+    return Skipped{};
+  }
+}
+
+/// A counted list of strings (a string union or a clause's whitelist).
+template <bool kBuild>
+auto read_texts(Reader& r) {
+  const auto count = checked_count(r);
+  std::conditional_t<kBuild, std::vector<std::string>, Skipped> out;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    auto text = read_text<kBuild>(r);
+    if constexpr (kBuild) out.push_back(std::move(text));
+  }
+  return out;
 }
 
 }  // namespace
@@ -181,11 +212,23 @@ void encode(Writer& w, const IntervalSet& set) {
   for (const auto& iv : set.intervals()) encode(w, iv);
 }
 
-IntervalSet decode_interval_set(Reader& r) {
-  IntervalSet set;
+namespace {
+
+template <bool kBuild>
+auto read_interval_set(Reader& r) {
+  std::conditional_t<kBuild, IntervalSet, Skipped> set;
   const auto n = checked_count(r);
-  for (std::uint64_t i = 0; i < n; ++i) set.insert(decode_interval(r));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Interval iv = decode_interval(r);
+    if constexpr (kBuild) set.insert(iv);
+  }
   return set;
+}
+
+}  // namespace
+
+IntervalSet decode_interval_set(Reader& r) {
+  return read_interval_set<true>(r);
 }
 
 // -- Clause ---------------------------------------------------------------------
@@ -204,24 +247,29 @@ void encode(Writer& w, const Clause& c) {
   }
 }
 
-Clause decode_clause(Reader& r) {
-  Clause c;
+namespace {
+
+template <bool kBuild>
+auto read_clause(Reader& r) {
+  std::conditional_t<kBuild, Clause, Skipped> c;
   const auto numeric = checked_count(r);
   for (std::uint64_t i = 0; i < numeric; ++i) {
-    std::string attr = r.str();
-    c.constrain_numeric(attr, decode_interval(r));
+    auto attr = read_text<kBuild>(r);
+    const Interval iv = decode_interval(r);
+    if constexpr (kBuild) c.constrain_numeric(attr, iv);
   }
   const auto strings = checked_count(r);
   for (std::uint64_t i = 0; i < strings; ++i) {
-    std::string attr = r.str();
-    const auto count = checked_count(r);
-    std::vector<std::string> allowed;
-    allowed.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t j = 0; j < count; ++j) allowed.push_back(r.str());
-    c.constrain_string(attr, std::move(allowed));
+    auto attr = read_text<kBuild>(r);
+    auto allowed = read_texts<kBuild>(r);
+    if constexpr (kBuild) c.constrain_string(attr, std::move(allowed));
   }
   return c;
 }
+
+}  // namespace
+
+Clause decode_clause(Reader& r) { return read_clause<true>(r); }
 
 // -- InterestSummary ---------------------------------------------------------
 
@@ -244,37 +292,75 @@ void encode(Writer& w, const InterestSummary& s) {
   for (const auto& p : s.opaque()) encode(w, p);
 }
 
-InterestSummary decode_summary(Reader& r) {
-  const bool wildcard = r.boolean();
-  std::map<std::string, IntervalSet> numeric;
+namespace {
+
+/// The summary grammar, written once. With kBuild it returns the summary.
+/// Without, it reads and range-checks the same bytes but builds nothing,
+/// so the codec can find a summary's extent before it looks the bytes up;
+/// it returns whether the summary is free of opaque predicates, and stops
+/// at their count when it is not (the codec never memoizes those).
+template <bool kBuild>
+std::conditional_t<kBuild, InterestSummary, bool> read_summary(Reader& r) {
+  [[maybe_unused]] const bool wildcard = r.boolean();
+  std::conditional_t<kBuild, std::map<std::string, IntervalSet>, Skipped>
+      numeric;
   const auto numeric_count = checked_count(r);
   for (std::uint64_t i = 0; i < numeric_count; ++i) {
-    std::string attr = r.str();
-    numeric.emplace(std::move(attr), decode_interval_set(r));
+    auto attr = read_text<kBuild>(r);
+    auto set = read_interval_set<kBuild>(r);
+    if constexpr (kBuild) numeric.emplace(std::move(attr), std::move(set));
   }
-  std::map<std::string, std::vector<std::string>> strings;
+  std::conditional_t<kBuild, std::map<std::string, std::vector<std::string>>,
+                     Skipped>
+      strings;
   const auto string_count = checked_count(r);
   for (std::uint64_t i = 0; i < string_count; ++i) {
-    std::string attr = r.str();
-    const auto count = checked_count(r);
-    std::vector<std::string> allowed;
-    for (std::uint64_t j = 0; j < count; ++j) allowed.push_back(r.str());
-    strings.emplace(std::move(attr), std::move(allowed));
+    auto attr = read_text<kBuild>(r);
+    auto allowed = read_texts<kBuild>(r);
+    if constexpr (kBuild) strings.emplace(std::move(attr), std::move(allowed));
   }
-  std::vector<Clause> clauses;
+  std::conditional_t<kBuild, std::vector<Clause>, Skipped> clauses;
   const auto clause_count = checked_count(r);
-  for (std::uint64_t i = 0; i < clause_count; ++i)
-    clauses.push_back(decode_clause(r));
-  std::vector<PredicatePtr> opaque;
+  for (std::uint64_t i = 0; i < clause_count; ++i) {
+    auto clause = read_clause<kBuild>(r);
+    if constexpr (kBuild) clauses.push_back(std::move(clause));
+  }
   const auto opaque_count = checked_count(r);
-  for (std::uint64_t i = 0; i < opaque_count; ++i)
-    opaque.push_back(decode_predicate(r));
-  return InterestSummary::reassemble(wildcard, std::move(numeric),
-                                     std::move(strings), std::move(clauses),
-                                     std::move(opaque));
+  if constexpr (kBuild) {
+    std::vector<PredicatePtr> opaque;
+    for (std::uint64_t i = 0; i < opaque_count; ++i)
+      opaque.push_back(decode_predicate(r));
+    return InterestSummary::reassemble(wildcard, std::move(numeric),
+                                       std::move(strings), std::move(clauses),
+                                       std::move(opaque));
+  } else {
+    return opaque_count == 0;
+  }
 }
 
+}  // namespace
+
+InterestSummary decode_summary(Reader& r) { return read_summary<true>(r); }
+
 // -- Address / ViewRow ---------------------------------------------------------
+
+namespace {
+
+/// The address grammar: its components, range-checked, into `out`.
+void read_components(Reader& r, std::vector<AddrComponent>& out) {
+  const auto depth = checked_count(r);
+  if (depth == 0) throw DecodeError("empty address");
+  out.clear();
+  // Every component takes at least a byte, so honest input never reserves
+  // more than it fills.
+  out.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(depth, r.remaining())));
+  for (std::uint64_t i = 0; i < depth; ++i)
+    out.push_back(
+        checked_varint<AddrComponent>(r, "address component out of range"));
+}
+
+}  // namespace
 
 void encode(Writer& w, const Address& a) {
   w.varint(a.depth());
@@ -282,13 +368,8 @@ void encode(Writer& w, const Address& a) {
 }
 
 Address decode_address(Reader& r) {
-  const auto depth = checked_count(r);
-  if (depth == 0) throw DecodeError("empty address");
   std::vector<AddrComponent> comps;
-  comps.reserve(static_cast<std::size_t>(depth));
-  for (std::uint64_t i = 0; i < depth; ++i)
-    comps.push_back(
-        checked_varint<AddrComponent>(r, "address component out of range"));
+  read_components(r, comps);
   return Address(std::move(comps));
 }
 
@@ -296,64 +377,118 @@ void encode(Writer& w, const AddrRef& a) { encode(w, a.address()); }
 
 AddrRef decode_addr_ref(Reader& r) { return AddrRef(decode_address(r)); }
 
+// -- Envelope --------------------------------------------------------------------
+
+/// The message envelope and the row grammar, written once: encode_message
+/// and decode_message run them without a codec, Codec::encode and
+/// Codec::decode with one.
+struct Envelope {
+  /// A row of `batch`. With a codec and pooled summaries (an in-memory
+  /// batch), the summary's bytes come from the codec's memo.
+  static void write_row(Writer& w, const ViewRow& row, const RowBatch& batch,
+                        Codec* codec) {
+    w.varint(row.infix);
+    const auto delegates = batch.delegates(row);
+    w.varint(delegates.size());
+    for (const AddrId d : delegates) encode(w, batch.address(d));
+    PMC_EXPECTS(row.interests != nullptr);
+    if (codec != nullptr && batch.interns != nullptr) {
+      codec->encode_pooled(w, row.interests);
+    } else {
+      encode(w, *row.interests);
+    }
+    w.varint(row.process_count);
+    w.varint(row.version);
+    w.boolean(row.alive);
+  }
+
+  static void write_rows(Writer& w, const RowBatch& batch, Codec* codec) {
+    w.varint(batch.rows.size());
+    for (const auto& dr : batch) {
+      w.varint(dr.depth);
+      write_row(w, dr.row, batch, codec);
+    }
+  }
+
+  /// A row into `batch`. Without a codec it is in the decoded form: its
+  /// delegates join the batch's address list and its summary is fresh.
+  /// With one it is in the codec's runtime's form, and false means the row
+  /// names an address that runtime never interned or a summary with
+  /// opaque predicates, so the batch must be read again without the codec.
+  static bool read_row(Reader& r, RowBatch& batch, ViewRow& row,
+                       Codec* codec) {
+    row.infix = checked_varint<AddrComponent>(r, "infix out of range");
+    const auto delegates = checked_count(r);
+    row.delegates_begin = static_cast<std::uint32_t>(batch.pool.size());
+    row.delegates_len = static_cast<std::uint32_t>(delegates);
+    for (std::uint64_t i = 0; i < delegates; ++i) {
+      AddrId id = kNoAddr;
+      if (codec == nullptr) {
+        id = static_cast<AddrId>(batch.addresses.size());
+        batch.addresses.push_back(decode_address(r));
+      } else {
+        id = codec->find_address(r);
+        if (id == kNoAddr) return false;
+      }
+      batch.pool.push_back(id);
+    }
+    row.interests =
+        codec == nullptr
+            ? std::make_shared<const InterestSummary>(decode_summary(r))
+            : codec->decode_pooled(r);
+    if (row.interests == nullptr) return false;
+    row.process_count = r.varint();
+    row.version = r.varint();
+    row.alive = r.boolean();
+    return true;
+  }
+
+  static bool read_rows(Reader& r, RowBatch& batch, Codec* codec) {
+    const auto n = checked_count(r);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      DepthRow dr;
+      dr.depth =
+          checked_varint<std::uint32_t>(r, "bad row depth", 1, kMaxDepth);
+      if (!read_row(r, batch, dr.row, codec)) return false;
+      batch.rows.push_back(std::move(dr));
+    }
+    return true;
+  }
+
+  static RowBatch decode_rows(Reader& r, Codec* codec) {
+    if (codec != nullptr) {
+      const Reader start = r;
+      RowBatch batch(*codec->interns_);
+      if (read_rows(r, batch, codec)) return batch;
+      ++codec->stats_.decoded_batches;
+      r = start;
+    }
+    RowBatch batch;
+    read_rows(r, batch, nullptr);
+    return batch;
+  }
+
+  static AddrRef decode_addr_ref(Reader& r, Codec* codec) {
+    return codec != nullptr ? codec->decode_addr_ref(r)
+                            : wire::decode_addr_ref(r);
+  }
+
+  static void write(Writer& w, const MessageBase& msg, Codec* codec);
+  static MessagePtr read(std::span<const std::uint8_t> data, Codec* codec);
+};
+
 void encode(Writer& w, const ViewRow& row, const RowBatch& batch) {
-  w.varint(row.infix);
-  const auto delegates = batch.delegates(row);
-  w.varint(delegates.size());
-  for (const AddrId d : delegates) encode(w, batch.address(d));
-  PMC_EXPECTS(row.interests != nullptr);
-  encode(w, *row.interests);
-  w.varint(row.process_count);
-  w.varint(row.version);
-  w.boolean(row.alive);
+  Envelope::write_row(w, row, batch, nullptr);
 }
 
 ViewRow decode_view_row(Reader& r, RowBatch& batch) {
   PMC_EXPECTS(batch.interns == nullptr);
   ViewRow row;
-  row.infix = checked_varint<AddrComponent>(r, "infix out of range");
-  const auto delegates = checked_count(r);
-  row.delegates_begin = static_cast<std::uint32_t>(batch.pool.size());
-  row.delegates_len = static_cast<std::uint32_t>(delegates);
-  for (std::uint64_t i = 0; i < delegates; ++i) {
-    batch.pool.push_back(static_cast<AddrId>(batch.addresses.size()));
-    batch.addresses.push_back(decode_address(r));
-  }
-  row.interests = std::make_shared<const InterestSummary>(decode_summary(r));
-  row.process_count = r.varint();
-  row.version = r.varint();
-  row.alive = r.boolean();
+  Envelope::read_row(r, batch, row, nullptr);
   return row;
 }
 
-// -- Envelope --------------------------------------------------------------------
-
-namespace {
-
-void encode_depth_rows(Writer& w, const RowBatch& batch) {
-  w.varint(batch.rows.size());
-  for (const auto& dr : batch) {
-    w.varint(dr.depth);
-    encode(w, dr.row, batch);
-  }
-}
-
-RowBatch decode_depth_rows(Reader& r) {
-  RowBatch batch;
-  const auto n = checked_count(r);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    DepthRow dr;
-    dr.depth = checked_varint<std::uint32_t>(r, "bad row depth", 1, kMaxDepth);
-    dr.row = decode_view_row(r, batch);
-    batch.rows.push_back(std::move(dr));
-  }
-  return batch;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
-  Writer w;
+void Envelope::write(Writer& w, const MessageBase& msg, Codec* codec) {
   // The kind byte is the wire tag: one shared write, and the per-kind
   // cases only encode bodies.
   w.u8(static_cast<std::uint8_t>(msg.kind));
@@ -372,7 +507,7 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
       w.boolean(piggybacked);
       if (piggybacked) {
         encode(w, gossip.sender);
-        encode_depth_rows(w, *gossip.piggyback);
+        write_rows(w, *gossip.piggyback, codec);
       }
       break;
     }
@@ -391,7 +526,7 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
     case MsgKind::MembershipUpdate: {
       const auto& update = static_cast<const MembershipUpdateMsg&>(msg);
       encode(w, update.sender);
-      encode_depth_rows(w, update.rows);
+      write_rows(w, update.rows, codec);
       break;
     }
     case MsgKind::JoinRequest: {
@@ -405,7 +540,7 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
     case MsgKind::ViewTransfer: {
       const auto& transfer = static_cast<const ViewTransferMsg&>(msg);
       encode(w, transfer.sender);
-      encode_depth_rows(w, transfer.rows);
+      write_rows(w, transfer.rows, codec);
       break;
     }
     case MsgKind::Leave: {
@@ -465,10 +600,9 @@ std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
     default:
       throw std::logic_error("encode_message: unknown message type");
   }
-  return std::move(w).take();
 }
 
-MessagePtr decode_message(std::span<const std::uint8_t> data) {
+MessagePtr Envelope::read(std::span<const std::uint8_t> data, Codec* codec) {
   Reader r(data);
   const auto tag = static_cast<MsgKind>(r.u8());
   MessagePtr out;
@@ -485,15 +619,15 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
           checked_varint<std::uint32_t>(r, "bad gossip depth", 1, kMaxDepth);
       msg->no_regossip = r.boolean();
       if (r.boolean()) {
-        msg->sender = decode_addr_ref(r);
-        msg->piggyback = std::make_shared<const RowBatch>(decode_depth_rows(r));
+        msg->sender = decode_addr_ref(r, codec);
+        msg->piggyback = std::make_shared<const RowBatch>(decode_rows(r, codec));
       }
       out = std::move(msg);
       break;
     }
     case MsgKind::MembershipDigest: {
       auto msg = std::make_shared<MembershipDigestMsg>();
-      msg->sender = decode_addr_ref(r);
+      msg->sender = decode_addr_ref(r, codec);
       msg->sender_pid =
           checked_varint<ProcessId>(r, "digest sender pid out of range");
       const auto n = checked_count(r);
@@ -510,14 +644,14 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     }
     case MsgKind::MembershipUpdate: {
       auto msg = std::make_shared<MembershipUpdateMsg>();
-      msg->sender = decode_addr_ref(r);
-      msg->rows = decode_depth_rows(r);
+      msg->sender = decode_addr_ref(r, codec);
+      msg->rows = decode_rows(r, codec);
       out = std::move(msg);
       break;
     }
     case MsgKind::JoinRequest: {
       auto msg = std::make_shared<JoinRequestMsg>();
-      msg->joiner = decode_addr_ref(r);
+      msg->joiner = decode_addr_ref(r, codec);
       msg->joiner_pid = checked_varint<ProcessId>(r, "joiner pid out of range");
       msg->subscription = decode_subscription(r);
       msg->hops = checked_varint<std::uint32_t>(r, "join hops out of range");
@@ -526,14 +660,14 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     }
     case MsgKind::ViewTransfer: {
       auto msg = std::make_shared<ViewTransferMsg>();
-      msg->sender = decode_addr_ref(r);
-      msg->rows = decode_depth_rows(r);
+      msg->sender = decode_addr_ref(r, codec);
+      msg->rows = decode_rows(r, codec);
       out = std::move(msg);
       break;
     }
     case MsgKind::Leave: {
       auto msg = std::make_shared<LeaveMsg>();
-      msg->leaver = decode_addr_ref(r);
+      msg->leaver = decode_addr_ref(r, codec);
       out = std::move(msg);
       break;
     }
@@ -554,15 +688,15 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
     }
     case MsgKind::SuspectQuery: {
       auto msg = std::make_shared<SuspectQueryMsg>();
-      msg->sender = decode_addr_ref(r);
-      msg->suspect = decode_addr_ref(r);
+      msg->sender = decode_addr_ref(r, codec);
+      msg->suspect = decode_addr_ref(r, codec);
       out = std::move(msg);
       break;
     }
     case MsgKind::SuspectReply: {
       auto msg = std::make_shared<SuspectReplyMsg>();
-      msg->sender = decode_addr_ref(r);
-      msg->suspect = decode_addr_ref(r);
+      msg->sender = decode_addr_ref(r, codec);
+      msg->suspect = decode_addr_ref(r, codec);
       msg->heard_recently = r.boolean();
       out = std::move(msg);
       break;
@@ -602,6 +736,127 @@ MessagePtr decode_message(std::span<const std::uint8_t> data) {
   }
   r.expect_end();
   return out;
+}
+
+std::vector<std::uint8_t> encode_message(const MessageBase& msg) {
+  Writer w;
+  Envelope::write(w, msg, nullptr);
+  return std::move(w).take();
+}
+
+MessagePtr decode_message(std::span<const std::uint8_t> data) {
+  return Envelope::read(data, nullptr);
+}
+
+// -- Codec -----------------------------------------------------------------------
+
+namespace {
+
+/// Hash of a summary's bytes, a word at a time (only picks a memo slot).
+std::uint64_t hash_bytes(std::span<const std::uint8_t> bytes) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = kFnv1aBasis ^ bytes.size();
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + i, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  }
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
+  h = (h ^ tail) * kMul;
+  return h ^ (h >> 29);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> Codec::encode(const MessageBase& msg) {
+  Writer w;
+  Envelope::write(w, msg, this);
+  return std::move(w).take();
+}
+
+MessagePtr Codec::decode(std::span<const std::uint8_t> data) {
+  return Envelope::read(data, this);
+}
+
+MessagePtr Codec::transcode(const MessagePtr& msg) {
+  buffer_.clear();
+  Envelope::write(buffer_, *msg, this);
+  return Envelope::read(buffer_.data(), this);
+}
+
+Codec::Memo Codec::keep(std::span<const std::uint8_t> bytes,
+                        std::shared_ptr<const InterestSummary> handle) {
+  const Memo memo{std::move(handle),
+                  static_cast<std::uint32_t>(bytes_.size()),
+                  static_cast<std::uint32_t>(bytes.size())};
+  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+  return memo;
+}
+
+void Codec::encode_pooled(
+    Writer& w, const std::shared_ptr<const InterestSummary>& summary) {
+  const auto it = encoded_.find(summary.get());
+  if (it != encoded_.end()) {
+    ++stats_.encode_hits;
+    w.raw(bytes_of(it->second));
+    return;
+  }
+  ++stats_.encode_misses;
+  const std::size_t begin = w.size();
+  wire::encode(w, *summary);
+  encoded_.emplace(summary.get(),
+                   keep(std::span(w.data()).subspan(begin), summary));
+}
+
+AddrId Codec::find_address(Reader& r) {
+  read_components(r, components_);
+  return interns_->addrs.find(components_);
+}
+
+AddrRef Codec::decode_addr_ref(Reader& r) {
+  const AddrId id = find_address(r);
+  if (id != kNoAddr) return AddrRef(*interns_, id);
+  return AddrRef(Address(components_));
+}
+
+std::shared_ptr<const InterestSummary> Codec::decode_pooled(Reader& r) {
+  const Reader start = r;
+  if (!read_summary<false>(r)) return nullptr;
+  const auto bytes = r.read_since(start);
+  const std::uint32_t entry = slots_.empty() ? 0 : slots_[slot_of(bytes)];
+  if (entry != 0) {
+    ++stats_.decode_hits;
+    return decoded_[entry - 1].handle;
+  }
+  ++stats_.decode_misses;
+  Reader again = start;
+  decoded_.push_back(
+      keep(bytes, interns_->summaries.intern(read_summary<true>(again))));
+  if (2 * decoded_.size() > slots_.size()) {
+    // Keep the table at most half full: grow it and place every entry.
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
+    for (std::size_t i = 0; i < decoded_.size(); ++i)
+      slots_[slot_of(bytes_of(decoded_[i]))] =
+          static_cast<std::uint32_t>(i + 1);
+  } else {
+    slots_[slot_of(bytes)] = static_cast<std::uint32_t>(decoded_.size());
+  }
+  return decoded_.back().handle;
+}
+
+std::size_t Codec::slot_of(std::span<const std::uint8_t> bytes) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t slot = hash_bytes(bytes) & mask;; slot = (slot + 1) & mask) {
+    const std::uint32_t entry = slots_[slot];
+    if (entry == 0) return slot;
+    const auto held = bytes_of(decoded_[entry - 1]);
+    if (held.size() == bytes.size() &&
+        std::memcmp(held.data(), bytes.data(), bytes.size()) == 0)
+      return slot;
+  }
 }
 
 }  // namespace pmc::wire

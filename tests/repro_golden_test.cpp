@@ -12,6 +12,7 @@
 
 #include "harness/scenario.hpp"
 #include "harness/shard.hpp"
+#include "wire/messages.hpp"
 
 namespace pmc {
 namespace {
@@ -55,7 +56,8 @@ TEST(ReproGolden, ScenarioDemoWireTranscodeIsTransparent) {
 /// A depth-3 group under churn, loss, a partition and duplication. At
 /// depth 3 a digest reaches processes outside the receiver's leaf subgroup,
 /// so the in-memory and decoded sender forms take different paths into
-/// the contact table; both must give the same run.
+/// the contact table; every way of carrying the messages must give the
+/// same run.
 constexpr const char* kDepth3ChurnScript =
     "at 200ms joinstorm 20 over 400ms\n"
     "at 300ms publish 10 every 30ms\n"
@@ -79,14 +81,27 @@ TEST(ReproGolden, Depth3ChurnInMemoryAndOverTheWire) {
   config.loss = 0.02;
   config.initial_fill = 0.7;
   config.seed = 2027;
-  for (const bool wire : {false, true}) {
-    config.wire_transcode = wire;
+  // In memory; through the runtime's codec (wire_transcode), which hands
+  // receivers its ids and pooled summaries; and through the stateless
+  // decode, as pmbench's traced rep installs it, which hands them the
+  // decoded form: decoded senders entering the contact table,
+  // DepthView::upsert's interning branch and apply_row's decoded
+  // self-tombstone check.
+  enum class Carry { kInMemory, kCodec, kStatelessDecode };
+  for (const Carry carry :
+       {Carry::kInMemory, Carry::kCodec, Carry::kStatelessDecode}) {
+    config.wire_transcode = carry == Carry::kCodec;
     ChurnSim sim(config);
+    if (carry == Carry::kStatelessDecode) {
+      sim.runtime().network().set_transcoder([](const MessagePtr& msg) {
+        return wire::decode_message(wire::encode_message(*msg));
+      });
+    }
     sim.play(ScenarioScript::parse(kDepth3ChurnScript));
     sim.run_until(sim_ms(4000));
     const ChurnSummary s = sim.summary();
     EXPECT_EQ(s.fingerprint, 0xfd4c609f65c79914ULL)
-        << "wire=" << wire << "\n" << s.to_string();
+        << "carry=" << static_cast<int>(carry) << "\n" << s.to_string();
     EXPECT_EQ(s.counters.delivered, 2443u);
     EXPECT_EQ(s.membership_tombstones, 192u);
     EXPECT_EQ(s.network.sent, 90321u);

@@ -7,7 +7,9 @@
 // tag is rejected at encode time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -413,6 +415,116 @@ TEST(WireGolden, RandomizedRoundTripIsByteStable) {
     const auto b3 = wire::encode_message(*m3);
     EXPECT_EQ(to_hex(b3), to_hex(b2)) << "trial " << trial;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The per-runtime codec decodes what the stateless decode decodes
+// ---------------------------------------------------------------------------
+
+/// The form a message's rows and addresses came back in: "memory" when
+/// every row batch and AddrRef is in `in`'s id space, "decoded" when none
+/// is, "mixed" otherwise. Kinds without either are "memory".
+std::string form_of(const MessageBase& m, const Interns& in) {
+  std::vector<const Interns*> spaces;
+  const auto add = [&](const AddrRef& a) { spaces.push_back(a.interns); };
+  switch (m.kind) {
+    case MsgKind::Gossip: {
+      const auto& g = static_cast<const GossipMsg&>(m);
+      if (g.has_piggyback()) {
+        add(g.sender);
+        spaces.push_back(g.piggyback->interns);
+      }
+      break;
+    }
+    case MsgKind::MembershipDigest:
+      add(static_cast<const MembershipDigestMsg&>(m).sender);
+      break;
+    case MsgKind::MembershipUpdate:
+      add(static_cast<const MembershipUpdateMsg&>(m).sender);
+      spaces.push_back(static_cast<const MembershipUpdateMsg&>(m).rows.interns);
+      break;
+    case MsgKind::JoinRequest:
+      add(static_cast<const JoinRequestMsg&>(m).joiner);
+      break;
+    case MsgKind::ViewTransfer:
+      add(static_cast<const ViewTransferMsg&>(m).sender);
+      spaces.push_back(static_cast<const ViewTransferMsg&>(m).rows.interns);
+      break;
+    case MsgKind::Leave:
+      add(static_cast<const LeaveMsg&>(m).leaver);
+      break;
+    case MsgKind::SuspectQuery:
+      add(static_cast<const SuspectQueryMsg&>(m).sender);
+      add(static_cast<const SuspectQueryMsg&>(m).suspect);
+      break;
+    case MsgKind::SuspectReply:
+      add(static_cast<const SuspectReplyMsg&>(m).sender);
+      add(static_cast<const SuspectReplyMsg&>(m).suspect);
+      break;
+    default:
+      break;
+  }
+  const auto ours = std::count(spaces.begin(), spaces.end(), &in);
+  if (ours == static_cast<std::ptrdiff_t>(spaces.size())) return "memory";
+  return ours == 0 ? "decoded" : "mixed";
+}
+
+/// Every address of depth 1 or 2 random_message can draw (components below
+/// 100): rows and addresses made of those decode in the runtime's form,
+/// and any naming a depth-3 address in the decoded form.
+void intern_short_addresses(Interns& in) {
+  for (AddrComponent a = 0; a < 100; ++a) {
+    in.addrs.intern(Address(std::vector<AddrComponent>{a}));
+    for (AddrComponent b = 0; b < 100; ++b)
+      in.addrs.intern(Address(std::vector<AddrComponent>{a, b}));
+  }
+}
+
+TEST(WireGolden, CodecDecodesWhatTheStatelessDecodeDoes) {
+  // A runtime's codec writes encode_message's bytes and decodes them into
+  // its own ids and pooled summaries; what it returns must re-encode to the
+  // bytes the stateless decode's result re-encodes to, first with a cold
+  // memo and again with a warm one.
+  Interns interns;
+  intern_short_addresses(interns);
+  std::vector<std::shared_ptr<MessageBase>> messages;
+  for (const auto& [name, m] : canonical_messages()) messages.push_back(m);
+  for (const auto& [name, m] : canonical_messages(&interns))
+    messages.push_back(m);
+  Rng rng(0xc0dec5ULL);
+  for (int i = 0; i < 2000; ++i) messages.push_back(random_message(rng));
+
+  wire::Codec codec(interns);
+  const std::size_t addresses = interns.addrs.size();
+  std::map<std::string, int> forms;
+  wire::Codec::Stats cold;
+  for (const std::string pass : {"cold", "warm"}) {
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      const auto bytes = wire::encode_message(*messages[i]);
+      ASSERT_EQ(to_hex(codec.encode(*messages[i])), to_hex(bytes))
+          << pass << " message " << i;
+      const auto ours = codec.decode(bytes);
+      const auto stateless = wire::decode_message(bytes);
+      const auto expected = to_hex(wire::encode_message(*stateless));
+      EXPECT_EQ(to_hex(wire::encode_message(*ours)), expected)
+          << pass << " message " << i;
+      EXPECT_EQ(to_hex(codec.encode(*ours)), expected)
+          << pass << " message " << i;
+      ++forms[form_of(*ours, interns)];
+    }
+    if (pass == "cold") cold = codec.stats();
+  }
+  // The warm pass found every summary it had decoded before, and the
+  // codec interned no address.
+  EXPECT_GT(cold.decode_misses, 0u);
+  EXPECT_EQ(codec.stats().decode_misses, cold.decode_misses);
+  EXPECT_GT(codec.stats().decode_hits, cold.decode_hits);
+  EXPECT_EQ(interns.addrs.size(), addresses);
+  // Both forms (and messages mixing them) came back.
+  EXPECT_GT(forms["memory"], 0);
+  EXPECT_GT(forms["decoded"], 0);
+  EXPECT_GT(forms["mixed"], 0);
+  EXPECT_GT(codec.stats().decoded_batches, 0u);
 }
 
 TEST(WireGolden, NoRegossipFlagRoundTrips) {

@@ -476,22 +476,23 @@ TEST(WireMessage, BaselineGossipRoundsMustFit) {
   }
 }
 
-TEST(WireMessage, FuzzRandomBytesNeverCrash) {
-  // Decoders must reject garbage with DecodeError, never UB/crash.
+/// Random junk must decode or throw DecodeError, never crash.
+template <typename Decode>
+void fuzz_random_bytes(Decode&& decode) {
   Rng rng(0xf0220ULL);
   for (int trial = 0; trial < 5000; ++trial) {
     std::vector<std::uint8_t> junk(rng.next_below(64));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_below(256));
     try {
-      (void)wire::decode_message(junk);
+      (void)decode(std::span<const std::uint8_t>(junk));
     } catch (const DecodeError&) {
       // expected for almost every input
     }
   }
-  SUCCEED();
 }
 
-TEST(WireMessage, FuzzTruncationsOfValidMessage) {
+/// A MembershipUpdate from 1.2.3 carrying one row, delegated to 1.2.3.
+std::vector<std::uint8_t> valid_update_frame() {
   MembershipUpdateMsg msg;
   msg.sender = AddrRef(Address::parse("1.2.3"));
   ViewRow row;
@@ -503,16 +504,164 @@ TEST(WireMessage, FuzzTruncationsOfValidMessage) {
   msg.rows.addresses = {Address::parse("1.2.3")};
   const AddrId delegate = 0;
   msg.rows.append(1, row, {&delegate, 1});
-  const auto bytes = wire::encode_message(msg);
+  return wire::encode_message(msg);
+}
+
+/// Every proper prefix of `bytes` must throw DecodeError.
+template <typename Decode>
+void expect_truncations_rejected(const std::vector<std::uint8_t>& bytes,
+                                 Decode&& decode) {
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     try {
-      (void)wire::decode_message(std::span(bytes.data(), cut));
+      (void)decode(std::span(bytes.data(), cut));
       // Some prefixes may decode to a shorter valid message only if the
       // format were self-delimiting per field — with expect_end they can't.
-      FAIL() << "truncation at " << cut << " decoded successfully";
+      ADD_FAILURE() << "truncation at " << cut << " decoded successfully";
     } catch (const DecodeError&) {
     }
   }
+}
+
+TEST(WireMessage, FuzzRandomBytesNeverCrash) {
+  // Decoders must reject garbage with DecodeError, never UB/crash.
+  fuzz_random_bytes(wire::decode_message);
+  SUCCEED();
+}
+
+TEST(WireMessage, FuzzTruncationsOfValidMessage) {
+  expect_truncations_rejected(valid_update_frame(), wire::decode_message);
+}
+
+// -- The per-runtime codec -----------------------------------------------------
+
+/// A codec on a runtime that interned 1.2.3, its memo warmed by the valid
+/// frame (which it then decodes in the runtime's form).
+struct WarmCodec {
+  Interns interns;
+  wire::Codec codec{interns};
+  std::vector<std::uint8_t> frame = valid_update_frame();
+
+  WarmCodec() {
+    interns.addrs.intern(Address::parse("1.2.3"));
+    const auto msg = codec.decode(frame);
+    EXPECT_EQ(static_cast<const MembershipUpdateMsg&>(*msg).rows.interns,
+              &interns);
+    EXPECT_EQ(codec.stats().decode_misses, 1u);
+  }
+};
+
+TEST(WireCodec, TruncationsThroughAWarmMemoAreRejected) {
+  // The cuts past the frame's summary find it in the memo; the bytes
+  // around it must still be read and checked.
+  WarmCodec warm;
+  expect_truncations_rejected(warm.frame,
+                              [&](std::span<const std::uint8_t> b) {
+                                return warm.codec.decode(b);
+                              });
+  EXPECT_GT(warm.codec.stats().decode_hits, 0u);
+}
+
+TEST(WireCodec, JunkThroughAWarmMemoNeverCrashes) {
+  WarmCodec warm;
+  fuzz_random_bytes(
+      [&](std::span<const std::uint8_t> b) { return warm.codec.decode(b); });
+  // The valid frame with one byte changed: the codec must reject exactly
+  // what the stateless decode rejects, and decode the rest alike.
+  Rng rng(0xb17f11ULL);
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto bytes = warm.frame;
+    bytes[rng.next_below(bytes.size())] =
+        static_cast<std::uint8_t>(rng.next_below(256));
+    MessagePtr stateless;
+    try {
+      stateless = wire::decode_message(bytes);
+    } catch (const DecodeError&) {
+    }
+    if (stateless == nullptr) {
+      EXPECT_THROW(warm.codec.decode(bytes), DecodeError) << "trial " << trial;
+      continue;
+    }
+    MessagePtr ours;
+    ASSERT_NO_THROW(ours = warm.codec.decode(bytes)) << "trial " << trial;
+    EXPECT_EQ(wire::encode_message(*ours), wire::encode_message(*stateless))
+        << "trial " << trial;
+  }
+}
+
+TEST(WireCodec, OpaqueSummariesNeverShareAHandle) {
+  // InterestSummary compares opaque predicates by pointer, so a shared
+  // handle would make recompaction see "unchanged" where a fresh decode
+  // does not: such a batch decodes as decode_message decodes it.
+  Interns interns;
+  const AddrId self = interns.addrs.intern(Address::parse("1.2"));
+  MembershipUpdateMsg msg;
+  msg.sender = AddrRef(interns, self);
+  msg.rows = RowBatch(interns);
+  ViewRow row;
+  row.infix = 2;
+  row.interests = interns.summaries.intern(
+      InterestSummary::from(Subscription::parse("e != \"x\"")));
+  ASSERT_FALSE(row.interests->opaque().empty());
+  msg.rows.append(1, row, {&self, 1});
+  wire::Codec codec(interns);
+  const auto bytes = codec.encode(msg);
+  EXPECT_EQ(bytes, wire::encode_message(msg));
+  const auto first = codec.decode(bytes);
+  const auto second = codec.decode(bytes);
+  const auto& a = static_cast<const MembershipUpdateMsg&>(*first);
+  const auto& b = static_cast<const MembershipUpdateMsg&>(*second);
+  EXPECT_EQ(a.rows.interns, nullptr);
+  EXPECT_EQ(b.rows.interns, nullptr);
+  EXPECT_NE(a.rows.rows[0].row.interests, b.rows.rows[0].row.interests);
+  EXPECT_EQ(codec.stats().decoded_batches, 2u);
+  // The sender is still the runtime's id.
+  EXPECT_EQ(a.sender.interns, &interns);
+  EXPECT_EQ(a.sender.id, self);
+}
+
+TEST(WireCodec, AddressesNeverInternedStayDecoded) {
+  // The codec finds addresses, it never interns them: ids are first-intern
+  // order, and a receiver interns an address only when it keeps it.
+  Interns interns;
+  const AddrId sender = interns.addrs.intern(Address::parse("1.2"));
+  MembershipUpdateMsg msg;
+  msg.sender = AddrRef(Address::parse("1.2"));
+  ViewRow row;
+  row.infix = 7;
+  row.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(Subscription::parse("b > 0")));
+  msg.rows.addresses = {Address::parse("7.7")};
+  const AddrId delegate = 0;
+  msg.rows.append(1, row, {&delegate, 1});
+  LeaveMsg leave;
+  leave.leaver = AddrRef(Address::parse("7.7"));
+
+  wire::Codec codec(interns);
+  const std::size_t addresses = interns.addrs.size();
+  const auto out = codec.decode(wire::encode_message(msg));
+  const auto& update = static_cast<const MembershipUpdateMsg&>(*out);
+  EXPECT_EQ(update.rows.interns, nullptr);
+  ASSERT_EQ(update.rows.rows.size(), 1u);
+  EXPECT_EQ(update.rows.address(
+                update.rows.delegates(update.rows.rows[0].row).front()),
+            Address::parse("7.7"));
+  EXPECT_EQ(update.sender.interns, &interns);
+  EXPECT_EQ(update.sender.id, sender);
+  const auto gone = codec.decode(wire::encode_message(leave));
+  const auto& left = static_cast<const LeaveMsg&>(*gone).leaver;
+  EXPECT_EQ(left.interns, nullptr);
+  EXPECT_EQ(left.address(), Address::parse("7.7"));
+  EXPECT_EQ(interns.addrs.size(), addresses);
+
+  // Once the runtime holds 7.7, the same bytes decode in its form, the
+  // summary as the pool's own handle.
+  const AddrId seven = interns.addrs.intern(Address::parse("7.7"));
+  const auto again = codec.decode(wire::encode_message(msg));
+  const auto& kept = static_cast<const MembershipUpdateMsg&>(*again).rows;
+  EXPECT_EQ(kept.interns, &interns);
+  EXPECT_EQ(kept.delegates(kept.rows[0].row).front(), seven);
+  EXPECT_EQ(kept.rows[0].row.interests,
+            interns.summaries.intern(*row.interests));
 }
 
 }  // namespace
