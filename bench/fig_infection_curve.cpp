@@ -35,7 +35,6 @@ int main() {
     tc.redundancy = 1;
     Interns interns;
     const GroupTree tree(tc, members, interns);
-    const TreeViewProvider views(tree);
     NetworkConfig net;
     net.loss_probability = loss;
     Runtime rt(net, 1000 + seed);
@@ -54,7 +53,8 @@ int main() {
     for (std::size_t i = 0; i < members.size(); ++i)
       nodes.push_back(std::make_unique<PmcastNode>(
           rt, static_cast<ProcessId>(i), config, members[i].address,
-          members[i].subscription, views, [&dir](AddrId id) {
+          members[i].subscription, tree.tables_for(members[i].address),
+          [&dir](AddrId id) {
             return id < dir.size() ? dir[id] : kNoProcess;
           }));
     nodes[0]->pmcast(make_event_at(0, seed, 0.5));

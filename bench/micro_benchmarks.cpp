@@ -250,7 +250,7 @@ void network_send_bench(benchmark::State& state, bool multi) {
   constexpr std::size_t kTargets = 64;
   Scheduler sched;
   Network net(sched, NetworkConfig{}, Rng(11));
-  net.reserve(kTargets);
+  net.reserve_range(0, kTargets);
   SendSink sink;
   std::vector<ProcessId> targets;
   for (ProcessId id = 0; id < kTargets; ++id) {

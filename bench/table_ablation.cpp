@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
       tc.redundancy = 3;
       Interns interns;
       const GroupTree tree(tc, members, interns);
-      const TreeViewProvider views(tree);
       std::uint64_t messages = 0;
       std::size_t delivered = 0;
       for (std::uint64_t seed = 0; seed < runs; ++seed) {
@@ -70,7 +69,8 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < members.size(); ++i)
           nodes.push_back(std::make_unique<PmcastNode>(
               rt, static_cast<ProcessId>(i), pc, members[i].address,
-              members[i].subscription, views, [&dir](AddrId id) {
+              members[i].subscription, tree.tables_for(members[i].address),
+              [&dir](AddrId id) {
                 return id < dir.size() ? dir[id] : kNoProcess;
               }));
         // Cluster 0 subscribes around u = 0.05; publish from inside it.

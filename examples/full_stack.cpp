@@ -56,11 +56,10 @@ int main() {
   for (std::size_t i = 0; i < members.size(); ++i) {
     sync_nodes.push_back(std::make_unique<SyncNode>(
         runtime, static_cast<ProcessId>(i), sync_config,
-        tree.materialize_view(members[i].address),
-        members[i].subscription));
-    sync_nodes.back()->set_directory([&sync_dir](AddrId id) {
-      return id < sync_dir.size() ? sync_dir[id] : kNoProcess;
-    });
+        tree.materialize_view(members[i].address), members[i].subscription,
+        [&sync_dir](AddrId id) {
+          return id < sync_dir.size() ? sync_dir[id] : kNoProcess;
+        }));
   }
 
   PmcastConfig pm_config;
@@ -69,14 +68,12 @@ int main() {
   pm_config.recovery_rounds = 3;  // digest recovery on
 
   std::size_t delivered = 0;
-  std::vector<std::unique_ptr<LocalViewProvider>> providers;
   std::vector<std::unique_ptr<PmcastNode>> pm_nodes;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    providers.push_back(
-        std::make_unique<LocalViewProvider>(sync_nodes[i]->view()));
     pm_nodes.push_back(std::make_unique<PmcastNode>(
         runtime, static_cast<ProcessId>(i + 100), pm_config,
-        members[i].address, members[i].subscription, *providers[i],
+        members[i].address, members[i].subscription,
+        sync_nodes[i]->view().tables_for(members[i].address),
         [&pm_dir](AddrId id) {
           return id < pm_dir.size() ? pm_dir[id] : kNoProcess;
         }));

@@ -31,7 +31,6 @@ int main() {
   tree_config.redundancy = 2;
   Interns interns;
   GroupTree tree(tree_config, members, interns);
-  const TreeViewProvider views(tree);
 
   // 4. Simulation runtime with 5% message loss.
   NetworkConfig net;
@@ -58,7 +57,8 @@ int main() {
   for (std::size_t i = 0; i < members.size(); ++i) {
     nodes.push_back(std::make_unique<PmcastNode>(
         runtime, static_cast<ProcessId>(i), config, members[i].address,
-        members[i].subscription, views, lookup));
+        members[i].subscription, tree.tables_for(members[i].address),
+        lookup));
     nodes.back()->set_deliver_handler([i, &members](const Event& e) {
       std::cout << "  " << members[i].address.to_string() << " delivered "
                 << e.to_string() << "\n";

@@ -43,7 +43,6 @@ int main() {
   tree_config.redundancy = 3;
   Interns interns;
   GroupTree tree(tree_config, members, interns);
-  const TreeViewProvider views(tree);
 
   Runtime runtime(NetworkConfig{}, 5);
   std::vector<ProcessId> directory;
@@ -65,7 +64,8 @@ int main() {
   for (std::size_t i = 0; i < members.size(); ++i) {
     nodes.push_back(std::make_unique<PmcastNode>(
         runtime, static_cast<ProcessId>(i), config, members[i].address,
-        members[i].subscription, views, lookup));
+        members[i].subscription, tree.tables_for(members[i].address),
+        lookup));
     nodes.back()->set_deliver_handler(
         [&delivered](const Event&) { ++delivered; });
   }

@@ -35,7 +35,6 @@ int main() {
   tree_config.redundancy = 3;
   Interns interns;
   GroupTree tree(tree_config, members, interns);
-  const TreeViewProvider views(tree);
 
   NetworkConfig net;
   net.loss_probability = 0.02;
@@ -60,7 +59,8 @@ int main() {
   for (std::size_t i = 0; i < members.size(); ++i) {
     nodes.push_back(std::make_unique<PmcastNode>(
         runtime, static_cast<ProcessId>(i), config, members[i].address,
-        members[i].subscription, views, lookup));
+        members[i].subscription, tree.tables_for(members[i].address),
+        lookup));
     nodes.back()->set_deliver_handler([&deliveries](const Event& e) {
       ++deliveries[e.get("symbol")->as_string()];
     });

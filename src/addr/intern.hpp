@@ -51,8 +51,8 @@ class AddrInternTable {
   AddrInternTable& operator=(const AddrInternTable&) = delete;
 
   /// Pre-sizes the arenas for `addresses` distinct addresses of depth
-  /// `depth` (like Network::reserve: one up-front allocation instead of
-  /// re-hashing mid-run).
+  /// `depth` (like Network::reserve_range: one up-front allocation
+  /// instead of re-hashing mid-run).
   void reserve(std::size_t addresses, std::size_t depth);
 
   /// Registers `a` (and all its prefixes) and returns its id; idempotent.

@@ -5,17 +5,22 @@
 namespace pmc {
 
 TreecastNode::TreecastNode(Runtime& rt, ProcessId pid, TreecastConfig config,
-                           Address self, Subscription subscription,
-                           const ViewProvider& views, Directory directory)
+                           const Address& self, Subscription subscription,
+                           std::span<const DepthView* const> tables,
+                           Directory directory)
     : BaselineNode(rt, pid, std::move(subscription)),
       config_(config),
-      self_(std::move(self)),
-      views_(&views),
+      tables_(tables.begin(), tables.end()),
       directory_(std::move(directory)) {
   config_.tree.validate();
-  PMC_EXPECTS(self_.depth() == config_.tree.depth);
+  PMC_EXPECTS(self.depth() == config_.tree.depth);
   PMC_EXPECTS(directory_ != nullptr);
-  self_id_ = views.interns().addrs.intern(self_);
+  PMC_EXPECTS(tables_.size() == config_.tree.depth);
+  for (const DepthView* t : tables_) {
+    PMC_EXPECTS(t != nullptr);
+    PMC_EXPECTS(&t->interns() == &tables_.front()->interns());
+  }
+  self_id_ = addrs().intern(self);
 }
 
 void TreecastNode::multicast(Event event) {
@@ -37,8 +42,8 @@ void TreecastNode::forward_from(const std::shared_ptr<const Event>& event,
                                 std::size_t start_depth) {
   for (std::size_t depth = start_depth; depth <= config_.tree.depth;
        ++depth) {
-    const DepthView& view = views_->view(self_, depth);
-    const AddrComponent own_infix = self_.component(depth - 1);
+    const DepthView& view = *tables_[depth - 1];
+    const AddrComponent own_infix = addrs().component(self_id_, depth - 1);
     for (std::size_t i = 0; i < view.size(); ++i) {
       if (!view.alive(i) || view.delegates(i).empty()) continue;
       if (!view.interests(i).match(*event)) continue;

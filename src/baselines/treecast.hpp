@@ -12,11 +12,12 @@
 // forwarder silently severs its whole subtree.
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "baselines/baseline.hpp"
-#include "pmcast/view_provider.hpp"
+#include "membership/view.hpp"
 
 namespace pmc {
 
@@ -34,15 +35,16 @@ struct TreecastConfig {
 
 class TreecastNode final : public BaselineNode {
  public:
-  using Directory = std::function<ProcessId(AddrId)>;
-
+  /// `tables` as PmcastNode takes them: d tables, depth i at index i-1,
+  /// bound to one Interns; they must outlive the node.
   TreecastNode(Runtime& rt, ProcessId pid, TreecastConfig config,
-               Address self, Subscription subscription,
-               const ViewProvider& views, Directory directory);
+               const Address& self, Subscription subscription,
+               std::span<const DepthView* const> tables,
+               Directory directory);
 
   void multicast(Event event);
 
-  const Address& address() const noexcept { return self_; }
+  Address address() const { return addrs().resolve(self_id_); }
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -54,10 +56,11 @@ class TreecastNode final : public BaselineNode {
   void forward_from(const std::shared_ptr<const Event>& event,
                     std::size_t start_depth);
 
+  AddrInternTable& addrs() const { return tables_.front()->interns().addrs; }
+
   TreecastConfig config_;
-  Address self_;
-  AddrId self_id_ = kNoAddr;
-  const ViewProvider* views_;
+  AddrId self_id_ = kNoAddr;  ///< the node's address, in the tables' Interns
+  std::vector<const DepthView*> tables_;  // index 0 <-> depth 1
   Directory directory_;
 };
 

@@ -47,13 +47,6 @@ struct Interval {
     return lo == hi && (lo_open || hi_open);
   }
 
-  bool unbounded_below() const noexcept {
-    return lo == -std::numeric_limits<double>::infinity();
-  }
-  bool unbounded_above() const noexcept {
-    return hi == std::numeric_limits<double>::infinity();
-  }
-
   /// Set intersection; may be empty.
   Interval intersect(const Interval& o) const noexcept;
 

@@ -74,9 +74,9 @@ namespace {
 /// its intern state, its tree, and the interned-address -> pid directory.
 struct Population {
   std::vector<Member> members;
-  /// Declared before the tree, which holds a reference into it. Mutable:
-  /// protocol nodes intern their own address through the (const) provider.
-  mutable Interns interns;
+  /// Declared before the tree, which holds a reference into it (protocol
+  /// nodes intern their own address through the tree's tables).
+  Interns interns;
   std::unique_ptr<GroupTree> tree;
   /// Dense AddrId -> pid directory; kNoProcess for foreign ids.
   std::vector<ProcessId> pid_by_id;
@@ -107,7 +107,7 @@ struct Population {
     }
   }
 
-  PmcastNode::Directory directory_fn() const {
+  Directory directory_fn() const {
     return [this](AddrId id) {
       return id < pid_by_id.size() ? pid_by_id[id] : kNoProcess;
     };
@@ -181,7 +181,7 @@ ExperimentResult run_experiment_loop(const ExperimentConfig& config,
     NetworkConfig net;
     net.loss_probability = config.loss;
     Runtime rt(net, run_rng.next_u64());
-    rt.network().reserve(config.group_size());
+    rt.network().reserve_range(0, config.group_size());
 
     auto nodes = make_nodes(rt);
 
@@ -214,7 +214,6 @@ ExperimentResult run_experiment_loop(const ExperimentConfig& config,
 
 ExperimentResult run_pmcast_experiment(const ExperimentConfig& config) {
   const Population pop(config, /*build_tree=*/true);
-  const TreeViewProvider views(*pop.tree);
   const PmcastConfig node_config = config.pmcast_config();
 
   return run_experiment_loop(
@@ -225,7 +224,8 @@ ExperimentResult run_pmcast_experiment(const ExperimentConfig& config) {
         for (std::size_t i = 0; i < pop.members.size(); ++i) {
           nodes.push_back(std::make_unique<PmcastNode>(
               rt, static_cast<ProcessId>(i), node_config,
-              pop.members[i].address, pop.members[i].subscription, views,
+              pop.members[i].address, pop.members[i].subscription,
+              pop.tree->tables_for(pop.members[i].address),
               pop.directory_fn()));
         }
         return nodes;
@@ -306,7 +306,6 @@ ExperimentResult run_genuine_experiment(const ExperimentConfig& config,
 
 ExperimentResult run_treecast_experiment(const ExperimentConfig& config) {
   const Population pop(config, /*build_tree=*/true);
-  const TreeViewProvider views(*pop.tree);
   TreecastConfig tc;
   tc.tree.depth = config.d;
   tc.tree.redundancy = config.r;
@@ -319,7 +318,9 @@ ExperimentResult run_treecast_experiment(const ExperimentConfig& config) {
         for (std::size_t i = 0; i < pop.members.size(); ++i) {
           nodes.push_back(std::make_unique<TreecastNode>(
               rt, static_cast<ProcessId>(i), tc, pop.members[i].address,
-              pop.members[i].subscription, views, pop.directory_fn()));
+              pop.members[i].subscription,
+              pop.tree->tables_for(pop.members[i].address),
+              pop.directory_fn()));
         }
         return nodes;
       },

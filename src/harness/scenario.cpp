@@ -1073,14 +1073,14 @@ std::size_t ChurnSim::slot_for(AddrId id) const noexcept {
   return id < slot_of_id_.size() ? slot_of_id_[id] : kNoSlot;
 }
 
-SyncNode::Directory ChurnSim::sync_directory() {
+Directory ChurnSim::sync_directory() {
   return [this](AddrId id) {
     const std::size_t slot = slot_for(id);
     return slot == kNoSlot ? kNoProcess : sync_pid(slot);
   };
 }
 
-PmcastNode::Directory ChurnSim::pm_directory() {
+Directory ChurnSim::pm_directory() {
   return [this](AddrId id) {
     const std::size_t slot = slot_for(id);
     return slot == kNoSlot ? kNoProcess : pm_pid(slot);
@@ -1095,7 +1095,6 @@ void ChurnSim::spawn(std::size_t slot_idx,
   // in its constructor, so the old incarnation must detach before the new
   // one registers.
   slot.pm.reset();
-  slot.provider.reset();
   slot.sync.reset();
   // A fresh incarnation starts with zeroed protocol stats, so its
   // estimator and feedback cursor restart from scratch too.
@@ -1113,17 +1112,14 @@ void ChurnSim::spawn(std::size_t slot_idx,
   sc.join_backoff = config_.join_backoff;
 
   if (bootstrap) {
-    slot.sync = std::make_unique<SyncNode>(rt_, sync_pid(slot_idx), sc,
-                                           std::move(*bootstrap),
-                                           slot.subscription);
+    slot.sync = std::make_unique<SyncNode>(
+        rt_, sync_pid(slot_idx), sc, std::move(*bootstrap), slot.subscription,
+        sync_directory());
   } else {
-    slot.sync = std::make_unique<SyncNode>(rt_, sync_pid(slot_idx), sc,
-                                           slot.address, slot.subscription,
-                                           contact, interns_);
+    slot.sync = std::make_unique<SyncNode>(
+        rt_, sync_pid(slot_idx), sc, slot.address, slot.subscription, contact,
+        interns_, sync_directory());
   }
-  slot.sync->set_directory(sync_directory());
-
-  slot.provider = std::make_unique<LocalViewProvider>(slot.sync->view());
 
   PmcastConfig pc;
   pc.tree = sc.tree;
@@ -1135,9 +1131,9 @@ void ChurnSim::spawn(std::size_t slot_idx,
   pc.recovery_rounds = config_.recovery_rounds;
   pc.max_retained = config_.max_retained;
   pc.max_buffered = config_.max_buffered;
-  slot.pm = std::make_unique<PmcastNode>(rt_, pm_pid(slot_idx), pc,
-                                         slot.address, slot.subscription,
-                                         *slot.provider, pm_directory());
+  slot.pm = std::make_unique<PmcastNode>(
+      rt_, pm_pid(slot_idx), pc, slot.address, slot.subscription,
+      slot.sync->view().tables_for(slot.address), pm_directory());
   if (config_.adaptive) {
     slot.estimator = std::make_unique<EnvEstimator>(pc.env);
     EnvEstimator* estimator = slot.estimator.get();

@@ -6,8 +6,8 @@
 // scheduled sim-times. The engine turns the single-shot figure harness into
 // a general workload driver over a *changing* group: every live process
 // runs the full deployment stack (SyncNode anti-entropy membership feeding
-// a PmcastNode through a LocalViewProvider, with membership rows
-// piggybacked on event gossip, optionally through the wire codec).
+// a PmcastNode that reads the SyncNode's own view tables, with membership
+// rows piggybacked on event gossip, optionally through the wire codec).
 //
 // Determinism: every action draws from its own RNG stream derived from the
 // run seed and the action's (time, kind, ordinal) label — never from a
@@ -32,7 +32,6 @@
 #include "event/event.hpp"
 #include "membership/sync.hpp"
 #include "pmcast/node.hpp"
-#include "pmcast/view_provider.hpp"
 #include "sim/runtime.hpp"
 
 namespace pmc {
@@ -418,7 +417,8 @@ struct GroupPlacement {
 /// Hosts a dynamic group on its own Runtime and executes scenario scripts
 /// against it. Every populated address owns a SyncNode (pid = pid_base +
 /// slot) and a PmcastNode (pid = pid_base + capacity + slot) wired together
-/// by piggybacking and a LocalViewProvider. SyncNodes gossip forever, so
+/// by piggybacking; the PmcastNode reads the SyncNode's view tables
+/// (MembershipView::tables_for). SyncNodes gossip forever, so
 /// the engine runs for explicit horizons (run_for/run_until) rather than to
 /// quiescence. A shard's salted streams and pid offset keep its draws — and
 /// the fingerprints that hash them — independent of which other groups
@@ -475,8 +475,8 @@ class ChurnSim {
   struct Slot {
     Address address;
     Subscription subscription;
+    /// Destroyed after `pm`, which reads its view tables.
     std::unique_ptr<SyncNode> sync;
-    std::unique_ptr<LocalViewProvider> provider;
     std::unique_ptr<PmcastNode> pm;
     /// Per-node online ε/τ estimator (ChurnConfig::adaptive); reset with
     /// each incarnation, like the protocol nodes it observes.
@@ -497,8 +497,8 @@ class ChurnSim {
   /// Labeled stream salted with this group's shard tag (no-op salt for a
   /// standalone group).
   Rng stream(std::uint64_t tag) const;
-  SyncNode::Directory sync_directory();
-  PmcastNode::Directory pm_directory();
+  Directory sync_directory();
+  Directory pm_directory();
 
   /// (Re)creates both protocol nodes in `slot`. A founder starts from its
   /// `bootstrap` view; a joiner (no bootstrap) enters through the join

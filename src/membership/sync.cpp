@@ -34,13 +34,16 @@ constexpr std::uint64_t kFibonacciMul = 0x9e3779b97f4a7c15ULL;
 }  // namespace
 
 SyncNode::SyncNode(Runtime& rt, ProcessId pid, SyncConfig config,
-                   MembershipView view, Subscription subscription)
+                   MembershipView view, Subscription subscription,
+                   Directory directory)
     : Process(rt, pid),
       config_(config),
       view_(std::move(view)),
       subscription_(std::move(subscription)),
+      directory_(std::move(directory)),
       joined_(true) {
   config_.tree.validate();
+  PMC_EXPECTS(directory_ != nullptr);
   // Continue from the highest version present so local edits sort after
   // everything already in the bootstrap view (Lamport-style).
   for (std::size_t depth = 1; depth <= config_.tree.depth; ++depth) {
@@ -55,12 +58,14 @@ SyncNode::SyncNode(Runtime& rt, ProcessId pid, SyncConfig config,
 
 SyncNode::SyncNode(Runtime& rt, ProcessId pid, SyncConfig config, Address self,
                    Subscription subscription, ProcessId contact,
-                   Interns& interns)
+                   Interns& interns, Directory directory)
     : Process(rt, pid),
       config_(config),
       view_(std::move(self), config.tree, interns),
       subscription_(std::move(subscription)),
+      directory_(std::move(directory)),
       join_contact_(contact) {
+  PMC_EXPECTS(directory_ != nullptr);
   recompact_cache_.assign(config_.tree.depth,
                           {kNeverRecompacted, kNeverRecompacted});
   if (config_.join_backoff)
@@ -186,10 +191,8 @@ void SyncNode::on_period() {
   const std::size_t fanout = std::min(config_.gossip_fanout, peers.size());
   const auto picks = rng().sample_without_replacement(peers.size(), fanout);
   for (const auto i : picks) {
-    if (directory_) {
-      const ProcessId pid = directory_(peers[i]);
-      if (pid != kNoProcess) digest_targets_.push_back(pid);
-    }
+    const ProcessId pid = directory_(peers[i]);
+    if (pid != kNoProcess) digest_targets_.push_back(pid);
     ++stats_.digests_sent;
   }
 
@@ -207,10 +210,8 @@ void SyncNode::on_period() {
   if (!neighbor_scratch_.empty()) {
     const AddrId ping =
         neighbor_scratch_[ping_cursor_++ % neighbor_scratch_.size()];
-    if (directory_) {
-      const ProcessId pid = directory_(ping);
-      if (pid != kNoProcess) digest_targets_.push_back(pid);
-    }
+    const ProcessId pid = directory_(ping);
+    if (pid != kNoProcess) digest_targets_.push_back(pid);
     ++stats_.digests_sent;
   }
   if (!digest_targets_.empty()) send_multi(digest_targets_, digest);
@@ -637,7 +638,6 @@ const std::vector<AddrId>& SyncNode::known_peers() const {
 }
 
 void SyncNode::send_to(AddrId a, MessagePtr msg) {
-  if (!directory_) return;
   const ProcessId pid = directory_(a);
   if (pid == kNoProcess) return;
   send(pid, std::move(msg));

@@ -154,12 +154,14 @@ struct SyncConfig {
 class SyncNode final : public Process {
  public:
   /// A founding member: starts with a bootstrap view (e.g. from GroupTree).
+  /// `directory` resolves the ids of the view's Interns.
   SyncNode(Runtime& rt, ProcessId pid, SyncConfig config, MembershipView view,
-           Subscription subscription);
+           Subscription subscription, Directory directory);
 
   /// A joining process: starts with an empty view and contacts `contact`.
   SyncNode(Runtime& rt, ProcessId pid, SyncConfig config, Address self,
-           Subscription subscription, ProcessId contact, Interns& interns);
+           Subscription subscription, ProcessId contact, Interns& interns,
+           Directory directory);
 
   const Address& address() const noexcept { return view_.self(); }
   const MembershipView& view() const noexcept { return view_; }
@@ -196,12 +198,6 @@ class SyncNode final : public Process {
   /// may have crashed before serving the request) and resets its retry
   /// budget. A no-op once joined.
   void retarget_join(ProcessId contact);
-
-  /// Resolves a known process address (interned) to its simulation
-  /// ProcessId. The directory is simulation plumbing (in a deployment this
-  /// would be the transport address carried in the view rows).
-  using Directory = std::function<ProcessId(AddrId)>;
-  void set_directory(Directory directory) { directory_ = std::move(directory); }
 
   /// Piggybacking support (Sec. 2.3: "membership information can be
   /// piggybacked when gossiping events"): the rows worth attaching to a

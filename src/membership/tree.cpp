@@ -84,10 +84,14 @@ const DepthView& GroupTree::view_at(const Prefix& prefix) const {
   return it->second;
 }
 
-const DepthView& GroupTree::view_for(const Address& self,
-                                     std::size_t depth) const {
-  PMC_EXPECTS(depth >= 1 && depth <= config_.depth);
-  return view_at(self.prefix(depth - 1));
+std::vector<const DepthView*> GroupTree::tables_for(
+    const Address& self) const {
+  PMC_EXPECTS(self.depth() == config_.depth);
+  std::vector<const DepthView*> tables;
+  tables.reserve(config_.depth);
+  for (std::size_t len = 0; len < config_.depth; ++len)
+    tables.push_back(&view_at(self.prefix(len)));
+  return tables;
 }
 
 MembershipView GroupTree::materialize_view(const Address& self) const {

@@ -50,16 +50,15 @@ class GroupTree {
   GroupTree(TreeConfig config, std::vector<Member> members, Interns& interns,
             GroupTreeOptions options = {});
 
-  Interns& interns() const noexcept { return *interns_; }
-
   /// Child view of the subgroup denoted by `prefix`
   /// (prefix length in [0, d-1]). This is the depth-(len+1) table of every
   /// process under that prefix.
   const DepthView& view_at(const Prefix& prefix) const;
 
-  /// The depth-i table of process `self` (i in [1, d]):
-  /// view_at(self.prefix(i-1)).
-  const DepthView& view_for(const Address& self, std::size_t depth) const;
+  /// The d tables of process `self` (an address of depth d): depth i at
+  /// index i-1, view_at(self.prefix(i-1)), as PmcastNode and TreecastNode
+  /// take them.
+  std::vector<const DepthView*> tables_for(const Address& self) const;
 
   /// Per-process membership knowledge (Eq. 2) as a standalone copy — the
   /// bootstrap a founding process receives.

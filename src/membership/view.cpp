@@ -170,6 +170,15 @@ const DepthView& MembershipView::view(std::size_t depth) const {
   return depths_[depth - 1];
 }
 
+std::vector<const DepthView*> MembershipView::tables_for(
+    const Address& self) const {
+  PMC_EXPECTS(self == self_);
+  std::vector<const DepthView*> tables;
+  tables.reserve(depths_.size());
+  for (const DepthView& dv : depths_) tables.push_back(&dv);
+  return tables;
+}
+
 std::size_t MembershipView::known_processes() const noexcept {
   std::size_t n = 0;
   for (const auto& dv : depths_) {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -37,6 +38,7 @@
 #include "common/intern_pool.hpp"
 #include "filter/regroup.hpp"
 #include "membership/config.hpp"
+#include "sim/network.hpp"
 
 namespace pmc {
 
@@ -51,11 +53,16 @@ struct Interns {
   InternPool<InterestSummary> summaries;
 
   /// Pre-size for `processes` distinct addresses of depth `depth`
-  /// (mirrors Network::reserve).
+  /// (mirrors Network::reserve_range).
   void reserve(std::size_t processes, std::size_t depth) {
     addrs.reserve(processes, depth);
   }
 };
+
+/// Resolves an interned process address to its simulation ProcessId
+/// (kNoProcess when unknown); in a deployment, the transport address the
+/// view rows would carry. SyncNode, PmcastNode and TreecastNode take one.
+using Directory = std::function<ProcessId(AddrId)>;
 
 /// One row in the exchange format. Its delegates live in the pool of the
 /// RowBatch that carries it (`RowBatch::delegates(row)`), as a CSR slice.
@@ -283,6 +290,10 @@ class MembershipView {
 
   DepthView& view(std::size_t depth);
   const DepthView& view(std::size_t depth) const;
+
+  /// The d tables of `self`, which must be this view's own process: depth
+  /// i at index i-1, as PmcastNode and TreecastNode take them.
+  std::vector<const DepthView*> tables_for(const Address& self) const;
 
   /// Total processes known (Eq. 2): live delegates at depths < d plus live
   /// neighbors at depth d; a process appearing at several depths is counted

@@ -7,20 +7,25 @@
 namespace pmc {
 
 PmcastNode::PmcastNode(Runtime& rt, ProcessId pid, PmcastConfig config,
-                       Address self, Subscription subscription,
-                       const ViewProvider& views, Directory directory)
+                       const Address& self, Subscription subscription,
+                       std::span<const DepthView* const> tables,
+                       Directory directory)
     : Process(rt, pid),
       config_(config),
-      self_(std::move(self)),
       subscription_(std::move(subscription)),
-      views_(&views),
       directory_(std::move(directory)),
       estimator_(config.pittel_c) {
   config_.validate();
-  PMC_EXPECTS(self_.depth() == config_.tree.depth);
+  PMC_EXPECTS(self.depth() == config_.tree.depth);
   PMC_EXPECTS(directory_ != nullptr);
-  self_id_ = views.interns().addrs.intern(self_);
-  gossips_.resize(config_.tree.depth);
+  PMC_EXPECTS(tables.size() == config_.tree.depth);
+  depths_.resize(tables.size());
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    PMC_EXPECTS(tables[i] != nullptr);
+    PMC_EXPECTS(&tables[i]->interns() == &tables[0]->interns());
+    depths_[i].table = tables[i];
+  }
+  self_id_ = interns().addrs.intern(self);
 }
 
 void PmcastNode::pmcast(Event event) {
@@ -35,8 +40,9 @@ void PmcastNode::pmcast(Event event) {
   std::size_t depth = 1;
   if (config_.local_interest_shortcut) {
     while (depth < config_.tree.depth) {
-      const DepthView& view = views_->view(self_, depth);
-      const AddrComponent own_infix = self_.component(depth - 1);
+      const DepthView& view = table(depth);
+      const AddrComponent own_infix =
+          interns().addrs.component(self_id_, depth - 1);
       bool foreign_interest = false;
       for (std::size_t i = 0; i < view.size(); ++i) {
         if (!view.alive(i) || view.infix(i) == own_infix) continue;
@@ -104,7 +110,7 @@ void PmcastNode::on_period() {
 }
 
 void PmcastNode::gossip_entries_at(std::size_t depth) {
-  auto& entries = gossips_[depth - 1];
+  auto& entries = depths_[depth - 1].entries;
   if (entries.empty()) return;
 
   // Re-evaluated every period and depth: with an adaptive env source the
@@ -191,7 +197,7 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
           msg->depth = static_cast<std::uint32_t>(depth);
           msg->piggyback = piggyback_source_(cand.id);
           if (msg->has_piggyback())
-            msg->sender = AddrRef(views_->interns(), self_id_);
+            msg->sender = AddrRef(interns(), self_id_);
           send(target, std::move(msg));
           ++stats_.gossips_sent;
         }
@@ -243,7 +249,7 @@ std::size_t tuning_start_index(const EventId& id, std::size_t n) {
 void PmcastNode::candidates_at(std::size_t depth, const Event& e,
                                std::vector<Candidate>& out,
                                double& rate_out) const {
-  const DepthView& view = views_->view(self_, depth);
+  const DepthView& view = table(depth);
   out.clear();
   std::size_t interested = 0;
   for (std::size_t i = 0; i < view.size(); ++i) {
@@ -292,7 +298,7 @@ void PmcastNode::buffer_event(std::size_t depth, Entry entry) {
     ++stats_.shed_events;
     return;
   }
-  gossips_[depth - 1].push_back(std::move(entry));
+  depths_[depth - 1].entries.push_back(std::move(entry));
   if (!periodic_armed()) arm_periodic(config_.period);
 }
 
@@ -304,13 +310,13 @@ void PmcastNode::deliver_if_interested(const Event& e) {
 }
 
 bool PmcastNode::buffers_empty() const noexcept {
-  return std::all_of(gossips_.begin(), gossips_.end(),
-                     [](const auto& v) { return v.empty(); });
+  return std::all_of(depths_.begin(), depths_.end(),
+                     [](const Depth& d) { return d.entries.empty(); });
 }
 
 std::size_t PmcastNode::buffered_total() const noexcept {
   std::size_t n = 0;
-  for (const auto& v : gossips_) n += v.size();
+  for (const Depth& d : depths_) n += d.entries.size();
   return n;
 }
 
@@ -329,7 +335,7 @@ void PmcastNode::retain_for_recovery(std::shared_ptr<const Event> event) {
 
 void PmcastNode::run_recovery_round() {
   if (store_.empty()) return;
-  const DepthView& leaf = views_->view(self_, config_.tree.depth);
+  const DepthView& leaf = table(config_.tree.depth);
 
   // Per leaf neighbor, the ids of retained events its interests match.
   std::vector<std::pair<AddrId, std::vector<EventId>>> digests;

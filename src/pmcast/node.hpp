@@ -16,14 +16,15 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.hpp"
 #include "event/event.hpp"
 #include "filter/subscription.hpp"
+#include "membership/view.hpp"
 #include "pmcast/config.hpp"
-#include "pmcast/view_provider.hpp"
 #include "sim/runtime.hpp"
 
 namespace pmc {
@@ -87,13 +88,14 @@ std::size_t tuning_start_index(const EventId& id, std::size_t n);
 class PmcastNode final : public Process {
  public:
   using DeliverHandler = std::function<void(const Event&)>;
-  /// Resolves an interned known-process address to its simulation
-  /// ProcessId (the ids live in the ViewProvider's intern table).
-  using Directory = std::function<ProcessId(AddrId)>;
 
-  PmcastNode(Runtime& rt, ProcessId pid, PmcastConfig config, Address self,
-             Subscription subscription, const ViewProvider& views,
-             Directory directory);
+  /// `tables` are the node's d view tables, depth i at index i-1
+  /// (GroupTree::tables_for or MembershipView::tables_for), all bound to
+  /// one Interns, whose ids `directory` resolves. The tables must outlive
+  /// the node.
+  PmcastNode(Runtime& rt, ProcessId pid, PmcastConfig config,
+             const Address& self, Subscription subscription,
+             std::span<const DepthView* const> tables, Directory directory);
 
   /// Multicasts an event (Fig. 3's PMCAST). The originator participates at
   /// every depth starting from the root; if it is itself interested, the
@@ -132,7 +134,7 @@ class PmcastNode final : public Process {
     return env_source_ ? env_source_() : config_.env.prior;
   }
 
-  const Address& address() const noexcept { return self_; }
+  Address address() const { return interns().addrs.resolve(self_id_); }
   const Subscription& subscription() const noexcept { return subscription_; }
 
   bool interested_in(const Event& e) const { return subscription_.match(e); }
@@ -177,6 +179,13 @@ class PmcastNode final : public Process {
     std::uint32_t round = 0;
   };
 
+  /// One depth of the tree as this node sees it: its view table, fixed at
+  /// construction, and the events buffered for gossip there.
+  struct Depth {
+    const DepthView* table = nullptr;
+    std::vector<Entry> entries;
+  };
+
   /// One view member that could be gossiped to.
   struct Candidate {
     AddrId id = kNoAddr;
@@ -190,6 +199,12 @@ class PmcastNode final : public Process {
   /// so the candidate vector is not reallocated every round at every depth.
   void candidates_at(std::size_t depth, const Event& e,
                      std::vector<Candidate>& out, double& rate_out) const;
+
+  const DepthView& table(std::size_t depth) const {
+    return *depths_[depth - 1].table;
+  }
+  /// The intern state the tables are expressed in.
+  Interns& interns() const { return depths_.front().table->interns(); }
 
   /// Fig. 3's GETRATE: effective matching rate at `depth`.
   double rate_at(std::size_t depth, const Event& e) const;
@@ -209,10 +224,8 @@ class PmcastNode final : public Process {
   void handle_payload(const EventPayloadMsg& m);
 
   PmcastConfig config_;
-  Address self_;
-  AddrId self_id_ = kNoAddr;
+  AddrId self_id_ = kNoAddr;  ///< the node's address, in the tables' Interns
   Subscription subscription_;
-  const ViewProvider* views_;
   Directory directory_;
   RoundEstimator estimator_;
   EnvSource env_source_;
@@ -220,7 +233,7 @@ class PmcastNode final : public Process {
   PiggybackSource piggyback_source_;
   PiggybackSink piggyback_sink_;
 
-  std::vector<std::vector<Entry>> gossips_;  // index 0 <-> depth 1
+  std::vector<Depth> depths_;  // index 0 <-> depth 1
 
   /// Reusable candidate buffers: one for the gossip loop, one for the
   /// nested rate_at() calls (promotion computes the next depth's rate while

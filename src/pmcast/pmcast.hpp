@@ -6,8 +6,9 @@
 //   1. Describe the tree (TreeConfig) and build a GroupTree from
 //      (Address, Subscription) members, or run SyncNodes for decentralized
 //      membership.
-//   2. Create a Runtime and one PmcastNode per process, wired to a
-//      ViewProvider and an Address -> ProcessId directory.
+//   2. Create a Runtime and one PmcastNode per process, given its d view
+//      tables (GroupTree::tables_for, or MembershipView::tables_for of the
+//      SyncNode's view) and an AddrId -> ProcessId Directory.
 //   3. Call PmcastNode::pmcast(event); interested nodes get their deliver
 //      handler invoked with high probability, uninterested nodes are left
 //      alone with high probability.
@@ -26,5 +27,4 @@
 #include "membership/view.hpp"
 #include "pmcast/config.hpp"
 #include "pmcast/node.hpp"
-#include "pmcast/view_provider.hpp"
 #include "sim/runtime.hpp"

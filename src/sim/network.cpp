@@ -39,16 +39,12 @@ void Network::ensure_sender_states(std::size_t count) {
     senders_[i].prefix = fnv1a_u64(kFnv1aBasis ^ draw_seed_, pid_base_ + i);
 }
 
-void Network::reserve(std::size_t max_processes) {
-  PMC_EXPECTS(max_processes <= kDenseSenderLimit);
-  if (max_processes > handlers_.size()) handlers_.resize(max_processes);
-  ensure_sender_states(max_processes);
-}
-
 void Network::reserve_range(ProcessId pid_base, std::size_t count) {
   PMC_EXPECTS(handlers_.empty() && senders_.empty());
+  PMC_EXPECTS(count <= kDenseSenderLimit);
   pid_base_ = pid_base;
-  reserve(count);
+  handlers_.resize(count);
+  ensure_sender_states(count);
 }
 
 void Network::attach(ProcessId id, void* ctx, DispatchFn fn) {

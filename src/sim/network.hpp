@@ -135,19 +135,16 @@ class Network {
 
   Network(Scheduler& sched, NetworkConfig config, Rng rng);
 
-  /// Pre-sizes the handler table and the per-sender draw-state table for
-  /// `max_processes` pids. Purely an optimization — the tables still grow
-  /// on demand — but a harness that knows its population up front (e.g. a
-  /// group's 2 * capacity protocol nodes) avoids every mid-run resize this
-  /// way.
-  void reserve(std::size_t max_processes);
-
   /// Declares that this network hosts the pid range [pid_base, pid_base +
-  /// count): the dense handler and sender tables are indexed relative to
-  /// pid_base, so a shard hosting pids [s * 2C, (s+1) * 2C) allocates 2C
-  /// slots instead of (s+1) * 2C. Draw labels still hash the *global* pid —
-  /// rebasing changes where state lives, never which stream a sender uses.
-  /// Must be called before any attach/send (the tables must be empty).
+  /// count) and pre-sizes the handler and per-sender draw-state tables for
+  /// it. The tables are indexed relative to pid_base, so a shard hosting
+  /// pids [s * 2C, (s+1) * 2C) allocates 2C slots instead of (s+1) * 2C.
+  /// Purely an optimization otherwise — the tables still grow on demand —
+  /// but a harness that knows its population up front (e.g. a group's
+  /// 2 * capacity protocol nodes) avoids every mid-run resize this way.
+  /// Draw labels still hash the *global* pid — rebasing changes where state
+  /// lives, never which stream a sender uses. Must be called before any
+  /// attach/send (the tables must be empty).
   /// Every sender must lie in [pid_base, pid_base + 2^26); a message *to*
   /// a pid outside the table is counted dead on arrival.
   void reserve_range(ProcessId pid_base, std::size_t count);

@@ -269,8 +269,6 @@ auto read_clause(Reader& r) {
 
 }  // namespace
 
-Clause decode_clause(Reader& r) { return read_clause<true>(r); }
-
 // -- InterestSummary ---------------------------------------------------------
 
 void encode(Writer& w, const InterestSummary& s) {

@@ -44,7 +44,6 @@ void encode(Writer& w, const IntervalSet& set);
 IntervalSet decode_interval_set(Reader& r);
 
 void encode(Writer& w, const Clause& c);
-Clause decode_clause(Reader& r);
 
 void encode(Writer& w, const InterestSummary& s);
 InterestSummary decode_summary(Reader& r);

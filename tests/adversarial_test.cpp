@@ -165,16 +165,10 @@ TEST(Adversarial, TreecastExactlyOnceUnderDuplicationAndReorder) {
   tree_config.depth = 2;
   tree_config.redundancy = 2;
   auto tree = std::make_unique<GroupTree>(tree_config, members, *interns);
-  auto views = std::make_unique<TreeViewProvider>(*tree);
   auto rt = std::make_unique<Runtime>(NetworkConfig{}, 13);
   rt->network().set_duplication(0.8);
   rt->network().set_reorder(0.5, sim_ms(10));
-  std::vector<ProcessId> directory;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const AddrId id = interns->addrs.intern(members[i].address);
-    if (directory.size() <= id) directory.resize(id + 1, kNoProcess);
-    directory[id] = static_cast<ProcessId>(i);
-  }
+  const auto directory = testing::pid_table(*interns, members);
   TreecastConfig config;
   config.tree = tree_config;
   std::vector<std::unique_ptr<TreecastNode>> nodes;
@@ -182,10 +176,8 @@ TEST(Adversarial, TreecastExactlyOnceUnderDuplicationAndReorder) {
   for (std::size_t i = 0; i < members.size(); ++i) {
     nodes.push_back(std::make_unique<TreecastNode>(
         *rt, static_cast<ProcessId>(i), config, members[i].address,
-        members[i].subscription, *views,
-        [&directory](AddrId id) {
-          return id < directory.size() ? directory[id] : kNoProcess;
-        }));
+        members[i].subscription, tree->tables_for(members[i].address),
+        testing::lookup(directory)));
     nodes.back()->set_deliver_handler(
         [&log, pid = static_cast<ProcessId>(i)](const Event& e) {
           log.record(pid, e);

@@ -12,21 +12,36 @@
 
 namespace pmc::testing {
 
+/// A dense AddrId -> pid table over `members`: member i at pid base + i.
+inline std::vector<ProcessId> pid_table(Interns& interns,
+                                        const std::vector<Member>& members,
+                                        ProcessId base = 0) {
+  std::vector<ProcessId> pids;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const AddrId id = interns.addrs.intern(members[i].address);
+    if (pids.size() <= id) pids.resize(id + 1, kNoProcess);
+    pids[id] = base + static_cast<ProcessId>(i);
+  }
+  return pids;
+}
+
+/// The Directory reading `pids`, which must outlive it.
+inline Directory lookup(const std::vector<ProcessId>& pids) {
+  return [&pids](AddrId id) {
+    return id < pids.size() ? pids[id] : kNoProcess;
+  };
+}
+
 struct Cluster {
   std::vector<Member> members;
   // Declared before the tree, which holds a reference into it.
   std::unique_ptr<Interns> interns;
   std::unique_ptr<GroupTree> tree;
   std::unique_ptr<Runtime> runtime;
-  std::unique_ptr<TreeViewProvider> views;
   std::vector<ProcessId> pid_by_id;  ///< dense AddrId -> pid directory
   std::vector<std::unique_ptr<PmcastNode>> nodes;
 
-  PmcastNode::Directory directory_fn() const {
-    return [this](AddrId id) {
-      return id < pid_by_id.size() ? pid_by_id[id] : kNoProcess;
-    };
-  }
+  Directory directory_fn() const { return lookup(pid_by_id); }
 
   /// Pid of an address that is known to be in the cluster.
   ProcessId pid_of(const Address& a) const {
@@ -40,7 +55,7 @@ struct Cluster {
   bool is_delegate(const Address& a) const {
     const AddrId id = interns->addrs.find(a);
     for (std::size_t depth = 1; depth < a.depth(); ++depth) {
-      const DepthView& dv = tree->view_for(a, depth);
+      const DepthView& dv = tree->view_at(a.prefix(depth - 1));
       const auto ids = dv.delegates(dv.find_index(a.component(depth - 1)));
       if (std::ranges::find(ids, id) != ids.end()) return true;
     }
@@ -63,23 +78,18 @@ inline Cluster make_cluster(std::size_t a, std::size_t d, std::size_t r,
   c.interns = std::make_unique<Interns>();
   c.interns->reserve(c.members.size(), d);
   c.tree = std::make_unique<GroupTree>(tc, c.members, *c.interns);
-  c.views = std::make_unique<TreeViewProvider>(*c.tree);
 
   NetworkConfig net;
   net.loss_probability = loss;
   c.runtime = std::make_unique<Runtime>(net, seed ^ 0x5a5a5a5aULL);
 
   config.tree = tc;
-  for (std::size_t i = 0; i < c.members.size(); ++i) {
-    const AddrId id = c.interns->addrs.intern(c.members[i].address);
-    if (c.pid_by_id.size() <= id) c.pid_by_id.resize(id + 1, kNoProcess);
-    c.pid_by_id[id] = static_cast<ProcessId>(i);
-  }
+  c.pid_by_id = pid_table(*c.interns, c.members);
   for (std::size_t i = 0; i < c.members.size(); ++i) {
     c.nodes.push_back(std::make_unique<PmcastNode>(
         *c.runtime, static_cast<ProcessId>(i), config,
-        c.members[i].address, c.members[i].subscription, *c.views,
-        c.directory_fn()));
+        c.members[i].address, c.members[i].subscription,
+        c.tree->tables_for(c.members[i].address), c.directory_fn()));
   }
   return c;
 }

@@ -5,6 +5,7 @@
 // only the escape hatch, is doing the suppressing.
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace fixture {
@@ -15,6 +16,12 @@ std::uint64_t tally(
   // detlint:allow(iteration-order) commutative fold — addition erases order
   for (const auto& [key, value] : counts) sum += value;
   return sum;
+}
+
+std::size_t distinct(const std::vector<const int*>& items) {
+  // detlint:allow(pointer-hash) counted only: never iterated, serialized or fingerprinted
+  const std::unordered_set<const int*> seen(items.begin(), items.end());
+  return seen.size();
 }
 
 std::size_t probe_count() {

@@ -149,18 +149,12 @@ TEST(Coarsening, DeliveryPreservedEndToEnd) {
   opts.coarsen_depth_leq = 1;
   Interns interns;
   const GroupTree tree(tc, members, interns, opts);
-  const TreeViewProvider views(tree);
 
   std::size_t successes = 0;
   const std::size_t attempts = 8;
   for (std::uint64_t seed = 0; seed < attempts; ++seed) {
     Runtime rt(NetworkConfig{}, 10 + seed);
-    std::vector<ProcessId> dir;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const AddrId id = interns.addrs.intern(members[i].address);
-      if (dir.size() <= id) dir.resize(id + 1, kNoProcess);
-      dir[id] = static_cast<ProcessId>(i);
-    }
+    const auto dir = testing::pid_table(interns, members);
     PmcastConfig config = default_config();
     config.tree = tc;
     config.fanout = 4;
@@ -172,9 +166,8 @@ TEST(Coarsening, DeliveryPreservedEndToEnd) {
     for (std::size_t i = 0; i < members.size(); ++i)
       nodes.push_back(std::make_unique<PmcastNode>(
           rt, static_cast<ProcessId>(i), config, members[i].address,
-          members[i].subscription, views, [&dir](AddrId id) {
-            return id < dir.size() ? dir[id] : kNoProcess;
-          }));
+          members[i].subscription, tree.tables_for(members[i].address),
+          testing::lookup(dir)));
     // Event matching member index 3 (b == 3, u in [0.18, 0.23)).
     Event e(EventId{0, seed});
     e.with("b", 3).with("u", 0.2);
@@ -209,19 +202,12 @@ SyncPair make_sync(bool confirm, std::uint64_t seed) {
   config.confirm_suspicion = confirm;
   c.tree = std::make_unique<GroupTree>(config.tree, c.members, *c.interns);
   c.runtime = std::make_unique<Runtime>(NetworkConfig{}, seed ^ 0x99);
-  for (std::size_t i = 0; i < c.members.size(); ++i) {
-    const AddrId id = c.interns->addrs.intern(c.members[i].address);
-    if (c.directory.size() <= id) c.directory.resize(id + 1, kNoProcess);
-    c.directory[id] = static_cast<ProcessId>(i);
-  }
+  c.directory = testing::pid_table(*c.interns, c.members);
   for (std::size_t i = 0; i < c.members.size(); ++i) {
     c.nodes.push_back(std::make_unique<SyncNode>(
         *c.runtime, static_cast<ProcessId>(i), config,
         c.tree->materialize_view(c.members[i].address),
-        c.members[i].subscription));
-    c.nodes.back()->set_directory([&dir = c.directory](AddrId id) {
-      return id < dir.size() ? dir[id] : kNoProcess;
-    });
+        c.members[i].subscription, testing::lookup(c.directory)));
   }
   return c;
 }

@@ -131,12 +131,7 @@ TEST(Integration, MembershipAndDisseminationComposed) {
 
   Runtime rt(NetworkConfig{}, 9);
   // Interleave ids: sync node i <-> pmcast node i + 100.
-  std::vector<ProcessId> dir;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const AddrId id = interns.addrs.intern(members[i].address);
-    if (dir.size() <= id) dir.resize(id + 1, kNoProcess);
-    dir[id] = static_cast<ProcessId>(i);
-  }
+  const auto dir = testing::pid_table(interns, members);
 
   SyncConfig sc;
   sc.tree = tc;
@@ -145,30 +140,21 @@ TEST(Integration, MembershipAndDisseminationComposed) {
   for (std::size_t i = 0; i < members.size(); ++i) {
     sync_nodes.push_back(std::make_unique<SyncNode>(
         rt, static_cast<ProcessId>(i), sc,
-        tree.materialize_view(members[i].address),
-        members[i].subscription));
-    sync_nodes.back()->set_directory([&dir](AddrId id) {
-      return id < dir.size() ? dir[id] : kNoProcess;
-    });
+        tree.materialize_view(members[i].address), members[i].subscription,
+        testing::lookup(dir)));
   }
   rt.run_for(sim_ms(300));  // let membership settle
 
-  std::vector<ProcessId> pm_dir(dir.size(), kNoProcess);
-  for (std::size_t i = 0; i < members.size(); ++i)
-    pm_dir[interns.addrs.find(members[i].address)] =
-        static_cast<ProcessId>(i + 100);
+  const auto pm_dir = testing::pid_table(interns, members, 100);
   PmcastConfig pc = default_config();
   pc.tree = tc;
-  std::vector<std::unique_ptr<LocalViewProvider>> providers;
   std::vector<std::unique_ptr<PmcastNode>> pm_nodes;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    providers.push_back(
-        std::make_unique<LocalViewProvider>(sync_nodes[i]->view()));
     pm_nodes.push_back(std::make_unique<PmcastNode>(
         rt, static_cast<ProcessId>(i + 100), pc, members[i].address,
-        members[i].subscription, *providers[i], [&pm_dir](AddrId id) {
-          return id < pm_dir.size() ? pm_dir[id] : kNoProcess;
-        }));
+        members[i].subscription,
+        sync_nodes[i]->view().tables_for(members[i].address),
+        testing::lookup(pm_dir)));
   }
   const Event e = make_event_at(0, 0, 0.5);
   pm_nodes[0]->pmcast(e);

@@ -61,8 +61,8 @@ TEST(Interval, AllContainsEverything) {
   EXPECT_TRUE(all.contains(0.0));
   EXPECT_TRUE(all.contains(1e308));
   EXPECT_TRUE(all.contains(-1e308));
-  EXPECT_TRUE(all.unbounded_above());
-  EXPECT_TRUE(all.unbounded_below());
+  EXPECT_EQ(all.lo, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(all.hi, std::numeric_limits<double>::infinity());
 }
 
 TEST(Interval, Intersect) {

@@ -83,7 +83,7 @@ TEST(ParserRoundTrip, ToStringParsesBackEquivalently) {
   }
 }
 
-TEST(TreeSeams, ViewForAgreesWithViewAt) {
+TEST(TreeSeams, TablesForAgreesWithViewAt) {
   Rng rng(5);
   const auto members = uniform_interest_members(
       AddressSpace::regular(3, 3), 0.5, rng);
@@ -93,12 +93,13 @@ TEST(TreeSeams, ViewForAgreesWithViewAt) {
   Interns interns;
   const GroupTree tree(tc, members, interns);
   const auto self = Address::parse("1.2.0");
-  for (std::size_t depth = 1; depth <= 3; ++depth) {
-    EXPECT_EQ(&tree.view_for(self, depth),
-              &tree.view_at(self.prefix(depth - 1)));
-  }
-  EXPECT_THROW(tree.view_for(self, 0), std::logic_error);
-  EXPECT_THROW(tree.view_for(self, 4), std::logic_error);
+  const auto tables = tree.tables_for(self);
+  ASSERT_EQ(tables.size(), 3u);
+  for (std::size_t depth = 1; depth <= 3; ++depth)
+    EXPECT_EQ(tables[depth - 1], &tree.view_at(self.prefix(depth - 1)));
+  // An address of the wrong depth has no d tables.
+  EXPECT_THROW(tree.tables_for(Address::parse("1.2")), std::logic_error);
+  EXPECT_THROW(tree.tables_for(Address::parse("1.2.0.0")), std::logic_error);
 }
 
 TEST(TreeSeams, ViewOfUnknownPrefixThrows) {
@@ -125,7 +126,7 @@ TEST(TreeSeams, MissingMemberHasNoLeafRow) {
   Interns interns;
   const GroupTree tree(tc, members, interns);
   const auto missing = Address::parse("1.1");
-  const DepthView& leaf = tree.view_for(missing, 2);
+  const DepthView& leaf = *tree.tables_for(missing)[1];
   EXPECT_EQ(leaf.find_index(missing.component(1)), DepthView::npos);
   EXPECT_NE(leaf.find_index(0), DepthView::npos);  // 1.0 is there
   const DepthView& root = tree.view_at(Prefix::root());

@@ -287,12 +287,12 @@ TEST(Network, SendMultiSharesOnePayload) {
 }
 
 TEST(Network, ReserveDoesNotChangeDraws) {
-  // reserve() is purely an allocation hint: the labeled draw streams (and
-  // so every loss/latency outcome) are unchanged.
+  // reserve_range(0, n) is purely an allocation hint: the labeled draw
+  // streams (and so every loss/latency outcome) are unchanged.
   Fixture f(0.4);
   auto a = f.make();
   auto b = f.make();
-  b.reserve(64);
+  b.reserve_range(0, 64);
   DeliveryLog log_a, log_b;
   attach_loggers(f, a, log_a, 1, 10);
   attach_loggers(f, b, log_b, 1, 10);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "cluster_helpers.hpp"
 #include "harness/workload.hpp"
 #include "membership/sync.hpp"
 #include "pmcast/node.hpp"
@@ -24,8 +25,7 @@ struct Stack {
   std::vector<ProcessId> sync_dir;  ///< dense AddrId -> sync pid
   std::vector<ProcessId> pm_dir;    ///< dense AddrId -> pmcast pid
   std::vector<std::unique_ptr<SyncNode>> sync_nodes;
-  std::vector<std::unique_ptr<LocalViewProvider>> providers;
-  std::vector<std::unique_ptr<PmcastNode>> pm_nodes;
+  std::vector<std::unique_ptr<PmcastNode>> pm_nodes;  ///< reads sync_nodes
 };
 
 /// Builds combined SyncNode+PmcastNode processes with piggybacking wired,
@@ -41,16 +41,8 @@ Stack make_stack(SimTime sync_period, bool piggyback,
   tc.redundancy = 2;
   s.tree = std::make_unique<GroupTree>(tc, s.members, *s.interns);
   s.runtime = std::make_unique<Runtime>(NetworkConfig{}, seed ^ 0x42);
-
-  for (std::size_t i = 0; i < s.members.size(); ++i) {
-    const AddrId id = s.interns->addrs.intern(s.members[i].address);
-    if (s.sync_dir.size() <= id) {
-      s.sync_dir.resize(id + 1, kNoProcess);
-      s.pm_dir.resize(id + 1, kNoProcess);
-    }
-    s.sync_dir[id] = static_cast<ProcessId>(i);
-    s.pm_dir[id] = static_cast<ProcessId>(i + 100);
-  }
+  s.sync_dir = testing::pid_table(*s.interns, s.members);
+  s.pm_dir = testing::pid_table(*s.interns, s.members, 100);
   SyncConfig sc;
   sc.tree = tc;
   sc.gossip_period = sync_period;
@@ -59,23 +51,17 @@ Stack make_stack(SimTime sync_period, bool piggyback,
     s.sync_nodes.push_back(std::make_unique<SyncNode>(
         *s.runtime, static_cast<ProcessId>(i), sc,
         s.tree->materialize_view(s.members[i].address),
-        s.members[i].subscription));
-    s.sync_nodes.back()->set_directory([&dir = s.sync_dir](AddrId id) {
-      return id < dir.size() ? dir[id] : kNoProcess;
-    });
+        s.members[i].subscription, testing::lookup(s.sync_dir)));
   }
   PmcastConfig pc;
   pc.tree = tc;
   pc.fanout = 3;
   for (std::size_t i = 0; i < s.members.size(); ++i) {
-    s.providers.push_back(
-        std::make_unique<LocalViewProvider>(s.sync_nodes[i]->view()));
     s.pm_nodes.push_back(std::make_unique<PmcastNode>(
         *s.runtime, static_cast<ProcessId>(i + 100), pc,
-        s.members[i].address, s.members[i].subscription, *s.providers[i],
-        [&dir = s.pm_dir](AddrId id) {
-          return id < dir.size() ? dir[id] : kNoProcess;
-        }));
+        s.members[i].address, s.members[i].subscription,
+        s.sync_nodes[i]->view().tables_for(s.members[i].address),
+        testing::lookup(s.pm_dir)));
     if (piggyback) {
       SyncNode* sync = s.sync_nodes[i].get();
       s.pm_nodes.back()->set_piggyback(

@@ -172,14 +172,8 @@ TEST(PmcastNode, LocalInterestShortcutSkipsRootGossip) {
     tc.redundancy = 2;
     Interns interns;
     GroupTree tree(tc, members, interns);
-    TreeViewProvider views(tree);
     Runtime rt(NetworkConfig{}, 17);
-    std::vector<ProcessId> dir;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const AddrId id = interns.addrs.intern(members[i].address);
-      if (dir.size() <= id) dir.resize(id + 1, kNoProcess);
-      dir[id] = static_cast<ProcessId>(i);
-    }
+    const auto dir = testing::pid_table(interns, members);
     PmcastConfig config = testing::default_config();
     config.tree = tc;
     config.local_interest_shortcut = shortcut;
@@ -187,9 +181,8 @@ TEST(PmcastNode, LocalInterestShortcutSkipsRootGossip) {
     for (std::size_t i = 0; i < members.size(); ++i)
       nodes.push_back(std::make_unique<PmcastNode>(
           rt, static_cast<ProcessId>(i), config, members[i].address,
-          members[i].subscription, views, [&dir](AddrId id) {
-            return id < dir.size() ? dir[id] : kNoProcess;
-          }));
+          members[i].subscription, tree.tables_for(members[i].address),
+          testing::lookup(dir)));
     nodes[0]->pmcast(make_event_at(0, 0, 0.5));
     rt.run_until_idle();
     std::size_t delivered = 0;
@@ -223,7 +216,7 @@ TEST(PmcastNode, TuningIncreasesUninterestedReceptions) {
   EXPECT_GE(receptions(6), receptions(0));
 }
 
-TEST(PmcastNode, WorksWithLocalViewProvider) {
+TEST(PmcastNode, WorksWithMaterializedViews) {
   // Deployment configuration: every node owns a materialized view.
   const auto space = AddressSpace::regular(3, 2);
   Rng rng(31);
@@ -235,27 +228,19 @@ TEST(PmcastNode, WorksWithLocalViewProvider) {
   const GroupTree tree(tc, members, interns);
 
   Runtime rt(NetworkConfig{}, 31);
-  std::vector<ProcessId> dir;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const AddrId id = interns.addrs.intern(members[i].address);
-    if (dir.size() <= id) dir.resize(id + 1, kNoProcess);
-    dir[id] = static_cast<ProcessId>(i);
-  }
+  const auto dir = testing::pid_table(interns, members);
 
   std::vector<MembershipView> views;
   views.reserve(members.size());
   for (const auto& m : members) views.push_back(tree.materialize_view(m.address));
-  std::vector<std::unique_ptr<LocalViewProvider>> providers;
   std::vector<std::unique_ptr<PmcastNode>> nodes;
   PmcastConfig config = testing::default_config();
   config.tree = tc;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    providers.push_back(std::make_unique<LocalViewProvider>(views[i]));
     nodes.push_back(std::make_unique<PmcastNode>(
         rt, static_cast<ProcessId>(i), config, members[i].address,
-        members[i].subscription, *providers[i], [&dir](AddrId id) {
-          return id < dir.size() ? dir[id] : kNoProcess;
-        }));
+        members[i].subscription, views[i].tables_for(members[i].address),
+        testing::lookup(dir)));
   }
   nodes[4]->pmcast(make_event_at(4, 0, 0.5));
   rt.run_until_idle();
@@ -263,6 +248,31 @@ TEST(PmcastNode, WorksWithLocalViewProvider) {
   for (const auto& n : nodes)
     if (n->has_delivered(EventId{4, 0})) ++delivered;
   EXPECT_GE(delivered, 8u);
+}
+
+TEST(PmcastNode, ConstructionChecksItsTables) {
+  // The tables are checked once, when the node is built: exactly d of
+  // them, none null, all bound to one Interns.
+  auto c = make_cluster(3, 2, 2, 1.0, default_config());
+  TreeConfig tc;
+  tc.depth = 2;
+  tc.redundancy = 2;
+  Interns other_interns;
+  const GroupTree other(tc, c.members, other_interns);
+  const Member& m = c.members[0];
+  const auto own = c.tree->tables_for(m.address);
+  PmcastConfig config = default_config();
+  config.tree = tc;
+  const auto build = [&](std::vector<const DepthView*> tables) {
+    return std::make_unique<PmcastNode>(*c.runtime, ProcessId{99}, config,
+                                        m.address, m.subscription, tables,
+                                        c.directory_fn());
+  };
+  EXPECT_NO_THROW(build(own));
+  EXPECT_THROW(build({own[0]}), std::logic_error);
+  EXPECT_THROW(build({own[0], nullptr}), std::logic_error);
+  EXPECT_THROW(build({own[0], other.tables_for(m.address)[1]}),
+               std::logic_error);
 }
 
 TEST(PmcastNode, StatsAreConsistent) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "cluster_helpers.hpp"
 #include "harness/workload.hpp"
 #include "wire/messages.hpp"
 
@@ -27,11 +28,7 @@ struct SyncCluster {
     pid_by_id[id] = pid;
   }
 
-  SyncNode::Directory directory_fn() const {
-    return [this](AddrId id) {
-      return id < pid_by_id.size() ? pid_by_id[id] : kNoProcess;
-    };
-  }
+  Directory directory_fn() const { return testing::lookup(pid_by_id); }
 
   /// The depth-`depth` row of `node`'s view with infix `c`; npos if absent.
   static std::size_t row_of(const SyncNode& node, std::size_t depth,
@@ -64,8 +61,7 @@ SyncCluster make_sync_cluster(std::size_t a, std::size_t d, std::size_t r,
     c.nodes.push_back(std::make_unique<SyncNode>(
         *c.runtime, static_cast<ProcessId>(i), c.config,
         c.tree->materialize_view(c.members[i].address),
-        c.members[i].subscription));
-    c.nodes.back()->set_directory(c.directory_fn());
+        c.members[i].subscription, c.directory_fn()));
   }
   return c;
 }
@@ -73,6 +69,21 @@ SyncCluster make_sync_cluster(std::size_t a, std::size_t d, std::size_t r,
 TEST(SyncNode, FoundersStartJoined) {
   auto c = make_sync_cluster(3, 2, 2);
   for (const auto& n : c.nodes) EXPECT_TRUE(n->joined());
+}
+
+TEST(SyncNode, ConstructionRequiresADirectory) {
+  auto c = make_sync_cluster(3, 2, 2);
+  const Member& m = c.members[0];
+  EXPECT_THROW(std::make_unique<SyncNode>(
+                   *c.runtime, ProcessId{99}, c.config,
+                   c.tree->materialize_view(m.address), m.subscription,
+                   Directory{}),
+               std::logic_error);
+  EXPECT_THROW(std::make_unique<SyncNode>(*c.runtime, ProcessId{99}, c.config,
+                                          m.address, m.subscription,
+                                          /*contact=*/0, *c.interns,
+                                          Directory{}),
+               std::logic_error);
 }
 
 TEST(SyncNode, FoundersFromAGroupTreeRecompactNothing) {
@@ -137,15 +148,13 @@ TEST(SyncNode, JoinerIsAdoptedByNeighbors) {
     small.nodes.push_back(std::make_unique<SyncNode>(
         *small.runtime, static_cast<ProcessId>(i), small.config,
         small.tree->materialize_view(small.members[i].address),
-        small.members[i].subscription));
-    small.nodes.back()->set_directory(small.directory_fn());
+        small.members[i].subscription, small.directory_fn()));
   }
 
   // Join via a *distant* contact (0.0) so the request must be routed.
   SyncNode joiner(*small.runtime, newbie_pid, small.config, newbie,
                   Subscription::parse("u < 0.3"), /*contact=*/0,
-                  *small.interns);
-  joiner.set_directory(small.directory_fn());
+                  *small.interns, small.directory_fn());
 
   small.runtime->run_for(sim_ms(1500));
 
@@ -446,7 +455,8 @@ std::vector<SimTime> join_send_times(bool backoff, SimTime horizon) {
   config.join_backoff = backoff;
   Runtime rt(NetworkConfig{}, /*seed=*/901);
   SyncNode joiner(rt, /*pid=*/1, config, Address::parse("0.0"),
-                  Subscription::parse("u < 0.5"), /*contact=*/0, interns);
+                  Subscription::parse("u < 0.5"), /*contact=*/0, interns,
+                  [](AddrId) { return kNoProcess; });
   std::vector<SimTime> times;
   std::uint64_t seen = 0;
   for (SimTime t = 0; t <= horizon; t += sim_ms(5)) {

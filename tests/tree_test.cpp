@@ -36,7 +36,7 @@ struct Tree {
   /// Whether `a` appears in its own depth-`depth` table, as a delegate of
   /// the row for its depth-`depth` subgroup (a leaf row at depth d).
   bool appears_at(const Address& a, std::size_t depth) const {
-    const DepthView& dv = tree.view_for(a, depth);
+    const DepthView& dv = tree.view_at(a.prefix(depth - 1));
     const std::size_t i = dv.find_index(a.component(depth - 1));
     if (i == DepthView::npos) return false;
     const auto ids = dv.delegates(i);
@@ -94,7 +94,7 @@ TEST(GroupTree, RootViewHasOneRowPerPopulatedChild) {
 TEST(GroupTree, LeafViewListsIndividualProcesses) {
   const Tree t(cfg(3, 2), regular_members(3, 3));
   const auto self = Address::parse("1.1.0");
-  const auto& leaf = t.tree.view_for(self, 3);
+  const auto& leaf = t.tree.view_at(self.prefix(2));
   ASSERT_EQ(leaf.size(), 3u);
   for (std::size_t i = 0; i < leaf.size(); ++i) {
     EXPECT_EQ(leaf.process_count(i), 1u);
@@ -146,7 +146,7 @@ TEST(GroupTree, ViewSizesMatchEq12) {
                regular_members(static_cast<AddrComponent>(a), d));
   const auto self = Address::parse("1.2.3");
   for (std::size_t depth = 1; depth <= d; ++depth) {
-    const auto& view = t.tree.view_for(self, depth);
+    const auto& view = t.tree.view_at(self.prefix(depth - 1));
     std::size_t members = 0;
     for (std::size_t i = 0; i < view.size(); ++i)
       members += view.delegates(i).size();
@@ -180,7 +180,7 @@ TEST(GroupTree, EveryMemberHasALeafRowWithItsInterests) {
   const Tree t(cfg(2, 1), members);
   for (const auto& m : members) {
     ASSERT_TRUE(t.appears_at(m.address, 2)) << m.address.to_string();
-    const DepthView& leaf = t.tree.view_for(m.address, 2);
+    const DepthView& leaf = t.tree.view_at(m.address.prefix(1));
     const std::size_t i = leaf.find_index(m.address.component(1));
     EXPECT_EQ(leaf.delegates(i).size(), 1u);
     EXPECT_EQ(leaf.process_count(i), 1u);
@@ -300,7 +300,7 @@ TEST(GroupTree, MaterializeViewMatchesShared) {
   const auto self = Address::parse("1.2.0");
   const auto mv = t.tree.materialize_view(self);
   for (std::size_t depth = 1; depth <= 3; ++depth) {
-    const auto& shared = t.tree.view_for(self, depth);
+    const auto& shared = t.tree.view_at(self.prefix(depth - 1));
     ASSERT_EQ(mv.view(depth).size(), shared.size());
     for (std::size_t i = 0; i < shared.size(); ++i) {
       EXPECT_EQ(mv.view(depth).infix(i), shared.infix(i));

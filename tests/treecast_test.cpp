@@ -17,7 +17,6 @@ struct TreecastCluster {
   std::unique_ptr<Interns> interns = std::make_unique<Interns>();
   std::unique_ptr<GroupTree> tree;
   std::unique_ptr<Runtime> runtime;
-  std::unique_ptr<TreeViewProvider> views;
   std::vector<ProcessId> directory;  ///< dense AddrId -> pid
   std::vector<std::unique_ptr<TreecastNode>> nodes;
 
@@ -37,22 +36,16 @@ TreecastCluster make_treecast(std::size_t a, std::size_t d, double pd,
   tree_config.depth = d;
   tree_config.redundancy = 2;
   c.tree = std::make_unique<GroupTree>(tree_config, c.members, *c.interns);
-  c.views = std::make_unique<TreeViewProvider>(*c.tree);
   c.runtime = std::make_unique<Runtime>(NetworkConfig{}, seed ^ 0x7);
-  for (std::size_t i = 0; i < c.members.size(); ++i) {
-    const AddrId id = c.interns->addrs.intern(c.members[i].address);
-    if (c.directory.size() <= id) c.directory.resize(id + 1, kNoProcess);
-    c.directory[id] = static_cast<ProcessId>(i);
-  }
+  c.directory = testing::pid_table(*c.interns, c.members);
   TreecastConfig config;
   config.tree = tree_config;
   for (std::size_t i = 0; i < c.members.size(); ++i) {
     c.nodes.push_back(std::make_unique<TreecastNode>(
         *c.runtime, static_cast<ProcessId>(i), config,
-        c.members[i].address, c.members[i].subscription, *c.views,
-        [&dir = c.directory](AddrId id) {
-          return id < dir.size() ? dir[id] : kNoProcess;
-        }));
+        c.members[i].address, c.members[i].subscription,
+        c.tree->tables_for(c.members[i].address),
+        testing::lookup(c.directory)));
   }
   return c;
 }
@@ -189,6 +182,30 @@ TEST(Treecast, DuplicateMulticastIgnored) {
   c.runtime->run_until_idle();
   // Receivers have seen the id; only node 1's own forwards add traffic.
   EXPECT_LE(c.runtime->network().counters().sent, sent + 9);
+}
+
+TEST(Treecast, ConstructionChecksItsTables) {
+  // As PmcastNode: exactly d tables, none null, all bound to one Interns.
+  auto c = make_treecast(3, 2, 1.0, 8);
+  TreeConfig tc;
+  tc.depth = 2;
+  tc.redundancy = 2;
+  Interns other_interns;
+  const GroupTree other(tc, c.members, other_interns);
+  const Member& m = c.members[0];
+  const auto own = c.tree->tables_for(m.address);
+  TreecastConfig config;
+  config.tree = tc;
+  const auto build = [&](std::vector<const DepthView*> tables) {
+    return std::make_unique<TreecastNode>(
+        *c.runtime, ProcessId{99}, config, m.address, m.subscription, tables,
+        [](AddrId) { return kNoProcess; });
+  };
+  EXPECT_NO_THROW(build(own));
+  EXPECT_THROW(build({own[0]}), std::logic_error);
+  EXPECT_THROW(build({own[0], nullptr}), std::logic_error);
+  EXPECT_THROW(build({own[0], other.tables_for(m.address)[1]}),
+               std::logic_error);
 }
 
 TEST(Treecast, UninterestedSubtreesNeverTouched) {

@@ -349,6 +349,18 @@ TEST(MembershipView, SelfIdIsInterned) {
   EXPECT_EQ(interns.addrs.resolve(mv.self_id()), mv.self());
 }
 
+TEST(MembershipView, TablesForHandsOutItsOwnTablesToItsOwnProcessOnly) {
+  TreeConfig cfg;
+  cfg.depth = 2;
+  Interns interns;
+  const MembershipView mv(Address::parse("3.1"), cfg, interns);
+  const auto tables = mv.tables_for(Address::parse("3.1"));
+  ASSERT_EQ(tables.size(), 2u);
+  EXPECT_EQ(tables[0], &mv.view(1));
+  EXPECT_EQ(tables[1], &mv.view(2));
+  EXPECT_THROW(mv.tables_for(Address::parse("3.2")), std::logic_error);
+}
+
 TEST(MembershipView, ToStringMentionsSelf) {
   TreeConfig cfg;
   cfg.depth = 2;

@@ -77,20 +77,13 @@ TEST(WireIntegration, MembershipSyncOverSerializedMessages) {
   const GroupTree tree(config.tree, members, interns);
   Runtime rt(NetworkConfig{}, 83);
   rt.network().set_transcoder(codec_round_trip());
-  std::vector<ProcessId> dir;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const AddrId id = interns.addrs.intern(members[i].address);
-    if (dir.size() <= id) dir.resize(id + 1, kNoProcess);
-    dir[id] = static_cast<ProcessId>(i);
-  }
+  const auto dir = testing::pid_table(interns, members);
   std::vector<std::unique_ptr<SyncNode>> nodes;
   for (std::size_t i = 0; i < members.size(); ++i) {
     nodes.push_back(std::make_unique<SyncNode>(
         rt, static_cast<ProcessId>(i), config,
-        tree.materialize_view(members[i].address), members[i].subscription));
-    nodes.back()->set_directory([&dir](AddrId id) {
-      return id < dir.size() ? dir[id] : kNoProcess;
-    });
+        tree.materialize_view(members[i].address), members[i].subscription,
+        testing::lookup(dir)));
   }
   rt.run_for(sim_ms(500));
   // Tombstone propagation through serialized updates.

@@ -79,8 +79,8 @@ def main() -> int:
           f"allowed.cpp with annotations honored: passes (got {rc}, "
           f"{findings})")
     rc, findings = run_detlint([allowed], no_allowlist=True)
-    check(rc == 1 and len(findings) == 2,
-          f"allowed.cpp with --no-allowlist: both sites flagged "
+    check(rc == 1 and len(findings) == 3,
+          f"allowed.cpp with --no-allowlist: all three sites flagged "
           f"(got {rc}, {findings})")
 
     if failures:

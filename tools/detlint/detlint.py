@@ -16,8 +16,10 @@ banned-source       Wall-clock, entropy, and environment reads in
                     system_clock / steady_clock / high_resolution_clock,
                     getenv. Replays must not observe the host.
 pointer-hash        Pointer values reaching a hash or comparator:
-                    std::hash<T*>, std::less<T*>, reinterpret_cast to
-                    [u]intptr_t, `this` passed to a hash/fnv helper.
+                    std::hash<T*>, std::less<T*>, an unordered
+                    container keyed by a pointer (its implicit
+                    std::hash<T*>), reinterpret_cast to [u]intptr_t,
+                    `this` passed to a hash/fnv helper.
                     Addresses differ run to run; hashing one bakes ASLR
                     into a fingerprint.
 rng-discipline      RNG engine construction outside the labeled-stream
@@ -249,6 +251,8 @@ POINTER_HASH_PATTERNS = (
      "std::hash over a pointer type"),
     (re.compile(r"\bstd::less\s*<[^<>;]*\*\s*>"),
      "std::less over a pointer type (address ordering)"),
+    (re.compile(r"\bunordered_(?:multi)?(?:map|set)\s*<[^<>,;]*\*\s*[,>]"),
+     "unordered container keyed by a pointer (implicit std::hash<T*>)"),
     (re.compile(r"\breinterpret_cast\s*<\s*(?:std::)?u?intptr_t\s*>"),
      "pointer converted to integer (address value escapes)"),
     (re.compile(r"\b\w*(?:hash|fnv)\w*\s*\([^()]*\bthis\b"),
