@@ -48,7 +48,7 @@ int main() {
     config.tree = tc;
     config.fanout = fanout;
     config.period = period;
-    config.env.prior.loss = loss;
+    config.env.loss = loss;
     std::vector<std::unique_ptr<PmcastNode>> nodes;
     for (std::size_t i = 0; i < members.size(); ++i)
       nodes.push_back(std::make_unique<PmcastNode>(

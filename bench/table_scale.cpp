@@ -37,15 +37,14 @@
 // `--max-processes N` skips rows larger than N (the perf-smoke CI job runs
 // a small prefix); `--json <file>` writes the pmcast-bench-v1 schema —
 // BENCH_scale.json in the repo root is a committed snapshot.
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "harness/scenario.hpp"
 #include "harness/shard.hpp"
 
 namespace {
@@ -202,17 +201,15 @@ int main(int argc, char** argv) {
       std::cerr << "bad --section: expected A or B, got '" << value << "'\n";
       return 2;
     }
-    // Every character a digit: "1e3" and "-1" are errors, not a silent
-    // cap at 1 or a wrap to 2^64 - 1.
-    errno = 0;
-    max_processes = std::strtoull(value.c_str(), nullptr, 10);
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos ||
-        errno == ERANGE) {
+    // "1e3" and "-1" are errors, not a silent cap at 1 or a wrap to
+    // 2^64 - 1.
+    const auto parsed = parse_count(value);
+    if (!parsed) {
       std::cerr << "bad --max-processes: expected a number, got '" << value
                 << "'\n";
       return 2;
     }
+    max_processes = *parsed;
   }
   bench::JsonWriter json(argc, argv, "table_scale");
 

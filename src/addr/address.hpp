@@ -71,7 +71,6 @@ class Prefix {
   static Prefix root() { return Prefix{}; }
 
   std::size_t length() const noexcept { return comps_.size(); }
-  bool is_root() const noexcept { return comps_.empty(); }
   AddrComponent component(std::size_t i) const {
     PMC_EXPECTS(i < comps_.size());
     return comps_[i];
@@ -82,9 +81,9 @@ class Prefix {
 
   /// Child prefix with one more component appended.
   Prefix child(AddrComponent next) const;
-  /// Parent prefix; precondition: !is_root().
+  /// Parent prefix; precondition: length() > 0.
   Prefix parent() const;
-  /// The last component; precondition: !is_root().
+  /// The last component; precondition: length() > 0.
   AddrComponent infix() const {
     PMC_EXPECTS(!comps_.empty());
     return comps_.back();

@@ -16,17 +16,13 @@ constexpr std::uint64_t kMinProbes = 4;
 
 }  // namespace
 
-void AdaptiveEnv::validate() const {
+EnvEstimator::EnvEstimator(EnvParams prior, double ewma_alpha)
+    : alpha_(ewma_alpha),
+      loss_(std::min(prior.loss, kCeiling)),
+      crash_(std::min(prior.crash, kCeiling)) {
   PMC_EXPECTS(prior.loss >= 0.0 && prior.loss < 1.0);
   PMC_EXPECTS(prior.crash >= 0.0 && prior.crash < 1.0);
   PMC_EXPECTS(ewma_alpha > 0.0 && ewma_alpha <= 1.0);
-}
-
-EnvEstimator::EnvEstimator(AdaptiveEnv policy)
-    : policy_(policy),
-      loss_(std::min(policy.prior.loss, kCeiling)),
-      crash_(std::min(policy.prior.crash, kCeiling)) {
-  policy_.validate();
 }
 
 void EnvEstimator::observe_feedback(std::uint64_t probes,
@@ -37,7 +33,7 @@ void EnvEstimator::observe_feedback(std::uint64_t probes,
   const double ratio = std::min(
       1.0, static_cast<double>(acks) / static_cast<double>(probes));
   const double observed = 1.0 - std::sqrt(ratio);
-  loss_ = (1.0 - policy_.ewma_alpha) * loss_ + policy_.ewma_alpha * observed;
+  loss_ = (1.0 - alpha_) * loss_ + alpha_ * observed;
   loss_ = std::clamp(loss_, 0.0, kCeiling);
   ++feedback_windows_;
 }
@@ -47,8 +43,7 @@ void EnvEstimator::observe_churn(std::uint64_t deaths,
   if (population == 0) return;
   const double observed = std::min(
       1.0, static_cast<double>(deaths) / static_cast<double>(population));
-  crash_ =
-      (1.0 - policy_.ewma_alpha) * crash_ + policy_.ewma_alpha * observed;
+  crash_ = (1.0 - alpha_) * crash_ + alpha_ * observed;
   crash_ = std::clamp(crash_, 0.0, kCeiling);
   ++churn_windows_;
 }

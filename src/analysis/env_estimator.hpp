@@ -42,27 +42,12 @@
 
 namespace pmc {
 
-/// Eq. 11 environment policy: the static ε/τ prior a node starts from,
-/// plus the knobs of the online estimator that may refine it at runtime.
-struct AdaptiveEnv {
-  /// Static estimate (the paper's deployed-process assumption): used
-  /// verbatim while `adaptive` is off, and as the EWMA seed when it is on.
-  EnvParams prior;
-
-  /// Consult the live estimate (PmcastNode::set_env_source) instead of the
-  /// prior when re-evaluating the Eq. 11 round bound.
-  bool adaptive = false;
-
-  /// EWMA weight of each new observation window, in (0, 1]. Larger values
-  /// track bursts faster but pass more sampling noise into the bound.
-  double ewma_alpha = 0.3;
-
-  void validate() const;
-};
-
 class EnvEstimator {
  public:
-  explicit EnvEstimator(AdaptiveEnv policy);
+  /// Starts from the static ε/τ `prior` (each in [0, 1)), and weighs each
+  /// new observation window by `ewma_alpha`, in (0, 1]. Larger weights
+  /// track bursts faster but pass more sampling noise into the bound.
+  EnvEstimator(EnvParams prior, double ewma_alpha);
 
   /// One feedback window: membership digests sent vs. update/ack replies
   /// received. Windows with fewer than 4 probes are ignored;
@@ -81,12 +66,11 @@ class EnvEstimator {
     return feedback_windows_;
   }
   std::uint64_t churn_windows() const noexcept { return churn_windows_; }
-  const AdaptiveEnv& policy() const noexcept { return policy_; }
 
  private:
-  AdaptiveEnv policy_;
-  double loss_;   ///< EWMA state, seeded from policy_.prior.loss
-  double crash_;  ///< EWMA state, seeded from policy_.prior.crash
+  double alpha_;  ///< EWMA weight of a new window
+  double loss_;   ///< EWMA state, seeded from the prior's loss
+  double crash_;  ///< EWMA state, seeded from the prior's crash
   std::uint64_t feedback_windows_ = 0;  ///< accepted feedback windows
   std::uint64_t churn_windows_ = 0;     ///< accepted churn windows
 };

@@ -45,8 +45,6 @@ class RoundEstimator {
   /// estimate t: ceil(t), 0 when t <= 0.
   static std::size_t executed_rounds(double t);
 
-  double constant() const noexcept { return c_; }
-
  private:
   double c_;
 };

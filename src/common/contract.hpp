@@ -1,5 +1,5 @@
-// Lightweight contract checking in the spirit of the C++ Core Guidelines'
-// Expects/Ensures (I.6, I.8). Violations are programming errors, so they
+// Lightweight precondition checking in the spirit of the C++ Core
+// Guidelines' Expects (I.6). Violations are programming errors, so they
 // terminate via std::logic_error rather than being silently ignored.
 #pragma once
 
@@ -9,10 +9,10 @@
 namespace pmc {
 
 namespace detail {
-[[noreturn]] inline void contract_failure(const char* kind, const char* expr,
-                                          const char* file, int line) {
-  throw std::logic_error(std::string(kind) + " violated: " + expr + " at " +
-                         file + ":" + std::to_string(line));
+[[noreturn]] inline void contract_failure(const char* expr, const char* file,
+                                          int line) {
+  throw std::logic_error(std::string("precondition violated: ") + expr +
+                         " at " + file + ":" + std::to_string(line));
 }
 }  // namespace detail
 
@@ -21,13 +21,5 @@ namespace detail {
 #define PMC_EXPECTS(cond)                                                \
   do {                                                                   \
     if (!(cond))                                                         \
-      ::pmc::detail::contract_failure("precondition", #cond, __FILE__,   \
-                                      __LINE__);                         \
-  } while (false)
-
-#define PMC_ENSURES(cond)                                                \
-  do {                                                                   \
-    if (!(cond))                                                         \
-      ::pmc::detail::contract_failure("postcondition", #cond, __FILE__,  \
-                                      __LINE__);                         \
+      ::pmc::detail::contract_failure(#cond, __FILE__, __LINE__);        \
   } while (false)

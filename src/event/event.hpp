@@ -37,7 +37,6 @@ class Event {
 
   /// nullopt when the attribute is absent.
   std::optional<Value> get(std::string_view name) const;
-  bool has(std::string_view name) const { return get(name).has_value(); }
 
   std::size_t size() const noexcept { return attrs_.size(); }
   bool empty() const noexcept { return attrs_.empty(); }

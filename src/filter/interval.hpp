@@ -30,10 +30,6 @@ struct Interval {
   static Interval point(double x) { return {x, x, false, false}; }
   static Interval closed(double lo, double hi) { return {lo, hi, false, false}; }
   static Interval open(double lo, double hi) { return {lo, hi, true, true}; }
-  /// [lo, hi) — the shape used by the uniform-interest workload.
-  static Interval half_open(double lo, double hi) {
-    return {lo, hi, false, true};
-  }
 
   bool contains(double x) const noexcept {
     if (lo_open ? x <= lo : x < lo) return false;

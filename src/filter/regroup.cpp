@@ -205,6 +205,15 @@ constexpr std::size_t kMaxDnfClauses = 64;
 /// automatic coarsen().
 constexpr std::size_t kMaxClauses = 256;
 
+/// Adds `allowed` to the sorted string whitelist `dst`.
+void union_into(std::vector<std::string>& dst,
+                const std::vector<std::string>& allowed) {
+  std::vector<std::string> merged;
+  std::set_union(dst.begin(), dst.end(), allowed.begin(), allowed.end(),
+                 std::back_inserter(merged));
+  dst = std::move(merged);
+}
+
 }  // namespace
 
 InterestSummary InterestSummary::from(const Subscription& sub) {
@@ -231,34 +240,29 @@ void InterestSummary::add_clause(Clause c) {
   }
   if (c.attribute_count() == 1) {
     // Tier 1/2: fold single-attribute clauses into per-attribute unions.
-    if (!c.numeric().empty()) {
-      const auto& [attr, iv] = *c.numeric().begin();
-      numeric_[attr].insert(iv);
-    } else {
-      const auto& [attr, allowed] = *c.strings().begin();
-      auto& dst = strings_[attr];
-      std::vector<std::string> merged;
-      std::set_union(dst.begin(), dst.end(), allowed.begin(), allowed.end(),
-                     std::back_inserter(merged));
-      dst = std::move(merged);
-    }
+    fold_first_attribute(c);
     return;
   }
   clauses_.push_back(std::move(c));
   if (clauses_.size() > kMaxClauses) coarsen();
 }
 
+void InterestSummary::fold_first_attribute(const Clause& c) {
+  if (!c.numeric().empty()) {
+    const auto& [attr, iv] = *c.numeric().begin();
+    numeric_[attr].insert(iv);
+  } else if (!c.strings().empty()) {
+    const auto& [attr, allowed] = *c.strings().begin();
+    union_into(strings_[attr], allowed);
+  }
+}
+
 void InterestSummary::merge(const InterestSummary& other) {
   if (other.wildcard_) wildcard_ = true;
   if (wildcard_) return;
   for (const auto& [attr, ivs] : other.numeric_) numeric_[attr].insert_all(ivs);
-  for (const auto& [attr, allowed] : other.strings_) {
-    auto& dst = strings_[attr];
-    std::vector<std::string> merged;
-    std::set_union(dst.begin(), dst.end(), allowed.begin(), allowed.end(),
-                   std::back_inserter(merged));
-    dst = std::move(merged);
-  }
+  for (const auto& [attr, allowed] : other.strings_)
+    union_into(strings_[attr], allowed);
   for (const auto& c : other.clauses_) add_clause(c);
   opaque_.insert(opaque_.end(), other.opaque_.begin(), other.opaque_.end());
   prune_subsumed();
@@ -318,19 +322,7 @@ void InterestSummary::coarsen() {
   // Relax each multi-attribute clause to the projection onto one of its
   // attributes: (b>3 && c<2) is implied by (b>3), so replacing the clause by
   // the projection can only add matches — never lose one.
-  for (const auto& c : clauses_) {
-    if (!c.numeric().empty()) {
-      const auto& [attr, iv] = *c.numeric().begin();
-      numeric_[attr].insert(iv);
-    } else if (!c.strings().empty()) {
-      const auto& [attr, allowed] = *c.strings().begin();
-      auto& dst = strings_[attr];
-      std::vector<std::string> merged;
-      std::set_union(dst.begin(), dst.end(), allowed.begin(), allowed.end(),
-                     std::back_inserter(merged));
-      dst = std::move(merged);
-    }
-  }
+  for (const auto& c : clauses_) fold_first_attribute(c);
   clauses_.clear();
   // Collapse each interval union to its bounding interval.
   for (auto& [attr, ivs] : numeric_) {

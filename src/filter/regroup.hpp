@@ -130,6 +130,9 @@ class InterestSummary {
 
  private:
   void add_clause(Clause c);
+  /// Adds the clause's first attribute, numeric before string, to the
+  /// per-attribute unions: the projection that relaxes it.
+  void fold_first_attribute(const Clause& c);
   void prune_subsumed();
 
   bool wildcard_ = false;

@@ -1,18 +1,17 @@
 #include "harness/experiment.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "baselines/flooding.hpp"
 #include "baselines/genuine.hpp"
 #include "baselines/treecast.hpp"
 #include "common/contract.hpp"
+#include "harness/scenario.hpp"
 #include "pmcast/node.hpp"
 
 namespace pmc {
@@ -59,8 +58,8 @@ PmcastConfig ExperimentConfig::pmcast_config() const {
   c.fanout = fanout;
   c.period = period;
   c.pittel_c = pittel_c;
-  c.env.prior.loss = loss;
-  c.env.prior.crash = crash_fraction;
+  c.env.loss = loss;
+  c.env.crash = crash_fraction;
   c.tuning_threshold = tuning_threshold;
   c.local_interest_shortcut = local_interest_shortcut;
   c.leaf_flood_density = leaf_flood_density;
@@ -331,15 +330,12 @@ std::size_t env_size_t(const char* name, std::size_t fallback) {
   // detlint:allow(banned-source) run-scope knob (PMCAST_*) read before any Runtime exists; never feeds draws or fingerprints
   const char* value = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
   if (value == nullptr || *value == '\0') return fallback;
-  const std::string_view text(value);
-  std::size_t parsed = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), parsed);
-  if (ec != std::errc{} || end != text.data() + text.size() || parsed < 1)
+  const auto parsed = parse_count(value);
+  if (!parsed || *parsed < 1)
     throw std::invalid_argument("bad " + std::string(name) +
                                 ": expected a positive integer, got '" +
-                                std::string(text) + "'");
-  return parsed;
+                                value + "'");
+  return *parsed;
 }
 
 }  // namespace pmc

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -54,36 +55,21 @@ std::string format_double(double value) {
   return std::string(buf, res.ptr);
 }
 
-std::size_t parse_count(const std::string& token) {
-  // Strict: every character must be a digit ("3ms" is a typo, not a 3).
-  const bool all_digits =
-      !token.empty() &&
-      std::all_of(token.begin(), token.end(), [](unsigned char c) {
-        return std::isdigit(c) != 0;
-      });
-  if (all_digits) {
-    try {
-      return static_cast<std::size_t>(std::stoull(token));
-    } catch (const std::exception&) {  // out_of_range
-    }
-  }
-  throw std::invalid_argument("expected a count, got '" + token + "'");
-}
-
-double parse_number(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (token.empty() || end != token.c_str() + token.size())
+/// What a shared parser read from `token`, or the grammar's error for it.
+template <class T>
+T require(std::optional<T> parsed, const char* what,
+          const std::string& token) {
+  if (!parsed)
     throw std::invalid_argument(std::string("expected a ") + what +
                                 ", got '" + token + "'");
-  return value;
+  return *parsed;
 }
 
 std::vector<AddrComponent> parse_components(const std::string& token) {
   std::vector<AddrComponent> out;
   std::istringstream parts(token);
   for (std::string part; std::getline(parts, part, ',');) {
-    const std::size_t c = parse_count(part);
+    const std::uint64_t c = require(parse_count(part), "count", part);
     if (c > std::numeric_limits<AddrComponent>::max())
       throw std::invalid_argument("address component out of range: '" +
                                   part + "'");
@@ -136,12 +122,13 @@ struct FieldReader {
                                   "', got '" + tok[pos - 1] + "'");
     const std::string& token = next();
     if constexpr (std::is_same_v<T, std::size_t>) {
-      value = parse_count(token);
+      value = require(parse_count(token), "count", token);
     } else if constexpr (std::is_same_v<T, SimTime>) {
       value = parse_sim_time(token);
     } else if constexpr (std::is_same_v<T, double>) {
-      value = parse_number(
-          token, term == Term::kFraction ? "fraction" : "probability");
+      value = require(parse_real(token),
+                      term == Term::kFraction ? "fraction" : "probability",
+                      token);
     } else if constexpr (std::is_same_v<T, std::string>) {
       value = token;
     } else {
@@ -510,7 +497,8 @@ struct ScenarioVerb<LatencyProfile> : ScenarioEffects {
     const std::string& form = in.next();
     if (form == "lognormal") {
       op.median = parse_sim_time(in.next());
-      op.sigma = parse_number(in.next(), "sigma");
+      const std::string& sigma = in.next();
+      op.sigma = require(parse_real(sigma), "sigma", sigma);
     } else if (form != "uniform") {
       throw std::invalid_argument(
           "expected 'lognormal <median> <sigma>' or 'uniform'");
@@ -777,28 +765,43 @@ ScenarioScript expand(const ScenarioScript& script) {
 
 }  // namespace
 
+std::optional<std::uint64_t> parse_count(const std::string& token) {
+  // from_chars takes no sign or blank for an unsigned type.
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_real(const std::string& token) {
+  // strtod alone skips leading blanks and reads "nan" and "inf".
+  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0])))
+    return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() || !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
 SimTime parse_sim_time(const std::string& token) {
-  std::size_t digits = 0;
-  while (digits < token.size() &&
-         std::isdigit(static_cast<unsigned char>(token[digits])))
-    ++digits;
+  const std::size_t digits =
+      std::min(token.find_first_not_of("0123456789"), token.size());
   if (digits == 0)
     throw std::invalid_argument("expected a time, got '" + token + "'");
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(token.substr(0, digits));
-  } catch (const std::exception&) {  // out_of_range on overflow
-    throw std::invalid_argument("time out of range: '" + token + "'");
-  }
   const std::string unit = token.substr(digits);
   // Guard the unit multiplication too: sim_ms/sim_sec must not overflow.
   const std::int64_t scale =
       (unit == "ms") ? 1000 : (unit == "s") ? 1000 * 1000 : 1;
-  if (value > std::numeric_limits<SimTime>::max() / scale)
+  const auto value = parse_count(token.substr(0, digits));
+  if (!value || *value > static_cast<std::uint64_t>(
+                             std::numeric_limits<SimTime>::max() / scale))
     throw std::invalid_argument("time out of range: '" + token + "'");
-  if (unit.empty() || unit == "us") return sim_us(value);
-  if (unit == "ms") return sim_ms(value);
-  if (unit == "s") return sim_sec(value);
+  const auto count = static_cast<std::int64_t>(*value);
+  if (unit.empty() || unit == "us") return sim_us(count);
+  if (unit == "ms") return sim_ms(count);
+  if (unit == "s") return sim_sec(count);
   throw std::invalid_argument("unknown time unit '" + unit + "'");
 }
 
@@ -1125,9 +1128,7 @@ void ChurnSim::spawn(std::size_t slot_idx,
   pc.tree = sc.tree;
   pc.fanout = config_.fanout;
   pc.period = config_.period;
-  pc.env.prior.loss = config_.loss;
-  pc.env.adaptive = config_.adaptive;
-  pc.env.ewma_alpha = config_.adaptive_alpha;
+  pc.env.loss = config_.loss;
   pc.recovery_rounds = config_.recovery_rounds;
   pc.max_retained = config_.max_retained;
   pc.max_buffered = config_.max_buffered;
@@ -1135,7 +1136,8 @@ void ChurnSim::spawn(std::size_t slot_idx,
       rt_, pm_pid(slot_idx), pc, slot.address, slot.subscription,
       slot.sync->view().tables_for(slot.address), pm_directory());
   if (config_.adaptive) {
-    slot.estimator = std::make_unique<EnvEstimator>(pc.env);
+    slot.estimator =
+        std::make_unique<EnvEstimator>(pc.env, config_.adaptive_alpha);
     EnvEstimator* estimator = slot.estimator.get();
     slot.pm->set_env_source([estimator] { return estimator->estimate(); });
   }

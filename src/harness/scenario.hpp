@@ -159,6 +159,14 @@ using ScenarioOp =
 /// malformed input.
 SimTime parse_sim_time(const std::string& token);
 
+/// The strict readers of one whole token that scripts, command-line flags
+/// and PMCAST_* variables share; each caller words its own error. A count
+/// is one or more decimal digits and nothing else, at most 2^64 - 1.
+std::optional<std::uint64_t> parse_count(const std::string& token);
+/// One finite number in strtod's syntax ("0.5", "1e-3") filling the whole
+/// token: no leading blank, "nan" or "inf".
+std::optional<double> parse_real(const std::string& token);
+
 struct ScenarioAction {
   SimTime at = 0;
   ScenarioOp op;

@@ -1,7 +1,6 @@
 // Tunables of the pmcast algorithm (paper Sec. 3.3 and 5.3).
 #pragma once
 
-#include "analysis/env_estimator.hpp"
 #include "analysis/rounds.hpp"
 #include "membership/config.hpp"
 #include "sim/time.hpp"
@@ -23,12 +22,11 @@ struct PmcastConfig {
   /// values buy reliability with extra rounds.
   double pittel_c = 0.0;
 
-  /// The ε/τ environment policy the *algorithm* assumes when bounding
-  /// rounds (Eq. 11). `env.prior` is the paper's static estimate
-  /// (available to deployed processes, not ground truth; conservative
-  /// values recommended); with `env.adaptive` a live EnvEstimator wired
-  /// through PmcastNode::set_env_source refines it online.
-  AdaptiveEnv env;
+  /// The ε/τ the *algorithm* assumes when bounding rounds (Eq. 11): the
+  /// paper's static estimate (available to deployed processes, not ground
+  /// truth; conservative values recommended), each in [0, 1). A live
+  /// source set with PmcastNode::set_env_source replaces it.
+  EnvParams env;
 
   /// Small-matching-rate tuning threshold h (Sec. 5.3). When fewer than h
   /// view members are interested at a depth, additional members are treated
@@ -76,7 +74,8 @@ struct PmcastConfig {
 
   void validate() const {
     tree.validate();
-    env.validate();
+    PMC_EXPECTS(env.loss >= 0.0 && env.loss < 1.0);
+    PMC_EXPECTS(env.crash >= 0.0 && env.crash < 1.0);
     PMC_EXPECTS(fanout >= 1);
     PMC_EXPECTS(period > 0);
   }

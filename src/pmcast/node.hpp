@@ -121,17 +121,17 @@ class PmcastNode final : public Process {
     piggyback_sink_ = std::move(sink);
   }
 
-  /// Live ε/τ source for the Eq. 11 bound (config.env.adaptive): when set,
-  /// every per-depth bound evaluation consults it instead of the static
-  /// config.env.prior — typically wired to EnvEstimator::estimate of the
-  /// node's estimator. The source must return valid faulty() inputs
-  /// (ε, τ in [0, 1], no NaN); EnvEstimator guarantees that.
+  /// Live ε/τ source for the Eq. 11 bound: when set, every per-depth
+  /// bound evaluation consults it instead of the static config.env —
+  /// typically wired to EnvEstimator::estimate of the node's estimator.
+  /// The source must return valid faulty() inputs (ε, τ in [0, 1], no
+  /// NaN); EnvEstimator guarantees that.
   using EnvSource = std::function<EnvParams()>;
   void set_env_source(EnvSource source) { env_source_ = std::move(source); }
 
   /// The ε/τ the next bound evaluation will use (prior or live estimate).
   EnvParams live_env() const {
-    return env_source_ ? env_source_() : config_.env.prior;
+    return env_source_ ? env_source_() : config_.env;
   }
 
   Address address() const { return interns().addrs.resolve(self_id_); }

@@ -193,46 +193,38 @@ void Network::deliver_after_draw(ProcessId from, ProcessId to,
 }
 
 void Network::send(ProcessId from, ProcessId to, MessagePtr msg) {
-  PMC_EXPECTS(msg != nullptr);
-  ++counters_.sent;
-  if (!passes_filters(from, to)) {
-    ++counters_.filtered;
-    return;
-  }
-  if (transcoder_) {
-    msg = transcoder_(msg);
-    if (msg == nullptr) {
-      ++counters_.filtered;
-      return;
-    }
-  }
-  deliver_after_draw(from, to, std::move(msg));
+  send_multi(from, std::span(&to, 1), std::move(msg));
 }
 
 void Network::send_multi(ProcessId from, std::span<const ProcessId> to,
-                         const MessagePtr& msg) {
+                         MessagePtr msg) {
   PMC_EXPECTS(msg != nullptr);
   // The transcoder runs at most once for the whole fan-out — but only
   // when some destination actually passes the filters, so a fully
   // partitioned fan-out costs (and counts) exactly what N send() calls
   // would.
-  MessagePtr shared = msg;
   bool transcoded = transcoder_ == nullptr;
-  for (const ProcessId dest : to) {
+  for (std::size_t i = 0; i < to.size(); ++i) {
     ++counters_.sent;
-    if (!passes_filters(from, dest)) {
+    if (!passes_filters(from, to[i])) {
       ++counters_.filtered;
       continue;
     }
     if (!transcoded) {
-      shared = transcoder_(shared);
+      msg = transcoder_(msg);
       transcoded = true;
     }
-    if (shared == nullptr) {
+    if (msg == nullptr) {
       ++counters_.filtered;
       continue;
     }
-    deliver_after_draw(from, dest, shared);
+    if (i + 1 == to.size()) {
+      // The last destination takes the caller's reference: a lone send
+      // copies no pointer.
+      deliver_after_draw(from, to[i], std::move(msg));
+      break;
+    }
+    deliver_after_draw(from, to[i], msg);
   }
 }
 

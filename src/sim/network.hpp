@@ -155,6 +155,7 @@ class Network {
   void detach(ProcessId id);
 
   /// Sends `msg` from `from` to `to`; loss and latency are applied here.
+  /// The one-destination case of send_multi.
   void send(ProcessId from, ProcessId to, MessagePtr msg);
 
   /// Fans `msg` out to every pid in `to`, drawing loss and latency per
@@ -166,7 +167,7 @@ class Network {
   /// message it is given — true for the wire codec round trip, which
   /// depends only on the message bytes, memos and all.
   void send_multi(ProcessId from, std::span<const ProcessId> to,
-                  const MessagePtr& msg);
+                  MessagePtr msg);
 
   /// Changes ε mid-run (scenario loss bursts). Messages already in flight
   /// are unaffected; only subsequent send() calls draw against the new ε.
@@ -185,7 +186,6 @@ class Network {
   /// duplicate's labeled stream), so copies may arrive in either order.
   /// 0 disables (default) and leaves every draw stream untouched.
   void set_duplication(double prob);
-  double duplication() const noexcept { return duplicate_probability_; }
 
   /// Reordering injector: with probability `prob` a message's latency is
   /// stretched by an extra uniform delay in [0, window], letting later

@@ -227,10 +227,6 @@ auto read_interval_set(Reader& r) {
 
 }  // namespace
 
-IntervalSet decode_interval_set(Reader& r) {
-  return read_interval_set<true>(r);
-}
-
 // -- Clause ---------------------------------------------------------------------
 
 void encode(Writer& w, const Clause& c) {
@@ -474,17 +470,6 @@ struct Envelope {
   static void write(Writer& w, const MessageBase& msg, Codec* codec);
   static MessagePtr read(std::span<const std::uint8_t> data, Codec* codec);
 };
-
-void encode(Writer& w, const ViewRow& row, const RowBatch& batch) {
-  Envelope::write_row(w, row, batch, nullptr);
-}
-
-ViewRow decode_view_row(Reader& r, RowBatch& batch) {
-  PMC_EXPECTS(batch.interns == nullptr);
-  ViewRow row;
-  Envelope::read_row(r, batch, row, nullptr);
-  return row;
-}
 
 void Envelope::write(Writer& w, const MessageBase& msg, Codec* codec) {
   // The kind byte is the wire tag: one shared write, and the per-kind

@@ -41,7 +41,6 @@ void encode(Writer& w, const Interval& iv);
 Interval decode_interval(Reader& r);
 
 void encode(Writer& w, const IntervalSet& set);
-IntervalSet decode_interval_set(Reader& r);
 
 void encode(Writer& w, const Clause& c);
 
@@ -55,13 +54,6 @@ Address decode_address(Reader& r);
 /// encodes to the same bytes, and the decoded form holds the Address.
 void encode(Writer& w, const AddrRef& a);
 AddrRef decode_addr_ref(Reader& r);
-
-/// A row of `batch`: its delegate ids are resolved through the batch's id
-/// space, so either batch form encodes to the same bytes.
-void encode(Writer& w, const ViewRow& row, const RowBatch& batch);
-/// Appends the row's delegate addresses and their indices to `batch` (a
-/// decoded batch) and returns the row, which points at those indices.
-ViewRow decode_view_row(Reader& r, RowBatch& batch);
 
 // -- Protocol envelope ------------------------------------------------------
 

@@ -17,13 +17,8 @@ namespace {
 using testing::default_config;
 using testing::make_cluster;
 
-AdaptiveEnv policy(double prior_loss = 0.0, double alpha = 0.5) {
-  AdaptiveEnv p;
-  p.prior.loss = prior_loss;
-  p.adaptive = true;
-  p.ewma_alpha = alpha;
-  return p;
-}
+/// A prior with loss `loss` and no crashes.
+EnvParams prior(double loss = 0.0) { return EnvParams{loss, 0.0}; }
 
 /// Acks surviving a round trip at loss ε: probes * (1-ε)².
 std::uint64_t acks_at(std::uint64_t probes, double eps) {
@@ -32,7 +27,7 @@ std::uint64_t acks_at(std::uint64_t probes, double eps) {
 }
 
 TEST(EnvEstimator, ConvergesUnderConstantLoss) {
-  EnvEstimator est(policy(/*prior_loss=*/0.0));
+  EnvEstimator est(prior(/*loss=*/0.0), 0.5);
   for (int w = 0; w < 40; ++w) est.observe_feedback(200, acks_at(200, 0.3));
   EXPECT_NEAR(est.estimate().loss, 0.3, 0.02);
   EXPECT_EQ(est.feedback_windows(), 40u);
@@ -41,7 +36,7 @@ TEST(EnvEstimator, ConvergesUnderConstantLoss) {
 TEST(EnvEstimator, TracksAcrossLossBurstEdge) {
   // Calm -> burst -> calm: the estimate must climb within a few windows of
   // the edge and decay back after it.
-  EnvEstimator est(policy(0.02));
+  EnvEstimator est(prior(0.02), 0.5);
   for (int w = 0; w < 20; ++w) est.observe_feedback(100, acks_at(100, 0.02));
   const double calm = est.estimate().loss;
   EXPECT_NEAR(calm, 0.02, 0.02);
@@ -55,7 +50,7 @@ TEST(EnvEstimator, TracksAcrossLossBurstEdge) {
 }
 
 TEST(EnvEstimator, IgnoresWindowsBelowMinProbes) {
-  EnvEstimator est(policy(0.1));
+  EnvEstimator est(prior(0.1), 0.5);
   est.observe_feedback(2, 0);  // min_probes is 4: pure noise, discarded
   EXPECT_DOUBLE_EQ(est.estimate().loss, 0.1);
   EXPECT_EQ(est.feedback_windows(), 0u);
@@ -64,7 +59,7 @@ TEST(EnvEstimator, IgnoresWindowsBelowMinProbes) {
 TEST(EnvEstimator, AckSurplusClampsToZeroLossObservation) {
   // Acks answering the previous window's probes can exceed this window's
   // sends; the ratio clamps to 1 (an observed loss of 0), never negative.
-  EnvEstimator est(policy(0.5));
+  EnvEstimator est(prior(0.5), 0.5);
   for (int w = 0; w < 50; ++w) est.observe_feedback(10, 14);
   EXPECT_NEAR(est.estimate().loss, 0.0, 1e-9);
 }
@@ -72,7 +67,7 @@ TEST(EnvEstimator, AckSurplusClampsToZeroLossObservation) {
 TEST(EnvEstimator, SaturatedLossStaysAValidFaultyInput) {
   // Total blackout: the estimate saturates at the 0.9 ceiling, so the
   // round bound collapses to 0 without tripping faulty()'s contract.
-  EnvEstimator est(policy(0.05));
+  EnvEstimator est(prior(0.05), 0.5);
   for (int w = 0; w < 100; ++w) est.observe_feedback(50, 0);
   const EnvParams env = est.estimate();
   EXPECT_DOUBLE_EQ(env.loss, 0.9);
@@ -81,7 +76,7 @@ TEST(EnvEstimator, SaturatedLossStaysAValidFaultyInput) {
 }
 
 TEST(EnvEstimator, ChurnWindowsDriveCrashEstimate) {
-  EnvEstimator est(policy());
+  EnvEstimator est(prior(), 0.5);
   for (int w = 0; w < 30; ++w) est.observe_churn(2, 20);  // 10% per window
   EXPECT_NEAR(est.estimate().crash, 0.1, 0.01);
   est.observe_churn(5, 0);  // empty population: ignored
@@ -89,12 +84,8 @@ TEST(EnvEstimator, ChurnWindowsDriveCrashEstimate) {
 }
 
 TEST(EnvEstimator, RejectsNonsensePolicies) {
-  AdaptiveEnv bad = policy();
-  bad.ewma_alpha = 0.0;
-  EXPECT_THROW(EnvEstimator{bad}, std::logic_error);
-  bad = policy();
-  bad.prior.loss = 1.0;
-  EXPECT_THROW(EnvEstimator{bad}, std::logic_error);
+  EXPECT_THROW(EnvEstimator(prior(), 0.0), std::logic_error);
+  EXPECT_THROW(EnvEstimator(prior(1.0), 0.5), std::logic_error);
 }
 
 // --- Bound collapse at the node level --------------------------------------
@@ -105,8 +96,8 @@ TEST(BoundCollapse, CountedWhenDiscountedPopulationVanishes) {
   // retire after zero rounds. Pre-fix this was silent delivery loss; now
   // each skipped depth is counted.
   PmcastConfig config = default_config();
-  config.env.prior.loss = 0.9;
-  config.env.prior.crash = 0.9;
+  config.env.loss = 0.9;
+  config.env.crash = 0.9;
   auto c = make_cluster(4, 2, 2, /*pd=*/1.0, config, 0.0, 11);
   const Event e = make_event_at(0, 0, 0.5);
   c.nodes[0]->pmcast(e);

@@ -82,7 +82,7 @@ TEST(FailureInjection, AllDelegatesOfSubgroupCrashed) {
 
 TEST(FailureInjection, HeavyLossDegradesButDoesNotWedge) {
   PmcastConfig config = default_config();
-  config.env.prior.loss = 0.5;  // the algorithm compensates with rounds
+  config.env.loss = 0.5;  // the algorithm compensates with rounds
   auto c = make_cluster(4, 2, 3, 1.0, config, /*loss=*/0.5, 10);
   const Event e = make_event_at(0, 0, 0.5);
   c.nodes[0]->pmcast(e);

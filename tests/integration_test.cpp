@@ -17,7 +17,7 @@ using testing::make_cluster;
 TEST(Integration, MidSizeTreeUnderLossStillReliable) {
   // 216 processes, 10% loss: delivery should stay high for pd = 0.5.
   PmcastConfig config = default_config();
-  config.env.prior.loss = 0.10;
+  config.env.loss = 0.10;
   auto c = make_cluster(6, 3, 3, 0.5, config, /*loss=*/0.10, /*seed=*/1);
   const Event e = make_event_at(0, 0, 0.37);
   c.nodes[100]->pmcast(e);

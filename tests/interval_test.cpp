@@ -27,7 +27,7 @@ TEST(Interval, OpenBoundsExcludeEndpoints) {
 }
 
 TEST(Interval, HalfOpen) {
-  const auto iv = Interval::half_open(0.25, 0.75);
+  const Interval iv{0.25, 0.75, false, true};
   EXPECT_TRUE(iv.contains(0.25));
   EXPECT_FALSE(iv.contains(0.75));
 }
@@ -81,8 +81,8 @@ TEST(Interval, IntersectDisjointIsEmpty) {
 }
 
 TEST(Interval, IntersectOpenClosedBoundary) {
-  const auto a = Interval::half_open(0.0, 1.0);  // [0,1)
-  const auto b = Interval::at_least(1.0);        // [1,inf)
+  const Interval a{0.0, 1.0, false, true};  // [0,1)
+  const auto b = Interval::at_least(1.0);   // [1,inf)
   EXPECT_TRUE(a.intersect(b).empty());
 }
 
@@ -97,10 +97,10 @@ TEST(Interval, MergeableTouchingClosed) {
   // [1,2] and [2,3] share the closed point 2.
   EXPECT_TRUE(Interval::closed(1.0, 2.0).mergeable(Interval::closed(2.0, 3.0)));
   // [1,2) and (2,3] leave 2 out.
-  EXPECT_FALSE(Interval::half_open(1.0, 2.0)
+  EXPECT_FALSE((Interval{1.0, 2.0, false, true})
                    .mergeable(Interval{2.0, 3.0, true, false}));
   // [1,2) and [2,3] together cover [1,3].
-  EXPECT_TRUE(Interval::half_open(1.0, 2.0)
+  EXPECT_TRUE((Interval{1.0, 2.0, false, true})
                   .mergeable(Interval::closed(2.0, 3.0)));
 }
 
@@ -118,7 +118,7 @@ TEST(Interval, LeVersusLtAtEqualEndpoints) {
   // whether e.g. `c >= 1 && c <= 1` keeps a clause alive.
   EXPECT_FALSE(
       Interval::closed(0.0, 1.0).intersect(Interval::closed(1.0, 2.0)).empty());
-  EXPECT_TRUE(Interval::half_open(0.0, 1.0)  // [0,1)
+  EXPECT_TRUE((Interval{0.0, 1.0, false, true})  // [0,1)
                   .intersect(Interval::closed(1.0, 2.0))
                   .empty());
   EXPECT_TRUE(Interval::closed(0.0, 1.0)
@@ -134,11 +134,11 @@ TEST(Interval, LeVersusLtAtEqualEndpoints) {
 TEST(Interval, CoversAndMergeableAtSharedOpenEndpoints) {
   // covers: (0,1) does not cover [0,1) (loses the point 0) but does cover
   // (0,1]∩(0,1) shapes; mergeable: [0,1) ∪ (1,2] leaves 1 out.
-  EXPECT_FALSE(Interval::open(0.0, 1.0).covers(Interval::half_open(0.0, 1.0)));
-  EXPECT_TRUE(Interval::half_open(0.0, 1.0).covers(Interval::open(0.0, 1.0)));
-  EXPECT_FALSE(Interval::half_open(0.0, 1.0)
-                   .mergeable(Interval{1.0, 2.0, true, false}));
-  EXPECT_TRUE(Interval::half_open(0.0, 1.0).mergeable(Interval::point(1.0)));
+  const Interval zero_one{0.0, 1.0, false, true};  // [0,1)
+  EXPECT_FALSE(Interval::open(0.0, 1.0).covers(zero_one));
+  EXPECT_TRUE(zero_one.covers(Interval::open(0.0, 1.0)));
+  EXPECT_FALSE(zero_one.mergeable(Interval{1.0, 2.0, true, false}));
+  EXPECT_TRUE(zero_one.mergeable(Interval::point(1.0)));
 }
 
 TEST(Interval, InvertedBoundsStayEmptyThroughOps) {
@@ -245,8 +245,8 @@ TEST(IntervalSet, KeepsSortedOrder) {
 
 TEST(IntervalSet, ContainsBinarySearchEdges) {
   IntervalSet s;
-  s.insert(Interval::half_open(0.0, 0.5));
-  s.insert(Interval::half_open(0.75, 1.0));
+  s.insert(Interval{0.0, 0.5, false, true});
+  s.insert(Interval{0.75, 1.0, false, true});
   EXPECT_TRUE(s.contains(0.0));
   EXPECT_FALSE(s.contains(0.5));
   EXPECT_FALSE(s.contains(0.6));
@@ -288,7 +288,7 @@ TEST(IntervalSet, CoverageAcrossGapIsRejected) {
 TEST(IntervalSet, BoundingHull) {
   IntervalSet s;
   s.insert(Interval::closed(1.0, 2.0));
-  s.insert(Interval::half_open(5.0, 7.0));
+  s.insert(Interval{5.0, 7.0, false, true});
   const auto b = s.bounding();
   EXPECT_DOUBLE_EQ(b.lo, 1.0);
   EXPECT_DOUBLE_EQ(b.hi, 7.0);

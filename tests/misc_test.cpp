@@ -16,7 +16,7 @@ namespace {
 TEST(Rendering, IntervalToString) {
   EXPECT_EQ(Interval::closed(1.0, 2.0).to_string(), "[1, 2]");
   EXPECT_EQ(Interval::open(1.0, 2.0).to_string(), "(1, 2)");
-  EXPECT_EQ(Interval::half_open(0.0, 1.0).to_string(), "[0, 1)");
+  EXPECT_EQ((Interval{0.0, 1.0, false, true}).to_string(), "[0, 1)");
 }
 
 TEST(Rendering, IntervalSetToString) {
@@ -141,13 +141,6 @@ TEST(Contracts, ViolationMessagesAreInformative) {
     const std::string what = e.what();
     EXPECT_NE(what.find("precondition"), std::string::npos);
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
-  }
-  try {
-    PMC_ENSURES(false);
-    FAIL() << "should have thrown";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("postcondition"),
-              std::string::npos);
   }
 }
 

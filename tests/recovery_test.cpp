@@ -24,7 +24,7 @@ TEST(Recovery, RepairsLossInducedMisses) {
     for (const bool recover : {false, true}) {
       PmcastConfig config = recovery_config(recover ? 5 : 0);
       config.fanout = 2;
-      config.env.prior.loss = 0.30;
+      config.env.loss = 0.30;
       auto c = make_cluster(4, 2, 2, 1.0, config, /*loss=*/0.30, 50 + seed);
       const Event e = make_event_at(0, seed, 0.5);
       c.nodes[0]->pmcast(e);
@@ -40,7 +40,7 @@ TEST(Recovery, RepairsLossInducedMisses) {
 
 TEST(Recovery, RecoveriesActuallyHappenUnderLoss) {
   PmcastConfig config = recovery_config(6);
-  config.env.prior.loss = 0.4;
+  config.env.loss = 0.4;
   std::uint64_t recoveries = 0;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     auto c = make_cluster(4, 2, 2, 1.0, config, 0.4, 60 + seed);

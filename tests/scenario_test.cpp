@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -360,6 +361,40 @@ TEST(ScenarioScript, ParseSimTimeSharedSyntax) {
   EXPECT_THROW(parse_sim_time("9223372036854775s"), std::invalid_argument);
 }
 
+TEST(StrictParse, CountsAndRealsFillTheWholeToken) {
+  // The parsers scripts, flags and environment variables share. Each row:
+  // a token, what parse_count reads from it and what parse_real reads.
+  constexpr auto kNo = std::nullopt;
+  const struct {
+    const char* token;
+    std::optional<std::uint64_t> count;
+    std::optional<double> real;
+  } rows[] = {
+      {"0", 0, 0.0},
+      {"7", 7, 7.0},
+      {"18446744073709551615", std::numeric_limits<std::uint64_t>::max(),
+       18446744073709551615.0},
+      {"18446744073709551616", kNo, 18446744073709551616.0},
+      {"", kNo, kNo},
+      {"-1", kNo, -1.0},  // a real's sign is its range check's business
+      {"+1", kNo, 1.0},
+      {" 1", kNo, kNo},
+      {"1 ", kNo, kNo},
+      {"1x", kNo, kNo},
+      {"0x10", kNo, 16.0},  // strtod's hexadecimal form
+      {"0.5", kNo, 0.5},
+      {"1e-3", kNo, 1e-3},
+      {"0.5x", kNo, kNo},
+      {" 0.5", kNo, kNo},
+      {"nan", kNo, kNo},
+      {"inf", kNo, kNo},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(parse_count(row.token), row.count) << "'" << row.token << "'";
+    EXPECT_EQ(parse_real(row.token), row.real) << "'" << row.token << "'";
+  }
+}
+
 TEST(ScenarioScript, RejectsCountsWithTrailingGarbage) {
   EXPECT_THROW(ScenarioScript::parse("at 1s crash 3ms\n"),
                std::invalid_argument);
@@ -373,6 +408,11 @@ TEST(ScenarioScript, RejectsMalformedLossNumber) {
   EXPECT_THROW(ScenarioScript::parse("at 100ms loss O.35 for 400ms\n"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioScript::parse("at 100ms loss 0.35x for 400ms\n"),
+               std::invalid_argument);
+  // nan and inf fail here, as they do for a flag, before validate().
+  EXPECT_THROW(ScenarioScript::parse("at 100ms loss nan for 400ms\n"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioScript::parse("at 1s latency lognormal 2ms inf\n"),
                std::invalid_argument);
 }
 

@@ -50,7 +50,7 @@ TEST(Value, ToString) {
 TEST(Event, SetAndGet) {
   Event e;
   e.with("b", 2).with("c", 41.5).with("e", "Bob");
-  EXPECT_TRUE(e.has("b"));
+  ASSERT_TRUE(e.get("b").has_value());
   EXPECT_EQ(e.get("b")->as_int(), 2);
   EXPECT_DOUBLE_EQ(e.get("c")->as_double(), 41.5);
   EXPECT_EQ(e.get("e")->as_string(), "Bob");

@@ -53,7 +53,7 @@ TEST(WireIntegration, RecoveryOverSerializedMessages) {
   // with the codec in the path still repairs misses.
   PmcastConfig config = default_config();
   config.recovery_rounds = 5;
-  config.env.prior.loss = 0.3;
+  config.env.loss = 0.3;
   auto c = make_cluster(4, 2, 2, 1.0, config, /*loss=*/0.3, 85);
   c.runtime->network().set_transcoder(codec_round_trip());
   const Event e = make_event_at(0, 0, 0.5);

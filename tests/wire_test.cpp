@@ -167,7 +167,7 @@ TEST(WirePredicate, DepthBombRejected) {
 }
 
 TEST(WireInterval, RoundTripPreservesBounds) {
-  const auto iv = Interval::half_open(0.25, 0.75);
+  const Interval iv{0.25, 0.75, false, true};
   const auto out = round_trip(iv, [](Writer& w, const Interval& x) {
     wire::encode(w, x);
   }, [](Reader& r) { return wire::decode_interval(r); });
@@ -175,13 +175,18 @@ TEST(WireInterval, RoundTripPreservesBounds) {
 }
 
 TEST(WireIntervalSet, RoundTripCanonical) {
+  // An interval set travels as a summary's union for one attribute.
+  InterestSummary s =
+      InterestSummary::from(Subscription::parse("x >= 0 && x <= 1"));
+  s.merge(InterestSummary::from(Subscription::parse("x >= 5 && x < 7")));
   IntervalSet set;
   set.insert(Interval::closed(0.0, 1.0));
-  set.insert(Interval::half_open(5.0, 7.0));
-  const auto out = round_trip(set, [](Writer& w, const IntervalSet& x) {
+  set.insert(Interval{5.0, 7.0, false, true});
+  ASSERT_EQ(s.numeric_unions().at("x"), set);
+  const auto out = round_trip(s, [](Writer& w, const InterestSummary& x) {
     wire::encode(w, x);
-  }, [](Reader& r) { return wire::decode_interval_set(r); });
-  EXPECT_EQ(out, set);
+  }, [](Reader& r) { return wire::decode_summary(r); });
+  EXPECT_EQ(out.numeric_unions().at("x"), set);
 }
 
 TEST(WireSummary, ExactRoundTrip) {
@@ -218,10 +223,18 @@ TEST(WireAddress, RoundTrip) {
 }
 
 TEST(WireViewRow, RoundTrip) {
-  // A decoded batch's row: delegates index the batch's address list.
-  RowBatch batch;
-  batch.addresses = {Address::parse("128.178.73.3"),
-                     Address::parse("128.178.73.17")};
+  // A decoded batch: delegates index the batch's address list. The first
+  // row has one delegate, and the second row, the one under test, two.
+  MembershipUpdateMsg msg;
+  msg.sender = AddrRef(Address::parse("9.9"));
+  msg.rows.addresses = {Address::parse("9.9"), Address::parse("128.178.73.3"),
+                        Address::parse("128.178.73.17")};
+  ViewRow first;
+  first.infix = 9;
+  first.interests = std::make_shared<const InterestSummary>(
+      InterestSummary::from(Subscription()));
+  const AddrId first_ids[] = {0};
+  msg.rows.append(1, first, first_ids);
   ViewRow row;
   row.infix = 73;
   row.interests = std::make_shared<const InterestSummary>(
@@ -229,26 +242,23 @@ TEST(WireViewRow, RoundTrip) {
   row.process_count = 21;
   row.version = 99;
   row.alive = false;
-  const AddrId ids[] = {0, 1};
-  row = batch.append(1, row, ids);
-  // A decoded batch that already holds one row with one delegate.
-  RowBatch into;
-  into.addresses = {Address::parse("9.9")};
-  into.pool = {0};
-  const auto out = round_trip(row, [&](Writer& w, const ViewRow& x) {
-    wire::encode(w, x, batch);
-  }, [&](Reader& r) { return wire::decode_view_row(r, into); });
+  const AddrId ids[] = {1, 2};
+  msg.rows.append(2, row, ids);
+  const auto decoded = wire::decode_message(wire::encode_message(msg));
+  const auto& rows = static_cast<const MembershipUpdateMsg&>(*decoded).rows;
+  ASSERT_EQ(rows.rows.size(), 2u);
+  EXPECT_EQ(rows.interns, nullptr);
+  const ViewRow& out = rows.rows[1].row;
+  EXPECT_EQ(rows.rows[1].depth, 2u);
   EXPECT_EQ(out.infix, row.infix);
-  // Decoding appends to the batch it is given: the addresses to its list,
+  // Decoding appends each row's delegates to the batch's address list and
   // their indices to its pool, and the row points at that slice.
   EXPECT_EQ(out.delegates_begin, 1u);
   EXPECT_EQ(out.delegates_len, 2u);
-  EXPECT_EQ(into.pool, (std::vector<AddrId>{0, 1, 2}));
-  EXPECT_TRUE(std::ranges::equal(into.delegates(out),
+  EXPECT_EQ(rows.pool, (std::vector<AddrId>{0, 1, 2}));
+  EXPECT_TRUE(std::ranges::equal(rows.delegates(out),
                                  std::vector<AddrId>{1, 2}));
-  EXPECT_EQ(into.addresses, (std::vector<Address>{Address::parse("9.9"),
-                                                  batch.addresses[0],
-                                                  batch.addresses[1]}));
+  EXPECT_EQ(rows.addresses, msg.rows.addresses);
   EXPECT_EQ(out.process_count, row.process_count);
   EXPECT_EQ(out.version, row.version);
   EXPECT_EQ(out.alive, row.alive);
@@ -258,30 +268,27 @@ TEST(WireViewRow, RoundTrip) {
 TEST(WireViewRow, BothBatchFormsEncodeAlike) {
   // An in-memory row names its delegates by the runtime's ids; encoding
   // resolves them, so it writes the bytes of the same row in wire form.
+  // So does the message's sender, in either form.
   Interns interns;
   interns.addrs.intern(Address::parse("5.5"));  // ids differ from indices
-  RowBatch local(interns);
-  RowBatch decoded;
-  decoded.addresses = {Address::parse("128.178.73.17"),
-                       Address::parse("128.178.73.3")};
+  MembershipUpdateMsg local;
+  local.rows = RowBatch(interns);
+  MembershipUpdateMsg decoded;
+  decoded.rows.addresses = {Address::parse("128.178.73.17"),
+                            Address::parse("128.178.73.3")};
   ViewRow row;
   row.infix = 73;
   row.interests = interns.summaries.intern(
       InterestSummary::from(Subscription::parse("b > 0")));
-  const AddrId runtime_ids[] = {interns.addrs.intern(decoded.addresses[0]),
-                                interns.addrs.intern(decoded.addresses[1])};
+  const AddrId runtime_ids[] = {
+      interns.addrs.intern(decoded.rows.addresses[0]),
+      interns.addrs.intern(decoded.rows.addresses[1])};
   const AddrId wire_ids[] = {0, 1};
-  Writer in_memory;
-  wire::encode(in_memory, local.append(1, row, runtime_ids), local);
-  Writer on_wire;
-  wire::encode(on_wire, decoded.append(1, row, wire_ids), decoded);
-  EXPECT_EQ(in_memory.data(), on_wire.data());
-  // So does an address a message carries, in either form.
-  Writer id_form;
-  wire::encode(id_form, AddrRef(interns, runtime_ids[1]));
-  Writer address_form;
-  wire::encode(address_form, AddrRef(decoded.addresses[1]));
-  EXPECT_EQ(id_form.data(), address_form.data());
+  local.rows.append(1, row, runtime_ids);
+  decoded.rows.append(1, row, wire_ids);
+  local.sender = AddrRef(interns, runtime_ids[1]);
+  decoded.sender = AddrRef(decoded.rows.addresses[1]);
+  EXPECT_EQ(wire::encode_message(local), wire::encode_message(decoded));
 }
 
 TEST(WireMessage, GossipEnvelope) {

@@ -26,15 +26,15 @@
 //   pmcast_sim --shards 16 --repro-check
 //   pmcast_sim --shards 4 --shard-scenario demo --cross 2 --cross-span 3
 //   pmcast_sim --shards 8 --shard-scenario 0:storm.scn --horizon 5s
-#include <cctype>
-#include <cerrno>
-#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/tree_analysis.hpp"
@@ -82,6 +82,8 @@ struct Options {
   /// mode reject them instead of silently ignoring what the user asked
   /// for.
   std::vector<std::string> experiment_only_flags;
+  /// Scenario and sharded flags seen; experiment mode rejects them.
+  std::vector<std::string> group_only_flags;
   /// Sharded-only flags seen; rejected unless --shards is given.
   std::vector<std::string> sharded_only_flags;
 };
@@ -145,39 +147,26 @@ void print_usage() {
       "--help / -h prints this and exits 0, whatever else is given.\n";
 }
 
-/// Strict size parse: every character must be a digit, so "--cross abc"
-/// errors out instead of silently becoming 0 publishers, "--runs -1"
-/// instead of wrapping to 2^64 - 1 (strtoull alone accepts a sign and
-/// leading blanks), and "--a 4x" instead of running as 4.
+/// Reads a numeric flag's value with the shared strict parsers, a count
+/// for an integer field and a real for a double one: "--cross abc" errors
+/// out instead of becoming 0 publishers, "--runs -1" instead of wrapping
+/// to 2^64 - 1, and "--pd 0.5x" instead of running as 0.5. Ranges are
+/// checked after parsing.
 template <typename T>
-bool parse_size(const std::string& flag, const char* value, T& out) {
-  static_assert(sizeof(T) == sizeof(unsigned long long));
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (*value < '0' || *value > '9' || end == nullptr || *end != '\0' ||
-      errno == ERANGE) {
+bool parse_flag(const std::string& flag, const char* value, T& out) {
+  std::optional<T> parsed;
+  if constexpr (std::is_floating_point_v<T>) {
+    parsed = parse_real(value);
+  } else {
+    static_assert(sizeof(T) == sizeof(std::uint64_t));
+    parsed = parse_count(value);
+  }
+  if (!parsed) {
     std::cerr << "bad " << flag << ": expected a number, got '" << value
               << "'\n";
     return false;
   }
-  out = static_cast<T>(v);
-  return true;
-}
-
-/// Strict real parse, the same end-pointer check --adaptive= makes: the
-/// whole value must be one finite number, so "--pd 0.5x" errors out
-/// instead of running as 0.5. Ranges are checked after parsing.
-bool parse_real(const std::string& flag, const char* value, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !std::isfinite(v) ||
-      std::isspace(static_cast<unsigned char>(*value))) {
-    std::cerr << "bad " << flag << ": expected a number, got '" << value
-              << "'\n";
-    return false;
-  }
-  out = v;
+  out = *parsed;
   return true;
 }
 
@@ -194,44 +183,44 @@ bool parse_args(int argc, char** argv, Options& out) {
     };
     // --help/-h never reaches here: main() pre-scans argv and exits first.
     if (flag == "--a") {
-      if (!parse_size(flag, next(), e.a)) return false;
+      if (!parse_flag(flag, next(), e.a)) return false;
       out.a_set = true;
     }
     else if (flag == "--d") {
-      if (!parse_size(flag, next(), e.d)) return false;
+      if (!parse_flag(flag, next(), e.d)) return false;
       out.d_set = true;
     }
     else if (flag == "--R") {
-      if (!parse_size(flag, next(), e.r)) return false;
+      if (!parse_flag(flag, next(), e.r)) return false;
       out.r_set = true;
     }
     else if (flag == "--F") {
-      if (!parse_size(flag, next(), e.fanout)) return false;
+      if (!parse_flag(flag, next(), e.fanout)) return false;
     }
     else if (flag == "--pd") {
-      if (!parse_real(flag, next(), e.pd)) return false;
+      if (!parse_flag(flag, next(), e.pd)) return false;
     }
     else if (flag == "--loss") {
-      if (!parse_real(flag, next(), e.loss)) return false;
+      if (!parse_flag(flag, next(), e.loss)) return false;
     }
     else if (flag == "--crash") {
-      if (!parse_real(flag, next(), e.crash_fraction)) return false;
+      if (!parse_flag(flag, next(), e.crash_fraction)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--c") {
-      if (!parse_real(flag, next(), e.pittel_c)) return false;
+      if (!parse_flag(flag, next(), e.pittel_c)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--h") {
-      if (!parse_size(flag, next(), e.tuning_threshold)) return false;
+      if (!parse_flag(flag, next(), e.tuning_threshold)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--flood") {
-      if (!parse_real(flag, next(), e.leaf_flood_density)) return false;
+      if (!parse_flag(flag, next(), e.leaf_flood_density)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--coarsen") {
-      if (!parse_size(flag, next(), e.coarsen_depth_leq)) return false;
+      if (!parse_flag(flag, next(), e.coarsen_depth_leq)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--no-shortcut") {
@@ -243,18 +232,18 @@ bool parse_args(int argc, char** argv, Options& out) {
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--runs") {
-      if (!parse_size(flag, next(), e.runs)) return false;
+      if (!parse_flag(flag, next(), e.runs)) return false;
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--seed") {
-      if (!parse_size(flag, next(), e.seed)) return false;
+      if (!parse_flag(flag, next(), e.seed)) return false;
     }
     else if (flag == "--algorithm") {
       out.algorithm = next();
       out.experiment_only_flags.push_back(flag);
     }
     else if (flag == "--view") {
-      if (!parse_size(flag, next(), out.genuine_view)) return false;
+      if (!parse_flag(flag, next(), out.genuine_view)) return false;
       if (out.genuine_view < 1) {
         std::cerr << "bad --view: must be >= 1\n";
         return false;
@@ -267,7 +256,8 @@ bool parse_args(int argc, char** argv, Options& out) {
     }
     else if (flag == "--scenario") out.scenario = next();
     else if (flag == "--fill") {
-      if (!parse_real(flag, next(), out.fill)) return false;
+      if (!parse_flag(flag, next(), out.fill)) return false;
+      out.group_only_flags.push_back(flag);
     }
     else if (flag == "--horizon") {
       try {
@@ -280,25 +270,27 @@ bool parse_args(int argc, char** argv, Options& out) {
         std::cerr << "bad --horizon: must be positive\n";
         return false;
       }
+      out.group_only_flags.push_back(flag);
     }
-    else if (flag == "--wire") out.wire_transcode = true;
-    else if (flag == "--adaptive" || flag.rfind("--adaptive=", 0) == 0) {
+    else if (flag == "--wire") {
+      out.wire_transcode = true;
+      out.group_only_flags.push_back(flag);
+    }
+    else if (flag == "--adaptive" || flag.starts_with("--adaptive=")) {
       out.adaptive = true;
-      if (flag.size() > std::string("--adaptive").size()) {
-        const std::string value = flag.substr(std::string("--adaptive=").size());
-        char* end = nullptr;
-        out.adaptive_alpha = std::strtod(value.c_str(), &end);
-        if (value.empty() || end != value.c_str() + value.size() ||
-            !(out.adaptive_alpha > 0.0 && out.adaptive_alpha <= 1.0)) {
-          std::cerr << "bad --adaptive: EWMA weight must be in (0, 1], got '"
-                    << value << "'\n";
-          return false;
-        }
-      }
+      out.group_only_flags.push_back(flag);
+      // ChurnConfig::validate() checks the weight's (0, 1] range.
+      const auto eq = flag.find('=');
+      if (eq != std::string::npos &&
+          !parse_flag("--adaptive", flag.c_str() + eq + 1, out.adaptive_alpha))
+        return false;
     }
-    else if (flag == "--repro-check") out.repro_check = true;
+    else if (flag == "--repro-check") {
+      out.repro_check = true;
+      out.group_only_flags.push_back(flag);
+    }
     else if (flag == "--shards") {
-      if (!parse_size(flag, next(), out.shards)) return false;
+      if (!parse_flag(flag, next(), out.shards)) return false;
       if (out.shards < 1) {
         std::cerr << "bad --shards: must be >= 1\n";
         return false;
@@ -309,15 +301,15 @@ bool parse_args(int argc, char** argv, Options& out) {
       out.sharded_only_flags.push_back(flag);
     }
     else if (flag == "--cross") {
-      if (!parse_size(flag, next(), out.cross_publishers)) return false;
+      if (!parse_flag(flag, next(), out.cross_publishers)) return false;
       out.sharded_only_flags.push_back(flag);
     }
     else if (flag == "--cross-span") {
-      if (!parse_size(flag, next(), out.cross_span)) return false;
+      if (!parse_flag(flag, next(), out.cross_span)) return false;
       out.sharded_only_flags.push_back(flag);
     }
     else if (flag == "--cross-events") {
-      if (!parse_size(flag, next(), out.cross_events)) return false;
+      if (!parse_flag(flag, next(), out.cross_events)) return false;
       out.sharded_only_flags.push_back(flag);
     }
     else if (flag == "--cross-every") {
@@ -330,7 +322,7 @@ bool parse_args(int argc, char** argv, Options& out) {
       out.sharded_only_flags.push_back(flag);
     }
     else if (flag == "--threads") {
-      if (!parse_size(flag, next(), out.threads)) return false;
+      if (!parse_flag(flag, next(), out.threads)) return false;
       out.sharded_only_flags.push_back(flag);
     }
     else {
@@ -343,30 +335,29 @@ bool parse_args(int argc, char** argv, Options& out) {
     std::cerr << "unknown algorithm: " << out.algorithm << "\n";
     return false;
   }
-  if (out.adaptive && out.scenario.empty() && out.shards == 0) {
-    std::cerr << "--adaptive requires --scenario or --shards\n";
-    return false;
-  }
   if (!out.scenario.empty() && out.shards > 0) {
     std::cerr << "--scenario and --shards are mutually exclusive; use "
                  "--shard-scenario to script the shards\n";
     return false;
   }
-  if (out.shards == 0 && !out.sharded_only_flags.empty()) {
-    std::cerr << "flags that require --shards:";
-    for (const auto& f : out.sharded_only_flags) std::cerr << " " << f;
+  // Silently ignoring what the user asked for would misreport the run.
+  const auto reject = [](const char* what,
+                         const std::vector<std::string>& flags) {
+    std::cerr << what;
+    for (const auto& f : flags) std::cerr << " " << f;
     std::cerr << "\n";
     return false;
-  }
-  if ((!out.scenario.empty() || out.shards > 0) &&
-      !out.experiment_only_flags.empty()) {
-    // Silently ignoring what the user asked for would misreport the run.
-    std::cerr << "flags not applicable in --"
-              << (out.shards > 0 ? "shards" : "scenario") << " mode:";
-    for (const auto& f : out.experiment_only_flags) std::cerr << " " << f;
-    std::cerr << "\n";
-    return false;
-  }
+  };
+  const bool experiment = out.scenario.empty() && out.shards == 0;
+  if (out.shards == 0 && !out.sharded_only_flags.empty())
+    return reject("flags that require --shards:", out.sharded_only_flags);
+  if (experiment && !out.group_only_flags.empty())
+    return reject("flags that require --scenario or --shards:",
+                  out.group_only_flags);
+  if (!experiment && !out.experiment_only_flags.empty())
+    return reject(out.shards > 0 ? "flags not applicable in --shards mode:"
+                                 : "flags not applicable in --scenario mode:",
+                  out.experiment_only_flags);
   return true;
 }
 
@@ -482,7 +473,7 @@ bool parse_shard_scripts(const Options& options,
     // from being misread as shard indices).
     if (colon != std::string::npos && colon > 0 &&
         spec.find_first_not_of("0123456789") == colon) {
-      if (!parse_size("--shard-scenario", spec.substr(0, colon).c_str(),
+      if (!parse_flag("--shard-scenario", spec.substr(0, colon).c_str(),
                       entry.shard))
         return false;
       if (entry.shard >= options.shards) {
