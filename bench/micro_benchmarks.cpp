@@ -5,6 +5,7 @@
 //  * interest regrouping (exact interval union) and coarsened matching,
 //  * delegate election,
 //  * GroupTree construction,
+//  * interning: pooling summaries and looking addresses up,
 //  * the wire round trip, stateless and through a runtime's codec,
 //  * Markov-chain / Pittel analysis evaluation,
 //  * one full simulated dissemination at a mid-size scale.
@@ -116,6 +117,47 @@ void BM_GroupTreeBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(members.size()));
 }
 BENCHMARK(BM_GroupTreeBuild)->Arg(6)->Arg(12)->Arg(22)->Unit(benchmark::kMillisecond);
+
+// --- Interning through the flat index -------------------------------------
+
+void BM_InternPoolIntern(benchmark::State& state) {
+  // A per-call tree build's pooling: `n` summaries, a quarter of them
+  // distinct, into a fresh pool that dies with the call.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(12);
+  std::vector<InterestSummary> distinct;
+  for (std::size_t i = 0; i < n / 4; ++i)
+    distinct.push_back(InterestSummary::from(
+        interval_subscription(rng.next_double(), 0.05)));
+  for (auto _ : state) {
+    InternPool<InterestSummary> pool;
+    for (std::size_t i = 0; i < n; ++i)
+      benchmark::DoNotOptimize(pool.intern(distinct[i % distinct.size()]));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_InternPoolIntern)->Arg(1024)->Arg(16384);
+
+void BM_AddrInternFind(benchmark::State& state) {
+  // The wire codec's lookup of every address it decodes: a prefix-trie walk
+  // of d index probes, in random address order.
+  const auto all =
+      AddressSpace::regular(static_cast<AddrComponent>(state.range(0)), 3)
+          .enumerate();
+  AddrInternTable table;
+  table.reserve(all.size(), 3);
+  for (const auto& a : all) table.intern(a);
+  Rng rng(13);
+  std::vector<const Address*> order;
+  for (std::size_t i = 0; i < 4096; ++i)
+    order.push_back(&all[rng.next_below(all.size())]);
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(table.find(*order[i++ % order.size()]));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AddrInternFind)->Arg(16)->Arg(22);
 
 // --- Membership hot loops over the struct-of-arrays DepthView -------------
 

@@ -10,9 +10,17 @@ void AddrInternTable::reserve(std::size_t addresses, std::size_t depth) {
   keys_.reserve(addresses * depth);
   addresses_.reserve(addresses);
   // Every non-leaf trie level is at most as populated as the leaf level, so
-  // 2n buckets cover the whole trie for a balanced tree.
-  trie_.reserve(addresses * 2);
-  id_of_key_.reserve(addresses * 2);
+  // 2n nodes cover the whole trie for a balanced tree.
+  nodes_.reserve(addresses * 2);
+  trie_.reserve(addresses * 2,
+                [this](std::uint32_t n) { return node_edge(n); });
+}
+
+PrefixKey AddrInternTable::child(PrefixKey parent, AddrComponent c) const {
+  const std::uint32_t e = trie_.find(edge(parent, c), [&](std::uint32_t n) {
+    return nodes_[n].parent == parent && nodes_[n].component == c;
+  });
+  return e == FlatIndex::npos ? 0 : e + 1;
 }
 
 AddrId AddrInternTable::intern(const Address& a) {
@@ -24,23 +32,25 @@ AddrId AddrInternTable::intern(const Address& a) {
   PrefixKey parent = 0;
   bool created = false;
   for (const AddrComponent c : comps) {
-    const auto [it, inserted] = trie_.try_emplace(edge(parent, c), next_key_);
-    if (inserted) {
-      ++next_key_;
-      id_of_key_.push_back(kNoAddr);
+    PrefixKey key = child(parent, c);
+    if (key == 0) {
+      nodes_.push_back({parent, c, kNoAddr});
+      key = trie_.add(edge(parent, c),
+                      [this](std::uint32_t n) { return node_edge(n); }) +
+            1;
       created = true;
     }
-    parent = it->second;
+    parent = key;
     keys_.push_back(parent);
   }
 
-  if (!created && id_of_key_[parent - 1] != kNoAddr) {
+  AddrId& id = nodes_[parent - 1].id;
+  if (!created && id != kNoAddr) {
     keys_.resize(key_begin);  // already interned; discard the scratch keys
-    return id_of_key_[parent - 1];
+    return id;
   }
 
-  const AddrId id = static_cast<AddrId>(recs_.size());
-  id_of_key_[parent - 1] = id;
+  id = static_cast<AddrId>(recs_.size());
   recs_.push_back({static_cast<std::uint32_t>(comps_.size()),
                    static_cast<std::uint32_t>(key_begin),
                    static_cast<std::uint32_t>(comps.size())});
@@ -52,11 +62,10 @@ AddrId AddrInternTable::intern(const Address& a) {
 AddrId AddrInternTable::find(std::span<const AddrComponent> comps) const {
   PrefixKey parent = 0;
   for (const AddrComponent c : comps) {
-    const auto it = trie_.find(edge(parent, c));
-    if (it == trie_.end()) return kNoAddr;
-    parent = it->second;
+    parent = child(parent, c);
+    if (parent == 0) return kNoAddr;
   }
-  return parent == 0 ? kNoAddr : id_of_key_[parent - 1];
+  return parent == 0 ? kNoAddr : nodes_[parent - 1].id;
 }
 
 std::size_t AddrInternTable::common_prefix_length(AddrId a, AddrId b) const {

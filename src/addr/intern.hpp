@@ -12,9 +12,10 @@
 //     address's components are a contiguous span recoverable for wire
 //     encoding (the wire format keeps raw components; interning is purely a
 //     process-local representation);
-//   * every prefix ever seen gets a dense PrefixKey from an interned trie,
-//     and the keys of all prefixes of an address are precomputed per id
-//     (`keys_` arena). Two addresses share a length-l prefix iff their
+//   * every prefix ever seen gets a dense PrefixKey from an interned trie
+//     (one node per key, found by its edge through a FlatIndex), and the
+//     keys of all prefixes of an address are precomputed per id (`keys_`
+//     arena). Two addresses share a length-l prefix iff their
 //     l-th prefix keys are equal, so common_prefix_length is a linear scan
 //     of integer compares with no component access at all.
 //
@@ -28,10 +29,10 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "addr/address.hpp"
+#include "common/flat_index.hpp"
 
 namespace pmc {
 
@@ -112,20 +113,35 @@ class AddrInternTable {
     std::uint32_t depth = 0;
   };
 
-  /// Trie edge (parent prefix key, component) -> child prefix key.
+  /// The trie node of a prefix: the edge (parent prefix key, last
+  /// component) that leads to it, and the address it is the deepest prefix
+  /// of (kNoAddr while no interned address ends there).
+  struct TrieNode {
+    PrefixKey parent = 0;
+    AddrComponent component = 0;
+    AddrId id = kNoAddr;
+  };
+
   static std::uint64_t edge(PrefixKey parent, AddrComponent c) noexcept {
     return (static_cast<std::uint64_t>(parent) << 16) | c;
   }
+  /// The edge leading to node `n`, the hash the trie indexes it by.
+  std::uint64_t node_edge(std::uint32_t n) const noexcept {
+    return edge(nodes_[n].parent, nodes_[n].component);
+  }
+  /// The child of `parent` along `c`, or 0 when the trie has no such edge.
+  PrefixKey child(PrefixKey parent, AddrComponent c) const;
 
   std::vector<Rec> recs_;               // indexed by AddrId
   std::vector<AddrComponent> comps_;    // flat component arena
   std::vector<PrefixKey> keys_;         // flat prefix-key arena
   std::vector<Address> addresses_;      // resolve() storage
-  std::unordered_map<std::uint64_t, PrefixKey> trie_;
-  /// Full-address prefix key -> AddrId (an address IS its deepest prefix,
-  /// so the trie doubles as the intern index; indexed by PrefixKey).
-  std::vector<AddrId> id_of_key_;
-  PrefixKey next_key_ = 1;  // 0 is the root
+  /// Trie nodes, indexed by PrefixKey - 1 (0 is the root, which has no
+  /// node); an address IS its deepest prefix, so the trie doubles as the
+  /// intern index.
+  std::vector<TrieNode> nodes_;
+  /// Edge -> node number (PrefixKey - 1).
+  FlatIndex trie_;
 };
 
 }  // namespace pmc

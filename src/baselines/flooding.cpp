@@ -42,10 +42,9 @@ void FloodingNode::on_period() {
     ++it->round;
     const std::size_t picks =
         std::min<std::size_t>(config_.fanout, peers_->size());
-    const auto chosen =
-        rng().sample_without_replacement(peers_->size(), picks);
+    rng().sample_without_replacement(peers_->size(), picks, picks_);
     targets_.clear();
-    for (const auto ci : chosen) {
+    for (const auto ci : picks_) {
       const ProcessId target = (*peers_)[ci];
       if (target == id()) continue;
       targets_.push_back(target);

@@ -55,6 +55,7 @@ class FloodingNode final : public BaselineNode {
   RoundEstimator estimator_;
   std::vector<Entry> buffer_;
   std::vector<ProcessId> targets_;  ///< fan-out scratch for send_multi
+  std::vector<std::size_t> picks_;  ///< each round's sampled peer indices
 };
 
 }  // namespace pmc

@@ -56,9 +56,8 @@ void GenuineNode::on_period() {
     ++it->round;
     const std::size_t picks =
         std::min<std::size_t>(config_.fanout, interested.size());
-    const auto chosen =
-        rng().sample_without_replacement(interested.size(), picks);
-    for (const auto ci : chosen) {
+    rng().sample_without_replacement(interested.size(), picks, picks_);
+    for (const auto ci : picks_) {
       auto m = std::make_shared<GenuineGossipMsg>();
       m->event = it->event;
       m->round = it->round;

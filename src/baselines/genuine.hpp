@@ -62,6 +62,7 @@ class GenuineNode final : public BaselineNode {
   std::vector<Peer> view_;
   RoundEstimator estimator_;
   std::vector<Entry> buffer_;
+  std::vector<std::size_t> picks_;  ///< each round's sampled view indices
 };
 
 }  // namespace pmc

@@ -15,9 +15,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "common/flat_index.hpp"
 
 namespace pmc {
 
@@ -28,10 +29,6 @@ class InternPool {
 
   InternPool(const InternPool&) = delete;
   InternPool& operator=(const InternPool&) = delete;
-
-  void reserve(std::size_t distinct_values) {
-    buckets_.reserve(distinct_values);
-  }
 
   /// Returns the pooled instance structurally equal to `value`, interning a
   /// copy (or the moved-from value) on first sight.
@@ -51,24 +48,28 @@ class InternPool {
   }
 
   /// Distinct values interned so far.
-  std::size_t size() const noexcept { return count_; }
+  std::size_t size() const noexcept { return values_.size(); }
 
  private:
   template <typename MakeFn>
   std::shared_ptr<const T> intern_impl(const T& value, MakeFn make) {
-    auto& chain = buckets_[value.hash()];
-    for (const auto& entry : chain)
-      if (entry.get() == &value || *entry == value) return entry;
-    chain.push_back(make());
-    ++count_;
-    return chain.back();
+    const std::uint64_t hash = value.hash();
+    const std::uint32_t found = index_.find(hash, [&](std::uint32_t e) {
+      return hashes_[e] == hash &&
+             (values_[e].get() == &value || *values_[e] == value);
+    });
+    if (found != FlatIndex::npos) return values_[found];
+    values_.push_back(make());
+    hashes_.push_back(hash);
+    index_.add(hash, [&](std::uint32_t e) { return hashes_[e]; });
+    return values_.back();
   }
 
-  /// hash -> structurally distinct values with that hash (chain length 1
-  /// barring collisions).
-  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<const T>>>
-      buckets_;
-  std::size_t count_ = 0;
+  /// The distinct values in first-intern order, their hashes, and the
+  /// index that finds them by value.
+  std::vector<std::shared_ptr<const T>> values_;
+  std::vector<std::uint64_t> hashes_;
+  FlatIndex index_;
 };
 
 }  // namespace pmc

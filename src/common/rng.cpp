@@ -1,6 +1,8 @@
 #include "common/rng.hpp"
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace pmc {
@@ -82,16 +84,54 @@ double Rng::next_normal() noexcept {
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
+  std::vector<std::size_t> out;
+  sample_without_replacement(n, k, out);
+  return out;
+}
+
+template <typename Index>
+void Rng::sample_without_replacement(std::size_t n, std::size_t k,
+                                     std::vector<Index>& out) {
   PMC_EXPECTS(k <= n);
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  PMC_EXPECTS(n == 0 || n - 1 <= std::numeric_limits<Index>::max());
+  out.clear();
+  if (k > kSparseSample) {
+    out.resize(n);
+    std::iota(out.begin(), out.end(), Index{0});
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto j = i + static_cast<std::size_t>(next_below(n - i));
+      using std::swap;
+      swap(out[i], out[j]);
+    }
+    out.resize(k);
+    return;
+  }
+  // The same swaps on an implicit identity array: position p holds
+  // moved_value[m] if moved_pos[m] == p for some m, else p. Step i reads
+  // positions i and j >= i and never reads position i again, so only j's
+  // new value is recorded.
+  std::array<std::size_t, kSparseSample> moved_pos;
+  std::array<std::size_t, kSparseSample> moved_value;
+  std::size_t moved = 0;
+  const auto slot = [&](std::size_t p) {
+    std::size_t m = 0;
+    while (m < moved && moved_pos[m] != p) ++m;
+    return m;
+  };
   for (std::size_t i = 0; i < k; ++i) {
     const auto j = i + static_cast<std::size_t>(next_below(n - i));
-    using std::swap;
-    swap(idx[i], idx[j]);
+    const std::size_t mi = slot(i);
+    const std::size_t mj = slot(j);
+    const std::size_t at_i = mi < moved ? moved_value[mi] : i;
+    out.push_back(static_cast<Index>(mj < moved ? moved_value[mj] : j));
+    if (mj == moved) moved_pos[moved++] = j;
+    moved_value[mj] = at_i;
   }
-  idx.resize(k);
-  return idx;
 }
+
+template void Rng::sample_without_replacement(std::size_t, std::size_t,
+                                              std::vector<std::size_t>&);
+template void Rng::sample_without_replacement(std::size_t, std::size_t,
+                                              std::vector<std::uint32_t>&);
 
 }  // namespace pmc

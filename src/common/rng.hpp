@@ -82,10 +82,20 @@ class Rng {
   Rng split() noexcept { return Rng(next_u64()); }
 
   /// k distinct indices drawn uniformly from [0, n) without replacement,
-  /// in selection order (partial Fisher-Yates on an index vector).
-  /// Precondition: k <= n.
+  /// in selection order: a partial Fisher-Yates shuffle of [0, n), one
+  /// next_below(n - i) per pick. Precondition: k <= n.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
+  /// The same draws and indices, written into `out` (cleared first), so a
+  /// per-period caller reuses one buffer; a 32-bit one (n <= 2^32) can be
+  /// the buffer the caller then turns into its targets. Up to
+  /// kSparseSample picks touch only the positions the shuffle moves, not
+  /// an n-sized index vector. Defined for std::size_t and std::uint32_t.
+  template <typename Index>
+  void sample_without_replacement(std::size_t n, std::size_t k,
+                                  std::vector<Index>& out);
+  /// The most picks the sparse shuffle takes; more run the dense one.
+  static constexpr std::size_t kSparseSample = 16;
 
  private:
   std::uint64_t state_[4]{};

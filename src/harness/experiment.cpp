@@ -3,9 +3,9 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "baselines/flooding.hpp"
 #include "baselines/genuine.hpp"
@@ -111,6 +111,28 @@ struct Population {
       return id < pid_by_id.size() ? pid_by_id[id] : kNoProcess;
     };
   }
+};
+
+/// GroupTree::tables_for, looked up again only when the member's leaf
+/// subgroup differs from the previous member's: the tables depend on the
+/// leaf prefix alone. Any member order gives the same tables; the order
+/// only decides how often the lookup reruns.
+class LeafTables {
+ public:
+  explicit LeafTables(const GroupTree& tree) : tree_(tree) {}
+
+  std::span<const DepthView* const> operator()(const Address& self) {
+    if (last_ == nullptr ||
+        last_->common_prefix_length(self) + 1 < self.depth())
+      tables_ = tree_.tables_for(self);
+    last_ = &self;
+    return tables_;
+  }
+
+ private:
+  const GroupTree& tree_;
+  const Address* last_ = nullptr;
+  std::vector<const DepthView*> tables_;
 };
 
 struct RunMetrics {
@@ -220,12 +242,12 @@ ExperimentResult run_pmcast_experiment(const ExperimentConfig& config) {
       [&](Runtime& rt) {
         std::vector<std::unique_ptr<PmcastNode>> nodes;
         nodes.reserve(pop.members.size());
+        LeafTables tables(*pop.tree);
         for (std::size_t i = 0; i < pop.members.size(); ++i) {
           nodes.push_back(std::make_unique<PmcastNode>(
               rt, static_cast<ProcessId>(i), node_config,
               pop.members[i].address, pop.members[i].subscription,
-              pop.tree->tables_for(pop.members[i].address),
-              pop.directory_fn()));
+              tables(pop.members[i].address), pop.directory_fn()));
         }
         return nodes;
       },
@@ -314,11 +336,11 @@ ExperimentResult run_treecast_experiment(const ExperimentConfig& config) {
       [&](Runtime& rt) {
         std::vector<std::unique_ptr<TreecastNode>> nodes;
         nodes.reserve(pop.members.size());
+        LeafTables tables(*pop.tree);
         for (std::size_t i = 0; i < pop.members.size(); ++i) {
           nodes.push_back(std::make_unique<TreecastNode>(
               rt, static_cast<ProcessId>(i), tc, pop.members[i].address,
-              pop.members[i].subscription,
-              pop.tree->tables_for(pop.members[i].address),
+              pop.members[i].subscription, tables(pop.members[i].address),
               pop.directory_fn()));
         }
         return nodes;

@@ -1,10 +1,8 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -775,12 +773,13 @@ std::optional<std::uint64_t> parse_count(const std::string& token) {
 }
 
 std::optional<double> parse_real(const std::string& token) {
-  // strtod alone skips leading blanks and reads "nan" and "inf".
-  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0])))
-    return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || !std::isfinite(value))
+  // from_chars takes no blank, no '+' and no hexadecimal form, and ignores
+  // the locale; it does read "nan" and "inf".
+  double value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value,
+                                         std::chars_format::general);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value))
     return std::nullopt;
   return value;
 }

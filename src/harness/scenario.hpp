@@ -163,8 +163,9 @@ SimTime parse_sim_time(const std::string& token);
 /// and PMCAST_* variables share; each caller words its own error. A count
 /// is one or more decimal digits and nothing else, at most 2^64 - 1.
 std::optional<std::uint64_t> parse_count(const std::string& token);
-/// One finite number in strtod's syntax ("0.5", "1e-3") filling the whole
-/// token: no leading blank, "nan" or "inf".
+/// One finite decimal number ("0.5", "-1", "1e-3") filling the whole
+/// token: no leading blank, no '+', no hexadecimal form, no "nan" or
+/// "inf", whatever the locale.
 std::optional<double> parse_real(const std::string& token);
 
 struct ScenarioAction {

@@ -187,14 +187,18 @@ void SyncNode::on_period() {
   // and put it on the wire as one send_multi (shared payload, one
   // transcode, per-destination draws), instead of per-target sends.
   // digests_sent still counts *attempts*, like the per-target path did.
-  digest_targets_.clear();
+  // The picks (indices into `peers`) land in digest_targets_ itself and
+  // are overwritten in place by their pids: no buffer of their own, which
+  // every node would carry.
   const std::size_t fanout = std::min(config_.gossip_fanout, peers.size());
-  const auto picks = rng().sample_without_replacement(peers.size(), fanout);
-  for (const auto i : picks) {
-    const ProcessId pid = directory_(peers[i]);
-    if (pid != kNoProcess) digest_targets_.push_back(pid);
+  rng().sample_without_replacement(peers.size(), fanout, digest_targets_);
+  std::size_t resolved = 0;
+  for (std::size_t k = 0; k < digest_targets_.size(); ++k) {
+    const ProcessId pid = directory_(peers[digest_targets_[k]]);
+    if (pid != kNoProcess) digest_targets_[resolved++] = pid;
     ++stats_.digests_sent;
   }
+  digest_targets_.resize(resolved);
 
   // Leaf subgroups actively ping each other (paper Sec. 6): one extra
   // digest per period to a round-robin immediate neighbor keeps the
@@ -376,12 +380,16 @@ bool SyncNode::apply_row(std::uint32_t depth, const ViewRow& row,
     return view_.view(depth).upsert(alive_row, batch);
   }
   DepthView& dv = view_.view(depth);
-  const std::size_t current = dv.find_index(row.infix);
-  const bool was_alive = current != DepthView::npos && dv.alive(current);
-  const bool changed = dv.upsert(row, batch);
   // A known-live row absorbed as a tombstone is observed incarnation
-  // churn: the raw signal behind the online crash-rate estimate.
-  if (changed && was_alive && !row.alive) ++stats_.deaths_observed;
+  // churn: the raw signal behind the online crash-rate estimate. Only a
+  // tombstone needs the row it replaces.
+  bool was_alive = false;
+  if (!row.alive) {
+    const std::size_t current = dv.find_index(row.infix);
+    was_alive = current != DepthView::npos && dv.alive(current);
+  }
+  const bool changed = dv.upsert(row, batch);
+  if (changed && was_alive) ++stats_.deaths_observed;
   return changed;
 }
 

@@ -56,8 +56,7 @@ void PmcastNode::pmcast(Event event) {
     }
   }
 
-  const double rate = rate_at(depth, *ev);
-  buffer_event(depth, Entry{std::move(ev), rate, 0});
+  buffer_event(depth, fresh_entry(depth, std::move(ev)));
 }
 
 void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
@@ -98,7 +97,11 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
     if (!store_.empty() && !periodic_armed()) arm_periodic(config_.period);
     return;
   }
-  buffer_event(gossip.depth, Entry{gossip.event, gossip.rate, gossip.round});
+  Entry entry;
+  entry.event = gossip.event;
+  entry.rate = gossip.rate;
+  entry.round = gossip.round;
+  buffer_event(gossip.depth, std::move(entry));
   deliver_if_interested(*gossip.event);
 }
 
@@ -116,13 +119,15 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
   // Re-evaluated every period and depth: with an adaptive env source the
   // Eq. 11 bound follows the live ε/τ estimate instead of the frozen prior.
   const EnvParams env = live_env();
+  const DepthView& view = table(depth);
   std::vector<Entry> promoted;
   auto it = entries.begin();
   while (it != entries.end()) {
     Entry& entry = *it;
-    double local_rate = 0.0;  // recomputed, used only by the candidate list
-    candidates_at(depth, *entry.event, gossip_scratch_, local_rate);
-    const auto& candidates = gossip_scratch_;
+    // The entry's list stays current until the table changes (a live view
+    // under churn); it is then rebuilt from the table as it is now.
+    if (entry.built_at != view.mutations()) candidates_at(depth, entry);
+    const auto candidates = entry.candidate_list();
 
     // Sec. 6 mechanism: dense interest at the leaf depth — flood the
     // subgroup once instead of running probabilistic rounds.
@@ -130,8 +135,8 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
         entry.rate >= config_.leaf_flood_density) {
       target_scratch_.clear();
       for (const Candidate& cand : candidates) {
-        if (!cand.interested) continue;
-        const ProcessId target = directory_(cand.id);
+        if (!cand.interested()) continue;
+        const ProcessId target = directory_(cand.id());
         if (target == kNoProcess) continue;
         target_scratch_.push_back(target);
       }
@@ -180,22 +185,22 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
       ++stats_.rounds_run;
       const std::size_t picks =
           std::min<std::size_t>(config_.fanout, candidates.size());
-      const auto chosen =
-          rng().sample_without_replacement(candidates.size(), picks);
+      rng().sample_without_replacement(candidates.size(), picks,
+                                       pick_scratch_);
       if (piggyback_source_) {
         // Piggybacked rows are scoped per target, so every message goes
         // out individually (targets at one depth limit share the batch).
-        for (const auto ci : chosen) {
+        for (const auto ci : pick_scratch_) {
           const Candidate& cand = candidates[ci];
-          if (!cand.interested) continue;  // line 13: filter before sending
-          const ProcessId target = directory_(cand.id);
+          if (!cand.interested()) continue;  // line 13: filter before sending
+          const ProcessId target = directory_(cand.id());
           if (target == kNoProcess) continue;
           auto msg = std::make_shared<GossipMsg>();
           msg->event = entry.event;
           msg->rate = entry.rate;
           msg->round = entry.round;
           msg->depth = static_cast<std::uint32_t>(depth);
-          msg->piggyback = piggyback_source_(cand.id);
+          msg->piggyback = piggyback_source_(cand.id());
           if (msg->has_piggyback())
             msg->sender = AddrRef(interns(), self_id_);
           send(target, std::move(msg));
@@ -205,10 +210,10 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
         // Without piggybacking the F copies are identical: share one
         // payload through send_multi (per-destination draws unchanged).
         target_scratch_.clear();
-        for (const auto ci : chosen) {
+        for (const auto ci : pick_scratch_) {
           const Candidate& cand = candidates[ci];
-          if (!cand.interested) continue;  // line 13: filter before sending
-          const ProcessId target = directory_(cand.id);
+          if (!cand.interested()) continue;  // line 13: filter before sending
+          const ProcessId target = directory_(cand.id());
           if (target == kNoProcess) continue;
           target_scratch_.push_back(target);
         }
@@ -230,9 +235,7 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
       // it, since the event just skipped this depth entirely.
       if (entry.round == 0 && interested > 0.0) ++stats_.bound_collapsed;
       if (depth < config_.tree.depth) {
-        auto ev = std::move(entry.event);
-        const double next_rate = rate_at(depth + 1, *ev);
-        promoted.push_back(Entry{std::move(ev), next_rate, 0});
+        promoted.push_back(fresh_entry(depth + 1, std::move(entry.event)));
       } else {
         retain_for_recovery(std::move(entry.event));
       }
@@ -246,21 +249,32 @@ std::size_t tuning_start_index(const EventId& id, std::size_t n) {
   return n == 0 ? 0 : EventIdHash{}(id) % n;
 }
 
-void PmcastNode::candidates_at(std::size_t depth, const Event& e,
-                               std::vector<Candidate>& out,
-                               double& rate_out) const {
+double PmcastNode::candidates_at(std::size_t depth, Entry& entry) const {
   const DepthView& view = table(depth);
-  out.clear();
+  // One slot per live delegate but self. A rebuild keeps the entry's array
+  // when the new list fits in the old one's length: a live table mutates
+  // far more often than its membership grows.
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    if (!view.alive(i)) continue;
+    for (const AddrId id : view.delegates(i))
+      if (id != self_id_) ++count;
+  }
+  if (count > entry.candidate_count)
+    entry.candidates = std::make_unique<Candidate[]>(count);
+  std::size_t n = 0;
   std::size_t interested = 0;
   for (std::size_t i = 0; i < view.size(); ++i) {
     if (!view.alive(i)) continue;
-    const bool row_interested = view.interests(i).match(e);
+    const bool row_interested = view.interests(i).match(*entry.event);
     for (const AddrId id : view.delegates(i)) {
       if (id == self_id_) continue;
-      out.push_back(Candidate{id, row_interested});
+      entry.candidates[n++] = Candidate{id, row_interested};
       if (row_interested) ++interested;
     }
   }
+  entry.candidate_count = static_cast<std::uint32_t>(n);
+  entry.built_at = view.mutations();
 
   // Sec. 5.3 tuning: too small an audience starves Pittel's estimate, so
   // pad the interested set up to h members. The padding walks the view
@@ -268,26 +282,26 @@ void PmcastNode::candidates_at(std::size_t depth, const Event& e,
   // process promotes the same members) but unbiased across events, unlike
   // always promoting the first h rows.
   if (config_.tuning_threshold > 0 && interested < config_.tuning_threshold) {
-    const std::size_t start = tuning_start_index(e.id(), out.size());
+    const std::size_t start = tuning_start_index(entry.event->id(), n);
     for (std::size_t step = 0;
-         step < out.size() && interested < config_.tuning_threshold; ++step) {
-      Candidate& cand = out[(start + step) % out.size()];
-      if (cand.interested) continue;
-      cand.interested = true;
+         step < n && interested < config_.tuning_threshold; ++step) {
+      Candidate& cand = entry.candidates[(start + step) % n];
+      if (cand.interested()) continue;
+      cand.mark_interested();
       ++interested;
     }
   }
 
-  rate_out = out.empty()
-                 ? 0.0
-                 : static_cast<double>(interested) /
-                       static_cast<double>(out.size());
+  return n == 0 ? 0.0
+                : static_cast<double>(interested) / static_cast<double>(n);
 }
 
-double PmcastNode::rate_at(std::size_t depth, const Event& e) const {
-  double rate = 0.0;
-  candidates_at(depth, e, rate_scratch_, rate);
-  return rate;
+PmcastNode::Entry PmcastNode::fresh_entry(
+    std::size_t depth, std::shared_ptr<const Event> event) const {
+  Entry entry;
+  entry.event = std::move(event);
+  entry.rate = candidates_at(depth, entry);
+  return entry;
 }
 
 void PmcastNode::buffer_event(std::size_t depth, Entry entry) {
@@ -354,8 +368,8 @@ void PmcastNode::run_recovery_round() {
   const std::size_t picks =
       std::min<std::size_t>(config_.fanout, digests.size());
   if (picks > 0) {
-    const auto chosen = rng().sample_without_replacement(digests.size(), picks);
-    for (const auto ci : chosen) {
+    rng().sample_without_replacement(digests.size(), picks, pick_scratch_);
+    for (const auto ci : pick_scratch_) {
       const ProcessId target = directory_(digests[ci].first);
       if (target == kNoProcess) continue;
       auto msg = std::make_shared<EventDigestMsg>();

@@ -20,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/flat_map.hpp"
 #include "event/event.hpp"
 #include "filter/subscription.hpp"
@@ -173,10 +174,48 @@ class PmcastNode final : public Process {
   void on_period() override;
 
  private:
+  /// One view member that could be gossiped to: its id, and whether it is
+  /// interested, in the id's top bit. Four bytes, half an {id, bool} pair:
+  /// every buffered entry holds a list of them. Ids are dense from 0, so a
+  /// runtime would need 2^31 addresses to reach that bit.
+  class Candidate {
+   public:
+    Candidate() = default;
+    Candidate(AddrId id, bool interested)
+        : bits_(id | (interested ? kInterested : 0U)) {
+      PMC_EXPECTS((id & kInterested) == 0);
+    }
+    AddrId id() const noexcept { return bits_ & ~kInterested; }
+    bool interested() const noexcept { return (bits_ & kInterested) != 0; }
+    void mark_interested() noexcept { bits_ |= kInterested; }
+
+   private:
+    static constexpr std::uint32_t kInterested = 0x80000000U;
+    std::uint32_t bits_ = 0;
+  };
+
+  /// The stamp of a candidate list not built yet: no table reports it.
+  static constexpr std::uint64_t kUnbuilt = ~std::uint64_t{0};
+
   struct Entry {
     std::shared_ptr<const Event> event;
     double rate = 0.0;
+    /// The members gossip draws from at the entry's depth (candidates_at),
+    /// `candidate_count` of them, and the mutations() of the table they
+    /// were built from. A list depends only on the table, the event, the
+    /// node's own id and h, so a static view builds it once per event and
+    /// depth; a live table that mutated rebuilds it before the next round,
+    /// in the same array while the new list fits (the array is at least
+    /// `candidate_count` long). An owned array, not a vector: 16 bytes
+    /// less per entry, and a group buffers many entries per process.
+    std::unique_ptr<Candidate[]> candidates;
+    std::uint64_t built_at = kUnbuilt;
+    std::uint32_t candidate_count = 0;
     std::uint32_t round = 0;
+
+    std::span<const Candidate> candidate_list() const {
+      return {candidates.get(), candidate_count};
+    }
   };
 
   /// One depth of the tree as this node sees it: its view table, fixed at
@@ -186,19 +225,12 @@ class PmcastNode final : public Process {
     std::vector<Entry> entries;
   };
 
-  /// One view member that could be gossiped to.
-  struct Candidate {
-    AddrId id = kNoAddr;
-    bool interested = false;
-  };
-
-  /// Enumerates the view members at `depth` (excluding self) into `out`
-  /// (cleared first), marking each as interested per its row's regrouped
-  /// interests, with the Sec. 5.3 tuning applied. Returns the effective
-  /// matching rate via `rate_out`. Callers pass a long-lived scratch buffer
-  /// so the candidate vector is not reallocated every round at every depth.
-  void candidates_at(std::size_t depth, const Event& e,
-                     std::vector<Candidate>& out, double& rate_out) const;
+  /// Enumerates the view members at `depth` (excluding self) into the
+  /// entry's candidate list, marking each as interested per its row's
+  /// regrouped interests, with the Sec. 5.3 tuning applied, and stamps the
+  /// list with the table's mutations(). Returns the effective matching
+  /// rate.
+  double candidates_at(std::size_t depth, Entry& entry) const;
 
   const DepthView& table(std::size_t depth) const {
     return *depths_[depth - 1].table;
@@ -206,8 +238,11 @@ class PmcastNode final : public Process {
   /// The intern state the tables are expressed in.
   Interns& interns() const { return depths_.front().table->interns(); }
 
-  /// Fig. 3's GETRATE: effective matching rate at `depth`.
-  double rate_at(std::size_t depth, const Event& e) const;
+  /// A new entry for `event` at `depth`, at round 0 with Fig. 3's GETRATE
+  /// (the effective matching rate there) and the candidate list that rate
+  /// came from.
+  Entry fresh_entry(std::size_t depth,
+                    std::shared_ptr<const Event> event) const;
 
   void buffer_event(std::size_t depth, Entry entry);
   void gossip_entries_at(std::size_t depth);
@@ -235,15 +270,11 @@ class PmcastNode final : public Process {
 
   std::vector<Depth> depths_;  // index 0 <-> depth 1
 
-  /// Reusable candidate buffers: one for the gossip loop, one for the
-  /// nested rate_at() calls (promotion computes the next depth's rate while
-  /// the gossip loop's candidates are still in scope, so the two must not
-  /// alias). mutable because rate_at() is logically const.
-  mutable std::vector<Candidate> gossip_scratch_;
-  mutable std::vector<Candidate> rate_scratch_;
   /// Resolved fan-out pids for the current round/flood, so one shared
   /// message goes out through Network::send_multi instead of F copies.
   std::vector<ProcessId> target_scratch_;
+  /// The indices each gossip or digest round picks.
+  std::vector<std::size_t> pick_scratch_;
 
   std::unordered_set<EventId, EventIdHash> seen_;
   std::unordered_set<EventId, EventIdHash> delivered_ids_;

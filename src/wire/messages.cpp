@@ -809,37 +809,25 @@ std::shared_ptr<const InterestSummary> Codec::decode_pooled(Reader& r) {
   const Reader start = r;
   if (!read_summary<false>(r)) return nullptr;
   const auto bytes = r.read_since(start);
-  const std::uint32_t entry = slots_.empty() ? 0 : slots_[slot_of(bytes)];
-  if (entry != 0) {
+  const std::uint64_t hash = hash_bytes(bytes);
+  const std::uint32_t entry =
+      decoded_index_.find(hash, [&](std::uint32_t e) {
+        const auto held = bytes_of(decoded_[e]);
+        return held.size() == bytes.size() &&
+               std::memcmp(held.data(), bytes.data(), bytes.size()) == 0;
+      });
+  if (entry != FlatIndex::npos) {
     ++stats_.decode_hits;
-    return decoded_[entry - 1].handle;
+    return decoded_[entry].handle;
   }
   ++stats_.decode_misses;
   Reader again = start;
   decoded_.push_back(
       keep(bytes, interns_->summaries.intern(read_summary<true>(again))));
-  if (2 * decoded_.size() > slots_.size()) {
-    // Keep the table at most half full: grow it and place every entry.
-    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
-    for (std::size_t i = 0; i < decoded_.size(); ++i)
-      slots_[slot_of(bytes_of(decoded_[i]))] =
-          static_cast<std::uint32_t>(i + 1);
-  } else {
-    slots_[slot_of(bytes)] = static_cast<std::uint32_t>(decoded_.size());
-  }
+  decoded_index_.add(hash, [this](std::uint32_t e) {
+    return hash_bytes(bytes_of(decoded_[e]));
+  });
   return decoded_.back().handle;
-}
-
-std::size_t Codec::slot_of(std::span<const std::uint8_t> bytes) const {
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t slot = hash_bytes(bytes) & mask;; slot = (slot + 1) & mask) {
-    const std::uint32_t entry = slots_[slot];
-    if (entry == 0) return slot;
-    const auto held = bytes_of(decoded_[entry - 1]);
-    if (held.size() == bytes.size() &&
-        std::memcmp(held.data(), bytes.data(), bytes.size()) == 0)
-      return slot;
-  }
 }
 
 }  // namespace pmc::wire

@@ -16,6 +16,7 @@
 
 #include "baselines/flooding.hpp"
 #include "baselines/genuine.hpp"
+#include "common/flat_index.hpp"
 #include "membership/sync.hpp"
 #include "pmcast/node.hpp"
 #include "wire/codec.hpp"
@@ -126,9 +127,6 @@ class Codec {
   /// Reads a summary and returns its pooled handle, or null when it has
   /// opaque predicates (`r` is then inside it).
   std::shared_ptr<const InterestSummary> decode_pooled(Reader& r);
-  /// The slot of decoded_ holding `bytes`, or the empty slot they belong
-  /// in (slots_ must not be empty).
-  std::size_t slot_of(std::span<const std::uint8_t> bytes) const;
 
   /// A memoized summary: its pooled handle and where its bytes lie in
   /// bytes_.
@@ -151,10 +149,9 @@ class Codec {
   /// one value for the codec's whole life.
   // detlint:allow(pointer-hash) lookup only: never iterated, serialized or fingerprinted
   std::unordered_map<const InterestSummary*, Memo> encoded_;
-  /// Decoded summaries, found by their bytes through an open-addressing
-  /// table (slots_ holds index + 1, 0 is empty) kept at most half full.
+  /// Decoded summaries, found by their bytes through decoded_index_.
   std::vector<Memo> decoded_;
-  std::vector<std::uint32_t> slots_;
+  FlatIndex decoded_index_;
   std::vector<AddrComponent> components_;  ///< the last address read
   Writer buffer_;                          ///< transcode's bytes
   Stats stats_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 
 #include "harness/table.hpp"
@@ -128,6 +131,74 @@ TEST(Experiment, CrashFractionLowersDeliveryAtMost) {
   const auto r_crashy = run_pmcast_experiment(crashy);
   // Crashes cannot *help*; allow noise.
   EXPECT_GE(r_safe.delivery.mean() + 0.15, r_crashy.delivery.mean());
+}
+
+/// The bit patterns of every ExperimentResult mean: delivery, false
+/// reception, rounds, messages per process, interested fraction.
+std::array<std::uint64_t, 5> mean_bits(const ExperimentResult& r) {
+  return {std::bit_cast<std::uint64_t>(r.delivery.mean()),
+          std::bit_cast<std::uint64_t>(r.false_reception.mean()),
+          std::bit_cast<std::uint64_t>(r.rounds.mean()),
+          std::bit_cast<std::uint64_t>(r.messages_per_process.mean()),
+          std::bit_cast<std::uint64_t>(r.interested_fraction.mean())};
+}
+
+TEST(ExperimentGolden, MeansKeepTheirBits) {
+  // The static-tree path beyond the figure benchmark's one configuration:
+  // each mechanism PmcastNode switches on, and the tree baseline. The
+  // values are the program's own, pinned so that a change to how nodes
+  // are built, gossip or sample shows as a changed bit, not as a
+  // statistically plausible drift.
+  ExperimentConfig base;
+  base.a = 6;
+  base.d = 3;
+  base.r = 2;
+  base.fanout = 2;
+  base.pd = 0.3;
+  base.loss = 0.05;
+  base.runs = 4;
+  base.seed = 2027;
+  const auto with = [&](auto change) {
+    ExperimentConfig c = base;
+    change(c);
+    return c;
+  };
+  const struct {
+    const char* name;
+    ExperimentResult result;
+    std::array<std::uint64_t, 5> bits;
+  } rows[] = {
+      {"tuning h=4",
+       run_pmcast_experiment(with([](auto& c) { c.tuning_threshold = 4; })),
+       {0x3fef85bb39503d22ULL, 0x3feb6f668e9f8bf7ULL, 0x4028000000000000ULL,
+        0x401204bda12f684cULL, 0x3fd38e38e38e38e4ULL}},
+      {"leaf flooding",
+       run_pmcast_experiment(with([](auto& c) { c.leaf_flood_density = 0.5; })),
+       {0x3fe92bc77d3d08f0ULL, 0x3fd53d650803fdd2ULL, 0x4026000000000000ULL,
+        0x3ffffb425ed097b4ULL, 0x3fd38e38e38e38e4ULL}},
+      {"recovery rounds",
+       run_pmcast_experiment(with([](auto& c) { c.recovery_rounds = 3; })),
+       {0x3ff0000000000000ULL, 0x3fd53d650803fdd2ULL, 0x402c842c3c9eecc0ULL,
+        0x4012612f684bda13ULL, 0x3fd38e38e38e38e4ULL}},
+      {"shortcut off",
+       run_pmcast_experiment(
+           with([](auto& c) { c.local_interest_shortcut = false; })),
+       {0x3fe8910ff7fa32daULL, 0x3fd53d650803fdd2ULL, 0x4028000000000000ULL,
+        0x4000ded097b425eeULL, 0x3fd38e38e38e38e4ULL}},
+      {"crashes",
+       run_pmcast_experiment(with([](auto& c) { c.crash_fraction = 0.1; })),
+       {0x3fe9f7f2904c0331ULL, 0x3fd33175b2d0e018ULL, 0x4042e16872b020c4ULL,
+        0x3fff3425ed097b42ULL, 0x3fcfda12f684bda0ULL}},
+      {"treecast", run_treecast_experiment(base),
+       {0x3fe99cc8d9fcec59ULL, 0x3fc0504de2f82beaULL, 0x3f95daceee0f3cb4ULL,
+        0x3fd6bda12f684bdaULL, 0x3fd38e38e38e38e4ULL}},
+  };
+  for (const auto& row : rows) {
+    const auto got = mean_bits(row.result);
+    EXPECT_EQ(got, row.bits) << row.name << ": {" << std::hex << std::showbase
+                             << got[0] << ", " << got[1] << ", " << got[2]
+                             << ", " << got[3] << ", " << got[4] << "}";
+  }
 }
 
 TEST(EnvSizeT, ParsesAndFallsBack) {

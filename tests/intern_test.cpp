@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "addr/space.hpp"
@@ -103,6 +104,43 @@ TEST(AddrIntern, ReserveDoesNotDisturbIds) {
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(table.find(Address::parse("0.0.0")), a);
+}
+
+TEST(AddrIntern, FindAgreesWithInternAcrossManyGrowths) {
+  // No reserve: the trie's index regrows many times along the way. Every
+  // id is checked right after it is handed out and again at the end, so a
+  // regrowth that loses or moves an entry shows.
+  AddrInternTable table;
+  const auto every = AddressSpace::regular(24, 3).enumerate();
+  std::vector<std::size_t> order(every.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  Rng rng(0x1d5);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  order.resize(order.size() / 2);  // the other half is never interned
+
+  std::vector<AddrId> ids;
+  std::vector<bool> interned(every.size(), false);
+  for (const std::size_t k : order) {
+    const AddrId id = table.intern(every[k]);
+    ASSERT_EQ(id, ids.size());  // first-intern order
+    ASSERT_EQ(table.find(every[k]), id);
+    ids.push_back(id);
+    interned[k] = true;
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(table.find(every[order[i]]), ids[i]);
+    EXPECT_EQ(table.intern(every[order[i]]), ids[i]);
+    EXPECT_EQ(table.resolve(ids[i]), every[order[i]]);
+  }
+  for (std::size_t k = 0; k < every.size(); ++k) {
+    if (interned[k]) continue;
+    EXPECT_EQ(table.find(every[k]), kNoAddr) << k;
+  }
+  // A prefix of interned addresses is a trie node but no address.
+  EXPECT_EQ(table.find(every[order[0]].prefix(2).components()), kNoAddr);
+  EXPECT_EQ(table.find(Address::parse("24.0.0")), kNoAddr);
+  EXPECT_EQ(table.size(), order.size());
 }
 
 }  // namespace

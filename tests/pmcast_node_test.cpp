@@ -275,6 +275,171 @@ TEST(PmcastNode, ConstructionChecksItsTables) {
                std::logic_error);
 }
 
+/// Records the depth of every gossip it receives.
+class GossipProbe final : public Process {
+ public:
+  using Process::Process;
+  std::vector<std::uint32_t> depths;
+
+ protected:
+  void on_message(ProcessId /*from*/, const MessagePtr& msg) override {
+    if (msg->kind == MsgKind::Gossip)
+      depths.push_back(static_cast<const GossipMsg&>(*msg).depth);
+  }
+};
+
+/// A publisher at `self` on a MembershipView the test fills and mutates,
+/// and one GossipProbe per other address the test registers.
+struct LiveViewRig {
+  LiveViewRig(const char* self, std::size_t depth)
+      : view(Address::parse(self), tree_config(depth), interns) {
+    register_pid(view.self_id(), 0);
+  }
+
+  static TreeConfig tree_config(std::size_t depth) {
+    TreeConfig tc;
+    tc.depth = depth;
+    tc.redundancy = 1;
+    return tc;
+  }
+
+  /// A probe at the next pid for `address`; returns its id.
+  AddrId add_probe(const char* address) {
+    const AddrId id = interns.addrs.intern(Address::parse(address));
+    const auto pid = static_cast<ProcessId>(probes.size() + 1);
+    register_pid(id, pid);
+    probes.push_back(std::make_unique<GossipProbe>(rt, pid));
+    return id;
+  }
+
+  void register_pid(AddrId id, ProcessId pid) {
+    if (pids.size() <= id) pids.resize(id + 1, kNoProcess);
+    pids[id] = pid;
+  }
+
+  /// The publishing node; call once the rows are in place.
+  PmcastNode& publisher(PmcastConfig config) {
+    config.tree = view.config();
+    node = std::make_unique<PmcastNode>(
+        rt, ProcessId{0}, config, view.self(), Subscription(),
+        view.tables_for(view.self()), testing::lookup(pids));
+    return *node;
+  }
+
+  Interns interns;
+  MembershipView view;
+  Runtime rt{NetworkConfig{}, 7};
+  std::vector<ProcessId> pids;  ///< AddrId -> pid
+  std::vector<std::unique_ptr<GossipProbe>> probes;
+  std::unique_ptr<PmcastNode> node;
+};
+
+TEST(PmcastNode, GossipFollowsATableThatChangesBetweenRounds) {
+  // A buffered event keeps its candidate list while its table is
+  // unchanged. Tombstoning one interested row and widening an uninterested
+  // row's interests between two rounds of one event must move every later
+  // round: no more gossip to the removed delegate, gossip to the new one.
+  LiveViewRig rig("0", 1);
+  const auto all =
+      rig.interns.summaries.intern(InterestSummary::from(Subscription()));
+  const auto none = rig.interns.summaries.intern(
+      InterestSummary::from(Subscription::parse("u > 2")));
+  DepthView& table = rig.view.view(1);
+  std::vector<AddrId> ids;
+  for (const char* a : {"1", "2", "3"}) ids.push_back(rig.add_probe(a));
+  for (AddrComponent c = 1; c <= 3; ++c)
+    table.upsert_pooled(c, {&ids[c - 1], 1}, c == 3 ? none : all, 1, 1,
+                        true);
+
+  // F covers every candidate, so each round addresses every interested
+  // one; c lengthens the round bound past the change.
+  PmcastConfig config = default_config();
+  config.pittel_c = 3.0;
+  rig.publisher(config).pmcast(make_event_at(0, 0, 0.5));
+  rig.rt.run_until(sim_ms(150));  // round 1 at 100 ms, delivered by 101 ms
+  const auto& removed = rig.probes[0]->depths;
+  const auto& kept = rig.probes[1]->depths;
+  const auto& added = rig.probes[2]->depths;
+  ASSERT_EQ(removed.size(), 1u);
+  ASSERT_EQ(kept.size(), 1u);
+  ASSERT_TRUE(added.empty());
+
+  table.upsert_pooled(1, {&ids[0], 1}, all, 1, 2, /*alive=*/false);
+  table.upsert_pooled(3, {&ids[2], 1}, all, 1, 2, true);
+  rig.rt.run_until_idle();
+  EXPECT_EQ(removed.size(), 1u);
+  EXPECT_GT(kept.size(), 1u);
+  EXPECT_EQ(added.size(), kept.size() - 1);
+}
+
+TEST(PmcastNode, ARebuiltListThatShrankGrowsWithItsTable) {
+  // A rebuild refills the entry's array while the new list fits. A table
+  // that loses a row and then gains two must still reach every member it
+  // lists after the growth, and never the row it lost.
+  LiveViewRig rig("0", 1);
+  const auto all =
+      rig.interns.summaries.intern(InterestSummary::from(Subscription()));
+  DepthView& table = rig.view.view(1);
+  std::vector<AddrId> ids;
+  for (const char* a : {"1", "2", "3", "4", "5"})
+    ids.push_back(rig.add_probe(a));
+  for (AddrComponent c = 1; c <= 3; ++c)
+    table.upsert_pooled(c, {&ids[c - 1], 1}, all, 1, 1, true);
+
+  // F covers every candidate, so each round addresses all of them.
+  PmcastConfig config = default_config();
+  config.fanout = 4;
+  config.pittel_c = 3.0;
+  rig.publisher(config).pmcast(make_event_at(0, 0, 0.5));
+  rig.rt.run_until(sim_ms(150));  // round 1 from three members
+  ASSERT_EQ(rig.probes[0]->depths.size(), 1u);
+
+  table.upsert_pooled(1, {&ids[0], 1}, all, 1, 2, /*alive=*/false);
+  rig.rt.run_until(sim_ms(250));  // round 2 from two
+  const std::size_t kept_before_growth = rig.probes[1]->depths.size();
+  ASSERT_EQ(kept_before_growth, 2u);
+
+  for (AddrComponent c = 4; c <= 5; ++c)
+    table.upsert_pooled(c, {&ids[c - 1], 1}, all, 1, 2, true);
+  rig.rt.run_until_idle();
+  const std::size_t later = rig.probes[1]->depths.size() - kept_before_growth;
+  EXPECT_GT(later, 0u);
+  EXPECT_EQ(rig.probes[0]->depths.size(), 1u);
+  EXPECT_EQ(rig.probes[2]->depths.size(), kept_before_growth + later);
+  EXPECT_EQ(rig.probes[3]->depths.size(), later);
+  EXPECT_EQ(rig.probes[4]->depths.size(), later);
+}
+
+TEST(PmcastNode, APromotedEventDrawsFromItsNewDepthsTableOnly) {
+  // The depth-2 table was never written (mutations() == 0): the entry
+  // promoted there must carry the list built from it (empty), never the
+  // depth-1 list it was promoted from.
+  LiveViewRig rig("0.0", 2);
+  const auto all =
+      rig.interns.summaries.intern(InterestSummary::from(Subscription()));
+  for (AddrComponent c = 1; c <= 3; ++c) {
+    const AddrId far = rig.add_probe((std::to_string(c) + ".0").c_str());
+    rig.view.view(1).upsert_pooled(c, {&far, 1}, all, 1, 1, true);
+  }
+  ASSERT_EQ(rig.view.view(2).mutations(), 0u);
+
+  // Leaf flooding at any density addresses every interested candidate of
+  // the list the depth-2 entry holds, whatever its rate.
+  PmcastConfig config = default_config();
+  config.pittel_c = 2.0;
+  config.leaf_flood_density = 0.0;
+  PmcastNode& node = rig.publisher(config);
+  node.pmcast(make_event_at(0, 0, 0.5));
+  rig.rt.run_until_idle();
+  std::size_t received = 0;
+  for (const auto& probe : rig.probes) {
+    received += probe->depths.size();
+    for (const std::uint32_t depth : probe->depths) EXPECT_EQ(depth, 1u);
+  }
+  EXPECT_GT(received, 0u);
+  EXPECT_EQ(node.stats().gossips_sent, received);
+}
+
 TEST(PmcastNode, StatsAreConsistent) {
   auto c = make_cluster(3, 2, 2, 1.0, default_config());
   c.nodes[0]->pmcast(make_event_at(0, 0, 0.5));

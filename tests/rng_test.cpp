@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -123,6 +124,53 @@ TEST(Rng, SampleZeroEmpty) {
 TEST(Rng, SampleTooManyThrows) {
   Rng r(44);
   EXPECT_THROW(r.sample_without_replacement(3, 4), std::logic_error);
+}
+
+/// The partial Fisher-Yates shuffle on a full index vector: the reference
+/// sample_without_replacement must match draw for draw, at every k.
+std::vector<std::size_t> dense_sample(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = i + static_cast<std::size_t>(rng.next_below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+TEST(Rng, SampleMatchesTheDenseShuffleDrawForDraw) {
+  constexpr std::size_t kFast = Rng::kSparseSample;
+  std::vector<std::size_t> buffer{99, 98, 97};  // stale contents are cleared
+  std::vector<std::uint32_t> narrow{7};
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+        kFast, kFast + 1, std::size_t{40}, std::size_t{1000},
+        std::size_t{100000}}) {
+    const std::uint64_t seeds = n > 1000 ? 4 : 150;
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+      for (const std::size_t k :
+           {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+            n / 2, kFast - 1, kFast, kFast + 1, n - 1, n}) {
+        if (k > n) continue;
+        Rng dense(seed), fresh(seed), reused(seed), narrowed(seed);
+        const auto expected = dense_sample(dense, n, k);
+        EXPECT_EQ(fresh.sample_without_replacement(n, k), expected)
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        reused.sample_without_replacement(n, k, buffer);
+        EXPECT_EQ(buffer, expected)
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        narrowed.sample_without_replacement(n, k, narrow);
+        EXPECT_TRUE(std::ranges::equal(narrow, expected))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        // The same number of draws: the streams continue in step.
+        const std::uint64_t next = dense.next_u64();
+        EXPECT_EQ(fresh.next_u64(), next);
+        EXPECT_EQ(reused.next_u64(), next);
+        EXPECT_EQ(narrowed.next_u64(), next);
+      }
+    }
+  }
 }
 
 TEST(Rng, SplitStreamsAreIndependent) {

@@ -377,11 +377,11 @@ TEST(StrictParse, CountsAndRealsFillTheWholeToken) {
       {"18446744073709551616", kNo, 18446744073709551616.0},
       {"", kNo, kNo},
       {"-1", kNo, -1.0},  // a real's sign is its range check's business
-      {"+1", kNo, 1.0},
+      {"+1", kNo, kNo},  // no '+', as for a count
       {" 1", kNo, kNo},
       {"1 ", kNo, kNo},
       {"1x", kNo, kNo},
-      {"0x10", kNo, 16.0},  // strtod's hexadecimal form
+      {"0x10", kNo, kNo},  // reals are decimal
       {"0.5", kNo, 0.5},
       {"1e-3", kNo, 1e-3},
       {"0.5x", kNo, kNo},

@@ -141,9 +141,10 @@ void print_usage() {
       "                   0 = one per core); any N is byte-identical, and\n"
       "                   --repro-check compares the run against N=1\n"
       "\n"
-      "--fill/--horizon/--wire/--adaptive/--seed/--pd/--loss/--F apply to\n"
-      "scenario and sharded mode; the remaining experiment flags are\n"
-      "rejected there.\n"
+      "--fill/--horizon/--wire/--adaptive/--repro-check/--seed/--pd/--loss/\n"
+      "--F apply to scenario and sharded mode; the remaining experiment\n"
+      "flags are rejected there. Experiment mode in turn rejects --fill,\n"
+      "--horizon, --wire, --repro-check and --adaptive (exit 2).\n"
       "--help / -h prints this and exits 0, whatever else is given.\n";
 }
 
