@@ -34,7 +34,6 @@ class InfectionChain {
                              const EnvParams& env = {});
 
   std::size_t group_size() const noexcept { return n_; }
-  double p_receive() const noexcept { return p_; }
 
   /// Distribution of s_t after `rounds` rounds from `initial` infected.
   /// Index k of the result is P[s_t = k], k in [0, n].

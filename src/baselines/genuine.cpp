@@ -32,38 +32,39 @@ void GenuineNode::on_period() {
   while (it != buffer_.end()) {
     // Interested view members only — the defining property of a genuine
     // multicast: uninterested processes are never contacted.
-    std::vector<std::size_t> interested;
+    interested_.clear();
     for (std::size_t i = 0; i < view_.size(); ++i) {
       if (view_[i].pid != id() && view_[i].subscription.match(*it->event))
-        interested.push_back(i);
+        interested_.push_back(view_[i].pid);
     }
 
     // Round bound: scale the group-size hint by the locally observed
     // matching rate (the process has no global interest knowledge).
     const double local_rate =
         view_.empty() ? 0.0
-                      : static_cast<double>(interested.size()) /
+                      : static_cast<double>(interested_.size()) /
                             static_cast<double>(view_.size());
     const double n_est =
         static_cast<double>(config_.group_size_hint) * local_rate;
     const double bound = estimator_.faulty(
         n_est, static_cast<double>(config_.fanout), config_.env_estimate);
 
-    if (static_cast<double>(it->round) >= bound || interested.empty()) {
+    if (static_cast<double>(it->round) >= bound || interested_.empty()) {
       it = buffer_.erase(it);
       continue;
     }
     ++it->round;
     const std::size_t picks =
-        std::min<std::size_t>(config_.fanout, interested.size());
-    rng().sample_without_replacement(interested.size(), picks, picks_);
-    for (const auto ci : picks_) {
-      auto m = std::make_shared<GenuineGossipMsg>();
-      m->event = it->event;
-      m->round = it->round;
-      send(view_[interested[ci]].pid, std::move(m));
-      count_sent(1);
-    }
+        std::min<std::size_t>(config_.fanout, interested_.size());
+    rng().sample_without_replacement(interested_.size(), picks, picks_);
+    targets_.clear();
+    for (const auto ci : picks_) targets_.push_back(interested_[ci]);
+    // The picks get identical copies: one shared payload, one fan-out.
+    auto m = std::make_shared<GenuineGossipMsg>();
+    m->event = it->event;
+    m->round = it->round;
+    send_multi(targets_, m);
+    count_sent(targets_.size());
     ++it;
   }
   if (buffer_.empty()) disarm_periodic();

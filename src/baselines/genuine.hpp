@@ -62,7 +62,9 @@ class GenuineNode final : public BaselineNode {
   std::vector<Peer> view_;
   RoundEstimator estimator_;
   std::vector<Entry> buffer_;
-  std::vector<std::size_t> picks_;  ///< each round's sampled view indices
+  std::vector<ProcessId> interested_;  ///< an event's interested view pids
+  std::vector<std::size_t> picks_;     ///< each round's indices into it
+  std::vector<ProcessId> targets_;     ///< fan-out scratch for send_multi
 };
 
 }  // namespace pmc

@@ -44,6 +44,7 @@ void TreecastNode::forward_from(const std::shared_ptr<const Event>& event,
        ++depth) {
     const DepthView& view = *tables_[depth - 1];
     const AddrComponent own_infix = addrs().component(self_id_, depth - 1);
+    targets_.clear();
     for (std::size_t i = 0; i < view.size(); ++i) {
       if (!view.alive(i) || view.delegates(i).empty()) continue;
       if (!view.interests(i).match(*event)) continue;
@@ -51,13 +52,15 @@ void TreecastNode::forward_from(const std::shared_ptr<const Event>& event,
         continue;  // our own branch: we keep descending ourselves
       if (view.first_delegate(i) == self_id_) continue;
       const ProcessId target = directory_(view.first_delegate(i));
-      if (target == kNoProcess) continue;
-      auto msg = std::make_shared<TreecastMsg>();
-      msg->event = event;
-      msg->depth = static_cast<std::uint32_t>(depth + 1);
-      send(target, std::move(msg));
-      count_sent(1);
+      if (target != kNoProcess) targets_.push_back(target);
     }
+    if (targets_.empty()) continue;
+    // Every target at this depth gets the same copy: one fan-out.
+    auto msg = std::make_shared<TreecastMsg>();
+    msg->event = event;
+    msg->depth = static_cast<std::uint32_t>(depth + 1);
+    send_multi(targets_, msg);
+    count_sent(targets_.size());
   }
 }
 

@@ -62,6 +62,7 @@ class TreecastNode final : public BaselineNode {
   AddrId self_id_ = kNoAddr;  ///< the node's address, in the tables' Interns
   std::vector<const DepthView*> tables_;  // index 0 <-> depth 1
   Directory directory_;
+  std::vector<ProcessId> targets_;  ///< one depth's fan-out, for send_multi
 };
 
 }  // namespace pmc

@@ -20,7 +20,6 @@ struct Interval {
   bool lo_open = false;  ///< true: (lo, ...  false: [lo, ...
   bool hi_open = false;  ///< true: ..., hi)  false: ..., hi]
 
-  static Interval all() { return {}; }
   static Interval at_least(double lo, bool open = false) {
     return {lo, std::numeric_limits<double>::infinity(), open, false};
   }
@@ -28,8 +27,6 @@ struct Interval {
     return {-std::numeric_limits<double>::infinity(), hi, false, open};
   }
   static Interval point(double x) { return {x, x, false, false}; }
-  static Interval closed(double lo, double hi) { return {lo, hi, false, false}; }
-  static Interval open(double lo, double hi) { return {lo, hi, true, true}; }
 
   bool contains(double x) const noexcept {
     if (lo_open ? x <= lo : x < lo) return false;

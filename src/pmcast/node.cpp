@@ -1,6 +1,7 @@
 #include "pmcast/node.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/contract.hpp"
 
@@ -133,28 +134,9 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
     // subgroup once instead of running probabilistic rounds.
     if (depth == config_.tree.depth && entry.round == 0 &&
         entry.rate >= config_.leaf_flood_density) {
-      target_scratch_.clear();
-      for (const Candidate& cand : candidates) {
-        if (!cand.interested()) continue;
-        const ProcessId target = directory_(cand.id());
-        if (target == kNoProcess) continue;
-        target_scratch_.push_back(target);
-      }
-      if (!target_scratch_.empty()) {
-        auto msg = std::make_shared<GossipMsg>();
-        msg->event = entry.event;
-        msg->rate = entry.rate;
-        msg->round = entry.round;
-        // The flood already addressed everyone interested: tell receivers
-        // explicitly not to re-gossip (the flag, not a sentinel round, so
-        // round arithmetic never meets an out-of-band value).
-        msg->no_regossip = true;
-        msg->depth = static_cast<std::uint32_t>(depth);
-        // One payload, one transcode, per-destination draws — the whole
-        // flood goes out as a single fan-out.
-        send_multi(target_scratch_, msg);
-        stats_.gossips_sent += target_scratch_.size();
-      }
+      pick_scratch_.resize(candidates.size());
+      std::iota(pick_scratch_.begin(), pick_scratch_.end(), std::size_t{0});
+      send_gossip(depth, entry, /*flood=*/true);
       ++stats_.leaf_floods;
       retain_for_recovery(std::move(entry.event));
       it = entries.erase(it);
@@ -187,46 +169,7 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
           std::min<std::size_t>(config_.fanout, candidates.size());
       rng().sample_without_replacement(candidates.size(), picks,
                                        pick_scratch_);
-      if (piggyback_source_) {
-        // Piggybacked rows are scoped per target, so every message goes
-        // out individually (targets at one depth limit share the batch).
-        for (const auto ci : pick_scratch_) {
-          const Candidate& cand = candidates[ci];
-          if (!cand.interested()) continue;  // line 13: filter before sending
-          const ProcessId target = directory_(cand.id());
-          if (target == kNoProcess) continue;
-          auto msg = std::make_shared<GossipMsg>();
-          msg->event = entry.event;
-          msg->rate = entry.rate;
-          msg->round = entry.round;
-          msg->depth = static_cast<std::uint32_t>(depth);
-          msg->piggyback = piggyback_source_(cand.id());
-          if (msg->has_piggyback())
-            msg->sender = AddrRef(interns(), self_id_);
-          send(target, std::move(msg));
-          ++stats_.gossips_sent;
-        }
-      } else {
-        // Without piggybacking the F copies are identical: share one
-        // payload through send_multi (per-destination draws unchanged).
-        target_scratch_.clear();
-        for (const auto ci : pick_scratch_) {
-          const Candidate& cand = candidates[ci];
-          if (!cand.interested()) continue;  // line 13: filter before sending
-          const ProcessId target = directory_(cand.id());
-          if (target == kNoProcess) continue;
-          target_scratch_.push_back(target);
-        }
-        if (!target_scratch_.empty()) {
-          auto msg = std::make_shared<GossipMsg>();
-          msg->event = entry.event;
-          msg->rate = entry.rate;
-          msg->round = entry.round;
-          msg->depth = static_cast<std::uint32_t>(depth);
-          send_multi(target_scratch_, msg);
-          stats_.gossips_sent += target_scratch_.size();
-        }
-      }
+      send_gossip(depth, entry, /*flood=*/false);
       ++it;
     } else {
       // Fig. 3 lines 15-18: retire here, promote to the next depth.
@@ -243,6 +186,41 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
     }
   }
   for (auto& entry : promoted) buffer_event(depth + 1, std::move(entry));
+}
+
+void PmcastNode::send_gossip(std::size_t depth, const Entry& entry,
+                             bool flood) {
+  const auto candidates = entry.candidate_list();
+  std::shared_ptr<const RowBatch> batch;  // the current run's rows
+  const auto send_run = [&] {
+    if (target_scratch_.empty()) return;
+    auto msg = std::make_shared<GossipMsg>();
+    msg->event = entry.event;
+    msg->rate = entry.rate;
+    msg->round = entry.round;
+    msg->depth = static_cast<std::uint32_t>(depth);
+    msg->no_regossip = flood;  // the flood addressed everyone interested
+    msg->piggyback = std::move(batch);
+    if (msg->has_piggyback()) msg->sender = AddrRef(interns(), self_id_);
+    send_multi(target_scratch_, msg);  // one transcode, per-target draws
+    stats_.gossips_sent += target_scratch_.size();
+    target_scratch_.clear();
+  };
+  for (const auto ci : pick_scratch_) {
+    const Candidate& cand = candidates[ci];
+    if (!cand.interested()) continue;  // line 13: filter before sending
+    const ProcessId target = directory_(cand.id());
+    if (target == kNoProcess) continue;
+    if (piggyback_source_ && !flood) {  // a flood carries no rows
+      auto next = piggyback_source_(cand.id());
+      if (next != batch) {
+        send_run();
+        batch = std::move(next);
+      }
+    }
+    target_scratch_.push_back(target);
+  }
+  send_run();
 }
 
 std::size_t tuning_start_index(const EventId& id, std::size_t n) {

@@ -246,6 +246,11 @@ class PmcastNode final : public Process {
 
   void buffer_event(std::size_t depth, Entry entry);
   void gossip_entries_at(std::size_t depth);
+  /// Gossips `entry`'s event at `depth` to the interested, resolvable
+  /// candidates pick_scratch_ indexes, in that order. A flood (Sec. 6) is
+  /// one no_regossip message without rows; in a round, consecutive targets
+  /// that get one piggyback batch share one message.
+  void send_gossip(std::size_t depth, const Entry& entry, bool flood);
   void deliver_if_interested(const Event& e);
   bool buffers_empty() const noexcept;
   std::size_t buffered_total() const noexcept;
@@ -270,10 +275,10 @@ class PmcastNode final : public Process {
 
   std::vector<Depth> depths_;  // index 0 <-> depth 1
 
-  /// Resolved fan-out pids for the current round/flood, so one shared
-  /// message goes out through Network::send_multi instead of F copies.
+  /// Resolved pids of the targets one gossip message goes to, so it goes
+  /// out through Network::send_multi instead of one copy per target.
   std::vector<ProcessId> target_scratch_;
-  /// The indices each gossip or digest round picks.
+  /// The indices each gossip or digest round picks (a flood lists all).
   std::vector<std::size_t> pick_scratch_;
 
   std::unordered_set<EventId, EventIdHash> seen_;

@@ -145,7 +145,7 @@ std::array<std::uint64_t, 5> mean_bits(const ExperimentResult& r) {
 
 TEST(ExperimentGolden, MeansKeepTheirBits) {
   // The static-tree path beyond the figure benchmark's one configuration:
-  // each mechanism PmcastNode switches on, and the tree baseline. The
+  // each mechanism PmcastNode switches on, and the three baselines. The
   // values are the program's own, pinned so that a change to how nodes
   // are built, gossip or sample shows as a changed bit, not as a
   // statistically plausible drift.
@@ -192,6 +192,13 @@ TEST(ExperimentGolden, MeansKeepTheirBits) {
       {"treecast", run_treecast_experiment(base),
        {0x3fe99cc8d9fcec59ULL, 0x3fc0504de2f82beaULL, 0x3f95daceee0f3cb4ULL,
         0x3fd6bda12f684bdaULL, 0x3fd38e38e38e38e4ULL}},
+      {"flooding", run_flooding_experiment(base),
+       {0x3fefc1b5e9d23a0bULL, 0x3ff0000000000000ULL, 0x4022000000000000ULL,
+        0x40165684bda12f68ULL, 0x3fd38e38e38e38e4ULL}},
+      // The view size table_baselines and pmcast_sim use.
+      {"genuine", run_genuine_experiment(base, 20),
+       {0x3fededb9aa6cec92ULL, 0x0000000000000000ULL, 0x4020000000000000ULL,
+        0x3ff5ed097b425ed1ULL, 0x3fd38e38e38e38e4ULL}},
   };
   for (const auto& row : rows) {
     const auto got = mean_bits(row.result);

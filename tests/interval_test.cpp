@@ -11,7 +11,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(Interval, ContainsRespectsBounds) {
-  const auto iv = Interval::closed(1.0, 2.0);
+  const Interval iv{1.0, 2.0, false, false};
   EXPECT_TRUE(iv.contains(1.0));
   EXPECT_TRUE(iv.contains(1.5));
   EXPECT_TRUE(iv.contains(2.0));
@@ -20,7 +20,7 @@ TEST(Interval, ContainsRespectsBounds) {
 }
 
 TEST(Interval, OpenBoundsExcludeEndpoints) {
-  const auto iv = Interval::open(1.0, 2.0);
+  const Interval iv{1.0, 2.0, true, true};
   EXPECT_FALSE(iv.contains(1.0));
   EXPECT_FALSE(iv.contains(2.0));
   EXPECT_TRUE(iv.contains(1.5));
@@ -57,7 +57,7 @@ TEST(Interval, Rays) {
 }
 
 TEST(Interval, AllContainsEverything) {
-  const auto all = Interval::all();
+  const Interval all{};
   EXPECT_TRUE(all.contains(0.0));
   EXPECT_TRUE(all.contains(1e308));
   EXPECT_TRUE(all.contains(-1e308));
@@ -66,8 +66,8 @@ TEST(Interval, AllContainsEverything) {
 }
 
 TEST(Interval, Intersect) {
-  const auto a = Interval::closed(1.0, 5.0);
-  const auto b = Interval::closed(3.0, 7.0);
+  const Interval a{1.0, 5.0, false, false};
+  const Interval b{3.0, 7.0, false, false};
   const auto i = a.intersect(b);
   EXPECT_DOUBLE_EQ(i.lo, 3.0);
   EXPECT_DOUBLE_EQ(i.hi, 5.0);
@@ -75,8 +75,8 @@ TEST(Interval, Intersect) {
 }
 
 TEST(Interval, IntersectDisjointIsEmpty) {
-  EXPECT_TRUE(Interval::closed(1.0, 2.0)
-                  .intersect(Interval::closed(3.0, 4.0))
+  EXPECT_TRUE((Interval{1.0, 2.0, false, false})
+                  .intersect(Interval{3.0, 4.0, false, false})
                   .empty());
 }
 
@@ -87,26 +87,31 @@ TEST(Interval, IntersectOpenClosedBoundary) {
 }
 
 TEST(Interval, Covers) {
-  EXPECT_TRUE(Interval::closed(0.0, 10.0).covers(Interval::closed(1.0, 2.0)));
-  EXPECT_FALSE(Interval::closed(0.0, 10.0).covers(Interval::closed(1.0, 11.0)));
-  EXPECT_TRUE(Interval::closed(0.0, 1.0).covers(Interval::open(0.0, 1.0)));
-  EXPECT_FALSE(Interval::open(0.0, 1.0).covers(Interval::closed(0.0, 1.0)));
+  EXPECT_TRUE((Interval{0.0, 10.0, false, false})
+                  .covers(Interval{1.0, 2.0, false, false}));
+  EXPECT_FALSE((Interval{0.0, 10.0, false, false})
+                   .covers(Interval{1.0, 11.0, false, false}));
+  EXPECT_TRUE((Interval{0.0, 1.0, false, false})
+                  .covers(Interval{0.0, 1.0, true, true}));
+  EXPECT_FALSE((Interval{0.0, 1.0, true, true})
+                   .covers(Interval{0.0, 1.0, false, false}));
 }
 
 TEST(Interval, MergeableTouchingClosed) {
   // [1,2] and [2,3] share the closed point 2.
-  EXPECT_TRUE(Interval::closed(1.0, 2.0).mergeable(Interval::closed(2.0, 3.0)));
+  EXPECT_TRUE((Interval{1.0, 2.0, false, false})
+                  .mergeable(Interval{2.0, 3.0, false, false}));
   // [1,2) and (2,3] leave 2 out.
   EXPECT_FALSE((Interval{1.0, 2.0, false, true})
                    .mergeable(Interval{2.0, 3.0, true, false}));
   // [1,2) and [2,3] together cover [1,3].
   EXPECT_TRUE((Interval{1.0, 2.0, false, true})
-                  .mergeable(Interval::closed(2.0, 3.0)));
+                  .mergeable(Interval{2.0, 3.0, false, false}));
 }
 
 TEST(Interval, MergeProducesHull) {
   const auto m =
-      Interval::closed(1.0, 2.0).merge(Interval::closed(1.5, 4.0));
+      Interval{1.0, 2.0, false, false}.merge(Interval{1.5, 4.0, false, false});
   EXPECT_DOUBLE_EQ(m.lo, 1.0);
   EXPECT_DOUBLE_EQ(m.hi, 4.0);
 }
@@ -116,12 +121,13 @@ TEST(Interval, LeVersusLtAtEqualEndpoints) {
   // endpoint empties it. Regrouping fuses Le/Lt (and Ge/Gt) atoms on one
   // attribute into one interval per clause, so these boundary cases decide
   // whether e.g. `c >= 1 && c <= 1` keeps a clause alive.
-  EXPECT_FALSE(
-      Interval::closed(0.0, 1.0).intersect(Interval::closed(1.0, 2.0)).empty());
+  EXPECT_FALSE((Interval{0.0, 1.0, false, false})
+                   .intersect(Interval{1.0, 2.0, false, false})
+                   .empty());
   EXPECT_TRUE((Interval{0.0, 1.0, false, true})  // [0,1)
-                  .intersect(Interval::closed(1.0, 2.0))
+                  .intersect(Interval{1.0, 2.0, false, false})
                   .empty());
-  EXPECT_TRUE(Interval::closed(0.0, 1.0)
+  EXPECT_TRUE((Interval{0.0, 1.0, false, false})
                   .intersect(Interval{1.0, 2.0, true, false})  // (1,2]
                   .empty());
   const auto pt =
@@ -135,8 +141,8 @@ TEST(Interval, CoversAndMergeableAtSharedOpenEndpoints) {
   // covers: (0,1) does not cover [0,1) (loses the point 0) but does cover
   // (0,1]∩(0,1) shapes; mergeable: [0,1) ∪ (1,2] leaves 1 out.
   const Interval zero_one{0.0, 1.0, false, true};  // [0,1)
-  EXPECT_FALSE(Interval::open(0.0, 1.0).covers(zero_one));
-  EXPECT_TRUE(zero_one.covers(Interval::open(0.0, 1.0)));
+  EXPECT_FALSE((Interval{0.0, 1.0, true, true}).covers(zero_one));
+  EXPECT_TRUE(zero_one.covers(Interval{0.0, 1.0, true, true}));
   EXPECT_FALSE(zero_one.mergeable(Interval{1.0, 2.0, true, false}));
   EXPECT_TRUE(zero_one.mergeable(Interval::point(1.0)));
 }
@@ -145,10 +151,10 @@ TEST(Interval, InvertedBoundsStayEmptyThroughOps) {
   const Interval inv{2.0, 1.0, false, false};
   EXPECT_TRUE(inv.empty());
   EXPECT_FALSE(inv.contains(1.5));
-  EXPECT_TRUE(inv.intersect(Interval::all()).empty());
+  EXPECT_TRUE(inv.intersect(Interval{}).empty());
   // Every interval covers the empty one; the empty one covers nothing
   // non-empty.
-  EXPECT_TRUE(Interval::all().covers(inv));
+  EXPECT_TRUE(Interval{}.covers(inv));
   EXPECT_TRUE(Interval::point(7.0).covers(inv));
   EXPECT_FALSE(inv.covers(Interval::point(1.5)));
 }
@@ -163,8 +169,8 @@ TEST(Interval, InfiniteEndpoints) {
       << "(inf, inf] holds no double";
   EXPECT_FALSE(Interval::at_most(kInf).empty());
   EXPECT_TRUE(Interval::at_most(-kInf, /*open=*/true).empty());
-  EXPECT_TRUE(Interval::all().contains(kInf));
-  EXPECT_TRUE(Interval::all().contains(-kInf));
+  EXPECT_TRUE(Interval{}.contains(kInf));
+  EXPECT_TRUE(Interval{}.contains(-kInf));
 }
 
 TEST(Interval, ContainsNaNIsDeliberatelyTrue) {
@@ -178,9 +184,9 @@ TEST(Interval, ContainsNaNIsDeliberatelyTrue) {
   // interval containment for NaN. If this ever flips to false, regroup
   // coverage and the index's eq/interval lane skip logic must be
   // re-audited together.
-  EXPECT_TRUE(Interval::closed(0.0, 1.0).contains(kNaN));
-  EXPECT_TRUE(Interval::open(0.0, 1.0).contains(kNaN));
-  EXPECT_TRUE(Interval::all().contains(kNaN));
+  EXPECT_TRUE((Interval{0.0, 1.0, false, false}).contains(kNaN));
+  EXPECT_TRUE((Interval{0.0, 1.0, true, true}).contains(kNaN));
+  EXPECT_TRUE(Interval{}.contains(kNaN));
 }
 
 TEST(IntervalSet, InfiniteAndBoundaryMembers) {
@@ -193,16 +199,16 @@ TEST(IntervalSet, InfiniteAndBoundaryMembers) {
   EXPECT_FALSE(s.contains(0.999999));
   EXPECT_TRUE(s.contains(1.0));
   IntervalSet all;
-  all.insert(Interval::all());
+  all.insert(Interval{});
   EXPECT_NE(s, all);
-  s.insert(Interval::closed(0.0, 1.0));  // plugs the gap
+  s.insert(Interval{0.0, 1.0, false, false});  // plugs the gap
   EXPECT_EQ(s, all);
 }
 
 TEST(IntervalSet, InsertDisjointKeepsBoth) {
   IntervalSet s;
-  s.insert(Interval::closed(0.0, 1.0));
-  s.insert(Interval::closed(2.0, 3.0));
+  s.insert(Interval{0.0, 1.0, false, false});
+  s.insert(Interval{2.0, 3.0, false, false});
   EXPECT_EQ(s.size(), 2u);
   EXPECT_TRUE(s.contains(0.5));
   EXPECT_FALSE(s.contains(1.5));
@@ -211,17 +217,17 @@ TEST(IntervalSet, InsertDisjointKeepsBoth) {
 
 TEST(IntervalSet, InsertMergesOverlap) {
   IntervalSet s;
-  s.insert(Interval::closed(0.0, 2.0));
-  s.insert(Interval::closed(1.0, 3.0));
+  s.insert(Interval{0.0, 2.0, false, false});
+  s.insert(Interval{1.0, 3.0, false, false});
   EXPECT_EQ(s.size(), 1u);
   EXPECT_TRUE(s.contains(2.5));
 }
 
 TEST(IntervalSet, InsertBridgesGap) {
   IntervalSet s;
-  s.insert(Interval::closed(0.0, 1.0));
-  s.insert(Interval::closed(2.0, 3.0));
-  s.insert(Interval::closed(0.5, 2.5));  // bridges both
+  s.insert(Interval{0.0, 1.0, false, false});
+  s.insert(Interval{2.0, 3.0, false, false});
+  s.insert(Interval{0.5, 2.5, false, false});  // bridges both
   EXPECT_EQ(s.size(), 1u);
   EXPECT_TRUE(s.contains(1.5));
 }
@@ -234,9 +240,9 @@ TEST(IntervalSet, EmptyIntervalIgnored) {
 
 TEST(IntervalSet, KeepsSortedOrder) {
   IntervalSet s;
-  s.insert(Interval::closed(10.0, 11.0));
-  s.insert(Interval::closed(0.0, 1.0));
-  s.insert(Interval::closed(5.0, 6.0));
+  s.insert(Interval{10.0, 11.0, false, false});
+  s.insert(Interval{0.0, 1.0, false, false});
+  s.insert(Interval{5.0, 6.0, false, false});
   ASSERT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s.intervals()[0].lo, 0.0);
   EXPECT_DOUBLE_EQ(s.intervals()[1].lo, 5.0);
@@ -257,9 +263,9 @@ TEST(IntervalSet, ContainsBinarySearchEdges) {
 
 TEST(IntervalSet, InsertAllUnions) {
   IntervalSet a, b;
-  a.insert(Interval::closed(0.0, 1.0));
-  b.insert(Interval::closed(0.5, 2.0));
-  b.insert(Interval::closed(5.0, 6.0));
+  a.insert(Interval{0.0, 1.0, false, false});
+  b.insert(Interval{0.5, 2.0, false, false});
+  b.insert(Interval{5.0, 6.0, false, false});
   a.insert_all(b);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_TRUE(a.contains(1.7));
@@ -268,26 +274,26 @@ TEST(IntervalSet, InsertAllUnions) {
 
 TEST(IntervalSet, CoversSet) {
   IntervalSet big;
-  big.insert(Interval::closed(0.0, 10.0));
+  big.insert(Interval{0.0, 10.0, false, false});
   IntervalSet small;
-  small.insert(Interval::closed(1.0, 2.0));
-  small.insert(Interval::closed(8.0, 9.0));
+  small.insert(Interval{1.0, 2.0, false, false});
+  small.insert(Interval{8.0, 9.0, false, false});
   EXPECT_TRUE(big.covers(small));
   EXPECT_FALSE(small.covers(big));
 }
 
 TEST(IntervalSet, CoverageAcrossGapIsRejected) {
   IntervalSet gappy;
-  gappy.insert(Interval::closed(0.0, 1.0));
-  gappy.insert(Interval::closed(2.0, 3.0));
+  gappy.insert(Interval{0.0, 1.0, false, false});
+  gappy.insert(Interval{2.0, 3.0, false, false});
   // [0,3] is not covered: the gap (1,2) leaks.
-  EXPECT_FALSE(gappy.covers(Interval::closed(0.0, 3.0)));
-  EXPECT_TRUE(gappy.covers(Interval::closed(0.2, 0.8)));
+  EXPECT_FALSE(gappy.covers(Interval{0.0, 3.0, false, false}));
+  EXPECT_TRUE(gappy.covers(Interval{0.2, 0.8, false, false}));
 }
 
 TEST(IntervalSet, BoundingHull) {
   IntervalSet s;
-  s.insert(Interval::closed(1.0, 2.0));
+  s.insert(Interval{1.0, 2.0, false, false});
   s.insert(Interval{5.0, 7.0, false, true});
   const auto b = s.bounding();
   EXPECT_DOUBLE_EQ(b.lo, 1.0);
@@ -297,9 +303,9 @@ TEST(IntervalSet, BoundingHull) {
 
 TEST(IntervalSet, EqualityIsCanonical) {
   IntervalSet a, b;
-  a.insert(Interval::closed(0.0, 1.0));
-  a.insert(Interval::closed(1.0, 2.0));
-  b.insert(Interval::closed(0.0, 2.0));
+  a.insert(Interval{0.0, 1.0, false, false});
+  a.insert(Interval{1.0, 2.0, false, false});
+  b.insert(Interval{0.0, 2.0, false, false});
   EXPECT_EQ(a, b);  // both canonicalize to [0,2]
 }
 

@@ -114,12 +114,16 @@ TEST(InfectionChain, FlatFactoryMatchesEq8) {
   env.loss = 0.05;
   env.crash = 0.01;
   const auto chain = InfectionChain::flat(101, 2.0, env);
-  EXPECT_NEAR(chain.p_receive(), (2.0 / 100.0) * 0.95 * 0.99, 1e-12);
+  // One infected process stays alone with probability (1 - p)^(n-1).
+  const double p = (2.0 / 100.0) * 0.95 * 0.99;
+  EXPECT_NEAR(chain.transition(1, 1), std::pow(1.0 - p, 100.0), 1e-12);
 }
 
 TEST(InfectionChain, FlatFanoutBeyondGroupClamped) {
   const auto chain = InfectionChain::flat(3, 10.0);
-  EXPECT_DOUBLE_EQ(chain.p_receive(), 1.0);
+  // p = 1: one round infects everyone.
+  EXPECT_DOUBLE_EQ(chain.transition(1, 1), 0.0);
+  EXPECT_DOUBLE_EQ(chain.transition(1, 3), 1.0);
 }
 
 TEST(InfectionChain, SingletonGroup) {

@@ -14,15 +14,15 @@ namespace pmc {
 namespace {
 
 TEST(Rendering, IntervalToString) {
-  EXPECT_EQ(Interval::closed(1.0, 2.0).to_string(), "[1, 2]");
-  EXPECT_EQ(Interval::open(1.0, 2.0).to_string(), "(1, 2)");
+  EXPECT_EQ((Interval{1.0, 2.0, false, false}).to_string(), "[1, 2]");
+  EXPECT_EQ((Interval{1.0, 2.0, true, true}).to_string(), "(1, 2)");
   EXPECT_EQ((Interval{0.0, 1.0, false, true}).to_string(), "[0, 1)");
 }
 
 TEST(Rendering, IntervalSetToString) {
   IntervalSet s;
-  s.insert(Interval::closed(0.0, 1.0));
-  s.insert(Interval::closed(3.0, 4.0));
+  s.insert(Interval{0.0, 1.0, false, false});
+  s.insert(Interval{3.0, 4.0, false, false});
   const auto text = s.to_string();
   EXPECT_NE(text.find("[0, 1]"), std::string::npos);
   EXPECT_NE(text.find("[3, 4]"), std::string::npos);

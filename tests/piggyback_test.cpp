@@ -139,6 +139,51 @@ TEST(Piggyback, NoHooksNoRows) {
   EXPECT_FALSE(saw_piggyback);
 }
 
+TEST(Piggyback, TargetsWithOneBatchShareOneMessage) {
+  auto s = make_stack(sim_sec(100), /*piggyback=*/true);
+  // Each absorbed batch is scoped to its sender-receiver pair: its rows
+  // reach exactly depth min(shared prefix + 1, d), so a shared message
+  // never hands a target rows scoped for another.
+  const std::size_t d = 2;  // make_stack's tree depth
+  std::size_t absorbed = 0;
+  for (std::size_t i = 0; i < s.pm_nodes.size(); ++i) {
+    SyncNode* sync = s.sync_nodes[i].get();
+    const Address self = s.members[i].address;
+    s.pm_nodes[i]->set_piggyback(
+        [sync](AddrId target) { return sync->rows_to_share(target); },
+        [&absorbed, sync, self, d](const AddrRef& sender,
+                                   const RowBatch& rows) {
+          std::size_t deepest = 0;
+          for (const auto& dr : rows)
+            deepest = std::max<std::size_t>(deepest, dr.depth);
+          const std::size_t shared =
+              self.common_prefix_length(sender.address());
+          EXPECT_EQ(deepest, std::min(shared + 1, d));
+          ++absorbed;
+          sync->absorb_rows(sender, rows);
+        });
+  }
+  std::size_t payloads = 0;
+  s.runtime->network().set_transcoder([&](const MessagePtr& msg) {
+    if (const auto* gossip = dynamic_cast<const GossipMsg*>(msg.get())) {
+      ++payloads;
+      if (gossip->has_piggyback()) {
+        EXPECT_NE(gossip->sender.interns, nullptr);
+        EXPECT_NE(gossip->sender.id, kNoAddr);
+      }
+    }
+    return msg;
+  });
+  s.pm_nodes[0]->pmcast(make_event_at(0, 0, 0.5));
+  s.runtime->run_for(sim_sec(5));
+  std::uint64_t sent = 0;
+  for (const auto& n : s.pm_nodes) sent += n->stats().gossips_sent;
+  EXPECT_GT(absorbed, 0U);
+  // With no loss and no filter every message is transcoded once, so one
+  // payload per target would make the two counts equal.
+  EXPECT_LT(payloads, sent);
+}
+
 /// Field-by-field equality of two in-memory batches of one runtime.
 bool same_rows(const RowBatch& a, const RowBatch& b) {
   if (a.interns != b.interns || a.rows.size() != b.rows.size()) return false;

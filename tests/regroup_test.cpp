@@ -22,7 +22,7 @@ TEST(Clause, UnconstrainedMatchesEverything) {
 
 TEST(Clause, NumericConstraint) {
   Clause c;
-  c.constrain_numeric("b", Interval::closed(1.0, 5.0));
+  c.constrain_numeric("b", Interval{1.0, 5.0, false, false});
   Event in;
   in.with("b", 3);
   Event out;
@@ -86,9 +86,9 @@ TEST(Clause, MixedKindSameAttrContradicts) {
 
 TEST(Clause, Subsumption) {
   Clause weak;
-  weak.constrain_numeric("b", Interval::closed(0.0, 10.0));
+  weak.constrain_numeric("b", Interval{0.0, 10.0, false, false});
   Clause strong;
-  strong.constrain_numeric("b", Interval::closed(2.0, 3.0));
+  strong.constrain_numeric("b", Interval{2.0, 3.0, false, false});
   strong.constrain_numeric("c", Interval::at_least(1.0));
   EXPECT_TRUE(weak.subsumes(strong));
   EXPECT_FALSE(strong.subsumes(weak));

@@ -180,7 +180,7 @@ TEST(WireIntervalSet, RoundTripCanonical) {
       InterestSummary::from(Subscription::parse("x >= 0 && x <= 1"));
   s.merge(InterestSummary::from(Subscription::parse("x >= 5 && x < 7")));
   IntervalSet set;
-  set.insert(Interval::closed(0.0, 1.0));
+  set.insert(Interval{0.0, 1.0, false, false});
   set.insert(Interval{5.0, 7.0, false, true});
   ASSERT_EQ(s.numeric_unions().at("x"), set);
   const auto out = round_trip(s, [](Writer& w, const InterestSummary& x) {
