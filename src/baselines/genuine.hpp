@@ -54,17 +54,19 @@ class GenuineNode final : public BaselineNode {
   struct Entry {
     std::shared_ptr<const Event> event;
     std::uint32_t round = 0;
+    /// The view members interested in the event, matched once when it is
+    /// buffered: the view never changes.
+    std::vector<ProcessId> interested;
   };
 
-  void buffer(Entry entry);
+  void buffer(std::shared_ptr<const Event> event, std::uint32_t round);
 
   GenuineConfig config_;
   std::vector<Peer> view_;
   RoundEstimator estimator_;
   std::vector<Entry> buffer_;
-  std::vector<ProcessId> interested_;  ///< an event's interested view pids
-  std::vector<std::size_t> picks_;     ///< each round's indices into it
-  std::vector<ProcessId> targets_;     ///< fan-out scratch for send_multi
+  std::vector<std::size_t> picks_;  ///< each round's indices into interested
+  std::vector<ProcessId> targets_;  ///< fan-out scratch for send_multi
 };
 
 }  // namespace pmc

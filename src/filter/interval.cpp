@@ -79,28 +79,53 @@ std::string Interval::to_string() const {
 
 void IntervalSet::insert(Interval iv) {
   if (iv.empty()) return;
-  std::vector<Interval> out;
-  out.reserve(ivs_.size() + 1);
-  bool placed = false;
-  for (const auto& cur : ivs_) {
-    if (iv.mergeable(cur)) {
-      iv = iv.merge(cur);
-    } else if (lo_less(cur.lo, cur.lo_open, iv.lo, iv.lo_open)) {
-      out.push_back(cur);
-    } else {
-      if (!placed) {
-        out.push_back(iv);
-        placed = true;
-      }
-      out.push_back(cur);
-    }
+  // The intervals iv absorbs form one run: every interval before the run
+  // ends before iv starts, and every one after it starts after iv ends.
+  auto first = ivs_.begin();
+  while (first != ivs_.end() && !iv.mergeable(*first) &&
+         lo_less(first->lo, first->lo_open, iv.lo, iv.lo_open))
+    ++first;
+  auto last = first;
+  for (; last != ivs_.end() && iv.mergeable(*last); ++last)
+    iv = iv.merge(*last);
+  if (first == last) {
+    ivs_.insert(first, iv);
+    return;
   }
-  if (!placed) out.push_back(iv);
-  ivs_ = std::move(out);
+  *first = iv;
+  ivs_.erase(first + 1, last);
 }
 
 void IntervalSet::insert_all(const IntervalSet& o) {
-  for (const auto& iv : o.ivs_) insert(iv);
+  if (&o == this || o.ivs_.empty()) return;
+  // One merge of the two sorted lists in lower-bound order, in place: this
+  // set's intervals move to the back of the grown vector, and the union is
+  // written from the front, never past the next one still to be read.
+  const std::size_t n = ivs_.size(), m = o.ivs_.size();
+  ivs_.resize(n + m);
+  std::move_backward(ivs_.begin(), ivs_.begin() + static_cast<std::ptrdiff_t>(n),
+                     ivs_.end());
+  std::size_t mine = m, theirs = 0, out = 0;
+  Interval acc;
+  for (std::size_t k = 0; k < n + m; ++k) {
+    const bool take_theirs =
+        mine == n + m ||
+        (theirs < m && !lo_less(ivs_[mine].lo, ivs_[mine].lo_open,
+                                o.ivs_[theirs].lo, o.ivs_[theirs].lo_open));
+    const Interval next = take_theirs ? o.ivs_[theirs++] : ivs_[mine++];
+    if (k == 0) {
+      acc = next;
+    } else if (!acc.mergeable(next)) {
+      ivs_[out++] = acc;
+      acc = next;
+    } else {
+      // o's endpoint wins a tie, as inserting o's intervals one by one
+      // makes it win (only +0.0 and -0.0 tie with different bits).
+      acc = take_theirs ? next.merge(acc) : acc.merge(next);
+    }
+  }
+  ivs_[out++] = acc;
+  ivs_.resize(out);
 }
 
 bool IntervalSet::contains(double x) const noexcept {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <sstream>
 
 #include "common/contract.hpp"
@@ -19,17 +20,16 @@ void Clause::constrain_numeric(const std::string& attr, const Interval& iv) {
   if (it->second.empty()) contradictory_ = true;
   // A numeric constraint and a string constraint on the same attribute can
   // never both hold (an attribute value has one kind).
-  if (strings_.count(attr) != 0) contradictory_ = true;
+  if (strings_.contains(attr)) contradictory_ = true;
 }
 
 void Clause::constrain_string(const std::string& attr,
                               std::vector<std::string> allowed) {
   std::sort(allowed.begin(), allowed.end());
   allowed.erase(std::unique(allowed.begin(), allowed.end()), allowed.end());
-  auto it = strings_.find(attr);
-  if (it == strings_.end()) {
-    it = strings_.emplace(attr, std::move(allowed)).first;
-  } else {
+  // try_emplace moves `allowed` only when it inserts.
+  const auto [it, inserted] = strings_.try_emplace(attr, std::move(allowed));
+  if (!inserted) {
     std::vector<std::string> both;
     std::set_intersection(it->second.begin(), it->second.end(),
                           allowed.begin(), allowed.end(),
@@ -37,7 +37,7 @@ void Clause::constrain_string(const std::string& attr,
     it->second = std::move(both);
   }
   if (it->second.empty()) contradictory_ = true;
-  if (numeric_.count(attr) != 0) contradictory_ = true;
+  if (numeric_.contains(attr)) contradictory_ = true;
 }
 
 bool Clause::match(const Event& e) const {
@@ -117,79 +117,115 @@ std::optional<Interval> comparison_interval(CmpOp op, double v) {
   return std::nullopt;
 }
 
-std::optional<Clause> intersect_clauses(const Clause& a, const Clause& b) {
-  Clause out = a;
-  for (const auto& [attr, iv] : b.numeric()) out.constrain_numeric(attr, iv);
+/// Narrows `a` to the events `b` also matches.
+void intersect_into(Clause& a, const Clause& b) {
+  for (const auto& [attr, iv] : b.numeric()) a.constrain_numeric(attr, iv);
   for (const auto& [attr, allowed] : b.strings())
-    out.constrain_string(attr, allowed);
-  if (out.contradictory()) return std::nullopt;
-  return out;
+    a.constrain_string(attr, allowed);
+}
+
+bool is_numeric_ne(const Predicate& p) {
+  return p.kind() == Predicate::Kind::Compare && p.op() == CmpOp::Ne &&
+         p.value().kind() != ValueKind::String;
+}
+
+/// Narrows `c` by the comparison `cmp`, one clause's worth (not a numeric
+/// !=); false when the comparison is not clause-representable.
+bool constrain(Clause& c, const Predicate& cmp) {
+  const auto& v = cmp.value();
+  if (v.kind() != ValueKind::String) {
+    c.constrain_numeric(cmp.attr(),
+                        *comparison_interval(cmp.op(), v.as_double()));
+    return true;
+  }
+  if (cmp.op() != CmpOp::Eq) return false;  // string !=, <, ...
+  c.constrain_string(cmp.attr(), {v.as_string()});
+  return true;
+}
+
+/// Replaces the clauses out[base, end) by their conjunction with `p`: the
+/// product of the two DNFs, each clause of out[base, end) in turn with each
+/// of p's, contradictions dropped. A comparison other than a numeric !=
+/// is one clause, so it narrows the clauses in place; a disjunction or a
+/// numeric != appends its DNF and the product follows it, then replaces
+/// both. False when the product would exceed max_clauses or p has no DNF.
+bool conjoin(const Predicate& p, std::size_t base, std::size_t max_clauses,
+             std::vector<Clause>& out) {
+  using Kind = Predicate::Kind;
+  switch (p.kind()) {
+    case Kind::True: return true;
+    case Kind::False:
+      out.erase(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
+      return true;
+    case Kind::Not: return false;  // negation over a complex subtree
+    case Kind::And:
+      for (const auto& child : p.children()) {
+        if (!conjoin(*child, base, max_clauses, out)) return false;
+        if (out.size() == base) break;  // contradiction, short-circuit
+      }
+      return true;
+    case Kind::Compare:
+      if (!is_numeric_ne(p)) {
+        std::size_t kept = base;
+        for (std::size_t i = base; i < out.size(); ++i) {
+          if (!constrain(out[i], p)) return false;
+          if (out[i].contradictory()) continue;
+          if (kept != i) out[kept] = std::move(out[i]);
+          ++kept;
+        }
+        out.resize(kept);
+        return true;
+      }
+      break;
+    case Kind::Or: break;
+  }
+  const std::size_t mid = out.size();
+  if (!to_dnf(p, max_clauses, out)) return false;
+  const std::size_t end = out.size();
+  for (std::size_t i = base; i < mid; ++i) {
+    for (std::size_t j = mid; j < end; ++j) {
+      // The last of p's clauses takes the clause itself, the others a copy.
+      Clause c = j + 1 < end ? out[i] : std::move(out[i]);
+      intersect_into(c, out[j]);
+      if (c.contradictory()) continue;
+      out.push_back(std::move(c));
+      if (out.size() - end > max_clauses) return false;
+    }
+  }
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(base),
+            out.begin() + static_cast<std::ptrdiff_t>(end));
+  return true;
 }
 
 }  // namespace
 
-std::optional<std::vector<Clause>> to_dnf(const PredicatePtr& pred,
-                                          std::size_t max_clauses) {
-  PMC_EXPECTS(pred != nullptr);
+bool to_dnf(const Predicate& pred, std::size_t max_clauses,
+            std::vector<Clause>& out) {
   using Kind = Predicate::Kind;
-  switch (pred->kind()) {
-    case Kind::True: return std::vector<Clause>{Clause{}};
-    case Kind::False: return std::vector<Clause>{};
-    case Kind::Not: return std::nullopt;  // negation over a complex subtree
-    case Kind::Compare: {
-      const auto& v = pred->value();
-      if (v.kind() == ValueKind::String) {
-        if (pred->op() == CmpOp::Eq) {
-          Clause c;
-          c.constrain_string(pred->attr(), {v.as_string()});
-          return std::vector<Clause>{std::move(c)};
-        }
-        return std::nullopt;  // string !=, <, ... not clause-representable
-      }
-      const double x = v.as_double();
-      if (pred->op() == CmpOp::Ne) {
-        Clause below, above;
-        below.constrain_numeric(pred->attr(),
-                                Interval::at_most(x, /*open=*/true));
-        above.constrain_numeric(pred->attr(),
-                                Interval::at_least(x, /*open=*/true));
-        return std::vector<Clause>{std::move(below), std::move(above)};
-      }
-      Clause c;
-      c.constrain_numeric(pred->attr(), *comparison_interval(pred->op(), x));
-      return std::vector<Clause>{std::move(c)};
-    }
-    case Kind::Or: {
-      std::vector<Clause> out;
-      for (const auto& child : pred->children()) {
-        auto sub = to_dnf(child, max_clauses);
-        if (!sub) return std::nullopt;
-        out.insert(out.end(), std::make_move_iterator(sub->begin()),
-                   std::make_move_iterator(sub->end()));
-        if (out.size() > max_clauses) return std::nullopt;
-      }
-      return out;
-    }
-    case Kind::And: {
-      std::vector<Clause> acc{Clause{}};
-      for (const auto& child : pred->children()) {
-        auto sub = to_dnf(child, max_clauses);
-        if (!sub) return std::nullopt;
-        std::vector<Clause> next;
-        for (const auto& a : acc) {
-          for (const auto& b : *sub) {
-            if (auto merged = intersect_clauses(a, b))
-              next.push_back(std::move(*merged));
-            if (next.size() > max_clauses) return std::nullopt;
-          }
-        }
-        acc = std::move(next);
-        if (acc.empty()) break;  // contradiction, short-circuit
-      }
-      return acc;
-    }
+  if (is_numeric_ne(pred)) {
+    // The union of two rays: two clauses.
+    const double x = pred.value().as_double();
+    out.emplace_back().constrain_numeric(pred.attr(),
+                                         Interval::at_most(x, /*open=*/true));
+    out.emplace_back().constrain_numeric(
+        pred.attr(), Interval::at_least(x, /*open=*/true));
+    return true;
   }
-  return std::nullopt;  // unreachable
+  switch (pred.kind()) {
+    case Kind::Compare: return constrain(out.emplace_back(), pred);
+    case Kind::Or: {
+      const std::size_t base = out.size();
+      for (const auto& child : pred.children()) {
+        if (!to_dnf(*child, max_clauses, out)) return false;
+        if (out.size() - base > max_clauses) return false;
+      }
+      return true;
+    }
+    default:
+      // The conjunction of one unconstrained clause with the predicate.
+      out.emplace_back();
+      return conjoin(pred, out.size() - 1, max_clauses, out);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -222,12 +258,13 @@ InterestSummary InterestSummary::from(const Subscription& sub) {
     s.wildcard_ = true;
     return s;
   }
-  auto dnf = to_dnf(sub.predicate(), kMaxDnfClauses);
-  if (!dnf) {
+  std::vector<Clause> dnf;
+  dnf.reserve(4);  // a range, a wrap-around range or a != in one block
+  if (!to_dnf(*sub.predicate(), kMaxDnfClauses, dnf)) {
     s.opaque_.push_back(sub.predicate());
     return s;
   }
-  for (auto& clause : *dnf) s.add_clause(std::move(clause));
+  for (auto& clause : dnf) s.add_clause(std::move(clause));
   s.prune_subsumed();
   return s;
 }
@@ -332,8 +369,8 @@ void InterestSummary::coarsen() {
 }
 
 InterestSummary InterestSummary::reassemble(
-    bool wildcard, std::map<std::string, IntervalSet> numeric,
-    std::map<std::string, std::vector<std::string>> strings,
+    bool wildcard, FlatMap<std::string, IntervalSet> numeric,
+    FlatMap<std::string, std::vector<std::string>> strings,
     std::vector<Clause> clauses, std::vector<PredicatePtr> opaque) {
   InterestSummary s;
   s.wildcard_ = wildcard;

@@ -24,11 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "filter/interval.hpp"
 #include "filter/subscription.hpp"
 
@@ -58,10 +57,10 @@ class Clause {
   std::size_t attribute_count() const noexcept {
     return numeric_.size() + strings_.size();
   }
-  const std::map<std::string, Interval>& numeric() const noexcept {
+  const FlatMap<std::string, Interval>& numeric() const noexcept {
     return numeric_;
   }
-  const std::map<std::string, std::vector<std::string>>& strings()
+  const FlatMap<std::string, std::vector<std::string>>& strings()
       const noexcept {
     return strings_;
   }
@@ -71,8 +70,8 @@ class Clause {
   std::string to_string() const;
 
  private:
-  std::map<std::string, Interval> numeric_;
-  std::map<std::string, std::vector<std::string>> strings_;  // sorted
+  FlatMap<std::string, Interval> numeric_;
+  FlatMap<std::string, std::vector<std::string>> strings_;  // sorted
   bool contradictory_ = false;
 };
 
@@ -100,10 +99,10 @@ class InterestSummary {
   /// opaque predicates (0 for a wildcard summary).
   std::size_t complexity() const noexcept;
 
-  const std::map<std::string, IntervalSet>& numeric_unions() const noexcept {
+  const FlatMap<std::string, IntervalSet>& numeric_unions() const noexcept {
     return numeric_;
   }
-  const std::map<std::string, std::vector<std::string>>& string_unions()
+  const FlatMap<std::string, std::vector<std::string>>& string_unions()
       const noexcept {
     return strings_;
   }
@@ -113,8 +112,8 @@ class InterestSummary {
   /// Rebuilds a summary from its parts — the wire codec's exact inverse of
   /// the accessors above. No simplification is re-run.
   static InterestSummary reassemble(
-      bool wildcard, std::map<std::string, IntervalSet> numeric,
-      std::map<std::string, std::vector<std::string>> strings,
+      bool wildcard, FlatMap<std::string, IntervalSet> numeric,
+      FlatMap<std::string, std::vector<std::string>> strings,
       std::vector<Clause> clauses, std::vector<PredicatePtr> opaque);
 
   /// Structural equality (opaque predicates compare by pointer identity).
@@ -136,16 +135,17 @@ class InterestSummary {
   void prune_subsumed();
 
   bool wildcard_ = false;
-  std::map<std::string, IntervalSet> numeric_;                // tier 1
-  std::map<std::string, std::vector<std::string>> strings_;   // tier 2
+  FlatMap<std::string, IntervalSet> numeric_;                 // tier 1
+  FlatMap<std::string, std::vector<std::string>> strings_;    // tier 2
   std::vector<Clause> clauses_;                                // tier 3
   std::vector<PredicatePtr> opaque_;                           // fallback
 };
 
-/// Normalizes a predicate into DNF clauses; nullopt when the expansion
-/// exceeds max_clauses or the predicate contains non-normalizable parts
-/// (e.g. negation over a complex subtree, string inequality).
-std::optional<std::vector<Clause>> to_dnf(const PredicatePtr& pred,
-                                          std::size_t max_clauses);
+/// Appends the DNF clauses of a predicate to `out`; false when a
+/// disjunction or a conjunction's product would exceed max_clauses or the
+/// predicate contains non-normalizable parts (e.g. negation over a complex
+/// subtree, string inequality), and `out` is then left partly written.
+bool to_dnf(const Predicate& pred, std::size_t max_clauses,
+            std::vector<Clause>& out);
 
 }  // namespace pmc

@@ -1,6 +1,7 @@
 #include "harness/workload.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/contract.hpp"
 #include "common/hash.hpp"
@@ -39,11 +40,11 @@ Member stable_member(const Address& address, double pd, std::uint64_t seed) {
 std::vector<Member> uniform_interest_members(const AddressSpace& space,
                                              double pd, Rng& rng) {
   std::vector<Member> members;
-  const auto addresses = space.enumerate();
+  auto addresses = space.enumerate();
   members.reserve(addresses.size());
-  for (const auto& a : addresses) {
+  for (auto& a : addresses) {
     members.push_back(
-        Member{a, interval_subscription(rng.next_double(), pd)});
+        Member{std::move(a), interval_subscription(rng.next_double(), pd)});
   }
   return members;
 }
@@ -53,7 +54,7 @@ std::vector<Member> clustered_interest_members(const AddressSpace& space,
                                                Rng& rng) {
   PMC_EXPECTS(jitter >= 0.0 && jitter <= 1.0);
   std::vector<Member> members;
-  const auto addresses = space.enumerate();
+  auto addresses = space.enumerate();
   members.reserve(addresses.size());
   if (addresses.empty()) return members;
 
@@ -68,12 +69,12 @@ std::vector<Member> clustered_interest_members(const AddressSpace& space,
   const auto leaves = static_cast<double>(leaf_order.size());
 
   std::size_t leaf_idx = 0;
-  for (const auto& a : addresses) {
+  for (auto& a : addresses) {
     if (!(a.prefix(leaf_len) == leaf_order[leaf_idx])) ++leaf_idx;
     const double base = static_cast<double>(leaf_idx) / leaves;
     double offset = base + (rng.next_double() - 0.5) * jitter;
     offset -= std::floor(offset);  // wrap into [0, 1)
-    members.push_back(Member{a, interval_subscription(offset, pd)});
+    members.push_back(Member{std::move(a), interval_subscription(offset, pd)});
   }
   return members;
 }

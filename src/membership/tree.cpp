@@ -7,36 +7,51 @@
 
 namespace pmc {
 
-GroupTree::GroupTree(TreeConfig config, std::vector<Member> members,
+GroupTree::GroupTree(TreeConfig config, std::span<const Member> members,
                      Interns& interns, GroupTreeOptions options)
     : config_(config), interns_(&interns) {
   config_.validate();
-  std::sort(members.begin(), members.end(),
-            [](const Member& x, const Member& y) {
-              return x.address < y.address;
-            });
+  // The members in address order: the input itself when it already is in
+  // that order (every enumerated population), else pointers into it,
+  // sorted.
+  std::vector<const Member*> sorted;
+  if (!std::is_sorted(members.begin(), members.end(),
+                      [](const Member& x, const Member& y) {
+                        return x.address < y.address;
+                      })) {
+    sorted.reserve(members.size());
+    for (const Member& m : members) sorted.push_back(&m);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Member* x, const Member* y) {
+                return x->address < y->address;
+              });
+  }
+  const auto member = [&](std::size_t i) -> const Member& {
+    return sorted.empty() ? members[i] : *sorted[i];
+  };
   for (std::size_t i = 0; i < members.size(); ++i) {
-    PMC_EXPECTS(members[i].address.depth() == config_.depth);
-    if (i > 0) PMC_EXPECTS(!(members[i].address == members[i - 1].address));
+    PMC_EXPECTS(member(i).address.depth() == config_.depth);
+    if (i > 0) PMC_EXPECTS(!(member(i).address == member(i - 1).address));
   }
 
   // The sorted members form one contiguous run per leaf subgroup (prefix
   // length d-1), and the runs come in prefix order: each run fills its leaf
-  // table, one row per member in address order. The runs live only here;
-  // the tree keeps no per-member copy.
+  // table, one row per member in address order.
   const std::size_t leaf_len = config_.depth - 1;
   std::uint64_t version = 1;
   table(Prefix::root());  // exists even when the group is empty
   std::vector<Prefix> level;
   for (std::size_t begin = 0, end = 0; begin < members.size(); begin = end) {
-    const Address& first = members[begin].address;
+    const Address& first = member(begin).address;
+    end = begin + 1;
+    while (end < members.size() &&
+           member(end).address.common_prefix_length(first) >= leaf_len)
+      ++end;
     level.push_back(first.prefix(leaf_len));
     DepthView& leaf = table(level.back());
-    for (end = begin; end < members.size() &&
-                      members[end].address.common_prefix_length(first) >=
-                          leaf_len;
-         ++end) {
-      const Member& m = members[end];
+    leaf.reserve(end - begin, end - begin);  // one delegate per leaf row
+    for (std::size_t i = begin; i < end; ++i) {
+      const Member& m = member(i);
       const AddrId id = interns_->addrs.intern(m.address);
       leaf.upsert_pooled(
           m.address.component(leaf_len), {&id, 1},

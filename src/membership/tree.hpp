@@ -16,6 +16,7 @@
 //    through its own view tables, which anti-entropy keeps current.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,11 +45,13 @@ struct GroupTreeOptions {
 
 class GroupTree {
  public:
-  /// Builds the tree for an initial population. Addresses must be unique and
-  /// all of depth config.depth. All views the tree hands out intern through
-  /// `interns`, which must outlive the tree.
-  GroupTree(TreeConfig config, std::vector<Member> members, Interns& interns,
-            GroupTreeOptions options = {});
+  /// Builds the tree for an initial population, in any order. Addresses
+  /// must be unique and all of depth config.depth. The tree reads the
+  /// members during construction only and keeps no copy of them. All views
+  /// the tree hands out intern through `interns`, which must outlive the
+  /// tree.
+  GroupTree(TreeConfig config, std::span<const Member> members,
+            Interns& interns, GroupTreeOptions options = {});
 
   /// Child view of the subgroup denoted by `prefix`
   /// (prefix length in [0, d-1]). This is the depth-(len+1) table of every

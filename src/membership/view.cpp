@@ -51,6 +51,17 @@ bool DepthView::upsert_pooled(AddrComponent infix,
   return true;
 }
 
+void DepthView::reserve(std::size_t rows, std::size_t delegates) {
+  infix_.reserve(rows);
+  version_.reserve(rows);
+  count_.reserve(rows);
+  alive_.reserve(rows);
+  interests_.reserve(rows);
+  del_begin_.reserve(rows);
+  del_len_.reserve(rows);
+  del_pool_.reserve(delegates);
+}
+
 void DepthView::place(std::size_t i, bool found, AddrComponent infix,
                       std::span<const AddrId> delegates,
                       std::shared_ptr<const InterestSummary> interests,

@@ -229,6 +229,10 @@ class DepthView {
                      std::uint64_t process_count, std::uint64_t version,
                      bool alive);
 
+  /// Room for `rows` rows holding `delegates` delegate ids in all, so a
+  /// table filled at once (a GroupTree leaf) sizes each column once.
+  void reserve(std::size_t rows, std::size_t delegates);
+
   /// Bumped on every upsert that took effect. Lets callers cache derived
   /// state — recompaction skips depths whose inputs did not change since
   /// the last pass.

@@ -39,6 +39,17 @@ std::uint64_t checked_count(Reader& r) {
                                        kMaxCollection);
 }
 
+/// Makes room in `v` for `count` more elements read from `r`. Each takes
+/// at least a byte, so the reservation is capped by the bytes left: honest
+/// input never reserves more than it fills, and a hostile count cannot
+/// reserve more than its frame's size.
+template <typename T>
+void reserve_more(std::vector<T>& v, std::uint64_t count, const Reader& r) {
+  const auto more = static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining()));
+  if (v.capacity() - v.size() < more) v.reserve(v.size() + more);
+}
+
 /// What a walk that builds nothing (kBuild false) reads in place of a
 /// value: the summary grammar below runs both ways.
 struct Skipped {};
@@ -296,22 +307,23 @@ namespace {
 template <bool kBuild>
 std::conditional_t<kBuild, InterestSummary, bool> read_summary(Reader& r) {
   [[maybe_unused]] const bool wildcard = r.boolean();
-  std::conditional_t<kBuild, std::map<std::string, IntervalSet>, Skipped>
+  // A repeated attribute keeps its first value.
+  std::conditional_t<kBuild, FlatMap<std::string, IntervalSet>, Skipped>
       numeric;
   const auto numeric_count = checked_count(r);
   for (std::uint64_t i = 0; i < numeric_count; ++i) {
     auto attr = read_text<kBuild>(r);
     auto set = read_interval_set<kBuild>(r);
-    if constexpr (kBuild) numeric.emplace(std::move(attr), std::move(set));
+    if constexpr (kBuild) numeric.try_emplace(attr, std::move(set));
   }
-  std::conditional_t<kBuild, std::map<std::string, std::vector<std::string>>,
-                     Skipped>
+  std::conditional_t<kBuild,
+                     FlatMap<std::string, std::vector<std::string>>, Skipped>
       strings;
   const auto string_count = checked_count(r);
   for (std::uint64_t i = 0; i < string_count; ++i) {
     auto attr = read_text<kBuild>(r);
     auto allowed = read_texts<kBuild>(r);
-    if constexpr (kBuild) strings.emplace(std::move(attr), std::move(allowed));
+    if constexpr (kBuild) strings.try_emplace(attr, std::move(allowed));
   }
   std::conditional_t<kBuild, std::vector<Clause>, Skipped> clauses;
   const auto clause_count = checked_count(r);
@@ -345,10 +357,7 @@ void read_components(Reader& r, std::vector<AddrComponent>& out) {
   const auto depth = checked_count(r);
   if (depth == 0) throw DecodeError("empty address");
   out.clear();
-  // Every component takes at least a byte, so honest input never reserves
-  // more than it fills.
-  out.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(depth, r.remaining())));
+  reserve_more(out, depth, r);
   for (std::uint64_t i = 0; i < depth; ++i)
     out.push_back(
         checked_varint<AddrComponent>(r, "address component out of range"));
@@ -404,15 +413,22 @@ struct Envelope {
     }
   }
 
-  /// A row into `batch`. Without a codec it is in the decoded form: its
-  /// delegates join the batch's address list and its summary is fresh.
-  /// With one it is in the codec's runtime's form, and false means the row
-  /// names an address that runtime never interned or a summary with
-  /// opaque predicates, so the batch must be read again without the codec.
+  /// A row into `batch`, `rows_left` rows before the batch ends (this one
+  /// included). Without a codec it is in the decoded form: its delegates
+  /// join the batch's address list and its summary is fresh. With one it
+  /// is in the codec's runtime's form, and false means the row names an
+  /// address that runtime never interned or a summary with opaque
+  /// predicates, so the batch must be read again without the codec.
   static bool read_row(Reader& r, RowBatch& batch, ViewRow& row,
-                       Codec* codec) {
+                       std::uint64_t rows_left, Codec* codec) {
     row.infix = checked_varint<AddrComponent>(r, "infix out of range");
     const auto delegates = checked_count(r);
+    // Room for as many delegates in each row left: a batch lists its rows
+    // by depth, R delegates each above the leaves and one in a leaf, so
+    // its pool is usually reserved once, at the first row.
+    reserve_more(batch.pool, delegates * rows_left, r);
+    if (codec == nullptr)
+      reserve_more(batch.addresses, delegates * rows_left, r);
     row.delegates_begin = static_cast<std::uint32_t>(batch.pool.size());
     row.delegates_len = static_cast<std::uint32_t>(delegates);
     for (std::uint64_t i = 0; i < delegates; ++i) {
@@ -439,11 +455,12 @@ struct Envelope {
 
   static bool read_rows(Reader& r, RowBatch& batch, Codec* codec) {
     const auto n = checked_count(r);
+    reserve_more(batch.rows, n, r);
     for (std::uint64_t i = 0; i < n; ++i) {
       DepthRow dr;
       dr.depth =
           checked_varint<std::uint32_t>(r, "bad row depth", 1, kMaxDepth);
-      if (!read_row(r, batch, dr.row, codec)) return false;
+      if (!read_row(r, batch, dr.row, n - i, codec)) return false;
       batch.rows.push_back(std::move(dr));
     }
     return true;
@@ -614,6 +631,7 @@ MessagePtr Envelope::read(std::span<const std::uint8_t> data, Codec* codec) {
       msg->sender_pid =
           checked_varint<ProcessId>(r, "digest sender pid out of range");
       const auto n = checked_count(r);
+      reserve_more(msg->digests, n, r);
       for (std::uint64_t i = 0; i < n; ++i) {
         RowDigest d;
         d.depth =
@@ -752,6 +770,13 @@ std::uint64_t hash_bytes(std::span<const std::uint8_t> bytes) {
   return h ^ (h >> 29);
 }
 
+/// A pooled summary's memo key: its address, which the memo's handle keeps
+/// to one value for the codec's whole life.
+std::uint64_t handle_key(const InterestSummary* summary) {
+  // detlint:allow(pointer-hash) picks a memo slot only: the memo is never iterated, serialized or fingerprinted
+  return reinterpret_cast<std::uintptr_t>(summary);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> Codec::encode(const MessageBase& msg) {
@@ -781,17 +806,21 @@ Codec::Memo Codec::keep(std::span<const std::uint8_t> bytes,
 
 void Codec::encode_pooled(
     Writer& w, const std::shared_ptr<const InterestSummary>& summary) {
-  const auto it = encoded_.find(summary.get());
-  if (it != encoded_.end()) {
+  const std::uint64_t key = handle_key(summary.get());
+  const std::uint32_t entry = encoded_index_.find(
+      key, [&](std::uint32_t e) { return encoded_[e].handle == summary; });
+  if (entry != FlatIndex::npos) {
     ++stats_.encode_hits;
-    w.raw(bytes_of(it->second));
+    w.raw(bytes_of(encoded_[entry]));
     return;
   }
   ++stats_.encode_misses;
   const std::size_t begin = w.size();
   wire::encode(w, *summary);
-  encoded_.emplace(summary.get(),
-                   keep(std::span(w.data()).subspan(begin), summary));
+  encoded_.push_back(keep(std::span(w.data()).subspan(begin), summary));
+  encoded_index_.add(key, [this](std::uint32_t e) {
+    return handle_key(encoded_[e].handle.get());
+  });
 }
 
 AddrId Codec::find_address(Reader& r) {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "baselines/flooding.hpp"
 #include "baselines/genuine.hpp"
@@ -145,10 +144,11 @@ class Codec {
   Interns* interns_;
   /// Every memoized summary's bytes, back to back.
   std::vector<std::uint8_t> bytes_;
-  /// Pooled summary -> its bytes. A memo holds the handle, so its key names
-  /// one value for the codec's whole life.
-  // detlint:allow(pointer-hash) lookup only: never iterated, serialized or fingerprinted
-  std::unordered_map<const InterestSummary*, Memo> encoded_;
+  /// Encoded pooled summaries, found by handle through encoded_index_. A
+  /// memo holds the handle, so its address names one value for the
+  /// codec's whole life.
+  std::vector<Memo> encoded_;
+  FlatIndex encoded_index_;
   /// Decoded summaries, found by their bytes through decoded_index_.
   std::vector<Memo> decoded_;
   FlatIndex decoded_index_;

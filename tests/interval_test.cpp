@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace pmc {
 namespace {
@@ -299,6 +305,79 @@ TEST(IntervalSet, BoundingHull) {
   EXPECT_DOUBLE_EQ(b.lo, 1.0);
   EXPECT_DOUBLE_EQ(b.hi, 7.0);
   EXPECT_TRUE(b.hi_open);
+}
+
+/// Equality down to the bits (== takes -0.0 for +0.0).
+bool same_bits(const IntervalSet& x, const IntervalSet& y) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return std::equal(x.intervals().begin(), x.intervals().end(),
+                    y.intervals().begin(), y.intervals().end(),
+                    [&](const Interval& a, const Interval& b) {
+                      return bits(a.lo) == bits(b.lo) &&
+                             bits(a.hi) == bits(b.hi) &&
+                             a.lo_open == b.lo_open && a.hi_open == b.hi_open;
+                    });
+}
+
+/// Sorted, disjoint, and no two neighbours mergeable.
+void expect_canonical(const IntervalSet& s) {
+  const auto& ivs = s.intervals();
+  for (std::size_t i = 0; i < ivs.size(); ++i) {
+    EXPECT_FALSE(ivs[i].empty());
+    if (i == 0) continue;
+    EXPECT_LE(ivs[i - 1].hi, ivs[i].lo) << s.to_string();
+    EXPECT_FALSE(ivs[i - 1].mergeable(ivs[i])) << s.to_string();
+  }
+}
+
+TEST(IntervalSet, EveryInsertionOrderGivesOneCanonicalSet) {
+  // Endpoints from a small grid collide often (both zeros and both
+  // infinities among them), each bound open or closed at random.
+  const std::vector<double> grid{-kInf, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, kInf};
+  std::vector<double> probes = grid;  // every grid point and a midpoint
+  for (const double x : {-2.0, -0.5, 0.5, 1.5, 2.5, 4.0}) probes.push_back(x);
+  Rng rng(34);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Interval> ivs(1 + rng.next_below(7));
+    for (auto& iv : ivs) {
+      double lo = grid[rng.next_below(grid.size())];
+      double hi = grid[rng.next_below(grid.size())];
+      if (hi < lo) std::swap(lo, hi);
+      iv = Interval{lo, hi, rng.bernoulli(0.5), rng.bernoulli(0.5)};
+    }
+    IntervalSet forward, backward, shuffled, singles;
+    for (const auto& iv : ivs) forward.insert(iv);
+    for (auto it = ivs.rbegin(); it != ivs.rend(); ++it) backward.insert(*it);
+    auto order = ivs;
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.next_below(i)]);
+    for (const auto& iv : order) shuffled.insert(iv);
+    for (const auto& iv : ivs) singles.insert_all(IntervalSet(iv));
+    // Two halves, each inserted one by one, then one merge: bit for bit
+    // what inserting the second half's intervals into the first gives.
+    const std::size_t half = rng.next_below(ivs.size() + 1);
+    IntervalSet left, right;
+    for (std::size_t i = 0; i < ivs.size(); ++i)
+      (i < half ? left : right).insert(ivs[i]);
+    IntervalSet merged = left;
+    merged.insert_all(right);
+    IntervalSet one_by_one = left;
+    for (const auto& iv : right.intervals()) one_by_one.insert(iv);
+    EXPECT_TRUE(same_bits(merged, one_by_one))
+        << merged.to_string() << " vs " << one_by_one.to_string();
+
+    expect_canonical(forward);
+    for (const IntervalSet* other : {&backward, &shuffled, &singles, &merged})
+      EXPECT_EQ(*other, forward) << other->to_string() << " vs "
+                                 << forward.to_string();
+    for (const double x : probes) {
+      const bool any = std::any_of(ivs.begin(), ivs.end(),
+                                   [x](const Interval& iv) {
+                                     return iv.contains(x);
+                                   });
+      EXPECT_EQ(forward.contains(x), any) << x << " in " << forward.to_string();
+    }
+  }
 }
 
 TEST(IntervalSet, EqualityIsCanonical) {

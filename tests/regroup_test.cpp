@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
 #include "common/rng.hpp"
 #include "filter/subscription.hpp"
+#include "harness/workload.hpp"
+#include "wire/messages.hpp"
 
 namespace pmc {
 namespace {
@@ -12,6 +17,64 @@ Event ev(double c) {
   Event e;
   e.with("c", c);
   return e;
+}
+
+/// to_dnf of `text` into a fresh vector; nullopt when it gives up.
+std::optional<std::vector<Clause>> dnf_of(const std::string& text) {
+  std::vector<Clause> out;
+  if (!to_dnf(*Subscription::parse(text).predicate(), 64, out))
+    return std::nullopt;
+  return out;
+}
+
+/// A summary's wire bytes.
+std::vector<std::uint8_t> bytes_of(const InterestSummary& s) {
+  Writer w;
+  wire::encode(w, s);
+  return std::move(w).take();
+}
+
+/// `built` is `expected` by ==, by hash() and by its wire bytes.
+void expect_same_summary(const InterestSummary& built,
+                         const InterestSummary& expected) {
+  EXPECT_EQ(built, expected) << built.to_string() << " vs "
+                             << expected.to_string();
+  EXPECT_EQ(built.hash(), expected.hash());
+  EXPECT_EQ(bytes_of(built), bytes_of(expected));
+}
+
+/// One attribute's interval union, inserted in the order given.
+FlatMap<std::string, IntervalSet> union_of(
+    const std::string& attr, std::initializer_list<Interval> ivs) {
+  FlatMap<std::string, IntervalSet> unions;
+  for (const auto& iv : ivs) unions[attr].insert(iv);
+  return unions;
+}
+
+Clause clause(std::initializer_list<std::pair<std::string, Interval>> numeric,
+              std::initializer_list<std::pair<std::string, std::string>>
+                  strings = {}) {
+  Clause c;
+  for (const auto& [attr, iv] : numeric) c.constrain_numeric(attr, iv);
+  for (const auto& [attr, v] : strings) c.constrain_string(attr, {v});
+  return c;
+}
+
+TEST(FlatMap, TryEmplaceKeepsTheFirstValue) {
+  // As std::map's emplace does, which the summary decoder relied on.
+  FlatMap<std::string, int> flat;
+  std::map<std::string, int> tree;
+  const std::pair<std::string, int> inserts[] = {
+      {"u", 1}, {"b", 2}, {"u", 3}, {"a", 4}, {"b", 5}};
+  for (const auto& [key, value] : inserts) {
+    const bool fresh = flat.try_emplace(key, value).second;
+    EXPECT_EQ(fresh, tree.emplace(key, value).second) << key;
+  }
+  EXPECT_TRUE(std::equal(flat.begin(), flat.end(), tree.begin(), tree.end(),
+                         [](const auto& x, const auto& y) {
+                           return x.first == y.first && x.second == y.second;
+                         }));
+  EXPECT_EQ(flat.find("u")->second, 1);
 }
 
 TEST(Clause, UnconstrainedMatchesEverything) {
@@ -96,31 +159,25 @@ TEST(Clause, Subsumption) {
 }
 
 TEST(ToDnf, SimpleComparison) {
-  const auto clauses =
-      to_dnf(Subscription::parse("b > 3").predicate(), 64);
+  const auto clauses = dnf_of("b > 3");
   ASSERT_TRUE(clauses.has_value());
   ASSERT_EQ(clauses->size(), 1u);
 }
 
 TEST(ToDnf, NumericNeSplitsIntoTwoClauses) {
-  const auto clauses =
-      to_dnf(Subscription::parse("b != 3").predicate(), 64);
+  const auto clauses = dnf_of("b != 3");
   ASSERT_TRUE(clauses.has_value());
   EXPECT_EQ(clauses->size(), 2u);
 }
 
 TEST(ToDnf, AndDistributesOverOr) {
-  const auto clauses = to_dnf(
-      Subscription::parse("(a == 1 || a == 2) && (b == 3 || b == 4)")
-          .predicate(),
-      64);
+  const auto clauses = dnf_of("(a == 1 || a == 2) && (b == 3 || b == 4)");
   ASSERT_TRUE(clauses.has_value());
   EXPECT_EQ(clauses->size(), 4u);
 }
 
 TEST(ToDnf, ContradictionsDropped) {
-  const auto clauses =
-      to_dnf(Subscription::parse("b > 5 && b < 3").predicate(), 64);
+  const auto clauses = dnf_of("b > 5 && b < 3");
   ASSERT_TRUE(clauses.has_value());
   EXPECT_TRUE(clauses->empty());
 }
@@ -132,12 +189,77 @@ TEST(ToDnf, BudgetExhaustionReturnsNullopt) {
     text += " && (a" + std::to_string(i) + " == 0 || a" + std::to_string(i) +
             " == 1)";
   }
-  EXPECT_FALSE(to_dnf(Subscription::parse(text).predicate(), 64).has_value());
+  EXPECT_FALSE(dnf_of(text).has_value());
 }
 
 TEST(ToDnf, StringInequalityNotRepresentable) {
-  EXPECT_FALSE(
-      to_dnf(Subscription::parse("e != \"Bob\"").predicate(), 64).has_value());
+  EXPECT_FALSE(dnf_of("e != \"Bob\"").has_value());
+}
+
+TEST(ToDnf, NestedAndOrGivesTheHandBuiltSummary) {
+  // A disjunction inside a conjunction (a product), comparisons narrowing
+  // the product in place, and a numeric != (a product of two rays).
+  const std::string text =
+      "((a < 1 || a > 5) && b >= 2 && b < 4) || (e == \"Bob\" && a != 3)";
+  const Interval b_range{2.0, 4.0, false, true};
+  const std::vector<Clause> expected{
+      clause({{"a", Interval::at_most(1.0, true)}, {"b", b_range}}),
+      clause({{"a", Interval::at_least(5.0, true)}, {"b", b_range}}),
+      clause({{"a", Interval::at_most(3.0, true)}}, {{"e", "Bob"}}),
+      clause({{"a", Interval::at_least(3.0, true)}}, {{"e", "Bob"}})};
+  const auto clauses = dnf_of(text);
+  ASSERT_TRUE(clauses.has_value());
+  EXPECT_EQ(*clauses, expected);
+  expect_same_summary(InterestSummary::from(Subscription::parse(text)),
+                      InterestSummary::reassemble(false, {}, {}, expected, {}));
+
+  // Single-attribute clauses fold into the tier-1 and tier-2 unions.
+  const auto mixed = Subscription::parse(
+      "(u >= 0.5 && u < 0.75) || e == \"x\" || (a > 0 && b > 0) || u < 0.25");
+  FlatMap<std::string, std::vector<std::string>> strings;
+  strings["e"] = {"x"};
+  expect_same_summary(
+      InterestSummary::from(mixed),
+      InterestSummary::reassemble(
+          false,
+          union_of("u", {Interval{0.5, 0.75, false, true},
+                         Interval::at_most(0.25, true)}),
+          strings,
+          {clause({{"a", Interval::at_least(0.0, true)},
+                   {"b", Interval::at_least(0.0, true)}})},
+          {}));
+}
+
+TEST(InterestSummary, IntervalSubscriptionsGiveTheHandBuiltSummary) {
+  // interval_subscription's two shapes: a range, and a range that wraps
+  // around 1.0, a disjunction of two rays.
+  const auto plain = InterestSummary::from(interval_subscription(0.25, 0.5));
+  expect_same_summary(
+      plain, InterestSummary::reassemble(
+                 false, union_of("u", {Interval{0.25, 0.75, false, true}}),
+                 {}, {}, {}));
+  const auto wrapped = InterestSummary::from(interval_subscription(0.75, 0.5));
+  expect_same_summary(
+      wrapped, InterestSummary::reassemble(
+                   false,
+                   union_of("u", {Interval::at_most(0.25, true),
+                                  Interval::at_least(0.75)}),
+                   {}, {}, {}));
+  // Together they cover the whole line.
+  auto both = plain;
+  both.merge(wrapped);
+  expect_same_summary(both, InterestSummary::reassemble(
+                                false, union_of("u", {Interval{}}), {}, {},
+                                {}));
+}
+
+TEST(InterestSummary, TurningWildcardKeepsTheTiersItHeld) {
+  auto s = InterestSummary::from(Subscription::parse("b > 3"));
+  s.merge(InterestSummary::from(Subscription()));
+  expect_same_summary(
+      s, InterestSummary::reassemble(
+             true, union_of("b", {Interval::at_least(3.0, true)}), {}, {},
+             {}));
 }
 
 TEST(InterestSummary, WildcardSubscription) {
@@ -159,7 +281,8 @@ TEST(InterestSummary, UnionOfRangesMergesIntervals) {
   s.merge(InterestSummary::from(Subscription::parse("c >= 15.0 && c < 30.0")));
   // One attribute, intervals merged into a single (10, 30).
   ASSERT_EQ(s.numeric_unions().size(), 1u);
-  EXPECT_EQ(s.numeric_unions().at("c").size(), 1u);
+  EXPECT_EQ(s.numeric_unions().begin()->first, "c");
+  EXPECT_EQ(s.numeric_unions().begin()->second.size(), 1u);
   EXPECT_TRUE(s.match(ev(25.0)));
   EXPECT_TRUE(s.match(ev(12.0)));
   EXPECT_FALSE(s.match(ev(30.0)));

@@ -229,6 +229,35 @@ TEST(GroupTree, IrregularPopulation) {
   EXPECT_EQ(root_view.process_count(t.row_of(prefix_of("3.0.0", 1))), 2u);
 }
 
+TEST(GroupTree, MemberOrderDoesNotMatter) {
+  // Members in address order are read as they are; any other order is
+  // read through a sorted index. Both build the same tables, versions
+  // included.
+  const auto sorted = regular_members(3, 3, 0.4, /*seed=*/9);
+  auto shuffled = sorted;
+  Rng rng(9);
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+  ASSERT_FALSE(std::ranges::equal(shuffled, sorted, {}, &Member::address,
+                                  &Member::address));
+  const Tree a(cfg(3, 2), sorted);
+  const Tree b(cfg(3, 2), shuffled);
+  for (const auto& m : sorted) {
+    for (std::size_t len = 0; len < 3; ++len) {
+      const DepthView& x = a.tree.view_at(m.address.prefix(len));
+      const DepthView& y = b.tree.view_at(m.address.prefix(len));
+      ASSERT_EQ(x.size(), y.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x.infix(i), y.infix(i));
+        EXPECT_EQ(x.version(i), y.version(i));
+        EXPECT_EQ(x.process_count(i), y.process_count(i));
+        EXPECT_EQ(x.interests(i), y.interests(i));
+        EXPECT_EQ(a.names(x.delegates(i)), b.names(y.delegates(i)));
+      }
+    }
+  }
+}
+
 TEST(GroupTree, EveryRowIsTheCompactionOfItsSubgroupsTable) {
   // The tree writes each upper row with the rule SyncNode recompacts live
   // views with: for every populated non-root prefix, its row in the

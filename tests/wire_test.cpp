@@ -182,11 +182,35 @@ TEST(WireIntervalSet, RoundTripCanonical) {
   IntervalSet set;
   set.insert(Interval{0.0, 1.0, false, false});
   set.insert(Interval{5.0, 7.0, false, true});
-  ASSERT_EQ(s.numeric_unions().at("x"), set);
+  ASSERT_TRUE(s.numeric_unions().contains("x"));
+  ASSERT_EQ(s.numeric_unions().find("x")->second, set);
   const auto out = round_trip(s, [](Writer& w, const InterestSummary& x) {
     wire::encode(w, x);
   }, [](Reader& r) { return wire::decode_summary(r); });
-  EXPECT_EQ(out.numeric_unions().at("x"), set);
+  ASSERT_TRUE(out.numeric_unions().contains("x"));
+  EXPECT_EQ(out.numeric_unions().find("x")->second, set);
+}
+
+TEST(WireSummary, RepeatedAttributeKeepsTheFirstUnion) {
+  // A summary whose bytes list attribute "u" twice decodes to its first
+  // union, as it did when the unions were a std::map filled by emplace.
+  IntervalSet first(Interval{0.0, 1.0, false, true});
+  IntervalSet second(Interval{5.0, 6.0, false, false});
+  Writer w;
+  w.boolean(false);
+  w.varint(2);
+  w.str("u");
+  wire::encode(w, first);
+  w.str("u");
+  wire::encode(w, second);
+  w.varint(0);  // string unions
+  w.varint(0);  // clauses
+  w.varint(0);  // opaque predicates
+  Reader r(w.data());
+  const InterestSummary out = wire::decode_summary(r);
+  r.expect_end();
+  ASSERT_EQ(out.numeric_unions().size(), 1u);
+  EXPECT_EQ(out.numeric_unions().find("u")->second, first);
 }
 
 TEST(WireSummary, ExactRoundTrip) {
