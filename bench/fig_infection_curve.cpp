@@ -66,7 +66,7 @@ int main() {
       std::size_t infected = 0;
       for (const auto& node : nodes)
         if (node->has_received(EventId{0, seed}) ||
-            node->stats().published > 0)
+            node->gossip_stats().published > 0)
           ++infected;
       infected_at_round[round].add(static_cast<double>(infected));
       max_round = std::max(max_round, round);
@@ -75,7 +75,7 @@ int main() {
     std::size_t final_infected = 0;
     for (const auto& node : nodes)
       if (node->has_received(EventId{0, seed}) ||
-          node->stats().published > 0)
+          node->gossip_stats().published > 0)
         ++final_infected;
     for (std::size_t r = round + 1; r <= 25; ++r) {
       infected_at_round[r].add(static_cast<double>(final_infected));

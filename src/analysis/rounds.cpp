@@ -11,8 +11,8 @@ double RoundEstimator::pittel(double n, double fanout) const {
   // fall into the explicit 0 as well, instead of flowing through log()
   // and poisoning the round bound. A 0 here means "gossip zero rounds";
   // callers that still have an audience count the collapse
-  // (PmcastNode::Stats::bound_collapsed) rather than losing the event
-  // silently.
+  // (PmcastNode::GossipStats::bound_collapsed) rather than losing the
+  // event silently.
   if (!(n > 1.0) || !(fanout > 0.0)) return 0.0;
   const double t =
       std::log(n) * (1.0 / fanout + 1.0 / std::log(fanout + 1.0)) + c_;

@@ -38,7 +38,8 @@ class RoundEstimator {
   /// [0, 1]: the boundary (everything lost/crashed) collapses the bound
   /// to 0 explicitly; values outside [0, 1] (or NaN) throw. When the
   /// discounted population n(1-ε)(1-τ) drops to <= 1 the bound is 0 as
-  /// well — observable at the caller via Stats::bound_collapsed.
+  /// well — observable at the caller via
+  /// PmcastNode::GossipStats::bound_collapsed.
   double faulty(double n, double fanout, const EnvParams& env) const;
 
   /// Number of gossip rounds the algorithm will actually execute for a raw

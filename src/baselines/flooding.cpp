@@ -7,7 +7,7 @@ namespace pmc {
 FloodingNode::FloodingNode(Runtime& rt, ProcessId pid, FloodingConfig config,
                            Subscription subscription,
                            std::shared_ptr<const std::vector<ProcessId>> peers)
-    : BaselineNode(rt, pid, std::move(subscription)),
+    : SubscriberNode(rt, pid, std::move(subscription)),
       config_(config),
       peers_(std::move(peers)),
       estimator_(config.pittel_c) {

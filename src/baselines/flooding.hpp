@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "analysis/rounds.hpp"
-#include "baselines/baseline.hpp"
+#include "pmcast/subscriber.hpp"
 
 namespace pmc {
 
@@ -28,7 +28,7 @@ struct FloodingConfig {
   EnvParams env_estimate;
 };
 
-class FloodingNode final : public BaselineNode {
+class FloodingNode final : public SubscriberNode {
  public:
   /// `peers`: the full group membership (every process knows everyone —
   /// the global-knowledge assumption gossip broadcast algorithms make).

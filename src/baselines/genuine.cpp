@@ -6,7 +6,7 @@ namespace pmc {
 
 GenuineNode::GenuineNode(Runtime& rt, ProcessId pid, GenuineConfig config,
                          Subscription subscription, std::vector<Peer> view)
-    : BaselineNode(rt, pid, std::move(subscription)),
+    : SubscriberNode(rt, pid, std::move(subscription)),
       config_(config),
       view_(std::move(view)),
       estimator_(config.pittel_c) {

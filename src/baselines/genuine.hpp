@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "analysis/rounds.hpp"
-#include "baselines/baseline.hpp"
+#include "pmcast/subscriber.hpp"
 
 namespace pmc {
 
@@ -33,7 +33,7 @@ struct GenuineConfig {
   std::size_t group_size_hint = 0;
 };
 
-class GenuineNode final : public BaselineNode {
+class GenuineNode final : public SubscriberNode {
  public:
   struct Peer {
     ProcessId pid = kNoProcess;

@@ -8,7 +8,7 @@ TreecastNode::TreecastNode(Runtime& rt, ProcessId pid, TreecastConfig config,
                            const Address& self, Subscription subscription,
                            std::span<const DepthView* const> tables,
                            Directory directory)
-    : BaselineNode(rt, pid, std::move(subscription)),
+    : SubscriberNode(rt, pid, std::move(subscription)),
       config_(config),
       tables_(tables.begin(), tables.end()),
       directory_(std::move(directory)) {

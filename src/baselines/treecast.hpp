@@ -16,8 +16,8 @@
 #include <span>
 #include <vector>
 
-#include "baselines/baseline.hpp"
 #include "membership/view.hpp"
+#include "pmcast/subscriber.hpp"
 
 namespace pmc {
 
@@ -33,7 +33,7 @@ struct TreecastConfig {
   TreeConfig tree;
 };
 
-class TreecastNode final : public BaselineNode {
+class TreecastNode final : public SubscriberNode {
  public:
   /// `tables` as PmcastNode takes them: d tables, depth i at index i-1,
   /// bound to one Interns; they must outlive the node.

@@ -135,29 +135,13 @@ class LeafTables {
   std::vector<const DepthView*> tables_;
 };
 
-struct RunMetrics {
-  double delivery = 0.0;
-  double false_reception = 0.0;
-  double rounds = 0.0;
-  double messages_per_process = 0.0;
-  double interested_fraction = 0.0;
-};
-
-void aggregate(ExperimentResult& out, const RunMetrics& m) {
-  out.delivery.add(m.delivery);
-  out.false_reception.add(m.false_reception);
-  out.rounds.add(m.rounds);
-  out.messages_per_process.add(m.messages_per_process);
-  out.interested_fraction.add(m.interested_fraction);
-}
-
-/// Counts delivery/reception over the node collection after a run.
-/// NodeT must expose interested_in/has_delivered/has_received/alive.
+/// Counts delivery/reception over the node collection after a run and adds
+/// the run's metrics to `out`. NodeT is a SubscriberNode.
 template <typename NodeT>
-RunMetrics finish_run(const std::vector<std::unique_ptr<NodeT>>& nodes,
-                      const Event& event, ProcessId publisher,
-                      const Runtime& rt, std::uint64_t sent,
-                      SimTime period) {
+void finish_run(ExperimentResult& out,
+                const std::vector<std::unique_ptr<NodeT>>& nodes,
+                const Event& event, ProcessId publisher, const Runtime& rt,
+                SimTime period) {
   std::size_t interested = 0;
   std::size_t interested_delivered = 0;
   std::size_t uninterested = 0;
@@ -173,22 +157,21 @@ RunMetrics finish_run(const std::vector<std::unique_ptr<NodeT>>& nodes,
       if (node->has_received(event.id())) ++uninterested_received;
     }
   }
-  RunMetrics m;
-  m.delivery = interested == 0
-                   ? 1.0
-                   : static_cast<double>(interested_delivered) /
-                         static_cast<double>(interested);
-  m.false_reception = uninterested == 0
-                          ? 0.0
-                          : static_cast<double>(uninterested_received) /
-                                static_cast<double>(uninterested);
-  m.rounds = static_cast<double>(rt.now()) / static_cast<double>(period);
-  m.messages_per_process =
-      static_cast<double>(sent) / static_cast<double>(nodes.size());
-  m.interested_fraction =
+  out.delivery.add(interested == 0
+                       ? 1.0
+                       : static_cast<double>(interested_delivered) /
+                             static_cast<double>(interested));
+  out.false_reception.add(uninterested == 0
+                              ? 0.0
+                              : static_cast<double>(uninterested_received) /
+                                    static_cast<double>(uninterested));
+  out.rounds.add(static_cast<double>(rt.now()) / static_cast<double>(period));
+  out.messages_per_process.add(
+      static_cast<double>(rt.network().counters().sent) /
+      static_cast<double>(nodes.size()));
+  out.interested_fraction.add(
       static_cast<double>(interested) /
-      static_cast<double>(std::max<std::size_t>(1, nodes.size()));
-  return m;
+      static_cast<double>(std::max<std::size_t>(1, nodes.size())));
 }
 
 template <typename MakeNodes, typename Publish>
@@ -225,8 +208,7 @@ ExperimentResult run_experiment_loop(const ExperimentConfig& config,
 
     rt.run_until_idle();
 
-    aggregate(out, finish_run(nodes, event, publisher, rt,
-                              rt.network().counters().sent, config.period));
+    finish_run(out, nodes, event, publisher, rt, config.period);
   }
   return out;
 }

@@ -1301,16 +1301,17 @@ GroupSummary ChurnSim::group_summary() const {
       h = fnv1a_u64(h, slot.sync->view().known_processes());
     }
     if (slot.pm != nullptr) {
-      const auto& p = slot.pm->stats();
+      const auto& r = slot.pm->stats();
+      const auto& p = slot.pm->gossip_stats();
       out.bound_collapsed += p.bound_collapsed;
       // Summed but NOT hashed: the fingerprint's field list is frozen
       // (docs/DETERMINISM.md §7) — new counters are compared by operator==.
-      out.dup_suppressed += p.dup_suppressed;
+      out.dup_suppressed += r.dup_suppressed;
       out.shed_events += p.shed_events;
       h = fnv1a_u64(h, p.published);
-      h = fnv1a_u64(h, p.received);
-      h = fnv1a_u64(h, p.delivered);
-      h = fnv1a_u64(h, p.gossips_sent);
+      h = fnv1a_u64(h, r.received);
+      h = fnv1a_u64(h, r.delivered);
+      h = fnv1a_u64(h, r.sent);
       h = fnv1a_u64(h, p.rounds_run);
       h = fnv1a_u64(h, p.bound_collapsed);
       h = fnv1a_u64(h, p.leaf_floods);

@@ -374,11 +374,11 @@ struct GroupSummary {
   std::uint64_t env_crash_ppm = 0;
   std::uint64_t env_windows = 0;
   /// Eq. 11 bound collapses observed across all processes
-  /// (PmcastNode::Stats::bound_collapsed).
+  /// (PmcastNode::GossipStats::bound_collapsed).
   std::uint64_t bound_collapsed = 0;
   /// Duplicate gossips/payloads discarded by the receivers' seen-set
-  /// (summed PmcastNode::Stats::dup_suppressed) — the exactly-once ledger
-  /// the duplication injector is audited against.
+  /// (summed SubscriberNode::Stats::dup_suppressed) — the exactly-once
+  /// ledger the duplication injector is audited against.
   std::uint64_t dup_suppressed = 0;
   /// Events shed by the graceful-degradation caps (max_retained /
   /// max_buffered), summed over live processes.

@@ -111,14 +111,11 @@ std::vector<const DepthView*> GroupTree::tables_for(
 
 MembershipView GroupTree::materialize_view(const Address& self) const {
   MembershipView mv(self, config_, *interns_);
+  // Each table whole: both are bound to interns_, so the columns copy as
+  // they are instead of regrowing row by row.
   for (std::size_t depth = 1; depth <= config_.depth; ++depth) {
     const auto it = tables_.find(self.prefix(depth - 1));
-    if (it == tables_.end()) continue;
-    const DepthView& dv = it->second;
-    for (std::size_t i = 0; i < dv.size(); ++i)
-      mv.view(depth).upsert_pooled(dv.infix(i), dv.delegates(i),
-                                   dv.interests_ptr(i), dv.process_count(i),
-                                   dv.version(i), dv.alive(i));
+    if (it != tables_.end()) mv.view(depth) = it->second;
   }
   return mv;
 }

@@ -67,8 +67,8 @@ struct PmcastConfig {
   /// `max_buffered` bounds the total entries across the per-depth gossip
   /// buffers (overflow drops the incoming event instead of buffering it —
   /// it was delivered locally if interested, only its re-gossip is shed).
-  /// Every shed increments Stats::shed_events. 0 = unbounded (the default;
-  /// fingerprints of capless runs are unchanged).
+  /// Every shed increments PmcastNode::GossipStats::shed_events. 0 =
+  /// unbounded (the default; fingerprints of capless runs are unchanged).
   std::size_t max_retained = 0;
   std::size_t max_buffered = 0;
 

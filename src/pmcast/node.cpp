@@ -11,9 +11,8 @@ PmcastNode::PmcastNode(Runtime& rt, ProcessId pid, PmcastConfig config,
                        const Address& self, Subscription subscription,
                        std::span<const DepthView* const> tables,
                        Directory directory)
-    : Process(rt, pid),
+    : SubscriberNode(rt, pid, std::move(subscription)),
       config_(config),
-      subscription_(std::move(subscription)),
       directory_(std::move(directory)),
       estimator_(config.pittel_c) {
   config_.validate();
@@ -32,9 +31,8 @@ PmcastNode::PmcastNode(Runtime& rt, ProcessId pid, PmcastConfig config,
 void PmcastNode::pmcast(Event event) {
   PMC_EXPECTS(alive());
   auto ev = std::make_shared<const Event>(std::move(event));
-  ++stats_.published;
-  seen_.insert(ev->id());
-  deliver_if_interested(*ev);
+  ++gossip_stats_.published;
+  originate(*ev);
 
   // Sec. 3.2: start at the root, but skip depths where the interest is
   // confined to our own subtree — the event is of "local" interest there.
@@ -83,17 +81,12 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
   if (piggyback_sink_ && gossip.has_piggyback())
     piggyback_sink_(gossip.sender, *gossip.piggyback);
 
-  // Fig. 3 lines 20-23 (with whole-lifetime dedup, see header).
-  if (!seen_.insert(gossip.event->id()).second) {
-    ++stats_.dup_suppressed;
-    return;
-  }
-  ++stats_.received;
+  // Fig. 3 lines 20-23, with whole-lifetime dedup (SubscriberNode::accept).
+  if (!accept(*gossip.event)) return;
   if (gossip.no_regossip) {
     // Leaf flood (Sec. 6): the sender already addressed every interested
-    // neighbor, so there is nothing left to gossip — deliver, and keep the
-    // payload only for the optional digest-recovery phase.
-    deliver_if_interested(*gossip.event);
+    // neighbor, so there is nothing left to gossip — keep the payload only
+    // for the optional digest-recovery phase.
     retain_for_recovery(gossip.event);
     if (!store_.empty() && !periodic_armed()) arm_periodic(config_.period);
     return;
@@ -103,7 +96,6 @@ void PmcastNode::on_message(ProcessId from, const MessagePtr& msg) {
   entry.rate = gossip.rate;
   entry.round = gossip.round;
   buffer_event(gossip.depth, std::move(entry));
-  deliver_if_interested(*gossip.event);
 }
 
 void PmcastNode::on_period() {
@@ -137,7 +129,7 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
       pick_scratch_.resize(candidates.size());
       std::iota(pick_scratch_.begin(), pick_scratch_.end(), std::size_t{0});
       send_gossip(depth, entry, /*flood=*/true);
-      ++stats_.leaf_floods;
+      ++gossip_stats_.leaf_floods;
       retain_for_recovery(std::move(entry.event));
       it = entries.erase(it);
       continue;
@@ -164,7 +156,7 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
     if (static_cast<double>(entry.round) < bound) {
       // Fig. 3 lines 8-14: one more round at this depth.
       ++entry.round;
-      ++stats_.rounds_run;
+      ++gossip_stats_.rounds_run;
       const std::size_t picks =
           std::min<std::size_t>(config_.fanout, candidates.size());
       rng().sample_without_replacement(candidates.size(), picks,
@@ -176,7 +168,8 @@ void PmcastNode::gossip_entries_at(std::size_t depth) {
       // Retiring after zero rounds with an interested audience means the
       // discounted bound collapsed (see RoundEstimator::faulty) — count
       // it, since the event just skipped this depth entirely.
-      if (entry.round == 0 && interested > 0.0) ++stats_.bound_collapsed;
+      if (entry.round == 0 && interested > 0.0)
+        ++gossip_stats_.bound_collapsed;
       if (depth < config_.tree.depth) {
         promoted.push_back(fresh_entry(depth + 1, std::move(entry.event)));
       } else {
@@ -203,7 +196,7 @@ void PmcastNode::send_gossip(std::size_t depth, const Entry& entry,
     msg->piggyback = std::move(batch);
     if (msg->has_piggyback()) msg->sender = AddrRef(interns(), self_id_);
     send_multi(target_scratch_, msg);  // one transcode, per-target draws
-    stats_.gossips_sent += target_scratch_.size();
+    count_sent(target_scratch_.size());
     target_scratch_.clear();
   };
   for (const auto ci : pick_scratch_) {
@@ -287,18 +280,11 @@ void PmcastNode::buffer_event(std::size_t depth, Entry entry) {
   if (config_.max_buffered > 0 && buffered_total() >= config_.max_buffered) {
     // Degradation cap: the event was already delivered locally if
     // interested; only its re-gossip duty is shed.
-    ++stats_.shed_events;
+    ++gossip_stats_.shed_events;
     return;
   }
   depths_[depth - 1].entries.push_back(std::move(entry));
   if (!periodic_armed()) arm_periodic(config_.period);
-}
-
-void PmcastNode::deliver_if_interested(const Event& e) {
-  if (!subscription_.match(e)) return;
-  if (!delivered_ids_.insert(e.id()).second) return;
-  ++stats_.delivered;
-  if (deliver_) deliver_(e);
 }
 
 bool PmcastNode::buffers_empty() const noexcept {
@@ -321,7 +307,7 @@ void PmcastNode::retain_for_recovery(std::shared_ptr<const Event> event) {
     // Deterministic shedding: FlatMap is EventId-ordered, so every replica
     // evicts the same victim (the smallest id — oldest publishers first).
     store_.erase(store_.begin());
-    ++stats_.shed_events;
+    ++gossip_stats_.shed_events;
   }
 }
 
@@ -353,7 +339,7 @@ void PmcastNode::run_recovery_round() {
       auto msg = std::make_shared<EventDigestMsg>();
       msg->ids = std::move(digests[ci].second);
       send(target, std::move(msg));
-      ++stats_.digests_sent;
+      ++gossip_stats_.digests_sent;
     }
   }
 
@@ -369,7 +355,7 @@ void PmcastNode::handle_digest(ProcessId from, const EventDigestMsg& m) {
   if (config_.recovery_rounds == 0) return;
   std::vector<EventId> missing;
   for (const auto& id : m.ids) {
-    if (seen_.count(id) == 0) missing.push_back(id);
+    if (!has_received(id)) missing.push_back(id);
   }
   if (missing.empty()) return;
   auto request = std::make_shared<EventRequestMsg>();
@@ -388,14 +374,8 @@ void PmcastNode::handle_request(ProcessId from, const EventRequestMsg& m) {
 
 void PmcastNode::handle_payload(const EventPayloadMsg& m) {
   for (const auto& event : m.events) {
-    if (event == nullptr) continue;
-    if (!seen_.insert(event->id()).second) {
-      ++stats_.dup_suppressed;
-      continue;
-    }
-    ++stats_.received;
-    ++stats_.recoveries;
-    deliver_if_interested(*event);
+    if (event == nullptr || !accept(*event)) continue;
+    ++gossip_stats_.recoveries;
     // Retain the recovered payload so it can serve further requests, and
     // keep the periodic task alive for the digest rounds.
     retain_for_recovery(event);

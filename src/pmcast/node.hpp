@@ -17,16 +17,14 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/contract.hpp"
 #include "common/flat_map.hpp"
 #include "event/event.hpp"
-#include "filter/subscription.hpp"
 #include "membership/view.hpp"
 #include "pmcast/config.hpp"
-#include "sim/runtime.hpp"
+#include "pmcast/subscriber.hpp"
 
 namespace pmc {
 
@@ -86,10 +84,11 @@ struct EventPayloadMsg final : MessageBase {
 /// the low-index view rows.
 std::size_t tuning_start_index(const EventId& id, std::size_t n);
 
-class PmcastNode final : public Process {
+/// Receiving, delivering and the received/delivered/sent/dup_suppressed
+/// counters are SubscriberNode's, as for every baseline; `sent` counts the
+/// gossip copies handed to the network, one per target.
+class PmcastNode final : public SubscriberNode {
  public:
-  using DeliverHandler = std::function<void(const Event&)>;
-
   /// `tables` are the node's d view tables, depth i at index i-1
   /// (GroupTree::tables_for or MembershipView::tables_for), all bound to
   /// one Interns, whose ids `directory` resolves. The tables must outlive
@@ -102,11 +101,6 @@ class PmcastNode final : public Process {
   /// every depth starting from the root; if it is itself interested, the
   /// event is delivered locally.
   void pmcast(Event event);
-
-  /// HPDELIVER callback; invoked at most once per event.
-  void set_deliver_handler(DeliverHandler handler) {
-    deliver_ = std::move(handler);
-  }
 
   /// Membership piggybacking (paper Sec. 2.3): when both hooks are set,
   /// every outgoing gossip carries source(target) rows and every incoming
@@ -136,19 +130,10 @@ class PmcastNode final : public Process {
   }
 
   Address address() const { return interns().addrs.resolve(self_id_); }
-  const Subscription& subscription() const noexcept { return subscription_; }
 
-  bool interested_in(const Event& e) const { return subscription_.match(e); }
-  bool has_received(const EventId& id) const { return seen_.count(id) != 0; }
-  bool has_delivered(const EventId& id) const {
-    return delivered_ids_.count(id) != 0;
-  }
-
-  struct Stats {
+  /// The protocol's own counters, beside SubscriberNode::stats().
+  struct GossipStats {
     std::uint64_t published = 0;
-    std::uint64_t received = 0;   ///< distinct events received via gossip
-    std::uint64_t delivered = 0;  ///< events handed to the application
-    std::uint64_t gossips_sent = 0;
     std::uint64_t rounds_run = 0;  ///< per-depth gossip rounds executed
     /// Entries retired after zero rounds at a depth that still had an
     /// interested audience: the discounted Eq. 11 bound collapsed
@@ -159,15 +144,10 @@ class PmcastNode final : public Process {
     std::uint64_t leaf_floods = 0;  ///< Sec. 6 leaf-flood activations
     std::uint64_t digests_sent = 0;
     std::uint64_t recoveries = 0;  ///< events obtained via retransmission
-    /// Duplicate events discarded by the whole-lifetime seen-set (gossip
-    /// and recovery-payload paths). Under the network's duplication
-    /// injector this is the exactly-once audit trail: every duplicate the
-    /// wire manufactures lands here, never in `delivered`.
-    std::uint64_t dup_suppressed = 0;
     /// Events shed by the PmcastConfig::max_retained / max_buffered caps.
     std::uint64_t shed_events = 0;
   };
-  const Stats& stats() const noexcept { return stats_; }
+  const GossipStats& gossip_stats() const noexcept { return gossip_stats_; }
 
  protected:
   void on_message(ProcessId from, const MessagePtr& msg) override;
@@ -251,7 +231,6 @@ class PmcastNode final : public Process {
   /// one no_regossip message without rows; in a round, consecutive targets
   /// that get one piggyback batch share one message.
   void send_gossip(std::size_t depth, const Entry& entry, bool flood);
-  void deliver_if_interested(const Event& e);
   bool buffers_empty() const noexcept;
   std::size_t buffered_total() const noexcept;
 
@@ -265,11 +244,9 @@ class PmcastNode final : public Process {
 
   PmcastConfig config_;
   AddrId self_id_ = kNoAddr;  ///< the node's address, in the tables' Interns
-  Subscription subscription_;
   Directory directory_;
   RoundEstimator estimator_;
   EnvSource env_source_;
-  DeliverHandler deliver_;
   PiggybackSource piggyback_source_;
   PiggybackSink piggyback_sink_;
 
@@ -280,9 +257,6 @@ class PmcastNode final : public Process {
   std::vector<ProcessId> target_scratch_;
   /// The indices each gossip or digest round picks (a flood lists all).
   std::vector<std::size_t> pick_scratch_;
-
-  std::unordered_set<EventId, EventIdHash> seen_;
-  std::unordered_set<EventId, EventIdHash> delivered_ids_;
 
   /// Events retained for digest recovery, with remaining digest rounds.
   /// A FlatMap so recovery digests enumerate ids in EventId order — with an
@@ -295,7 +269,7 @@ class PmcastNode final : public Process {
   };
   FlatMap<EventId, Retained> store_;
 
-  Stats stats_;
+  GossipStats gossip_stats_;
 };
 
 }  // namespace pmc

@@ -1,7 +1,9 @@
-// The receive side the three baselines (flooding, genuine, treecast)
-// share: a subscription, the seen/delivered sets that make delivery
-// exactly-once under duplication and reordering, the deliver handler and
-// the per-node counters. Each baseline adds only how it forwards.
+// The receive side every protocol node shares (pmcast and the three
+// baselines: flooding, genuine, treecast): a subscription, the seen and
+// delivered sets that make delivery exactly-once under duplication and
+// reordering (Fig. 3's HPDELIVER, with whole-lifetime dedup), the deliver
+// handler and the per-node counters. Each protocol adds only how it
+// forwards.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +16,11 @@
 
 namespace pmc {
 
-class BaselineNode : public Process {
+class SubscriberNode : public Process {
  public:
   using DeliverHandler = std::function<void(const Event&)>;
 
+  /// HPDELIVER callback; invoked at most once per event.
   void set_deliver_handler(DeliverHandler handler) {
     deliver_ = std::move(handler);
   }
@@ -29,19 +32,22 @@ class BaselineNode : public Process {
   }
 
   struct Stats {
+    /// Distinct events received off the wire (pmcast: by gossip or by
+    /// recovery payload).
     std::uint64_t received = 0;
-    std::uint64_t delivered = 0;
-    /// Messages handed to the network: gossip copies (flooding, genuine)
-    /// or subtree forwards (treecast).
+    std::uint64_t delivered = 0;  ///< events handed to the application
+    /// Messages handed to the network: gossip copies, one per target
+    /// (pmcast, flooding, genuine), or subtree forwards (treecast).
     std::uint64_t sent = 0;
-    /// Duplicates discarded by the seen-set (exactly-once audit trail
-    /// under the network's duplication injector).
+    /// Duplicates discarded by the seen-set. Under the network's
+    /// duplication injector this is the exactly-once audit trail: every
+    /// duplicate the wire manufactures lands here, never in `delivered`.
     std::uint64_t dup_suppressed = 0;
   };
   const Stats& stats() const noexcept { return stats_; }
 
  protected:
-  BaselineNode(Runtime& rt, ProcessId pid, Subscription subscription)
+  SubscriberNode(Runtime& rt, ProcessId pid, Subscription subscription)
       : Process(rt, pid), subscription_(std::move(subscription)) {}
 
   /// The originator's copy: marks it seen and delivers it if interested.

@@ -309,7 +309,7 @@ TEST(Adversarial, RetainedStoreShedsOldestWhenCapped) {
   c.runtime->run_until_idle();
 
   std::uint64_t shed = 0;
-  for (const auto& node : c.nodes) shed += node->stats().shed_events;
+  for (const auto& node : c.nodes) shed += node->gossip_stats().shed_events;
   EXPECT_GT(shed, 0u) << "the retained-event cap never bit";
   // Degradation is graceful: recent events are still delivered even
   // though old retained copies were evicted.
@@ -335,7 +335,7 @@ TEST(Adversarial, SheddingIsDeterministic) {
     c.runtime->run_until_idle();
     std::uint64_t shed = 0, delivered = 0;
     for (const auto& node : c.nodes) {
-      shed += node->stats().shed_events;
+      shed += node->gossip_stats().shed_events;
       delivered += node->stats().delivered;
     }
     return std::pair{shed, delivered};

@@ -47,8 +47,9 @@ RunTrace run_once(std::uint64_t seed) {
   RunTrace trace;
   for (const auto& node : cluster.nodes) {
     const auto& s = node->stats();
-    trace.per_node.emplace_back(s.received, s.delivered, s.gossips_sent,
-                                s.rounds_run, s.leaf_floods);
+    const auto& g = node->gossip_stats();
+    trace.per_node.emplace_back(s.received, s.delivered, s.sent,
+                                g.rounds_run, g.leaf_floods);
   }
   trace.network_sent = cluster.runtime->network().counters().sent;
   trace.network_delivered = cluster.runtime->network().counters().delivered;

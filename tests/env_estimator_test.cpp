@@ -102,8 +102,8 @@ TEST(BoundCollapse, CountedWhenDiscountedPopulationVanishes) {
   const Event e = make_event_at(0, 0, 0.5);
   c.nodes[0]->pmcast(e);
   c.runtime->run_until_idle();
-  EXPECT_GT(c.nodes[0]->stats().bound_collapsed, 0u);
-  EXPECT_EQ(c.nodes[0]->stats().rounds_run, 0u);
+  EXPECT_GT(c.nodes[0]->gossip_stats().bound_collapsed, 0u);
+  EXPECT_EQ(c.nodes[0]->gossip_stats().rounds_run, 0u);
   // Nobody else could have been reached: the event died at the publisher.
   for (const auto& n : c.nodes) {
     if (n->id() == 0) continue;
@@ -116,7 +116,7 @@ TEST(BoundCollapse, NotCountedInHealthyEnvironments) {
   c.nodes[0]->pmcast(make_event_at(0, 0, 0.5));
   c.runtime->run_until_idle();
   std::uint64_t collapsed = 0;
-  for (const auto& n : c.nodes) collapsed += n->stats().bound_collapsed;
+  for (const auto& n : c.nodes) collapsed += n->gossip_stats().bound_collapsed;
   EXPECT_EQ(collapsed, 0u);
 }
 
@@ -136,8 +136,8 @@ TEST(NoRegossip, FloodReceiversDeliverWithoutGossiping) {
   std::uint64_t gossips = 0, rounds = 0;
   std::size_t delivered = 0;
   for (const auto& n : c.nodes) {
-    gossips += n->stats().gossips_sent;
-    rounds += n->stats().rounds_run;
+    gossips += n->stats().sent;
+    rounds += n->gossip_stats().rounds_run;
     if (n->has_delivered(e.id())) ++delivered;
   }
   EXPECT_EQ(delivered, c.nodes.size());

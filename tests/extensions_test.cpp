@@ -27,7 +27,7 @@ TEST(LeafFlood, ActivatesAtHighDensity) {
   std::uint64_t floods = 0;
   std::size_t delivered = 0;
   for (const auto& n : c.nodes) {
-    floods += n.get()->stats().leaf_floods;
+    floods += n.get()->gossip_stats().leaf_floods;
     if (n->has_delivered(e.id())) ++delivered;
   }
   EXPECT_GT(floods, 0u);
@@ -41,7 +41,7 @@ TEST(LeafFlood, InactiveBelowDensity) {
   c.nodes[0]->pmcast(make_event_at(0, 0, 0.5));
   c.runtime->run_until_idle();
   std::uint64_t floods = 0;
-  for (const auto& n : c.nodes) floods += n->stats().leaf_floods;
+  for (const auto& n : c.nodes) floods += n->gossip_stats().leaf_floods;
   EXPECT_EQ(floods, 0u);
 }
 
@@ -50,7 +50,7 @@ TEST(LeafFlood, DisabledByDefault) {
   c.nodes[0]->pmcast(make_event_at(0, 0, 0.5));
   c.runtime->run_until_idle();
   std::uint64_t floods = 0;
-  for (const auto& n : c.nodes) floods += n->stats().leaf_floods;
+  for (const auto& n : c.nodes) floods += n->gossip_stats().leaf_floods;
   EXPECT_EQ(floods, 0u);
 }
 

@@ -177,7 +177,7 @@ TEST(Piggyback, TargetsWithOneBatchShareOneMessage) {
   s.pm_nodes[0]->pmcast(make_event_at(0, 0, 0.5));
   s.runtime->run_for(sim_sec(5));
   std::uint64_t sent = 0;
-  for (const auto& n : s.pm_nodes) sent += n->stats().gossips_sent;
+  for (const auto& n : s.pm_nodes) sent += n->stats().sent;
   EXPECT_GT(absorbed, 0U);
   // With no loss and no filter every message is transcoded once, so one
   // payload per target would make the two counts equal.

@@ -27,7 +27,7 @@ TEST(PmcastNode, PublisherDeliversLocallyWhenInterested) {
   const Event e = make_event_at(0, 0, 0.5);
   c.nodes[0]->pmcast(e);
   EXPECT_TRUE(c.nodes[0]->has_delivered(e.id()));
-  EXPECT_EQ(c.nodes[0]->stats().published, 1u);
+  EXPECT_EQ(c.nodes[0]->gossip_stats().published, 1u);
 }
 
 TEST(PmcastNode, UninterestedNonDelegatesNeverReceive) {
@@ -437,7 +437,7 @@ TEST(PmcastNode, APromotedEventDrawsFromItsNewDepthsTableOnly) {
     for (const std::uint32_t depth : probe->depths) EXPECT_EQ(depth, 1u);
   }
   EXPECT_GT(received, 0u);
-  EXPECT_EQ(node.stats().gossips_sent, received);
+  EXPECT_EQ(node.stats().sent, received);
 }
 
 TEST(PmcastNode, StatsAreConsistent) {
@@ -448,8 +448,8 @@ TEST(PmcastNode, StatsAreConsistent) {
   for (const auto& node : c.nodes) {
     const auto& s = node->stats();
     // Each executed round sends at most F gossips.
-    EXPECT_LE(s.gossips_sent, s.rounds_run * 3);
-    total_sent += s.gossips_sent;
+    EXPECT_LE(s.sent, node->gossip_stats().rounds_run * 3);
+    total_sent += s.sent;
   }
   EXPECT_EQ(total_sent, c.runtime->network().counters().sent);
 }

@@ -2,6 +2,9 @@
 // — pbcast-style event-digest anti-entropy on the leaf subgroups.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "cluster_helpers.hpp"
 
 namespace pmc {
@@ -46,9 +49,45 @@ TEST(Recovery, RecoveriesActuallyHappenUnderLoss) {
     auto c = make_cluster(4, 2, 2, 1.0, config, 0.4, 60 + seed);
     c.nodes[0]->pmcast(make_event_at(0, seed, 0.5));
     c.runtime->run_until_idle();
-    for (const auto& n : c.nodes) recoveries += n->stats().recoveries;
+    for (const auto& n : c.nodes) recoveries += n->gossip_stats().recoveries;
   }
   EXPECT_GT(recoveries, 0u);
+}
+
+TEST(Recovery, ExactlyOnceWhenPayloadsAreDuplicated) {
+  // Digest recovery under the duplication and reorder injectors: every
+  // duplicated gossip, request or payload must end in the seen-set, never
+  // in a second delivery or a second `received`.
+  PmcastConfig config = recovery_config(6);
+  config.env.loss = 0.4;
+  std::uint64_t recoveries = 0, duplicated = 0, suppressed = 0;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    auto c = make_cluster(4, 2, 2, 1.0, config, 0.4, 60 + seed);
+    c.runtime->network().set_duplication(0.6);
+    c.runtime->network().set_reorder(0.5, sim_ms(30));
+    // Every callback is counted: the delivered set would mask a repeat.
+    std::map<std::pair<ProcessId, EventId>, int> deliveries;
+    for (auto& node : c.nodes)
+      node->set_deliver_handler(
+          [&deliveries, pid = node->id()](const Event& e) {
+            ++deliveries[{pid, e.id()}];
+          });
+    c.nodes[0]->pmcast(make_event_at(0, seed, 0.5));
+    c.runtime->run_until_idle();
+
+    ASSERT_FALSE(deliveries.empty());
+    for (const auto& [key, n] : deliveries)
+      EXPECT_EQ(n, 1) << "process " << key.first << " seed " << seed;
+    for (const auto& n : c.nodes) {
+      EXPECT_LE(n->stats().received, 1u) << n->address().to_string();
+      recoveries += n->gossip_stats().recoveries;
+      suppressed += n->stats().dup_suppressed;
+    }
+    duplicated += c.runtime->network().counters().duplicated;
+  }
+  EXPECT_GT(recoveries, 0u);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_GT(suppressed, 0u);
 }
 
 TEST(Recovery, UninterestedNonDelegatesStillUntouched) {
@@ -81,8 +120,8 @@ TEST(Recovery, DisabledMeansNoDigests) {
   c.nodes[0]->pmcast(make_event_at(0, 0, 0.5));
   c.runtime->run_until_idle();
   for (const auto& n : c.nodes) {
-    EXPECT_EQ(n->stats().digests_sent, 0u);
-    EXPECT_EQ(n->stats().recoveries, 0u);
+    EXPECT_EQ(n->gossip_stats().digests_sent, 0u);
+    EXPECT_EQ(n->gossip_stats().recoveries, 0u);
   }
 }
 
@@ -95,7 +134,7 @@ TEST(Recovery, DigestTrafficBounded) {
   c.nodes[0]->pmcast(make_event_at(0, 0, 0.5));
   c.runtime->run_until_idle();
   for (const auto& n : c.nodes)
-    EXPECT_LE(n->stats().digests_sent, 2u * 3u + 2u);
+    EXPECT_LE(n->gossip_stats().digests_sent, 2u * 3u + 2u);
 }
 
 TEST(Recovery, RecoveredEventServesFurtherRequests) {

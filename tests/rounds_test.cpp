@@ -88,7 +88,7 @@ TEST(RoundEstimator, SaturatedEnvCollapsesToZeroInsteadOfThrowing) {
   // ε = 1 (or τ = 1) is a state an online estimator can legitimately
   // reach under total loss; the pre-fix estimator rejected the boundary
   // (loss < 1) and threw mid-gossip. Now the bound collapses to an
-  // explicit 0 — observable via PmcastNode::Stats::bound_collapsed.
+  // explicit 0 — observable via PmcastNode::GossipStats::bound_collapsed.
   const RoundEstimator est;
   EnvParams total_loss;
   total_loss.loss = 1.0;
